@@ -10,6 +10,8 @@ package helixpipe
 // (headline speedup, simulated tokens/s).
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
 
 	"repro/internal/bench"
@@ -122,17 +124,18 @@ func BenchmarkZB1PSensitivity(b *testing.B) {
 
 // headlineSession builds the paper's headline configuration (7B, 128k, p=8)
 // for the micro-benchmarks.
-func headlineSession(b *testing.B) *Session {
-	b.Helper()
+func headlineSession(tb testing.TB) *Session {
+	tb.Helper()
 	s, err := NewSession(Model7B(), H20Cluster(), WithSeqLen(131072), WithStages(8))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s
 }
 
 // BenchmarkBuildHelixPlan measures HelixPipe plan construction at the
-// headline scale (p=8, m=16, 32 layers).
+// headline scale (p=8, m=16, 32 layers). The alloc-gate CI step pins its
+// allocs/op to the budget in testdata/alloc_budget.json.
 func BenchmarkBuildHelixPlan(b *testing.B) {
 	s := headlineSession(b)
 	b.ResetTimer()
@@ -140,6 +143,32 @@ func BenchmarkBuildHelixPlan(b *testing.B) {
 		if _, err := s.Plan(MethodHelix); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestHelixBuildAllocBudget enforces the helix build budget in-process, the
+// contract the CI alloc-gate re-checks from BenchmarkBuildHelixPlan's
+// -benchmem output.
+func TestHelixBuildAllocBudget(t *testing.T) {
+	raw, err := os.ReadFile("testdata/alloc_budget.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget struct {
+		HelixBuildAllocsPerOp float64 `json:"helix_build_allocs_per_op"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatal(err)
+	}
+	s := headlineSession(t)
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := s.Plan(MethodHelix); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget.HelixBuildAllocsPerOp {
+		t.Errorf("helix plan build allocates %.0f allocs/op, budget %.0f (testdata/alloc_budget.json)",
+			got, budget.HelixBuildAllocsPerOp)
 	}
 }
 

@@ -14,7 +14,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -127,7 +127,6 @@ const (
 // fold group back to back (the essence of the two-fold schedule); attention
 // tasks are per micro batch so they interleave freely.
 type hTask struct {
-	id      int
 	kind    taskKind
 	unit    int   // unit index for tUnitF/tUnitB (0..L); layer for attention
 	mbs     []int // the micro batches, in emission order
@@ -145,10 +144,11 @@ type helixBuilder struct {
 	ops   [][]sched.Op
 
 	// scheduling state
-	arrival map[sched.Tag]float64
+	// arrival is the arrival estimate of every message, indexed by
+	// arrivalSlot. A task is ready only once the producers of its inputs
+	// ran, so the scheduler reads only slots already written.
+	arrival []float64
 	clock   []float64
-	done    []bool
-	endAt   []float64
 	// NIC availability per stage (full duplex), mirrored from the
 	// simulator so arrival estimates account for link contention and the
 	// emitted program order matches true arrival order.
@@ -157,9 +157,8 @@ type helixBuilder struct {
 }
 
 func (b *helixBuilder) addTask(t hTask) int {
-	t.id = len(b.tasks)
 	b.tasks = append(b.tasks, t)
-	return t.id
+	return len(b.tasks) - 1
 }
 
 // buildTasks enumerates every task of one training iteration with its
@@ -187,6 +186,9 @@ func (b *helixBuilder) buildTasks() {
 		return mbs
 	}
 	totalGroups := m / fold
+	// Forward and backward each hold one task per (unit, group) and one per
+	// (layer, micro batch).
+	b.tasks = make([]hTask, 0, 2*((L+1)*totalGroups+L*m))
 
 	// Forward unit and attention tasks.
 	for u := 0; u <= L; u++ {
@@ -287,108 +289,178 @@ func (b *helixBuilder) buildTasks() {
 
 // schedule orders the tasks with deterministic earliest-start greedy list
 // scheduling and emits the per-stage op programs.
+//
+// Candidates are visited by (key, id) and a later candidate wins only when
+// its start is lower by more than 1e-15. Only ready tasks (every
+// prerequisite already run) can win, so the scan walks a ready list kept in
+// that same order, maintained from per-task pending-prerequisite counts.
 func (b *helixBuilder) schedule() error {
-	p := b.cfg.Stages
+	p, n := b.cfg.Stages, len(b.tasks)
 	b.ops = make([][]sched.Op, p)
-	b.arrival = map[sched.Tag]float64{}
+	for s, ops := range b.programLengths() {
+		b.ops[s] = make([]sched.Op, 0, ops)
+	}
+	b.arrival = make([]float64, b.cfg.MicroBatches*b.cfg.Layers*4)
 	b.clock = make([]float64, p)
-	b.done = make([]bool, len(b.tasks))
-	b.endAt = make([]float64, len(b.tasks))
 	b.sendFree = make([]float64, p)
 	b.recvFree = make([]float64, p)
 
-	remaining := len(b.tasks)
-	// Stable candidate iteration order: by key then id.
-	order := make([]int, len(b.tasks))
+	// Candidate order: by key then id, a total order. rank[id] is a task's
+	// position in it.
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, c := b.tasks[order[i]], b.tasks[order[j]]
-		if a.key != c.key {
-			return lessKey(a.key, c.key)
+	slices.SortFunc(order, func(i, j int) int {
+		if c := slices.Compare(b.tasks[i].key[:], b.tasks[j].key[:]); c != 0 {
+			return c
 		}
-		return a.id < c.id
+		return i - j
 	})
+	rank := make([]int, n)
+	for r, id := range order {
+		rank[id] = r
+	}
 
-	for remaining > 0 {
-		bestIdx, bestStart := -1, math.MaxFloat64
-		for _, id := range order {
-			t := &b.tasks[id]
-			if b.done[id] {
-				continue
-			}
-			ready := true
-			depEnd := 0.0
-			for _, pre := range t.prereqs {
-				if !b.done[pre] {
-					ready = false
-					break
-				}
-				if b.endAt[pre] > depEnd {
-					depEnd = b.endAt[pre]
-				}
-			}
-			if !ready {
-				continue
-			}
+	// pending counts each task's prerequisites not run yet; the dependents
+	// of task i are next[first[i]:first[i+1]].
+	pending := make([]int, n)
+	first := make([]int, n+1)
+	for i := range b.tasks {
+		pending[i] = len(b.tasks[i].prereqs)
+		for _, pre := range b.tasks[i].prereqs {
+			first[pre+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		first[i+1] += first[i]
+	}
+	next := make([]int, first[n])
+	fill := make([]int, n)
+	for i := range b.tasks {
+		for _, pre := range b.tasks[i].prereqs {
+			next[first[pre]+fill[pre]] = i
+			fill[pre]++
+		}
+	}
+
+	// ready holds the ranks of the tasks that may run next, ascending.
+	ready := make([]int, 0, n)
+	for r, id := range order {
+		if pending[id] == 0 {
+			ready = append(ready, r)
+		}
+	}
+	for remaining := n; remaining > 0; remaining-- {
+		best, bestStart := -1, math.MaxFloat64
+		for i, r := range ready {
+			t := &b.tasks[order[r]]
 			start := math.Max(b.clock[t.stage], b.firstInputArrival(t))
 			if start < bestStart-1e-15 {
-				bestIdx, bestStart = id, start
+				best, bestStart = i, start
 			}
 		}
-		if bestIdx < 0 {
+		if best < 0 {
 			return fmt.Errorf("core: helix scheduling wedged with %d tasks remaining", remaining)
 		}
-		b.runTask(&b.tasks[bestIdx])
-		b.done[bestIdx] = true
-		remaining--
+		id := order[ready[best]]
+		ready = slices.Delete(ready, best, best+1)
+		b.runTask(&b.tasks[id])
+		for _, dep := range next[first[id]:first[id+1]] {
+			if pending[dep]--; pending[dep] == 0 {
+				at, _ := slices.BinarySearch(ready, rank[dep])
+				ready = slices.Insert(ready, at, rank[dep])
+			}
+		}
 	}
 	return nil
 }
 
-func lessKey(a, c [4]int) bool {
-	for i := range a {
-		if a[i] != c[i] {
-			return a[i] < c[i]
+// programLengths counts the ops runTask will emit on each stage, so every
+// stage program is allocated once at its exact length.
+func (b *helixBuilder) programLengths() []int {
+	L, p := b.cfg.Layers, b.cfg.Stages
+	recompute := 0
+	if b.opt.Recompute {
+		recompute = 1
+	}
+	// comm counts the recv or send a piece on stage s exchanges with peer:
+	// none when the peer is the same stage.
+	comm := func(s, peer int) int {
+		if peer == s {
+			return 0
+		}
+		return 1
+	}
+	n := make([]int, p)
+	for i := range b.tasks {
+		t := &b.tasks[i]
+		s := t.stage
+		for _, mb := range t.mbs {
+			switch t.kind {
+			case tUnitF:
+				n[s]++ // embedding or post-attention forward
+				if t.unit > 0 {
+					n[s] += comm(s, AttnStage(t.unit-1, mb, p))
+				}
+				if t.unit < L {
+					n[s] += 1 + comm(s, AttnStage(t.unit, mb, p))
+				}
+			case tAttnF, tAttnB:
+				n[s] += 1 + comm(s, PreOwner(t.unit, p)) + comm(s, PostOwner(t.unit, p))
+			case tUnitB:
+				if t.unit == L {
+					n[s] += 2 // fused head forward+backward-B, head backward-W
+				} else {
+					n[s] += comm(s, AttnStage(t.unit, mb, p)) + recompute + 2
+				}
+				if t.unit > 0 {
+					n[s] += recompute + 2 + comm(s, AttnStage(t.unit-1, mb, p))
+				} else {
+					n[s]++ // embedding backward-W
+				}
+			}
 		}
 	}
-	return false
+	return n
 }
 
 // firstInputArrival returns the arrival estimate of the task's first message
 // input, or 0 when it has none.
 func (b *helixBuilder) firstInputArrival(t *hTask) float64 {
-	tags := b.inputTags(t, t.mbs[0])
-	first := 0.0
-	for _, tag := range tags {
-		if a, ok := b.arrival[tag]; ok && a > first {
-			first = a
+	if tag, ok := b.inputTag(t, t.mbs[0]); ok {
+		if a := b.arrival[b.arrivalSlot(tag)]; a > 0 {
+			return a
 		}
 	}
-	return first
+	return 0
 }
 
-// inputTags returns the message tags one micro-batch piece of the task
-// consumes.
-func (b *helixBuilder) inputTags(t *hTask, mb int) []sched.Tag {
-	L := b.cfg.Layers
+// inputTag returns the message tag one micro-batch piece of the task
+// consumes, and false for the pieces that consume none (the embedding
+// forward and the head backward).
+func (b *helixBuilder) inputTag(t *hTask, mb int) (sched.Tag, bool) {
 	switch t.kind {
 	case tUnitF:
-		if t.unit == 0 {
-			return nil
-		}
-		return []sched.Tag{{MB: mb, Layer: t.unit - 1, Bound: sched.BoundAttnPost}}
+		return sched.Tag{MB: mb, Layer: t.unit - 1, Bound: sched.BoundAttnPost}, t.unit > 0
 	case tAttnF:
-		return []sched.Tag{{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn}}
+		return sched.Tag{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn}, true
 	case tUnitB:
-		if t.unit == L {
-			return nil
-		}
-		return []sched.Tag{{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn, Back: true}}
+		return sched.Tag{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn, Back: true}, t.unit < b.cfg.Layers
 	default: // tAttnB
-		return []sched.Tag{{MB: mb, Layer: t.unit, Bound: sched.BoundAttnPost, Back: true}}
+		return sched.Tag{MB: mb, Layer: t.unit, Bound: sched.BoundAttnPost, Back: true}, true
 	}
+}
+
+// arrivalSlot indexes a helix message in the dense arrival table, by
+// (micro batch, layer, boundary, direction).
+func (b *helixBuilder) arrivalSlot(tag sched.Tag) int {
+	slot := (tag.MB*b.cfg.Layers+tag.Layer)*2 + int(tag.Bound-sched.BoundPreAttn)
+	slot *= 2
+	if tag.Back {
+		slot++
+	}
+	return slot
 }
 
 // runTask emits the ops of a task and advances the builder clocks.
@@ -403,24 +475,25 @@ func (b *helixBuilder) runTask(t *hTask) {
 	default:
 		b.runAttn(t, true)
 	}
-	b.endAt[t.id] = b.clock[t.stage]
 }
 
 func (b *helixBuilder) emit(stage int, op sched.Op) { b.ops[stage] = append(b.ops[stage], op) }
 
-// recvPiece emits the recv ops for one micro-batch piece and returns the
-// stage clock after waiting for the arrivals. When the producer ran on this
+// recvPiece emits the recv op for one micro-batch piece and returns the
+// stage clock after waiting for the arrival. When the producer ran on this
 // very stage (the attention of micro batch mb at layer l is co-located with
 // a pre/post owner whenever (l+mb+1) = l or l+1 mod p) the value is already
 // local and no communication op is emitted.
 func (b *helixBuilder) recvPiece(t *hTask, mb int, from int, clock float64) float64 {
-	for _, tag := range b.inputTags(t, mb) {
-		if from != t.stage {
-			b.emit(t.stage, sched.Op{Kind: sched.KRecv, MB: mb, Peer: from, Tag: tag})
-		}
-		if a, ok := b.arrival[tag]; ok && a > clock {
-			clock = a
-		}
+	tag, ok := b.inputTag(t, mb)
+	if !ok {
+		return clock
+	}
+	if from != t.stage {
+		b.emit(t.stage, sched.Op{Kind: sched.KRecv, MB: mb, Peer: from, Tag: tag})
+	}
+	if a := b.arrival[b.arrivalSlot(tag)]; a > clock {
+		clock = a
 	}
 	return clock
 }
@@ -432,7 +505,7 @@ func (b *helixBuilder) sendPiece(stage, mb, peer int, tag sched.Tag, clock float
 	if peer == stage {
 		// Co-located consumer: the value is available immediately, no
 		// transfer happens.
-		b.arrival[tag] = clock
+		b.arrival[b.arrivalSlot(tag)] = clock
 		return clock
 	}
 	blocking := b.opt.Fold == 1
@@ -457,7 +530,7 @@ func (b *helixBuilder) sendPiece(stage, mb, peer int, tag sched.Tag, clock float
 	arrival := end + b.costs.P2PLatency
 	b.sendFree[stage] = end
 	b.recvFree[peer] = end
-	b.arrival[tag] = arrival
+	b.arrival[b.arrivalSlot(tag)] = arrival
 	if blocking {
 		return arrival
 	}

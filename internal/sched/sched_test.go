@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -420,6 +421,54 @@ func TestValidatorCatchesCorruption(t *testing.T) {
 	}
 	if err := Validate(p); err == nil {
 		t.Error("validator missed a stash leak")
+	}
+
+	// Ops outside the plan's geometry: rejected with an error naming the op,
+	// never an index panic in the dense tables.
+	first := func(p *Plan, kind OpKind) *Op {
+		for i := range p.Ops[0] {
+			if op := &p.Ops[0][i]; op.Kind == kind && (kind != KForward || op.Layer >= 0) {
+				return op
+			}
+		}
+		t.Fatalf("stage 0 has no %v op", kind)
+		return nil
+	}
+	outside := []struct {
+		name    string
+		kind    OpKind
+		corrupt func(*Op)
+	}{
+		{"compute micro batch", KForward, func(op *Op) { op.MB = cfg.MicroBatches }},
+		{"compute layer past the last", KForward, func(op *Op) { op.Layer = cfg.Layers }},
+		{"compute layer below the head", KForward, func(op *Op) { op.Layer = LayerHead - 1 }},
+		{"compute segment", KForward, func(op *Op) { op.Seg = model.Segment(len(model.Segments)) }},
+		{"negative compute segment", KForward, func(op *Op) { op.Seg = -1 }},
+		{"send tag micro batch", KSend, func(op *Op) { op.Tag.MB = cfg.MicroBatches }},
+		{"recv tag micro batch", KRecv, func(op *Op) { op.Tag.MB = -1 }},
+		{"send tag layer", KSend, func(op *Op) { op.Tag.Layer = cfg.Layers + 1 }},
+		{"recv tag layer", KRecv, func(op *Op) { op.Tag.Layer = -1 }},
+		{"send tag boundary", KSend, func(op *Op) { op.Tag.Bound = BoundAttnPost + 1 }},
+		{"recv tag boundary", KRecv, func(op *Op) { op.Tag.Bound = BoundAct - 1 }},
+	}
+	for _, c := range outside {
+		p := fresh()
+		op := first(p, c.kind)
+		c.corrupt(op)
+		err := Validate(p)
+		if err == nil {
+			t.Errorf("validator missed a %s outside the plan", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), op.String()) {
+			t.Errorf("%s: error %q does not name the op %v", c.name, err, *op)
+		}
+	}
+	// A geometry the ops cannot fill is rejected before any table is sized.
+	for _, g := range []struct{ mbs, layers int }{{-1, 4}, {4, -1}, {1 << 40, 1 << 40}} {
+		if err := Validate(&Plan{MicroBatches: g.mbs, Layers: g.layers}); err == nil {
+			t.Errorf("validator accepted an empty plan of %d micro batches and %d layers", g.mbs, g.layers)
+		}
 	}
 }
 

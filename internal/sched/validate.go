@@ -59,67 +59,109 @@ func tokenOfTag(t Tag) token {
 	}
 }
 
+// opTokens is the token effect of one op: the token it requires (at most
+// one) and the tokens it produces (at most two).
+type opTokens struct {
+	req         [1]token
+	prod        [2]token
+	nreq, nprod int
+}
+
+// needs returns the effect of an op requiring one token.
+func needs(req token) opTokens { return opTokens{req: [1]token{req}, nreq: 1} }
+
+// makes returns the effect with the given products added.
+func (io opTokens) makes(prod ...token) opTokens {
+	io.nprod = copy(io.prod[:], prod)
+	return io
+}
+
 // opIO returns the tokens an op requires and produces. Recompute ops have no
 // token effects (they regenerate locally stashed intermediates).
-func opIO(op Op, layers int) (req []token, prod []token) {
+func opIO(op *Op, layers int) opTokens {
 	switch op.Kind {
 	case KForward:
 		switch op.Layer {
 		case LayerEmbed:
-			return nil, []token{{kind: tokA, mb: op.MB, layer: 0}}
+			return opTokens{}.makes(token{kind: tokA, mb: op.MB, layer: 0})
 		case LayerHead:
-			return []token{{kind: tokA, mb: op.MB, layer: layers}}, nil
+			return needs(token{kind: tokA, mb: op.MB, layer: layers})
 		}
 		switch op.Seg {
 		case model.SegPre:
-			return []token{{kind: tokA, mb: op.MB, layer: op.Layer}},
-				[]token{{kind: tokQ, mb: op.MB, layer: op.Layer}}
+			return needs(token{kind: tokA, mb: op.MB, layer: op.Layer}).
+				makes(token{kind: tokQ, mb: op.MB, layer: op.Layer})
 		case model.SegAttn:
-			return []token{{kind: tokQ, mb: op.MB, layer: op.Layer}},
-				[]token{{kind: tokO, mb: op.MB, layer: op.Layer}}
+			return needs(token{kind: tokQ, mb: op.MB, layer: op.Layer}).
+				makes(token{kind: tokO, mb: op.MB, layer: op.Layer})
 		default:
-			return []token{{kind: tokO, mb: op.MB, layer: op.Layer}},
-				[]token{{kind: tokA, mb: op.MB, layer: op.Layer + 1}}
+			return needs(token{kind: tokO, mb: op.MB, layer: op.Layer}).
+				makes(token{kind: tokA, mb: op.MB, layer: op.Layer + 1})
 		}
 	case KBackwardB:
 		switch op.Layer {
 		case LayerHead:
 			// Deferred head: forward + loss + backward in one op (4.6).
-			return []token{{kind: tokA, mb: op.MB, layer: layers}},
-				[]token{
-					{kind: tokGA, mb: op.MB, layer: layers},
-					{kind: tokWEnable, mb: op.MB, layer: LayerHead},
-				}
+			return needs(token{kind: tokA, mb: op.MB, layer: layers}).makes(
+				token{kind: tokGA, mb: op.MB, layer: layers},
+				token{kind: tokWEnable, mb: op.MB, layer: LayerHead},
+			)
 		case LayerEmbed:
-			return []token{{kind: tokGA, mb: op.MB, layer: 0}}, nil
+			return needs(token{kind: tokGA, mb: op.MB, layer: 0})
 		}
 		switch op.Seg {
 		case model.SegPost:
-			return []token{{kind: tokGA, mb: op.MB, layer: op.Layer + 1}},
-				[]token{
-					{kind: tokGO, mb: op.MB, layer: op.Layer},
-					{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: model.SegPost},
-				}
+			return needs(token{kind: tokGA, mb: op.MB, layer: op.Layer + 1}).makes(
+				token{kind: tokGO, mb: op.MB, layer: op.Layer},
+				token{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: model.SegPost},
+			)
 		case model.SegAttn:
-			return []token{{kind: tokGO, mb: op.MB, layer: op.Layer}},
-				[]token{{kind: tokGQ, mb: op.MB, layer: op.Layer}}
+			return needs(token{kind: tokGO, mb: op.MB, layer: op.Layer}).
+				makes(token{kind: tokGQ, mb: op.MB, layer: op.Layer})
 		default:
-			return []token{{kind: tokGQ, mb: op.MB, layer: op.Layer}},
-				[]token{
-					{kind: tokGA, mb: op.MB, layer: op.Layer},
-					{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: model.SegPre},
-				}
+			return needs(token{kind: tokGQ, mb: op.MB, layer: op.Layer}).makes(
+				token{kind: tokGA, mb: op.MB, layer: op.Layer},
+				token{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: model.SegPre},
+			)
 		}
 	case KBackwardW:
 		switch op.Layer {
 		case LayerHead:
-			return []token{{kind: tokWEnable, mb: op.MB, layer: LayerHead}}, nil
+			return needs(token{kind: tokWEnable, mb: op.MB, layer: LayerHead})
 		case LayerEmbed:
-			return []token{{kind: tokGA, mb: op.MB, layer: 0}}, nil
+			return needs(token{kind: tokGA, mb: op.MB, layer: 0})
 		}
-		return []token{{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: op.Seg}}, nil
+		return needs(token{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: op.Seg})
 	}
-	return nil, nil
+	return opTokens{}
+}
+
+// geometry indexes the dense tables the checks run on. Structure validation
+// has already confined every op to it: compute targets to layers in
+// [LayerHead, layers) and segments in model.Segments, message tags to micro
+// batches in [0, mbs) and boundary layers in [0, layers].
+type geometry struct {
+	mbs, layers int
+}
+
+// segs is the segment count every table entry is split by.
+const segs = len(model.Segments)
+
+// targets is the number of (micro batch, target layer, segment) slots.
+func (g geometry) targets() int { return g.mbs * (g.layers - LayerHead) * segs }
+
+// target indexes one (micro batch, target layer, segment) slot.
+func (g geometry) target(mb, layer int, seg model.Segment) int {
+	return (mb*(g.layers-LayerHead)+layer-LayerHead)*segs + int(seg)
+}
+
+// tokens is the number of distinct tokens: every kind, micro batch, layer in
+// [LayerHead, layers] and segment.
+func (g geometry) tokens() int { return int(tokWEnable+1) * g.mbs * (g.layers + 1 - LayerHead) * segs }
+
+// token indexes one token.
+func (g geometry) token(t token) int {
+	return ((int(t.kind)*g.mbs+t.mb)*(g.layers+1-LayerHead)+t.layer-LayerHead)*segs + int(t.seg)
 }
 
 // Validate checks the plan's structural and dataflow invariants and returns
@@ -134,10 +176,11 @@ func Validate(p *Plan) error {
 	if err := validateStructure(p); err != nil {
 		return err
 	}
-	if err := validateCounts(p); err != nil {
+	g := geometry{mbs: p.MicroBatches, layers: p.Layers}
+	if err := validateCounts(p, g); err != nil {
 		return err
 	}
-	if err := validateDataflow(p); err != nil {
+	if err := validateDataflow(p, g); err != nil {
 		return err
 	}
 	if err := validateMemory(p); err != nil {
@@ -148,6 +191,9 @@ func Validate(p *Plan) error {
 }
 
 func validateStructure(p *Plan) error {
+	if p.MicroBatches < 0 || p.Layers < 0 {
+		return fmt.Errorf("sched: plan has %d micro batches and %d layers", p.MicroBatches, p.Layers)
+	}
 	if n := len(p.Batch.Shapes); n > 0 && n != p.MicroBatches {
 		return fmt.Errorf("sched: plan batch spec has %d shapes for %d micro batches", n, p.MicroBatches)
 	}
@@ -167,22 +213,41 @@ func validateStructure(p *Plan) error {
 		}
 	}
 	for s, ops := range p.Ops {
-		for i, op := range ops {
+		for i := range ops {
+			op := &ops[i]
+			comm := op.Kind == KSend || op.Kind == KRecv
 			if op.Kind.IsCompute() && op.Dur < 0 {
-				return fmt.Errorf("sched: stage %d op %d (%v): negative duration", s, i, op)
+				return fmt.Errorf("sched: stage %d op %d (%v): negative duration", s, i, *op)
 			}
-			if op.Kind == KSend || op.Kind == KRecv {
+			if comm {
 				if op.Peer < 0 || op.Peer >= p.Stages {
-					return fmt.Errorf("sched: stage %d op %d (%v): peer out of range", s, i, op)
+					return fmt.Errorf("sched: stage %d op %d (%v): peer out of range", s, i, *op)
 				}
 				if op.Peer == s {
-					return fmt.Errorf("sched: stage %d op %d (%v): self communication", s, i, op)
+					return fmt.Errorf("sched: stage %d op %d (%v): self communication", s, i, *op)
 				}
 			}
-			if op.MB < 0 || (op.Kind != KSend && op.Kind != KRecv && op.MB >= p.MicroBatches) {
-				return fmt.Errorf("sched: stage %d op %d (%v): micro batch out of range", s, i, op)
+			if op.MB < 0 || (!comm && op.MB >= p.MicroBatches) {
+				return fmt.Errorf("sched: stage %d op %d (%v): micro batch out of range", s, i, *op)
+			}
+			if op.Kind.IsCompute() && (op.Layer < LayerHead || op.Layer >= p.Layers ||
+				op.Seg < 0 || int(op.Seg) >= segs) {
+				return fmt.Errorf("sched: stage %d op %d (%v): layer %d segment %d outside the plan's %d layers",
+					s, i, *op, op.Layer, op.Seg, p.Layers)
+			}
+			if t := op.Tag; comm && (t.MB < 0 || t.MB >= p.MicroBatches || t.Layer < 0 || t.Layer > p.Layers ||
+				t.Bound < BoundAct || t.Bound > BoundAttnPost) {
+				return fmt.Errorf("sched: stage %d op %d (%v): tag outside the plan's %d micro batches and %d layers",
+					s, i, *op, p.MicroBatches, p.Layers)
 			}
 		}
+	}
+	// A complete plan holds at least one forward per (micro batch, layer)
+	// plus an embedding forward per micro batch. Rejecting fewer ops here
+	// bounds the dense tables by the plan's own size.
+	if n := p.NumOps(); p.MicroBatches > n/(p.Layers+1) {
+		return fmt.Errorf("sched: plan has %d ops, too few for %d micro batches of %d layers",
+			n, p.MicroBatches, p.Layers)
 	}
 	return nil
 }
@@ -192,62 +257,60 @@ func validateStructure(p *Plan) error {
 // parameterized segments and none for attention, plus exactly one embedding
 // forward, embedding W, head backward and head W per micro batch — and that
 // the stash-holding passes of a (layer, segment) are colocated on one stage.
-func validateCounts(p *Plan) error {
-	type key struct {
-		mb, layer int
-		seg       model.Segment
-		kind      OpKind
-	}
-	count := map[key]int{}
-	home := map[key]int{} // stage of the forward pass
+func validateCounts(p *Plan, g geometry) error {
+	// count is indexed by target*3 + kind (KForward, KBackwardB, KBackwardW);
+	// home holds 1 + the stage of a target's latest forward, 0 before any.
+	count := make([]int32, g.targets()*3)
+	home := make([]int32, g.targets())
 	for s, ops := range p.Ops {
-		for _, op := range ops {
+		for i := range ops {
+			op := &ops[i]
 			if !op.Kind.IsCompute() || op.Kind == KRecompute {
 				continue
 			}
-			k := key{mb: op.MB, layer: op.Layer, seg: op.Seg, kind: op.Kind}
-			count[k]++
-			fk := key{mb: op.MB, layer: op.Layer, seg: op.Seg, kind: KForward}
+			t := g.target(op.MB, op.Layer, op.Seg)
+			count[t*3+int(op.Kind)]++
 			switch op.Kind {
 			case KForward:
-				home[fk] = s
+				home[t] = int32(s) + 1
 			case KBackwardB, KBackwardW:
-				if op.Layer >= 0 {
-					if fs, ok := home[fk]; ok && fs != s {
-						return fmt.Errorf("sched: %v on stage %d but forward ran on stage %d (stash not local)", op, s, fs)
-					}
+				if fs := int(home[t]) - 1; op.Layer >= 0 && fs >= 0 && fs != s {
+					return fmt.Errorf("sched: %v on stage %d but forward ran on stage %d (stash not local)", *op, s, fs)
 				}
 			}
 		}
+	}
+	n := func(mb, layer int, seg model.Segment, kind OpKind) int32 {
+		return count[g.target(mb, layer, seg)*3+int(kind)]
 	}
 	for mb := 0; mb < p.MicroBatches; mb++ {
 		for l := 0; l < p.Layers; l++ {
 			for _, seg := range model.Segments {
-				if c := count[key{mb, l, seg, KForward}]; c != 1 {
+				if c := n(mb, l, seg, KForward); c != 1 {
 					return fmt.Errorf("sched: F(l%d.%v,mb%d) emitted %d times", l, seg, mb, c)
 				}
-				if c := count[key{mb, l, seg, KBackwardB}]; c != 1 {
+				if c := n(mb, l, seg, KBackwardB); c != 1 {
 					return fmt.Errorf("sched: B(l%d.%v,mb%d) emitted %d times", l, seg, mb, c)
 				}
-				wantW := 0
+				var wantW int32
 				if seg != model.SegAttn {
 					wantW = 1
 				}
-				if c := count[key{mb, l, seg, KBackwardW}]; c != wantW {
+				if c := n(mb, l, seg, KBackwardW); c != wantW {
 					return fmt.Errorf("sched: W(l%d.%v,mb%d) emitted %d times, want %d", l, seg, mb, c, wantW)
 				}
 			}
 		}
-		if c := count[key{mb, LayerEmbed, model.SegPre, KForward}]; c != 1 {
+		if c := n(mb, LayerEmbed, model.SegPre, KForward); c != 1 {
 			return fmt.Errorf("sched: embed F for mb%d emitted %d times", mb, c)
 		}
-		if c := count[key{mb, LayerEmbed, model.SegPre, KBackwardW}]; c != 1 {
+		if c := n(mb, LayerEmbed, model.SegPre, KBackwardW); c != 1 {
 			return fmt.Errorf("sched: embed W for mb%d emitted %d times", mb, c)
 		}
-		if c := count[key{mb, LayerHead, model.SegPre, KBackwardB}]; c != 1 {
+		if c := n(mb, LayerHead, model.SegPre, KBackwardB); c != 1 {
 			return fmt.Errorf("sched: head FB for mb%d emitted %d times", mb, c)
 		}
-		if c := count[key{mb, LayerHead, model.SegPre, KBackwardW}]; c != 1 {
+		if c := n(mb, LayerHead, model.SegPre, KBackwardW); c != 1 {
 			return fmt.Errorf("sched: head W for mb%d emitted %d times", mb, c)
 		}
 	}
@@ -255,17 +318,31 @@ func validateCounts(p *Plan) error {
 }
 
 // validateDataflow runs the token machine to completion or reports the
-// deadlock / missing-input violation.
-func validateDataflow(p *Plan) error {
+// deadlock / missing-input violation. Each stage's tokens are one bitset.
+func validateDataflow(p *Plan, g geometry) error {
 	type msgKey struct {
 		tag  Tag
 		from int
 		to   int
 	}
-	sent := map[msgKey]int{}
-	have := make([]map[token]bool, p.Stages)
-	for s := range have {
-		have[s] = map[token]bool{}
+	sends := 0
+	for _, ops := range p.Ops {
+		for _, op := range ops {
+			if op.Kind == KSend {
+				sends++
+			}
+		}
+	}
+	sent := make(map[msgKey]int, sends)
+	words := (g.tokens() + 63) / 64
+	bits := make([]uint64, p.Stages*words)
+	has := func(s int, tok token) bool {
+		i := g.token(tok)
+		return bits[s*words+i/64]&(1<<(i%64)) != 0
+	}
+	set := func(s int, tok token) {
+		i := g.token(tok)
+		bits[s*words+i/64] |= 1 << (i % 64)
 	}
 	pc := make([]int, p.Stages)
 	for {
@@ -273,7 +350,7 @@ func validateDataflow(p *Plan) error {
 		for s := 0; s < p.Stages; s++ {
 		stageLoop:
 			for pc[s] < len(p.Ops[s]) {
-				op := p.Ops[s][pc[s]]
+				op := &p.Ops[s][pc[s]]
 				switch op.Kind {
 				case KRecv:
 					k := msgKey{tag: op.Tag, from: op.Peer, to: s}
@@ -281,22 +358,21 @@ func validateDataflow(p *Plan) error {
 						break stageLoop // block until the matching send
 					}
 					sent[k]--
-					have[s][tokenOfTag(op.Tag)] = true
+					set(s, tokenOfTag(op.Tag))
 				case KSend:
-					tok := tokenOfTag(op.Tag)
-					if !have[s][tok] {
+					if !has(s, tokenOfTag(op.Tag)) {
 						return fmt.Errorf("sched: stage %d sends %v before producing it", s, op.Tag)
 					}
 					sent[msgKey{tag: op.Tag, from: s, to: op.Peer}]++
 				default:
-					req, prod := opIO(op, p.Layers)
-					for _, tok := range req {
-						if !have[s][tok] {
-							return fmt.Errorf("sched: stage %d op %v: missing input token %+v", s, op, tok)
+					io := opIO(op, p.Layers)
+					for _, tok := range io.req[:io.nreq] {
+						if !has(s, tok) {
+							return fmt.Errorf("sched: stage %d op %v: missing input token %+v", s, *op, tok)
 						}
 					}
-					for _, tok := range prod {
-						have[s][tok] = true
+					for _, tok := range io.prod[:io.nprod] {
+						set(s, tok)
 					}
 				}
 				pc[s]++

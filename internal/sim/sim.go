@@ -194,13 +194,11 @@ func Run(plan *sched.Plan, opt Options) (*Result, error) {
 	r.reinit(plan, opt)
 	res, err := r.Run()
 	if err != nil {
-		runnerPool.Put(r)
-		poolPuts.Inc()
+		putRunner(r)
 		return nil, err
 	}
 	out := res.Clone()
-	runnerPool.Put(r)
-	poolPuts.Inc()
+	putRunner(r)
 	out.PoolReused = reused
 	return out, nil
 }
@@ -212,6 +210,18 @@ var runnerPool = sync.Pool{New: func() any {
 	poolCold.Inc()
 	return &Runner{eng: &engine{}}
 }}
+
+// putRunner returns a Runner to the pool holding only its buffers: the plan,
+// topology and pre-pass oracle of its last run are dropped, so an idle
+// pooled Runner never keeps a finished plan alive.
+func putRunner(r *Runner) {
+	r.eng.release()
+	if r.pre != nil {
+		r.pre.release()
+	}
+	runnerPool.Put(r)
+	poolPuts.Inc()
+}
 
 // Pool traffic publishes to the default registry through package-level
 // instruments resolved once at init: the gated hot paths stay
@@ -466,6 +476,14 @@ func (e *engine) reinit(plan *sched.Plan, opt Options) {
 		e.spans = make([]Span, 0, ops)
 	}
 	e.spans = e.spans[:0]
+}
+
+// release drops the engine's references to its plan, options and oracle,
+// keeping every buffer; reinit binds the next plan.
+func (e *engine) release() {
+	e.plan = nil
+	e.opt = Options{}
+	e.oracle = nil
 }
 
 // reset rewinds the engine to the start of an iteration, keeping every
