@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/model"
 	"repro/internal/nn"
@@ -240,7 +241,7 @@ func BenchmarkZB1PListScheduling(b *testing.B) {
 func BenchmarkNumericIteration(b *testing.B) {
 	cfg := TinyModel()
 	m := NewNumericModel(cfg, 1)
-	plan, err := BuildHelix(ScheduleConfig{Stages: 2, MicroBatches: 4, Layers: cfg.Layers},
+	plan, err := core.Build(ScheduleConfig{Stages: 2, MicroBatches: 4, Layers: cfg.Layers},
 		UnitCosts(0), HelixOptions{Fold: 2, Recompute: true})
 	if err != nil {
 		b.Fatal(err)

@@ -80,12 +80,7 @@ type DecodeSpec struct {
 // generation and intra-node link (decode groups live inside one node), on
 // a flat session the cluster's GPU and NVLink spec.
 func (s *Session) decodeParams() DecodeCostParams {
-	p := DecodeCostParams{GPU: s.cluster.GPU}
-	p.Link = costmodel.LinkSpec{
-		Class:      "nvlink",
-		GBps:       s.cluster.GPU.NVLinkGBps,
-		LatencySec: s.cluster.NVLinkLatency,
-	}
+	p := DecodeCostParams{GPU: s.cluster.GPU, Link: s.cluster.NVLink()}
 	if s.resolvedTopo != nil {
 		if g, ok := costmodel.GPUByName(s.resolvedTopo.GPUName(0)); ok {
 			p.GPU = g

@@ -1,7 +1,7 @@
 // Spec-driven experiments: instead of hand-building a session from option
 // chains, load a committed ExperimentSpec, resolve it eagerly into a
 // session plus a RunSet, and stream its reports with Session.Execute. The
-// same file drives helixsim (-spec examples/spec_driven/paper_128k.json),
+// same file drives helix sim (-spec examples/spec_driven/paper_128k.json),
 // so a result in a paper, a CI log and this example are all the same
 // reproducible artifact.
 //
@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nfully-resolved spec (helixsim -emit-spec equivalent):")
+	fmt.Println("\nfully-resolved spec (helix sim -emit-spec equivalent):")
 	if err := helixpipe.WriteSpec(os.Stdout, resolved); err != nil {
 		log.Fatal(err)
 	}

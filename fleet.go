@@ -64,8 +64,8 @@ func FleetPolicies() []string { return fleet.Policies() }
 // reports whether it exists.
 func FleetPolicyByName(name string) (FleetPolicy, bool) { return fleet.PolicyByName(name) }
 
-// FleetPolicyListing renders the preset policy table as helixfleet prints
-// it.
+// FleetPolicyListing renders the preset policy table as helix fleet
+// -policy help prints it.
 func FleetPolicyListing() string {
 	var b strings.Builder
 	desc := map[string]string{

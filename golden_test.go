@@ -120,7 +120,7 @@ func goldenOutput(path string) ([]byte, error) {
 
 // TestGoldenPerfettoTrace pins the Perfetto export of the paper spec's traced
 // run: the committed examples/spec_driven/paper_128k.trace.json is exactly
-// what helixviz -spec examples/spec_driven/paper_128k.json -perfetto emits.
+// what helix viz -spec examples/spec_driven/paper_128k.json -perfetto emits.
 // Regenerate with -update like the report goldens.
 func TestGoldenPerfettoTrace(t *testing.T) {
 	spec, err := ParseSpecFile("examples/spec_driven/paper_128k.json")

@@ -25,7 +25,7 @@
 // with naive or two-fold FILO schedules, with or without recomputation
 // without attention) register from internal/core, and the baselines GPipe,
 // 1F1B, interleaved 1F1B, ZB1P, ZB2P and AdaPipe register from
-// internal/sched itself. Methods() and the command-line tools are
+// internal/sched itself. Methods() and the helix command are
 // registry-driven.
 //
 // Quick start:
@@ -57,14 +57,15 @@
 //	session, runset, err := spec.Resolve()
 //	for report, err := range session.Execute(spec) { ... }
 //
-// The command-line tools build on the same spec: every tool accepts
-// -spec file.json (flags become overrides layered onto the spec) and
-// -emit-spec to write back the fully-resolved spec for exact reproduction.
+// The helix command (cmd/helix) builds on the same spec: each subcommand
+// (helix sim, bench, tune, fleet, serve, train, viz) accepts -spec
+// file.json (flags become overrides layered onto the spec) and -emit-spec
+// to write back the fully-resolved spec for exact reproduction, and runs
+// whatever run kind the spec resolves to.
 package helixpipe
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/bench"
@@ -122,8 +123,6 @@ type (
 	LinkClass = cluster.LinkClass
 	// Placement maps pipeline stages onto cluster devices.
 	Placement = cluster.Placement
-	// PlacementSearchOptions tunes the greedy placement search.
-	PlacementSearchOptions = cluster.SearchOptions
 	// Perturb is a fault/straggler injection: a slow device, a degraded link
 	// class, per-iteration compute jitter.
 	Perturb = cluster.Perturb
@@ -158,37 +157,13 @@ const (
 	OrderBalanced      = model.OrderBalanced
 )
 
-// Topologies returns the built-in cluster topology presets (DGX-A800x4,
-// DGX-H20x2, PCIe-box).
-func Topologies() []ClusterTopology { return cluster.Presets() }
-
 // TopologyByName resolves a built-in topology preset case-insensitively and
 // reports whether it exists.
 func TopologyByName(name string) (ClusterTopology, bool) { return cluster.PresetByName(name) }
 
-// TopologyListing renders the preset table as the command-line tools print
-// it.
-func TopologyListing() string { return cluster.PresetListing() }
-
-// TopologyFromJSON decodes and validates a custom cluster topology (see the
-// cluster JSON schema in the README).
-func TopologyFromJSON(r io.Reader) (ClusterTopology, error) { return cluster.FromJSON(r) }
-
-// LoadTopologyFile reads and validates a custom cluster topology from a
-// JSON file.
-func LoadTopologyFile(path string) (ClusterTopology, error) { return cluster.LoadFile(path) }
-
 // PlacementStrategies lists the built-in placement strategies in search
 // order: contiguous, roundrobin, greedy.
 func PlacementStrategies() []string { return cluster.Strategies() }
-
-// GeneratePlacement builds the named strategy's placement of stages onto the
-// topology's devices; greedy minimizes the modeled P2P cost of the traffic
-// matrix (Plan.TrafficMatrix) under a deterministic seeded local search.
-func GeneratePlacement(strategy string, c ClusterTopology, stages int, traffic [][]int64,
-	opt PlacementSearchOptions) (Placement, error) {
-	return cluster.Generate(strategy, c, stages, traffic, opt)
-}
 
 // ParsePerturb parses the -perturb flag syntax: comma-separated
 // "slow=<device>x<factor>", "link=<class>x<factor>", "jitter=<fraction>",
@@ -255,10 +230,6 @@ func ResolveCluster(arg string) (ClusterSpec, *ClusterTopology, error) {
 	}
 	return cl, &topo, nil
 }
-
-// UniformWorkload returns the classic fixed-shape iteration as a BatchSpec:
-// m micro batches of shape (b, s).
-func UniformWorkload(m, b, s int) BatchSpec { return model.UniformBatch(m, b, s) }
 
 // SampleLengths draws n synthetic document lengths in [minLen, maxLen] from
 // the distribution, deterministically from the seed.
@@ -387,12 +358,6 @@ func ModelNames() []string {
 func H20Cluster() ClusterSpec  { return costmodel.H20Cluster() }
 func A800Cluster() ClusterSpec { return costmodel.A800Cluster() }
 
-// ClusterByName resolves a cluster preset by name ("H20", "A800") and
-// reports whether it exists.
-func ClusterByName(name string) (ClusterSpec, bool) {
-	return costmodel.ClusterByName(name)
-}
-
 // Methods lists every registered pipeline parallelism, baselines first.
 func Methods() []Method { return sched.Methods() }
 
@@ -406,38 +371,11 @@ func NewBatchCosts(w Workload, spec BatchSpec) Costs { return sched.NewBatchCost
 // UnitCosts returns the didactic 1:3:2 cost book of the paper's figures.
 func UnitCosts(commTime float64) Costs { return sched.UnitCosts(commTime) }
 
-// ValidatePlan checks a plan's structural and dataflow invariants.
-func ValidatePlan(p *Plan) error { return sched.Validate(p) }
-
-// BuildHelix constructs a HelixPipe plan with explicit options.
-func BuildHelix(cfg ScheduleConfig, costs Costs, opt HelixOptions) (*Plan, error) {
-	return core.Build(cfg, costs, opt)
-}
-
 // BuildMethod constructs any registered method's plan from an explicit
 // schedule configuration, cost book and build parameters.
 func BuildMethod(method Method, cfg ScheduleConfig, costs Costs, p BuildParams) (*Plan, error) {
 	return sched.Build(method, cfg, costs, p)
 }
 
-// AttnStage exposes the attention parallel partition's placement function:
-// the stage executing the attention of micro batch mb at layer l in a
-// p-stage pipeline (paper section 4.2).
-func AttnStage(layer, mb, stages int) int { return core.AttnStage(layer, mb, stages) }
-
 // AllExperiments regenerates every paper table and figure.
 func AllExperiments() ([]*ExperimentTable, error) { return bench.All() }
-
-// BaselineConfig is one configuration of the recorded perf baseline
-// (BENCH_baseline.json).
-type BaselineConfig = bench.BaselineConfig
-
-// ReadBaselineJSON decodes a recorded perf baseline artifact.
-func ReadBaselineJSON(r io.Reader) ([]BaselineConfig, error) { return bench.ReadBaselineJSON(r) }
-
-// CompareBaselines diffs a previous perf baseline against the current one
-// and returns one line per throughput regression beyond the threshold (0.10
-// = fail on a >10% drop). Configs or methods on only one side never count.
-func CompareBaselines(prev, cur []BaselineConfig, threshold float64) []string {
-	return bench.CompareBaselines(prev, cur, threshold)
-}

@@ -3,6 +3,9 @@ package helixpipe
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sched"
 )
 
 // TestPublicAPISimulation exercises the simulation surface end to end.
@@ -17,7 +20,7 @@ func TestPublicAPISimulation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		if err := ValidatePlan(plan); err != nil {
+		if err := sched.Validate(plan); err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
 		report, err := s.Simulate(m)
@@ -84,7 +87,7 @@ func TestPublicAPIParityHelpers(t *testing.T) {
 	m1 := NewNumericModel(cfg, 3)
 	m2 := NewNumericModel(cfg, 3)
 	batches := []MicroBatch{SyntheticBatch(cfg, 1, 8, 1), SyntheticBatch(cfg, 1, 8, 2)}
-	plan, err := BuildHelix(ScheduleConfig{Stages: 2, MicroBatches: 2, Layers: cfg.Layers},
+	plan, err := core.Build(ScheduleConfig{Stages: 2, MicroBatches: 2, Layers: cfg.Layers},
 		UnitCosts(0), HelixOptions{Fold: 1, Recompute: true})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +110,7 @@ func TestPublicAPIMisc(t *testing.T) {
 	if len(Methods()) < 6 {
 		t.Error("Methods() incomplete")
 	}
-	if AttnStage(0, 3, 4) != 0 {
+	if core.AttnStage(0, 3, 4) != 0 {
 		t.Error("AttnStage mapping wrong")
 	}
 	for _, mc := range []ModelConfig{Model1B3(), Model3B(), Model7B(), Model13B(), TinyModel()} {

@@ -1,7 +1,8 @@
 // Package bench defines the reproduction experiments: one runnable
 // definition per table and figure of the paper's evaluation, each producing
-// the same rows or series the paper reports. cmd/helixbench regenerates
-// them all; the root bench_test.go exposes them as Go benchmarks.
+// the same rows or series the paper reports. helix bench (cmd/helix)
+// regenerates them all; the root bench_test.go exposes them as Go
+// benchmarks.
 package bench
 
 import (

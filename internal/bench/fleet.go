@@ -26,7 +26,7 @@ type fleetJobShape struct {
 // baseline config: a fixed 60-job Poisson stream of 3B pipelines on the
 // DGX-A800x4 preset, run under every preset admission policy, with
 // Throughput keyed by policy name in completed jobs per makespan hour. A
-// >10% drop in any policy's jobs/hour fails the helixbench -diff gate, so
+// >10% drop in any policy's jobs/hour fails the helix bench -diff gate, so
 // scheduling regressions in the fleet engine leave the same trajectory
 // trail as simulator regressions.
 func FleetBaseline() (BaselineConfig, error) {

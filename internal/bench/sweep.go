@@ -32,7 +32,7 @@ const sweepBaselineThreshold = 0.5
 // simulation for every cell of the method x seqlen x stages grid, run
 // sequentially so the cells/s metric measures the hot path and not the
 // host's core count. It is the BENCH_baseline config that makes sweep-path
-// slowdowns visible to the helixbench -diff gate.
+// slowdowns visible to the helix bench -diff gate.
 func SweepBaseline() (BaselineConfig, error) {
 	mc := model.Model3B()
 	cl := costmodel.A800Cluster()

@@ -386,7 +386,7 @@ func PresetByName(name string) (Cluster, bool) {
 }
 
 // PresetListing renders the preset table — one line per topology — as the
-// command-line tools print it.
+// helix command prints it.
 func PresetListing() string {
 	var b strings.Builder
 	for _, c := range Presets() {

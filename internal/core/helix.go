@@ -8,7 +8,7 @@
 // and the numeric executor run HelixPipe exactly like the baselines. The
 // package registers its three schedule variants in the sched method
 // registry, which makes them reachable from every registry-driven caller
-// (sessions, sweeps, the command-line tools) without hardwired dispatch.
+// (sessions, sweeps, the helix command) without hardwired dispatch.
 package core
 
 import (

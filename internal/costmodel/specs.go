@@ -129,6 +129,12 @@ type ClusterSpec struct {
 	CommSMPenalty float64
 }
 
+// NVLink returns the flat cluster's intra-node link: each GPU's NVLink
+// bandwidth at the cluster's per-collective NVLink latency.
+func (cl ClusterSpec) NVLink() LinkSpec {
+	return LinkSpec{Class: "nvlink", GBps: cl.GPU.NVLinkGBps, LatencySec: cl.NVLinkLatency}
+}
+
 // Validate reports an error if the cluster spec is not usable.
 func (cl ClusterSpec) Validate() error {
 	if err := cl.GPU.Validate(); err != nil {

@@ -28,6 +28,20 @@ type LinkSpec struct {
 	LatencySec float64
 }
 
+// Ring prices one ring pass of a collective (an all-gather or a
+// reduce-scatter) of bytes across a group of g ranks on this link: the
+// base latency plus (g-1)/g of the payload through the link. A group of one
+// rank, or an empty payload, is free. This is the one ring formula: the
+// training model's sequence-parallel collectives (Sequence Parallelism, Li
+// et al.) and the decode model's KVP/TPA collectives (Helix Parallelism)
+// both price through it.
+func (l LinkSpec) Ring(bytes float64, g int) float64 {
+	if g <= 1 || bytes <= 0 {
+		return 0
+	}
+	return l.LatencySec + bytes*float64(g-1)/float64(g)/(l.GBps*1e9)
+}
+
 // Workload binds a model configuration to a cluster and a micro-batch shape.
 // One pipeline stage occupies one full node and the activation tensors are
 // sequence-parallel across the node's GPUs (SeqPar = GPUsPerNode = 8 in all
@@ -133,18 +147,18 @@ func (w Workload) hbmBps() float64 {
 // spCollectiveTime returns the time of one ring all-gather or reduce-scatter
 // of a [s,b,h] fp16 tensor across the sequence-parallel group: on the placed
 // node's intra link when the workload is placement-resolved (a PCIe box pays
-// PCIe bandwidth), on the cluster-wide NVLink term otherwise.
+// PCIe bandwidth), on the flat cluster's NVLink otherwise. The zero Link
+// stays the "unplaced" memo-key sentinel; the fallback resolves here.
 func (w Workload) spCollectiveTime() float64 {
-	t := float64(w.seqPar())
-	if t <= 1 || w.SkipSPComm {
+	if w.SkipSPComm {
 		return 0
 	}
-	bytes := float64(w.Shape.Tokens()) * float64(w.Model.Hidden) * model.FP16Bytes
-	perGPU := bytes * (t - 1) / t
-	if w.Link.GBps > 0 {
-		return w.Link.LatencySec + perGPU/(w.Link.GBps*1e9)
+	link := w.Link
+	if link.GBps <= 0 {
+		link = w.Cluster.NVLink()
 	}
-	return w.Cluster.NVLinkLatency + perGPU/(w.Cluster.GPU.NVLinkGBps*1e9)
+	bytes := float64(w.Shape.Tokens()) * float64(w.Model.Hidden) * model.FP16Bytes
+	return link.Ring(bytes, w.seqPar())
 }
 
 // spCollectivesPerSegment returns how many sequence-parallel collectives a

@@ -7,9 +7,10 @@ import (
 )
 
 // CostParams prices a scenario on concrete hardware: the per-device GPU
-// spec and the intra-group link the attention/FFN collectives cross. A
-// zero Link falls back to the GPU's flat NVLink bandwidth with no latency,
-// matching the training cost model's fallback.
+// spec and the intra-group link the attention/FFN collectives cross. The
+// link must be resolved, since Spec.Validate rejects one without
+// bandwidth: a session passes its placed node's intra link, or on a flat
+// cluster the cluster's NVLink (costmodel.ClusterSpec.NVLink).
 type CostParams struct {
 	GPU           costmodel.GPUSpec  `json:"gpu"`
 	Link          costmodel.LinkSpec `json:"link"`
@@ -35,29 +36,9 @@ func (p CostParams) attnFLOPS() float64 {
 
 func (p CostParams) hbmBps() float64 { return p.GPU.HBMGBps * 1e9 }
 
-// linkBps resolves the collective bandwidth: the resolved link when set,
-// else the GPU's NVLink spec.
-func (p CostParams) linkBps() float64 {
-	if p.Link.GBps > 0 {
-		return p.Link.GBps * 1e9
-	}
-	return p.GPU.NVLinkGBps * 1e9
-}
-
-func (p CostParams) linkLatency() float64 { return p.Link.LatencySec }
-
-// collective prices one ring pass of bytes over a group of g ranks:
-// latency plus (g-1)/g of the payload through the link. g <= 1 is free.
-func (p CostParams) collective(bytes float64, g int) float64 {
-	if g <= 1 || bytes <= 0 {
-		return 0
-	}
-	return p.linkLatency() + bytes*float64(g-1)/float64(g)/p.linkBps()
-}
-
 // allReduce is two ring passes (reduce-scatter + all-gather).
 func (p CostParams) allReduce(bytes float64, g int) float64 {
-	return 2 * p.collective(bytes, g)
+	return 2 * p.Link.Ring(bytes, g)
 }
 
 // StepCost is the priced breakdown of one decode step (one token per
@@ -137,10 +118,10 @@ func (sc Scenario) stepCost(sh Sharding, s int, p CostParams) StepCost {
 	// Helix collectives inside the KVP group.
 	if sh.KVP > 1 {
 		qBytes := b * qPerRank * dh * FP16Bytes
-		c.AllGatherSeconds = p.collective(qBytes, sh.KVP)
+		c.AllGatherSeconds = p.Link.Ring(qBytes, sh.KVP)
 		// Partial outputs plus per-head (max, sumexp) for the combine.
 		oBytes := b * qPerRank * (dh + 2) * FP16Bytes
-		c.AllToAllSeconds = p.collective(oBytes, sh.KVP)
+		c.AllToAllSeconds = p.Link.Ring(oBytes, sh.KVP)
 	}
 
 	// Standard TP all-reduces over the full N-GPU world, twice per layer.

@@ -13,8 +13,9 @@
 // the N-GPU tensor-parallel world that the FFN uses in full). The cost
 // model prices per-token attention against the growing cache, FFN GEMV
 // work, KV-cache reads from HBM, and the all-gather/all-to-all/all-reduce
-// collectives of each sharding, using the same GPUSpec/LinkSpec pricing
-// idioms as the training cost model (internal/costmodel).
+// collectives of each sharding, pricing GPUs with the training cost
+// model's GPUSpec and every collective with its ring formula
+// (costmodel.LinkSpec.Ring).
 package decode
 
 import (

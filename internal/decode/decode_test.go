@@ -289,6 +289,17 @@ func TestSpecValidate(t *testing.T) {
 	if err := mla.Validate(); err == nil {
 		t.Fatal("MLA without latent dim accepted")
 	}
+	// The link prices every collective; there is no silent fallback.
+	for _, gbps := range []float64{0, -1} {
+		bad = ok
+		bad.Params.Link.GBps = gbps
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("link with %g GB/s accepted", gbps)
+		}
+		if _, err := NewSearch(bad); err == nil {
+			t.Fatalf("search over a link with %g GB/s accepted", gbps)
+		}
+	}
 }
 
 func TestRenderSmoke(t *testing.T) {

@@ -66,6 +66,10 @@ func (sp Spec) Validate() error {
 	if err := sp.Scenario.Validate(); err != nil {
 		return err
 	}
+	if sp.Params.Link.GBps <= 0 {
+		return fmt.Errorf("decode: link %q needs a positive bandwidth, got %g GB/s",
+			sp.Params.Link.Class, sp.Params.Link.GBps)
+	}
 	switch sp.Objective {
 	case "", ObjectiveLatencyPerToken, ObjectiveThroughput:
 	default:

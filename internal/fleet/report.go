@@ -242,7 +242,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 
 func formatSec(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
 
-// Summary renders a few human-facing lines of the report, as helixfleet
+// Summary renders a few human-facing lines of the report, as helix fleet
 // prints them.
 func (r *Report) Summary() string {
 	s := fmt.Sprintf("%d jobs on %s (%d devices), policy %s\n",

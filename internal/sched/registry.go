@@ -11,7 +11,7 @@ import (
 
 // BuildParams carries the method-specific knobs a plan builder may consume.
 // The zero value asks every method for its paper-default configuration, so
-// generic callers (the experiment harness, sweeps, the command-line tools)
+// generic callers (the experiment harness, sweeps, the helix command)
 // can build any registered method without knowing its parameters.
 type BuildParams struct {
 	// MemoryBudget is the per-GPU activation budget in bytes for

@@ -71,8 +71,8 @@ type WorkloadSpec struct {
 }
 
 // Spec constrains the autotuner's search. Empty axes are rejected by
-// Validate — callers with a natural default (the Session front door, the
-// helixtune CLI) fill them in before calling Run.
+// Validate — callers with a natural default (the Session front door,
+// helix tune) fill them in before calling Run.
 type Spec struct {
 	// Methods are the schedules to consider; empty means every registered
 	// method.

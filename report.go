@@ -487,7 +487,7 @@ func LookupMethod(name string) (Method, bool) {
 }
 
 // MethodListing renders the registry's method table — one line per method
-// with its description — as the command-line tools print it on
+// with its description — as the helix command prints it on
 // "-method help" or an unknown name.
 func MethodListing() string {
 	var b strings.Builder

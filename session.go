@@ -167,8 +167,9 @@ func WithoutReportCache() Option {
 // WithWorkload sets a variable-length workload: one (b, s) shape per micro
 // batch. While set, it governs the geometry — MicroBatches reports the
 // spec's length and SeqLen/MicroBatchSize the per-axis maxima. Build the
-// spec by hand, with UniformWorkload, or by sampling a length distribution
-// and packing it (SampleLengths + PackLengths / SyntheticWorkload). An empty
+// spec by hand (a BatchSpec of Shapes), or by sampling a length
+// distribution and packing it (SampleLengths + PackLengths /
+// SyntheticWorkload). An empty
 // spec clears the workload, restoring the session's fixed-shape geometry;
 // later fixed-shape options (WithSeqLen, WithMicroBatchSize,
 // WithMicroBatches) do the same.
@@ -905,13 +906,13 @@ func (s *Session) Execute(spec *ExperimentSpec) iter.Seq2[*Report, error] {
 		if rs.Kind == RunKindFleet {
 			// A fleet run produces one FleetReport, not a stream of cell
 			// reports — it has its own entry point.
-			yield(nil, fmt.Errorf("helixpipe: a fleet spec runs via Session.Fleet (or the helixfleet tool), not Execute"))
+			yield(nil, fmt.Errorf("helixpipe: a fleet spec runs via Session.Fleet (or helix fleet), not Execute"))
 			return
 		}
 		if rs.Kind == RunKindDecode {
 			// Likewise: a decode run produces one DecodeReport, via its own
 			// entry point.
-			yield(nil, fmt.Errorf("helixpipe: a decode spec runs via Session.Decode (or the helixserve tool), not Execute"))
+			yield(nil, fmt.Errorf("helixpipe: a decode spec runs via Session.Decode (or helix serve), not Execute"))
 			return
 		}
 		if rs.Kind == RunKindTune {

@@ -6,9 +6,8 @@ package helixpipe
 // fixed shape, methods, engine, sweep axes, tune grid, output selection.
 // ParseSpec/WriteSpec serialize it, Resolve validates it eagerly into a
 // Session plus a RunSet, and Session.Execute (session.go) streams its
-// reports. The command-line tools layer their flags on top of a spec
-// (internal/cliutil), so every run can be saved, diffed and reproduced from
-// one artifact.
+// reports. The helix command (cmd/helix) layers its flags on top of a
+// spec, so every run can be saved, diffed and reproduced from one artifact.
 
 import (
 	"bytes"
@@ -39,10 +38,10 @@ const (
 	// RunKindTune is an autotuner search over the spec's tune grid.
 	RunKindTune = "tune"
 	// RunKindFleet is a shared-cluster job-stream simulation of the spec's
-	// fleet section (Session.Fleet / helixfleet).
+	// fleet section (Session.Fleet / helix fleet).
 	RunKindFleet = "fleet"
 	// RunKindDecode is an interactive-decoding KVP x TPA search of the
-	// spec's decode section (Session.Decode / helixserve).
+	// spec's decode section (Session.Decode / helix serve).
 	RunKindDecode = "decode"
 )
 
@@ -434,7 +433,7 @@ type SpecOutput struct {
 // input a run needs, and nothing session-internal. The zero value of every
 // optional field means "the default" — Resolved returns a copy with the
 // defaults filled in, which re-resolves to an identical RunSet (that is what
-// the command-line tools' -emit-spec writes).
+// helix -emit-spec writes).
 type ExperimentSpec struct {
 	// Model is a model preset name ("1.3B", "3B", "7B", "13B", "tiny").
 	Model string `json:"model"`
@@ -491,7 +490,7 @@ type ExperimentSpec struct {
 	// NoCache disables the report cache: every cell simulates, even exact
 	// duplicates (maps to WithoutReportCache).
 	NoCache bool `json:"no_cache,omitempty"`
-	// Output selects what the command-line tools emit.
+	// Output selects what the helix command emits.
 	Output *SpecOutput `json:"output,omitempty"`
 }
 
@@ -584,12 +583,12 @@ func WriteSpecFile(path string, spec *ExperimentSpec) error {
 // Resolved returns a copy of the spec with every default filled in and
 // every name canonicalized (method names through the registry, "all"
 // expanded, workload and tune axes made explicit). The result re-resolves
-// to a RunSet identical to the original spec's — it is what the
-// command-line tools' -emit-spec writes for exact reproduction.
+// to a RunSet identical to the original spec's — it is what helix
+// -emit-spec writes for exact reproduction.
 //
 // Resolved accepts advisory oddities without failing — notably `trace`
 // with no span-consuming output, where spans are recorded and then
-// dropped; Notes reports them and the command-line tools print them to
+// dropped; Notes reports them and the helix command prints them to
 // stderr.
 func (s *ExperimentSpec) Resolved() (*ExperimentSpec, error) {
 	n, err := s.normalized()
@@ -607,7 +606,7 @@ func (s *ExperimentSpec) Resolved() (*ExperimentSpec, error) {
 
 // Notes returns advisory notes about a valid spec: configurations that are
 // accepted but probably not what the author meant. Notes never fail a
-// resolve; the command-line tools print them to stderr. An unresolvable
+// resolve; the helix command prints them to stderr. An unresolvable
 // spec has no notes — resolution errors out first and says why.
 func (s *ExperimentSpec) Notes() []string {
 	n, err := s.normalized()
