@@ -194,24 +194,25 @@ func BenchmarkSimulateHelix(b *testing.B) {
 	b.ReportMetric(tput, "simulated-tokens/s")
 }
 
-// BenchmarkLargeSweep measures a full Session.Sweep — every registered
-// method across four sequence lengths and three pipeline sizes (144 cells) —
-// and reports cells simulated per second. This is the wall-clock number the
-// engine rewrite and cost-book memoization target; the CI perf trajectory
-// pins the closely related 216-cell sweep via internal/bench.SweepBaseline.
+// BenchmarkLargeSweep measures a full sweep spec through Session.Execute —
+// every registered method across four sequence lengths and three pipeline
+// sizes (144 cells) — and reports cells simulated per second. This is the
+// wall-clock number the engine rewrite and cost-book memoization target; the
+// CI perf trajectory pins the closely related 216-cell sweep via
+// internal/bench.SweepBaseline.
 func BenchmarkLargeSweep(b *testing.B) {
-	s, err := NewSession(Model3B(), A800Cluster())
-	if err != nil {
-		b.Fatal(err)
-	}
-	sw := Sweep{
+	spec := &ExperimentSpec{Model: "3B", Cluster: "A800", Sweep: &SpecSweep{
 		SeqLens: []int{8192, 16384, 32768, 65536},
 		Stages:  []int{2, 4, 8},
+	}}
+	s, _, err := spec.Resolve()
+	if err != nil {
+		b.Fatal(err)
 	}
 	cells := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reports, err := s.Sweep(sw)
+		reports, err := collectReports(s.Execute(spec))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,12 +13,13 @@ import (
 	"repro/internal/obs"
 )
 
-// ReportCache memoizes simulation results by experiment content: the key of
-// a spec is the hash of its Resolved (normalized, defaults-filled) form, so
-// a flag-layered run and a spec-file run describing the same experiment
-// share one entry, and a renamed field or reordered method list does not. It
-// is the spec→Report cache behind the fleet simulator — repeated job shapes
-// in a stream simulate once — and is safe for concurrent use.
+// ReportCache memoizes simulation results by experiment content, and is
+// safe for concurrent use. It serves two kinds of key. Execute keys each
+// cell by its run identity (runKey), so duplicate cells of a grid simulate
+// once. The fleet simulator keys each job by its spec (Key): the hash of
+// the spec's Resolved (normalized, defaults-filled) form, so a flag-layered
+// run and a spec-file run describing the same experiment share one entry,
+// and repeated job shapes in a stream simulate once.
 type ReportCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -190,8 +191,8 @@ func (c *ReportCache) StatsDetail() CacheStats {
 // runKeyIdentity is the serialized identity of one cell run: everything a
 // Report depends on — the session's resolved configuration plus the run's
 // method, engine, seed and placement search. Two cells with equal identities
-// produce byte-identical Reports, so Stream/Execute share one simulation
-// between them.
+// produce byte-identical Reports, so Execute shares one simulation between
+// them.
 type runKeyIdentity struct {
 	Model        model.Config          `json:"model"`
 	Cluster      costmodel.ClusterSpec `json:"cluster"`
@@ -218,14 +219,10 @@ type runKeyIdentity struct {
 
 // runKey content-hashes one cell run of the session. Geometry accessors
 // resolve defaults first, so a session with an explicit m equal to the 2p
-// default keys identically to one without. Sessions carrying a
-// caller-supplied sim topology (WithSimOptions with Options.Topology set)
-// are not content-hashable and return an error; callers fall back to
-// running uncached.
+// default keys identically to one without. An identity JSON cannot encode
+// (a non-finite number in a hand-built model or topology) returns an error;
+// callers fall back to running uncached.
 func (s *Session) runKey(method Method, engineName string, seed uint64, strategy string, placementSeed uint64) (string, error) {
-	if s.simExplicit && s.simOpt.Topology != nil {
-		return "", fmt.Errorf("helixpipe: caller-supplied sim topology is not content-hashable")
-	}
 	opt := s.SimOptions()
 	k := runKeyIdentity{
 		Model:        s.model,

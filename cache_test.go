@@ -145,35 +145,27 @@ func TestReportCacheSharedAcrossFleetRuns(t *testing.T) {
 	}
 }
 
+// dupSweep is a 3B/A800 sweep spec whose repeated seqlen makes exact
+// duplicate cells: 2 methods x (2+1 seqlens) x 2 stages = 12 cells, 4 of
+// them duplicates.
+func dupSweep() *ExperimentSpec {
+	return &ExperimentSpec{Model: "3B", Cluster: "A800",
+		Methods: []string{"1F1B", "HelixPipe"},
+		Sweep:   &SpecSweep{SeqLens: []int{8192, 8192, 16384}, Stages: []int{2, 4}}}
+}
+
 // TestSweepCacheByteIdenticalReports is the cache-correctness contract: the
 // same sweep with the cache enabled and disabled produces byte-identical
 // Report JSON, and the hit count equals the number of duplicate cells.
 func TestSweepCacheByteIdenticalReports(t *testing.T) {
-	base, err := NewSession(Model3B(), A800Cluster())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The duplicated 8192 axis value makes 1 (seqlen) x 2 (stages) x 2
-	// (methods) = 4 exact duplicate cells in the 12-cell grid.
-	sw := Sweep{
-		Methods: []Method{"1F1B", "HelixPipe"},
-		SeqLens: []int{8192, 8192, 16384},
-		Stages:  []int{2, 4},
-	}
 	cache := NewReportCache()
-	cached, err := base.With(WithReportCache(cache))
+	withCache, err := executeSpec(t, dupSweep(), WithReportCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := base.With(WithoutReportCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	withCache, err := cached.Sweep(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withoutCache, err := uncached.Sweep(sw)
+	noCache := dupSweep()
+	noCache.NoCache = true
+	withoutCache, err := executeSpec(t, noCache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +188,7 @@ func TestSweepCacheByteIdenticalReports(t *testing.T) {
 	}
 
 	// A second identical sweep on the shared cache is all hits.
-	again, err := cached.Sweep(sw)
+	again, err := executeSpec(t, dupSweep(), WithReportCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,16 +200,17 @@ func TestSweepCacheByteIdenticalReports(t *testing.T) {
 	}
 }
 
+// dupCells is a two-cell sweep spec whose cells are exact duplicates.
+func dupCells() *ExperimentSpec {
+	return &ExperimentSpec{Model: "3B", Cluster: "A800", SeqLen: 8192, Stages: 2,
+		Methods: []string{"1F1B"}, Sweep: &SpecSweep{SeqLens: []int{8192, 8192}}}
+}
+
 // TestSweepPrivateCacheDedupes pins the default path: without an attached
-// cache, one Stream invocation still dedupes its own duplicate cells via a
-// private cache, and consecutive invocations stay independent.
+// cache, one Execute invocation still dedupes its own duplicate cells via a
+// private cache.
 func TestSweepPrivateCacheDedupes(t *testing.T) {
-	base, err := NewSession(Model3B(), A800Cluster())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := Sweep{Methods: []Method{"1F1B"}, SeqLens: []int{8192, 8192}, Stages: []int{2}}
-	reports, err := base.Sweep(sw)
+	reports, err := executeSpec(t, dupCells())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,24 +224,21 @@ func TestSweepPrivateCacheDedupes(t *testing.T) {
 	}
 }
 
-// TestSpecNoCacheDisablesCaching proves the spec field reaches the session:
-// a no_cache spec simulates every duplicate.
+// TestSpecNoCacheDisablesCaching proves Execute reads the spec field: a
+// no_cache spec simulates every duplicate, and leaves even an attached
+// shared cache untouched.
 func TestSpecNoCacheDisablesCaching(t *testing.T) {
-	spec := &ExperimentSpec{Model: "3B", Cluster: "A800", SeqLen: 8192, Stages: 2,
-		Methods: []string{"1F1B"}, NoCache: true}
-	session, _, err := spec.Resolve()
+	spec := dupCells()
+	spec.NoCache = true
+	cache := NewReportCache()
+	reports, err := executeSpec(t, spec, WithReportCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if session.streamCache() != nil {
-		t.Error("no_cache spec still returned a stream cache")
+	if len(reports) != 2 || reports[0] == reports[1] {
+		t.Error("no_cache spec shared one simulation across duplicate cells")
 	}
-	sw := Sweep{Methods: []Method{"1F1B"}, SeqLens: []int{8192, 8192}, Stages: []int{2}}
-	reports, err := session.Sweep(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) == 2 && reports[0] == reports[1] {
-		t.Error("no_cache session shared one simulation across duplicate cells")
+	if hits, misses := cache.Stats(); hits+misses != 0 {
+		t.Errorf("no_cache spec used the attached cache: %d hits, %d misses", hits, misses)
 	}
 }

@@ -13,7 +13,6 @@ package helixpipe
 import (
 	"fmt"
 	"io"
-	"iter"
 
 	"repro/internal/costmodel"
 	"repro/internal/decode"
@@ -91,9 +90,15 @@ func (s *Session) decodeParams() DecodeCostParams {
 	return p
 }
 
-// decodeSearch assembles the internal search for a DecodeSpec.
-func (s *Session) decodeSearch(ds DecodeSpec) (*decode.Search, error) {
-	return decode.NewSearch(decode.Spec{
+// Decode searches the decoding scenario's KVP x TPA lattice on the
+// session's hardware and returns the full report. Invalid lattice points
+// and shardings whose KV cache plus weight shard exceed the memory budget
+// are pruned before simulation; the rest are priced token by token against
+// the growing cache. Deterministic: identical specs produce byte-identical
+// reports. Each evaluated sharding is reported to the session's event sink
+// as it completes.
+func (s *Session) Decode(ds DecodeSpec) (*DecodeReport, error) {
+	search, err := decode.NewSearch(decode.Spec{
 		Scenario:    ds.Scenario,
 		KVP:         append([]int(nil), ds.KVP...),
 		TPA:         append([]int(nil), ds.TPA...),
@@ -102,38 +107,10 @@ func (s *Session) decodeSearch(ds DecodeSpec) (*decode.Search, error) {
 		Params:      s.decodeParams(),
 		Sink:        s.events,
 	})
-}
-
-// Decode searches the decoding scenario's KVP x TPA lattice on the
-// session's hardware and returns the full report. Invalid lattice points
-// and shardings whose KV cache plus weight shard exceed the memory budget
-// are pruned before simulation; the rest are priced token by token against
-// the growing cache. Deterministic: identical specs produce byte-identical
-// reports.
-func (s *Session) Decode(ds DecodeSpec) (*DecodeReport, error) {
-	search, err := s.decodeSearch(ds)
 	if err != nil {
 		return nil, err
 	}
 	return search.Run()
-}
-
-// DecodeStream streams the evaluated shardings of a decode search in
-// deterministic lattice order as they complete; collect the ranked report
-// with Decode instead when only the outcome matters.
-func (s *Session) DecodeStream(ds DecodeSpec) iter.Seq2[DecodePoint, error] {
-	return func(yield func(DecodePoint, error) bool) {
-		search, err := s.decodeSearch(ds)
-		if err != nil {
-			yield(DecodePoint{}, err)
-			return
-		}
-		for pt, err := range search.Points() {
-			if !yield(pt, err) {
-				return
-			}
-		}
-	}
 }
 
 // buildDecodeSpec materializes a normalized spec's decode section against

@@ -1,9 +1,9 @@
 // Long-context planning: which pipeline parallelism should serve a given
-// sequence length on a given cluster? This example fans a Session.Sweep over
-// 32k-128k on both paper testbeds and reports the winner and the HelixPipe
-// gain, reproducing the scalability story of Figure 8 — including the
-// A800/32k regime where the two-fold FILO communication cannot hide behind
-// attention and plain 1F1B is the right choice.
+// sequence length on a given cluster? This example runs one sweep spec per
+// testbed over 32k-128k with Session.Execute and reports the winner and the
+// HelixPipe gain, reproducing the scalability story of Figure 8 — including
+// the A800/32k regime where the two-fold FILO communication cannot hide
+// behind attention and plain 1F1B is the right choice.
 //
 // Run with: go run ./examples/long_context
 package main
@@ -17,22 +17,28 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	methods := []helixpipe.Method{
-		helixpipe.Method1F1B, helixpipe.MethodZB1P, helixpipe.MethodAdaPipe, helixpipe.MethodHelix,
-	}
+	methods := []string{"1F1B", "ZB1P", "AdaPipe", "HelixPipe"}
 	seqLens := []int{32768, 65536, 98304, 131072}
 	fmt.Printf("%-6s %-6s %-34s %-12s %s\n", "seq", "nodes", "tokens/s per method (1F1B/ZB1P/AdaPipe/Helix)", "winner", "Helix vs best baseline")
-	for _, cl := range []helixpipe.ClusterSpec{helixpipe.H20Cluster(), helixpipe.A800Cluster()} {
-		session, err := helixpipe.NewSession(helixpipe.Model7B(), cl, helixpipe.WithStages(8))
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, cluster := range []string{"H20", "A800"} {
 		// One sweep per cluster: methods x sequence lengths, fanned out
 		// across goroutines, reports back in deterministic grid order.
-		reports, err := session.Sweep(helixpipe.Sweep{Methods: methods, SeqLens: seqLens})
+		spec := &helixpipe.ExperimentSpec{
+			Model: "7B", Cluster: cluster, Stages: 8, Methods: methods,
+			Sweep: &helixpipe.SpecSweep{SeqLens: seqLens},
+		}
+		session, _, err := spec.Resolve()
 		if err != nil {
 			log.Fatal(err)
 		}
+		var reports []*helixpipe.Report
+		for r, err := range session.Execute(spec) {
+			if err != nil {
+				log.Fatal(err)
+			}
+			reports = append(reports, r)
+		}
+		cl := session.Cluster()
 		fmt.Printf("--- %s cluster (%.0f GB/s inter-node, %s GPUs)\n", cl.Name, cl.InterNodeGBps, cl.GPU.Name)
 		for i, seq := range seqLens {
 			row := reports[i*len(methods) : (i+1)*len(methods)]

@@ -232,7 +232,8 @@ func (f *fleetSimulator) Simulate(job fleet.Job, sub cluster.Cluster) (fleet.Job
 }
 
 // simulateOnCarve runs a job's spec on a carved sub-cluster: resolve the
-// spec, swap its topology for the carve, search the placement, simulate.
+// spec, swap its topology for the carve, then place and run its one method
+// as Execute runs a cell.
 func simulateOnCarve(spec *ExperimentSpec, sub cluster.Cluster) (*Report, error) {
 	base, rs, err := spec.Resolve()
 	if err != nil {
@@ -242,17 +243,7 @@ func simulateOnCarve(spec *ExperimentSpec, sub cluster.Cluster) (*Report, error)
 	if err != nil {
 		return nil, err
 	}
-	method := Method(spec.Methods[0])
-	if rs.Placement != "" {
-		p, err := cell.PlacementFor(method, rs.Placement, rs.PlacementSeed)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", method, err)
-		}
-		if cell, err = cell.With(WithPlacement(p)); err != nil {
-			return nil, fmt.Errorf("%s: %w", method, err)
-		}
-	}
-	return cell.Simulate(method)
+	return cell.runCell(Method(spec.Methods[0]), rs.Engine, rs.Seed, rs.Placement, rs.PlacementSeed)
 }
 
 // buildFleetSpec materializes a normalized spec's fleet section into the

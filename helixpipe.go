@@ -36,24 +36,23 @@
 //	// report.Sim.IterationSeconds, report.Sim.TokensPerSecond, ...
 //	data, err := json.Marshal(report)
 //
-// Session.Sweep fans a method x sequence-length x stages grid out across
-// goroutines; Session.NumericEngine runs the same plans numerically:
+// Session.NumericEngine runs the same plans numerically:
 //
-//	reports, err := s.Sweep(helixpipe.Sweep{
-//		Methods: []helixpipe.Method{helixpipe.Method1F1B, helixpipe.MethodHelix},
-//		SeqLens: []int{32768, 65536, 131072},
-//		Stages:  []int{2, 4, 8},
-//	})
 //	parity, err := s.Run(s.NumericEngine(42), helixpipe.MethodHelix)
 //
 // Whole experiments are declarative: an ExperimentSpec is a JSON-round-
 // trippable description of everything a run needs (model, cluster, topology,
 // placement, perturbation, workload, methods, engine, sweep axes, tune grid,
 // output selection). ParseSpec reads one, Resolve validates it eagerly into a
-// Session plus a RunSet, and Session.Execute streams its Reports as an
-// iter.Seq2 so arbitrarily large sweeps never buffer:
+// Session plus a RunSet, and Session.Execute — the one grid runner — fans
+// the spec's method x sequence-length x stages cells out across goroutines
+// and streams their Reports in grid order as an iter.Seq2, so arbitrarily
+// large sweeps never buffer:
 //
-//	spec, err := helixpipe.ParseSpecFile("examples/spec_driven/paper_128k.json")
+//	spec := &helixpipe.ExperimentSpec{
+//		Model: "7B", Cluster: "H20", Methods: []string{"1F1B", "HelixPipe"},
+//		Sweep: &helixpipe.SpecSweep{SeqLens: []int{32768, 65536, 131072}, Stages: []int{2, 4, 8}},
+//	}
 //	session, runset, err := spec.Resolve()
 //	for report, err := range session.Execute(spec) { ... }
 //

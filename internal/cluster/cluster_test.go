@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -230,6 +231,29 @@ func TestPerturbParseAndValidate(t *testing.T) {
 		if err := p.Validate(c); err == nil {
 			t.Errorf("perturb %q validated", bad)
 		}
+	}
+	// Non-finite factors: NaN fails every range comparison and +Inf passes
+	// the lower bounds, so each must be rejected by name.
+	for _, tc := range []struct{ perturb, clause string }{
+		{"slow=0xInf", "slow"},
+		{"slow=0x+Inf", "slow"},
+		{"slow=0xNaN", "slow"},
+		{"link=ibxNaN", "link"},
+		{"link=ibx-Inf", "link"},
+		{"jitter=NaN", "jitter"},
+		{"jitter=+Inf", "jitter"},
+	} {
+		p, err := ParsePerturb(tc.perturb)
+		if err != nil {
+			t.Fatalf("perturb %q: %v", tc.perturb, err)
+		}
+		err = p.Validate(c)
+		if want := "perturb " + tc.clause + " factor must be finite"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("perturb %q: Validate = %v, want an error containing %q", tc.perturb, err, want)
+		}
+	}
+	if err := (Perturb{Jitter: math.NaN()}).Validate(c); err == nil {
+		t.Error("a programmatic NaN jitter validated")
 	}
 	for _, malformed := range []string{"slow=3", "bogus=1", "jitter=x", "slow=ax2"} {
 		if _, err := ParsePerturb(malformed); err == nil {

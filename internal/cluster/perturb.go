@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -49,6 +50,16 @@ func (p Perturb) Apply(l Link) Link {
 // Validate reports an error when the perturbation is not meaningful on the
 // cluster.
 func (p Perturb) Validate(c Cluster) error {
+	// NaN fails every comparison below and ±Inf passes the range checks, so
+	// non-finite factors are rejected first, naming the flag clause.
+	for _, f := range []struct {
+		clause string
+		v      float64
+	}{{"slow", p.SlowFactor}, {"link", p.DegradeFactor}, {"jitter", p.Jitter}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("cluster: perturb %s factor must be finite, got %g", f.clause, f.v)
+		}
+	}
 	if p.SlowFactor > 1 {
 		if p.SlowDevice < 0 || p.SlowDevice >= c.Devices() {
 			return fmt.Errorf("cluster: perturb slow device %d out of range on %s (%d devices)",

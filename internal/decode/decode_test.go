@@ -213,6 +213,51 @@ func TestSearchKVMemoryPrune(t *testing.T) {
 	}
 }
 
+// TestSearchPointsMatchRun pins that streaming a search and running it
+// agree: Points yields the evaluated shardings in the order Run's report
+// lists them, with the same values, and the report read after draining the
+// stream equals Run's. Callers that time each streamed point and then read
+// the ranked report rely on this.
+func TestSearchPointsMatchRun(t *testing.T) {
+	spec := Spec{Scenario: testScenario(gqaHeads(32, 8, 128)), Params: testParams()}
+	streamed, err := NewSearch(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []Point
+	for pt, err := range streamed.Points() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, pt)
+	}
+	ran, err := NewSearch(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ran.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Points) < 2 {
+		t.Fatalf("report has %d points; the order check needs several", len(rep.Points))
+	}
+	if !reflect.DeepEqual(points, rep.Points) {
+		t.Fatalf("Points order/values differ from Run's report:\n got %v\nwant %v", shardingsOf(points), shardingsOf(rep.Points))
+	}
+	if !reflect.DeepEqual(streamed.Result(), rep) {
+		t.Error("the report after draining Points differs from Run's")
+	}
+}
+
+func shardingsOf(points []Point) []Sharding {
+	out := make([]Sharding, len(points))
+	for i, p := range points {
+		out[i] = p.Sharding
+	}
+	return out
+}
+
 func TestSearchExplicitAxesGeometryPrune(t *testing.T) {
 	sc := testScenario(gqaHeads(32, 4, 128))
 	s, err := NewSearch(Spec{

@@ -28,9 +28,9 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one progress event. Producers (Session.Stream/Execute,
-// tune.Search.Points) emit them to a pluggable Sink as cells run; only
-// the fields meaningful for the Kind are set.
+// Event is one progress event. Producers (Session.Execute,
+// tune.Search.Points, decode.Search.Points) emit them to a pluggable Sink as
+// cells run; only the fields meaningful for the Kind are set.
 type Event struct {
 	// Kind is the event kind.
 	Kind EventKind

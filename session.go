@@ -1,7 +1,6 @@
 package helixpipe
 
 import (
-	"errors"
 	"fmt"
 	"iter"
 	"runtime"
@@ -22,8 +21,8 @@ import (
 // Session is the configured front door of the package: one model on one
 // cluster at one micro-batch geometry, validated eagerly, from which plans
 // are built and engines are run. A Session is immutable after construction;
-// With derives a modified copy, and Sweep fans a method x sequence-length x
-// stage grid out across goroutines.
+// With derives a modified copy, and Execute runs an experiment spec's grid of
+// cells across goroutines.
 type Session struct {
 	model        model.Config
 	cluster      costmodel.ClusterSpec
@@ -31,13 +30,11 @@ type Session struct {
 	microBatch   int
 	stages       int
 	microBatches int             // 0 while unset: resolved to 2*stages
-	mbExplicit   bool            // WithMicroBatches was applied (kept across Sweep cells)
+	mbExplicit   bool            // WithMicroBatches was applied (kept across grid cells)
 	batch        model.BatchSpec // per-micro-batch shapes; empty = uniform
 	memBudget    int64
 	memExplicit  bool
 	helix        *HelixOptions
-	simOpt       sim.Options
-	simExplicit  bool
 	trace        bool
 
 	// Topology-aware communication: a cluster topology, the stage placement
@@ -50,15 +47,14 @@ type Session struct {
 	perturb      cluster.Perturb
 	resolvedTopo *cluster.Topology
 
-	// Report caching across Stream/Execute/Sweep: cells with identical
-	// content (runKey) simulate once. cache is a caller-shared cache (nil:
-	// each Stream/Execute uses a fresh one); noCache disables caching.
-	cache   *ReportCache
-	noCache bool
+	// Report caching across Execute runs: cells with identical content
+	// (runKey) simulate once. cache is a caller-shared cache (nil: each
+	// Execute uses a fresh one).
+	cache *ReportCache
 
-	// events receives progress events from Stream/Execute/Sweep and turns
-	// on telemetry provenance stamping (Report.Telemetry). Nil on
-	// unobserved sessions, whose reports stay byte-stable run to run.
+	// events receives progress events from Execute and turns on telemetry
+	// provenance stamping (Report.Telemetry). Nil on unobserved sessions,
+	// whose reports stay byte-stable run to run.
 	events obs.Sink
 }
 
@@ -81,7 +77,7 @@ func WithStages(p int) Option { return func(ses *Session) { ses.stages = p } }
 
 // WithMicroBatches sets the number of micro batches m per iteration. The
 // default is the paper's m = 2p (section 5.1), recomputed per grid cell by
-// Sweep; an explicit value is kept as-is everywhere. Like WithSeqLen, it
+// Execute; an explicit value is kept as-is everywhere. Like WithSeqLen, it
 // replaces any variable-length workload set earlier (whose micro-batch count
 // is its number of shapes).
 func WithMicroBatches(m int) Option {
@@ -108,12 +104,6 @@ func WithMemoryBudget(bytes int64) Option {
 // registered default.
 func WithHelixOptions(opt HelixOptions) Option {
 	return func(ses *Session) { o := opt; ses.helix = &o }
-}
-
-// WithSimOptions replaces the simulator options. The default applies the
-// cluster's CommSMPenalty and no tracing.
-func WithSimOptions(opt SimOptions) Option {
-	return func(ses *Session) { ses.simOpt = opt; ses.simExplicit = true }
 }
 
 // WithTrace enables span tracing in the simulator so reports can render
@@ -146,22 +136,16 @@ func WithPerturb(p Perturb) Option {
 	return func(ses *Session) { ses.perturb = p }
 }
 
-// WithReportCache attaches a shared report cache: Stream, Execute and Sweep
-// memoize cell reports in it by content hash, so repeated cells — duplicate
-// grid points, overlapping sweeps, tune grids re-visiting a shape — never
-// re-simulate, across every run of every session sharing the cache. Cached
-// reports are shared and must be treated as immutable. Without this option
-// each Stream/Execute invocation still dedupes internally with a fresh
-// private cache; read hit/miss counts off the shared cache with Stats.
+// WithReportCache attaches a shared report cache: Execute memoizes cell
+// reports in it by content hash, so repeated cells — duplicate grid points,
+// overlapping sweeps — never re-simulate, across every run of every session
+// sharing the cache. Cached reports are shared and must be treated as
+// immutable. Without this option each Execute invocation still dedupes
+// internally with a fresh private cache, and a spec's `no_cache` field turns
+// caching off for its run; read hit/miss counts off the shared cache with
+// Stats.
 func WithReportCache(c *ReportCache) Option {
-	return func(ses *Session) { ses.cache = c; ses.noCache = false }
-}
-
-// WithoutReportCache disables report caching on Stream, Execute and Sweep:
-// every cell simulates, even exact duplicates. The spec field `no_cache`
-// maps to this option.
-func WithoutReportCache() Option {
-	return func(ses *Session) { ses.cache = nil; ses.noCache = true }
+	return func(ses *Session) { ses.cache = c }
 }
 
 // WithWorkload sets a variable-length workload: one (b, s) shape per micro
@@ -177,9 +161,9 @@ func WithWorkload(spec BatchSpec) Option {
 	return func(ses *Session) { ses.batch = spec }
 }
 
-// WithEventSink attaches a progress-event sink: Stream, Execute and Sweep
-// emit an obs.Event when each cell starts and finishes (with worker id,
-// duration and cache-hit flag), and tune runs launched through the session
+// WithEventSink attaches a progress-event sink: Execute emits an obs.Event
+// when each cell starts and finishes (with worker id, duration and
+// cache-hit flag), and tune and decode runs launched through the session
 // inherit the sink. Attaching a sink also turns on telemetry provenance:
 // every report carries a Telemetry block (wall clock, cache hit, runner
 // reuse) in its JSON and CSV forms. Unobserved sessions stamp nothing, so
@@ -450,16 +434,10 @@ func (s *Session) TokensPerIteration() int64 {
 }
 
 // SimOptions returns the simulator options the session runs with: the
-// explicit WithSimOptions value or the cluster defaults, with tracing forced
-// on by WithTrace.
+// cluster's CommSMPenalty, tracing under WithTrace, and the resolved topology
+// of a WithCluster session.
 func (s *Session) SimOptions() SimOptions {
-	opt := s.simOpt
-	if !s.simExplicit {
-		opt = sim.Options{SMPenalty: s.cluster.CommSMPenalty}
-	}
-	if s.trace {
-		opt.Trace = true
-	}
+	opt := sim.Options{SMPenalty: s.cluster.CommSMPenalty, Trace: s.trace}
 	if s.resolvedTopo != nil {
 		opt.Topology = s.resolvedTopo
 	}
@@ -636,51 +614,46 @@ func (s *Session) Autotune(spec TuneSpec) (*TuneResult, error) {
 	return tune.Run(s.model, s.cluster, s.fillTuneDefaults(spec))
 }
 
-// Sweep describes a grid of runs fanned out by Session.Sweep. Empty axes
-// fall back to the session's own value (or, for Methods, to every
-// registered method).
-type Sweep struct {
-	// Methods are the schedules to run; empty means every registered method.
-	Methods []Method
-	// SeqLens are the sequence lengths; empty means the session's.
-	SeqLens []int
-	// Stages are the pipeline sizes; empty means the session's.
-	Stages []int
-	// Engine builds the engine of one grid cell; nil means the cell
-	// session's SimEngine.
-	Engine func(cell *Session) Engine
+// runCell runs one cell on the session: when strategy names one, a
+// placement search over the method's own traffic matrix (so each method
+// places itself), then one iteration on the named engine. It is the single
+// path from a (method, engine, seed, strategy, placementSeed) cell — the
+// tuple runKey hashes — to a Report, shared by Execute and the fleet
+// simulator.
+func (s *Session) runCell(method Method, engineName string, seed uint64, strategy string, placementSeed uint64) (*Report, error) {
+	placed := s
+	if strategy != "" {
+		p, err := s.PlacementFor(method, strategy, placementSeed)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", method, err)
+		}
+		if placed, err = s.With(WithPlacement(p)); err != nil {
+			return nil, fmt.Errorf("%s: %w", method, err)
+		}
+	}
+	if engineName == EngineNumeric {
+		return placed.Run(placed.NumericEngine(seed), method)
+	}
+	return placed.Simulate(method)
 }
 
-// streamCache returns the cache one Stream/Execute invocation memoizes cell
-// reports in: the session's shared cache when one is attached, a fresh
-// private cache otherwise (duplicate cells within the one grid still
-// simulate once), nil when caching is disabled.
-func (s *Session) streamCache() *ReportCache {
-	if s.noCache {
-		return nil
-	}
-	if s.cache != nil {
-		return s.cache
-	}
-	return NewReportCache()
-}
-
-// cachedJob wraps one cell job with the report cache: identical cells share
-// one simulation. A nil cache, or a cell whose identity cannot be
-// content-hashed (caller-supplied sim topology), runs the job directly. On
-// observed sessions (WithEventSink) the wrapper also stamps telemetry
-// provenance — wall clock, cache-hit flag, runner reuse — onto a shallow
-// copy of the report: stored cache entries stay provenance-free, so
-// sessions sharing the cache never see another run's wall clocks.
-func cachedJob(cache *ReportCache, cell *Session, method Method, engineName string, seed uint64,
-	strategy string, placementSeed uint64, job func() (*Report, error)) func() (*Report, error) {
+// cachedJob returns the job running one cell (runCell) behind the report
+// cache: identical cells share one simulation. A nil cache, or a cell whose
+// identity cannot be content-hashed, runs uncached. On observed sessions
+// (WithEventSink) the wrapper also stamps telemetry provenance — wall clock,
+// cache-hit flag, runner reuse — onto a shallow copy of the report: stored
+// cache entries stay provenance-free, so sessions sharing the cache never
+// see another run's wall clocks.
+func (s *Session) cachedJob(cache *ReportCache, method Method, engineName string, seed uint64,
+	strategy string, placementSeed uint64) func() (*Report, error) {
+	job := func() (*Report, error) { return s.runCell(method, engineName, seed, strategy, placementSeed) }
 	key, useCache := "", false
 	if cache != nil {
-		if k, err := cell.runKey(method, engineName, seed, strategy, placementSeed); err == nil {
+		if k, err := s.runKey(method, engineName, seed, strategy, placementSeed); err == nil {
 			key, useCache = k, true
 		}
 	}
-	if !useCache && cell.events == nil {
+	if !useCache && s.events == nil {
 		return job
 	}
 	return func() (*Report, error) {
@@ -695,7 +668,7 @@ func cachedJob(cache *ReportCache, cell *Session, method Method, engineName stri
 		} else {
 			r, err = job()
 		}
-		if err != nil || r == nil || cell.events == nil {
+		if err != nil || r == nil || s.events == nil {
 			return r, err
 		}
 		r2 := *r
@@ -709,9 +682,9 @@ func cachedJob(cache *ReportCache, cell *Session, method Method, engineName stri
 }
 
 // cellSecondsH is the per-cell wall-clock distribution across every
-// Stream/Execute/Sweep job (cache hits included — a hit's cell time is its
-// cache wait). Bounds span sub-millisecond cached lookups to multi-second
-// long-sequence simulations.
+// Execute job (cache hits included — a hit's cell time is its cache wait).
+// Bounds span sub-millisecond cached lookups to multi-second long-sequence
+// simulations.
 var cellSecondsH = obs.Default().Histogram("helix_cell_seconds",
 	[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10})
 
@@ -793,95 +766,23 @@ func streamReports(jobs []func() (*Report, error), labels []string, sink obs.Sin
 	}
 }
 
-// Stream is the streaming core of Sweep: it derives one session per
-// (seqlen, stages) cell, runs every method on the cell's engine across a
-// bounded worker pool, and yields the reports in deterministic grid order
-// (seqlen-major, then stages, then method) as each becomes available. Cells
-// that fail — an invalid derived geometry or a build/run error — yield
-// (nil, err) and never abort the remaining cells. Sweep collects this
-// stream; iterate it directly when the grid is large enough that buffering
-// every report matters.
-func (s *Session) Stream(sw Sweep) iter.Seq2[*Report, error] {
-	methods := sw.Methods
-	if len(methods) == 0 {
-		methods = Methods()
-	}
-	seqLens := sw.SeqLens
-	if len(seqLens) == 0 {
-		seqLens = []int{s.SeqLen()}
-	}
-	stages := sw.Stages
-	if len(stages) == 0 {
-		stages = []int{s.stages}
-	}
-	engineOf := sw.Engine
-	if engineOf == nil {
-		engineOf = func(cell *Session) Engine { return cell.SimEngine() }
-	}
-	// Custom engine factories are opaque and cannot be content-keyed, so
-	// only the default sim-engine path caches.
-	cache := s.streamCache()
-	if sw.Engine != nil {
-		cache = nil
-	}
-
-	var jobs []func() (*Report, error)
-	var labels []string
-	for _, seq := range seqLens {
-		for _, p := range stages {
-			derived, derr := s.With(WithSeqLen(seq), WithStages(p))
-			for _, m := range methods {
-				seq, p, method := seq, p, m
-				labels = append(labels, fmt.Sprintf("%s seq=%d p=%d", method, seq, p))
-				if derr != nil {
-					jobs = append(jobs, func() (*Report, error) {
-						return nil, fmt.Errorf("seq=%d p=%d: %w", seq, p, derr)
-					})
-					continue
-				}
-				cell := derived
-				run := func() (*Report, error) {
-					r, err := cell.Run(engineOf(cell), method)
-					if err != nil {
-						return nil, fmt.Errorf("seq=%d p=%d: %w", cell.SeqLen(), cell.stages, err)
-					}
-					return r, nil
-				}
-				jobs = append(jobs, cachedJob(cache, cell, method, EngineSim, 0, "", 0, run))
-			}
-		}
-	}
-	return streamReports(jobs, labels, s.events)
-}
-
-// Sweep is a thin collector over Stream: it drains the stream and returns
-// the successful reports in grid order plus the joined error of every
-// failed cell.
-func (s *Session) Sweep(sw Sweep) ([]*Report, error) {
-	var reports []*Report
-	var errs []error
-	for r, err := range s.Stream(sw) {
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		reports = append(reports, r)
-	}
-	return reports, errors.Join(errs...)
-}
-
 // Execute runs a resolved experiment spec on the session, streaming its
-// reports as they become available — a 500-cell sweep holds at most a
-// worker-pool's worth of reports, not five hundred. The receiver is
-// normally the session returned by
-// spec.Resolve(); the spec's cells (method, seqlen, stages) derive from it
-// with With. Per-cell failures yield (nil, err) and never abort the
-// remaining cells; only an unresolvable spec ends the stream early (its one
-// yield is the resolution error). Execute re-resolves the spec rather than
-// trusting a caller-supplied RunSet — a deliberate tradeoff: resolution is
-// milliseconds against simulation seconds, it is deterministic, and it
-// keeps the iterator safe to build from a bare spec without a prior
-// Resolve call.
+// reports in grid order (seqlen-major, then stages, then method) as they
+// become available — a 500-cell sweep holds at most a worker-pool's worth of
+// reports, not five hundred. It is the package's one grid runner. The
+// receiver is normally the session returned by spec.Resolve(); the spec's
+// cells (method, seqlen, stages) derive from it with With. Per-cell failures
+// — an invalid derived geometry, a placement, build or run error — yield
+// (nil, err) and never abort the remaining cells; only an unresolvable spec
+// ends the stream early (its one yield is the resolution error). Execute
+// re-resolves the spec rather than trusting a caller-supplied RunSet — a
+// deliberate tradeoff: resolution is milliseconds against simulation
+// seconds, it is deterministic, and it keeps the iterator safe to build from
+// a bare spec without a prior Resolve call.
+//
+// Cells run behind the session's report cache (WithReportCache), or a fresh
+// private one that still dedupes the grid's duplicate cells; a `no_cache`
+// spec simulates every cell.
 //
 // A RunKindTune spec streams the autotuner's evaluated points as compact
 // sim reports (geometry plus iteration/throughput/bubble metrics) in grid
@@ -903,71 +804,45 @@ func (s *Session) Execute(spec *ExperimentSpec) iter.Seq2[*Report, error] {
 			yield(nil, err)
 			return
 		}
-		if rs.Kind == RunKindFleet {
-			// A fleet run produces one FleetReport, not a stream of cell
-			// reports — it has its own entry point.
+		// Fleet and decode runs each produce one report of their own, not a
+		// stream of cell reports, and have their own entry points.
+		switch rs.Kind {
+		case RunKindFleet:
 			yield(nil, fmt.Errorf("helixpipe: a fleet spec runs via Session.Fleet (or helix fleet), not Execute"))
 			return
-		}
-		if rs.Kind == RunKindDecode {
-			// Likewise: a decode run produces one DecodeReport, via its own
-			// entry point.
+		case RunKindDecode:
 			yield(nil, fmt.Errorf("helixpipe: a decode spec runs via Session.Decode (or helix serve), not Execute"))
 			return
-		}
-		if rs.Kind == RunKindTune {
+		case RunKindTune:
 			s.executeTune(*rs.Tune, yield)
 			return
 		}
-		cache := s.streamCache()
+		cache := s.cache
 		if n.NoCache {
 			cache = nil
+		} else if cache == nil {
+			cache = NewReportCache()
 		}
 		jobs := make([]func() (*Report, error), 0, len(rs.Cells))
 		labels := make([]string, 0, len(rs.Cells))
 		for _, c := range rs.Cells {
-			cell := c
-			labels = append(labels, fmt.Sprintf("%s seq=%d p=%d", cell.Method, cell.SeqLen, cell.Stages))
-			run := s
-			var derr error
+			labels = append(labels, fmt.Sprintf("%s seq=%d p=%d", c.Method, c.SeqLen, c.Stages))
+			cell := s
 			if rs.Kind == RunKindSweep {
 				// A workload spec sweeps stages only: re-deriving the
 				// sequence length would clear its per-micro-batch shapes.
-				opts := []Option{WithStages(cell.Stages)}
+				opts := []Option{WithStages(c.Stages)}
 				if n.Workload == nil {
-					opts = append(opts, WithSeqLen(cell.SeqLen))
+					opts = append(opts, WithSeqLen(c.SeqLen))
 				}
-				run, derr = s.With(opts...)
+				var derr error
+				if cell, derr = s.With(opts...); derr != nil {
+					derr = fmt.Errorf("seq=%d p=%d: %w", c.SeqLen, c.Stages, derr)
+					jobs = append(jobs, func() (*Report, error) { return nil, derr })
+					continue
+				}
 			}
-			runJob := func() (*Report, error) {
-				if derr != nil {
-					return nil, fmt.Errorf("seq=%d p=%d: %w", cell.SeqLen, cell.Stages, derr)
-				}
-				placed := run
-				if rs.Placement != "" {
-					// The placement search reads the method's own traffic
-					// matrix, so each cell derives its own placed session.
-					placement, err := run.PlacementFor(cell.Method, rs.Placement, rs.PlacementSeed)
-					if err != nil {
-						return nil, fmt.Errorf("%s: %w", cell.Method, err)
-					}
-					if placed, err = run.With(WithPlacement(placement)); err != nil {
-						return nil, fmt.Errorf("%s: %w", cell.Method, err)
-					}
-				}
-				var engine Engine
-				if rs.Engine == EngineNumeric {
-					engine = placed.NumericEngine(rs.Seed)
-				} else {
-					engine = placed.SimEngine()
-				}
-				return placed.Run(engine, cell.Method)
-			}
-			if derr != nil {
-				jobs = append(jobs, runJob)
-				continue
-			}
-			jobs = append(jobs, cachedJob(cache, run, cell.Method, rs.Engine, rs.Seed, rs.Placement, rs.PlacementSeed, runJob))
+			jobs = append(jobs, cell.cachedJob(cache, c.Method, rs.Engine, rs.Seed, rs.Placement, rs.PlacementSeed))
 		}
 		for r, err := range streamReports(jobs, labels, s.events) {
 			if !yield(r, err) {

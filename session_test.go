@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"iter"
 	"strings"
 	"testing"
 )
@@ -144,18 +145,51 @@ func TestNumericEnginesAgree(t *testing.T) {
 	}
 }
 
-// TestSessionSweep fans a small grid out and checks order and geometry.
-func TestSessionSweep(t *testing.T) {
-	// No explicit WithMicroBatches: the paper default m = 2p must follow
-	// each grid cell's stage count.
-	s, err := NewSession(TinyModel(), H20Cluster(), WithSeqLen(8), WithStages(2))
-	if err != nil {
-		t.Fatal(err)
+// collectReports drains a report stream the way a caller collecting a grid
+// does: the reports of the cells that succeeded, in grid order, and the
+// joined error of every cell that failed.
+func collectReports(stream iter.Seq2[*Report, error]) ([]*Report, error) {
+	var reports []*Report
+	var errs []error
+	for r, err := range stream {
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		reports = append(reports, r)
 	}
+	return reports, errors.Join(errs...)
+}
+
+// executeSpec resolves the spec, derives its session with opts, and
+// collects what Execute streams for the spec.
+func executeSpec(tb testing.TB, spec *ExperimentSpec, opts ...Option) ([]*Report, error) {
+	tb.Helper()
+	session, _, err := spec.Resolve()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if session, err = session.With(opts...); err != nil {
+		tb.Fatal(err)
+	}
+	return collectReports(session.Execute(spec))
+}
+
+// tinySweep is a sweep spec on the tiny model (4 layers) at seq 8 on two
+// stages, with the paper default m = 2p.
+func tinySweep(methods []string, sw SpecSweep) *ExperimentSpec {
+	return &ExperimentSpec{Model: "tiny", Cluster: "H20", SeqLen: 8, Stages: 2,
+		Methods: methods, Sweep: &sw}
+}
+
+// TestSessionSweep fans a small grid out through Execute and checks order
+// and geometry.
+func TestSessionSweep(t *testing.T) {
 	methods := []Method{Method1F1B, MethodHelix}
+	names := []string{"1F1B", "HelixPipe"}
 	seqLens := []int{8, 16}
 	stages := []int{2, 4}
-	reports, err := s.Sweep(Sweep{Methods: methods, SeqLens: seqLens, Stages: stages})
+	reports, err := executeSpec(t, tinySweep(names, SpecSweep{SeqLens: seqLens, Stages: stages}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,73 +215,48 @@ func TestSessionSweep(t *testing.T) {
 	}
 	// A grid containing an invalid cell reports the failure but still
 	// returns the valid cells.
-	reports, err = s.Sweep(Sweep{Methods: methods, Stages: []int{2, 3}})
+	reports, err = executeSpec(t, tinySweep(names, SpecSweep{Stages: []int{2, 3}}))
 	if err == nil {
-		t.Error("stages=3 does not divide 4 layers: sweep must report it")
+		t.Error("stages=3 does not divide 4 layers: the run must report it")
 	}
 	if len(reports) != len(methods) {
 		t.Errorf("valid cells must survive a partial failure: got %d reports", len(reports))
 	}
 }
 
-// failingEngine errors on every run; it stands in for a grid cell whose
-// execution (not derivation) fails mid-sweep.
-type failingEngine struct{}
-
-func (failingEngine) Name() string { return "failing" }
-func (failingEngine) Run(*Plan) (*Report, error) {
-	return nil, errors.New("engine down")
+// failingSweep is a grid on the tiny model whose cells fail in both ways a
+// cell can: p=3 cannot divide the 4 layers (the derived session is
+// invalid), and AdaPipe at a 1-byte memory budget builds no plan. Only the
+// 1F1B cells on two stages succeed.
+func failingSweep() *ExperimentSpec {
+	spec := tinySweep([]string{"1F1B", "AdaPipe"}, SpecSweep{SeqLens: []int{8, 16}, Stages: []int{2, 3}})
+	spec.MemoryBudgetGB = 1e-9
+	return spec
 }
 
-// TestSweepErrorAggregation pins the contract the autotuner leans on: every
-// failing grid point is reported in the joined error, and no failure — at
-// derivation or at run time — loses the reports of the other cells.
+// TestSweepErrorAggregation pins the contract a grid collector leans on:
+// every failing cell is reported in the joined error, and no failure — at
+// derivation or at plan build — loses the reports of the other cells or
+// their grid order.
 func TestSweepErrorAggregation(t *testing.T) {
-	s, err := NewSession(TinyModel(), H20Cluster(), WithSeqLen(8), WithStages(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	methods := []Method{Method1F1B, MethodHelix}
-
-	// Derivation failures: stages 3 does not divide the tiny model's 4
-	// layers, twice over, amid two valid stage counts.
-	reports, err := s.Sweep(Sweep{Methods: methods, Stages: []int{2, 3, 4}})
+	reports, err := executeSpec(t, failingSweep())
 	if err == nil {
-		t.Fatal("stages=3 cells must surface in the sweep error")
+		t.Fatal("failing cells must surface in the joined error")
 	}
-	if want := 2 * len(methods); len(reports) != want {
-		t.Fatalf("valid cells lost: got %d reports, want %d", len(reports), want)
+	// Both methods fail at p=3, and AdaPipe at p=2, for each of 2 seqlens.
+	if n := strings.Count(err.Error(), "p=3"); n != 4 {
+		t.Errorf("joined error names %d p=3 failures, want 4: %v", n, err)
 	}
-	if n := strings.Count(err.Error(), "p=3"); n != len(methods) {
-		t.Errorf("joined error names %d p=3 failures, want %d: %v", n, len(methods), err)
+	if n := strings.Count(err.Error(), "found no partition of 4 layers over 2 stages within 1 bytes"); n != 2 {
+		t.Errorf("joined error names %d AdaPipe build failures, want 2: %v", n, err)
 	}
-	for _, r := range reports {
-		if r.Stages != 2 && r.Stages != 4 {
-			t.Errorf("report for pruned cell p=%d leaked through", r.Stages)
-		}
+	if len(reports) != 2 {
+		t.Fatalf("valid cells lost: got %d reports, want 2", len(reports))
 	}
-
-	// Run failures: an engine that errors on the 16-token cells must not
-	// lose the 8-token reports, and grid order must hold for the survivors.
-	engineOf := func(cell *Session) Engine {
-		if cell.SeqLen() == 16 {
-			return failingEngine{}
-		}
-		return cell.SimEngine()
-	}
-	reports, err = s.Sweep(Sweep{Methods: methods, SeqLens: []int{8, 16}, Engine: engineOf})
-	if err == nil {
-		t.Fatal("failing engine cells must surface in the sweep error")
-	}
-	if len(reports) != len(methods) {
-		t.Fatalf("got %d reports, want %d", len(reports), len(methods))
-	}
-	for i, r := range reports {
-		if r.SeqLen != 8 {
-			t.Errorf("report %d: seq %d leaked from a failing cell", i, r.SeqLen)
-		}
-		if r.Method != methods[i] {
-			t.Errorf("report %d: method %s breaks grid order", i, r.Method)
+	for i, seq := range []int{8, 16} {
+		if r := reports[i]; r.Method != Method1F1B || r.SeqLen != seq || r.Stages != 2 {
+			t.Errorf("report %d = (%s, seq=%d, p=%d), want (1F1B, seq=%d, p=2)",
+				i, r.Method, r.SeqLen, r.Stages, seq)
 		}
 	}
 }
@@ -318,13 +327,11 @@ func TestSessionAutotune(t *testing.T) {
 	}
 }
 
-// TestSweepNumericEngine swaps the engine factory for the numeric runtime.
+// TestSweepNumericEngine runs a numeric-engine spec through Execute.
 func TestSweepNumericEngine(t *testing.T) {
-	s := tinySession(t)
-	reports, err := s.Sweep(Sweep{
-		Methods: []Method{Method1F1B, MethodHelix},
-		Engine:  func(cell *Session) Engine { return cell.NumericEngine(3) },
-	})
+	reports, err := executeSpec(t, &ExperimentSpec{Model: "tiny", Cluster: "H20", SeqLen: 8,
+		Stages: 2, MicroBatches: 8, Methods: []string{"1F1B", "HelixPipe"},
+		Engine: SpecEngineNumeric, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +339,7 @@ func TestSweepNumericEngine(t *testing.T) {
 		t.Fatalf("want 2 reports, got %d", len(reports))
 	}
 	if reports[0].Numeric == nil || reports[1].Numeric == nil {
-		t.Fatal("numeric sweeps must carry numeric metrics")
+		t.Fatal("numeric runs must carry numeric metrics")
 	}
 	if reports[0].Numeric.Loss != reports[1].Numeric.Loss {
 		t.Error("1F1B and HelixPipe must train identically")

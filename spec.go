@@ -487,8 +487,8 @@ type ExperimentSpec struct {
 	// Decode turns the run into an interactive-decoding KVP x TPA search;
 	// mutually exclusive with Sweep, Tune, Fleet and Workload.
 	Decode *SpecDecode `json:"decode,omitempty"`
-	// NoCache disables the report cache: every cell simulates, even exact
-	// duplicates (maps to WithoutReportCache).
+	// NoCache disables Execute's report cache: every cell simulates, even
+	// exact duplicates.
 	NoCache bool `json:"no_cache,omitempty"`
 	// Output selects what the helix command emits.
 	Output *SpecOutput `json:"output,omitempty"`
@@ -507,7 +507,8 @@ type RunCell struct {
 // will run, in order. Two specs that resolve to equal RunSets describe the
 // same experiment — that is the reproducibility contract behind -emit-spec.
 type RunSet struct {
-	// Kind is RunKindRun, RunKindSweep or RunKindTune.
+	// Kind is RunKindRun, RunKindSweep, RunKindTune, RunKindFleet or
+	// RunKindDecode.
 	Kind string `json:"kind"`
 	// Engine names the engine the cells run on ("sim" or "numeric").
 	Engine string `json:"engine"`
@@ -518,8 +519,8 @@ type RunSet struct {
 	Placement     string `json:"placement,omitempty"`
 	PlacementSeed uint64 `json:"placement_seed,omitempty"`
 	// Cells enumerates the run's cells in deterministic grid order
-	// (seqlen-major, then stages, then method). Empty on tune and fleet
-	// runs.
+	// (seqlen-major, then stages, then method). Empty on tune, fleet and
+	// decode runs.
 	Cells []RunCell `json:"cells,omitempty"`
 	// Tune is the fully-resolved autotuner spec of a RunKindTune run.
 	Tune *TuneSpec `json:"tune,omitempty"`
@@ -866,12 +867,11 @@ func resolveSpecMethods(names []string) ([]string, error) {
 
 // specParts carries the resolved ingredients of a normalized spec.
 type specParts struct {
-	model      ModelConfig
-	cluster    ClusterSpec
-	topo       *ClusterTopology
-	batch      BatchSpec // empty Shapes on fixed-shape specs
-	options    []Option
-	wantsTrace bool
+	model   ModelConfig
+	cluster ClusterSpec
+	topo    *ClusterTopology
+	batch   BatchSpec // empty Shapes on fixed-shape specs
+	options []Option
 }
 
 // resolveParts resolves the normalized spec's names into concrete
@@ -934,12 +934,8 @@ func (s *ExperimentSpec) resolveParts() (*specParts, error) {
 		p.batch = batch
 		p.options = append(p.options, WithWorkload(batch))
 	}
-	p.wantsTrace = s.Trace || (s.Output != nil && (s.Output.Timeline || s.Output.SVG != "" || s.Output.Perfetto != ""))
-	if p.wantsTrace {
+	if s.Trace || (s.Output != nil && (s.Output.Timeline || s.Output.SVG != "" || s.Output.Perfetto != "")) {
 		p.options = append(p.options, WithTrace())
-	}
-	if s.NoCache {
-		p.options = append(p.options, WithoutReportCache())
 	}
 	return p, nil
 }

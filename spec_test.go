@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fullSpec returns a spec exercising every field, matching
@@ -203,6 +204,10 @@ func TestSpecInvalid(t *testing.T) {
 			Placement: "greedy"}, "requires a topology cluster"},
 		{"perturb on flat cluster", ExperimentSpec{Model: "7B", Cluster: "H20",
 			Perturb: "slow=0x2.0"}, "requires a topology cluster"},
+		{"infinite slow factor", ExperimentSpec{Model: "7B", Cluster: "DGX-H20x2",
+			Perturb: "slow=0xInf"}, "perturb slow factor must be finite"},
+		{"NaN jitter", ExperimentSpec{Model: "7B", Cluster: "DGX-H20x2",
+			Perturb: "jitter=NaN"}, "perturb jitter factor must be finite"},
 		{"bad placement strategy", ExperimentSpec{Model: "7B", Cluster: "DGX-H20x2",
 			Placement: "hilbert"}, "unknown placement strategy"},
 		{"sweep and tune", ExperimentSpec{Model: "7B", Cluster: "H20",
@@ -249,63 +254,46 @@ func TestParseSpecStrict(t *testing.T) {
 	}
 }
 
-// gateEngine wraps the simulator engine: cells at gated sequence lengths
-// block until the gate closes, proving the stream yields earlier cells
-// while later ones are still running.
-type gateEngine struct {
-	inner   Engine
-	gate    chan struct{}
-	freeSeq int
-	planSeq int
-}
-
-func (e *gateEngine) Name() string { return e.inner.Name() }
-
-func (e *gateEngine) Run(plan *Plan) (*Report, error) {
-	if e.planSeq != e.freeSeq {
-		<-e.gate
-	}
-	return e.inner.Run(plan)
-}
-
-// TestStreamIncremental asserts reports arrive incrementally: the first
-// cell's report is yielded while every later cell is still blocked.
+// TestStreamIncremental asserts the grid runner's pool yields reports
+// incrementally: the first job's report arrives while every later job is
+// still blocked, and a blocked head job does not stop later jobs from
+// running.
 func TestStreamIncremental(t *testing.T) {
-	// The pool must hold every cell so a blocked later cell cannot starve
-	// the free first one.
+	// The pool must hold every job so blocked jobs cannot starve free ones.
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
 
-	s, err := NewSession(TinyModel(), H20Cluster(), WithSeqLen(64), WithStages(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := make(chan struct{})
-	defer func() {
-		select {
-		case <-gate:
-		default:
-			close(gate)
+	// jobs returns one job per seq of 64, 128 and 256; the jobs marked
+	// blocked wait on gate, and every job reports its seq on ran once it
+	// runs.
+	seqs := []int{64, 128, 256}
+	jobs := func(gate <-chan struct{}, ran chan<- int, blocked ...bool) []func() (*Report, error) {
+		out := make([]func() (*Report, error), len(seqs))
+		for i, seq := range seqs {
+			out[i] = func() (*Report, error) {
+				if blocked[i] {
+					<-gate
+				}
+				ran <- seq
+				return &Report{SeqLen: seq}, nil
+			}
 		}
-	}()
-	sw := Sweep{
-		Methods: []Method{Method1F1B},
-		SeqLens: []int{64, 128, 256},
-		Engine: func(cell *Session) Engine {
-			return &gateEngine{inner: cell.SimEngine(), gate: gate, freeSeq: 64, planSeq: cell.SeqLen()}
-		},
+		return out
 	}
-	next, stop := iter.Pull2(s.Stream(sw))
+
+	gate := make(chan struct{})
+	next, stop := iter.Pull2(streamReports(jobs(gate, make(chan int, 3), false, true, true), nil, nil))
 	defer stop()
 	r, err, ok := next()
 	if !ok || err != nil {
-		t.Fatalf("first cell: ok=%v err=%v", ok, err)
-	}
-	if r.SeqLen != 64 {
-		t.Fatalf("first report seq=%d, want 64", r.SeqLen)
+		close(gate)
+		t.Fatalf("first job: ok=%v err=%v", ok, err)
 	}
 	// The first report arrived while seq 128 and 256 were still gated.
 	close(gate)
+	if r.SeqLen != 64 {
+		t.Fatalf("first report seq=%d, want 64", r.SeqLen)
+	}
 	var rest []int
 	for {
 		r, err, ok := next()
@@ -318,36 +306,71 @@ func TestStreamIncremental(t *testing.T) {
 		rest = append(rest, r.SeqLen)
 	}
 	if !reflect.DeepEqual(rest, []int{128, 256}) {
-		t.Errorf("remaining cells = %v, want [128 256]", rest)
+		t.Errorf("remaining jobs = %v, want [128 256]", rest)
+	}
+
+	// Only the head job blocks now: the later jobs run to completion before
+	// it is released, and the yield order stays the job order.
+	gate = make(chan struct{})
+	defer close(gate)
+	ran := make(chan int, 3)
+	done := make(chan []int, 1)
+	go func() {
+		var order []int
+		for r, err := range streamReports(jobs(gate, ran, true, false, false), nil, nil) {
+			if err == nil {
+				order = append(order, r.SeqLen)
+			}
+		}
+		done <- order
+	}()
+	for n := 0; n < 2; n++ {
+		select {
+		case <-ran:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of the 2 later jobs ran while the head job was blocked", n)
+		}
+	}
+	gate <- struct{}{}
+	if order := <-done; !reflect.DeepEqual(order, seqs) {
+		t.Errorf("yield order = %v, want [64 128 256]", order)
 	}
 }
 
-// TestStreamErrorsDontAbort asserts a failing cell yields its error and the
-// later cells still produce reports.
+// TestStreamErrorsDontAbort asserts failing cells yield their errors at
+// their own grid positions and never stop the later cells: a derivation
+// failure (p=3 cannot divide the tiny model's 4 layers) and a build failure
+// (AdaPipe at a 1-byte budget) both pass through Execute.
 func TestStreamErrorsDontAbort(t *testing.T) {
-	s, err := NewSession(TinyModel(), H20Cluster(), WithSeqLen(64), WithStages(2))
+	spec := failingSweep()
+	session, rs, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// tiny has 4 layers: p=3 cannot divide them, p=2 and p=4 can.
-	var reports, errs []string
-	for r, err := range s.Stream(Sweep{Methods: []Method{Method1F1B}, Stages: []int{3, 2, 4}}) {
-		if err != nil {
-			errs = append(errs, err.Error())
-			continue
+	var i int
+	for r, err := range session.Execute(spec) {
+		if i >= len(rs.Cells) {
+			t.Fatalf("Execute yielded more than the %d cells", len(rs.Cells))
 		}
-		reports = append(reports, string(r.Method))
+		c := rs.Cells[i]
+		i++
+		switch {
+		case c.Stages == 3:
+			if err == nil || !strings.Contains(err.Error(), "p=3") {
+				t.Errorf("cell %d (%s p=3): err = %v, want the derivation failure", i-1, c.Method, err)
+			}
+		case c.Method == MethodAdaPipe:
+			if err == nil || !strings.Contains(err.Error(), "found no partition") {
+				t.Errorf("cell %d (AdaPipe): err = %v, want the build failure", i-1, err)
+			}
+		case err != nil:
+			t.Errorf("cell %d (%s seq=%d): %v", i-1, c.Method, c.SeqLen, err)
+		case r.Method != c.Method || r.SeqLen != c.SeqLen || r.Stages != c.Stages:
+			t.Errorf("cell %d: report (%s, seq=%d, p=%d) out of grid order", i-1, r.Method, r.SeqLen, r.Stages)
+		}
 	}
-	if len(errs) != 1 || !strings.Contains(errs[0], "p=3") {
-		t.Errorf("errors = %v, want one p=3 failure", errs)
-	}
-	if len(reports) != 2 {
-		t.Errorf("reports = %v, want the two later cells", reports)
-	}
-	// The collector form agrees.
-	reports2, err := s.Sweep(Sweep{Methods: []Method{Method1F1B}, Stages: []int{3, 2, 4}})
-	if len(reports2) != 2 || err == nil {
-		t.Errorf("Sweep: reports=%d err=%v, want 2 reports and a joined error", len(reports2), err)
+	if i != len(rs.Cells) {
+		t.Errorf("Execute yielded %d of %d cells", i, len(rs.Cells))
 	}
 }
 

@@ -35,20 +35,10 @@ func (c *collectSink) byKind(k obs.EventKind) []obs.Event {
 	return out
 }
 
-// telemetrySweep is the duplicate-bearing grid the telemetry tests share:
-// 2 methods x (2+1 seqlens) x 2 stages = 12 cells, 4 exact duplicates.
-var telemetrySweep = Sweep{
-	Methods: []Method{"1F1B", "HelixPipe"},
-	SeqLens: []int{8192, 8192, 16384},
-	Stages:  []int{2, 4},
-}
-
+// The telemetry tests run dupSweep (cache_test.go), the duplicate-bearing
+// grid: 12 cells, 4 of them exact duplicates.
 func TestTelemetryAbsentOnUnobservedSessions(t *testing.T) {
-	s, err := NewSession(Model3B(), A800Cluster())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := s.Sweep(telemetrySweep)
+	reports, err := executeSpec(t, dupSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,16 +50,8 @@ func TestTelemetryAbsentOnUnobservedSessions(t *testing.T) {
 }
 
 func TestTelemetryStampedOnObservedSessions(t *testing.T) {
-	base, err := NewSession(Model3B(), A800Cluster())
-	if err != nil {
-		t.Fatal(err)
-	}
 	sink := &collectSink{}
-	observed, err := base.With(WithEventSink(sink), WithReportCache(NewReportCache()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := observed.Sweep(telemetrySweep)
+	reports, err := executeSpec(t, dupSweep(), WithEventSink(sink), WithReportCache(NewReportCache()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +74,7 @@ func TestTelemetryStampedOnObservedSessions(t *testing.T) {
 
 	// The provenance block is the only difference from an unobserved run:
 	// stripping it restores byte-identity.
-	plain, err := base.Sweep(telemetrySweep)
+	plain, err := executeSpec(t, dupSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +92,8 @@ func TestTelemetryStampedOnObservedSessions(t *testing.T) {
 }
 
 func TestEventStreamShape(t *testing.T) {
-	base, err := NewSession(Model3B(), A800Cluster())
-	if err != nil {
-		t.Fatal(err)
-	}
 	sink := &collectSink{}
-	s, err := base.With(WithEventSink(sink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Sweep(telemetrySweep); err != nil {
+	if _, err := executeSpec(t, dupSweep(), WithEventSink(sink)); err != nil {
 		t.Fatal(err)
 	}
 	cells := 12
@@ -162,25 +136,17 @@ func TestEventStreamShape(t *testing.T) {
 // through a cache bound to a fresh registry, the Prometheus snapshot reports
 // exactly the duplicate-cell count as hits.
 func TestWritePromAfterSweep(t *testing.T) {
-	base, err := NewSession(TinyModel(), H20Cluster(), WithSeqLen(8), WithStages(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// 2 methods x 54 seqlen entries x 2 stages = 216 cells; only 3 distinct
 	// seqlens, so 2 x 3 x 2 = 12 unique cells and 204 duplicates.
 	seqLens := make([]int, 0, 54)
 	for i := 0; i < 18; i++ {
 		seqLens = append(seqLens, 8, 16, 32)
 	}
-	sw := Sweep{Methods: []Method{Method1F1B, MethodHelix}, SeqLens: seqLens, Stages: []int{2, 4}}
+	spec := tinySweep([]string{"1F1B", "HelixPipe"}, SpecSweep{SeqLens: seqLens, Stages: []int{2, 4}})
 
 	reg := obs.NewRegistry()
 	cache := NewReportCacheInRegistry(reg)
-	s, err := base.With(WithReportCache(cache))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := s.Sweep(sw)
+	reports, err := executeSpec(t, spec, WithReportCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}

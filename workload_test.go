@@ -45,8 +45,9 @@ func TestWithWorkloadGeometry(t *testing.T) {
 }
 
 // TestWorkloadGeometryPrecedence pins the option-ordering contract: a later
-// fixed-shape option replaces the workload (so Sweep axes are not silently
-// ignored), and an empty WithWorkload restores the fixed-shape geometry.
+// fixed-shape option replaces the workload (so a cell derived at a fixed
+// sequence length never silently keeps it), and an empty WithWorkload
+// restores the fixed-shape geometry.
 func TestWorkloadGeometryPrecedence(t *testing.T) {
 	s, _ := varlenSession(t)
 
@@ -70,21 +71,26 @@ func TestWorkloadGeometryPrecedence(t *testing.T) {
 		t.Errorf("empty WithWorkload left geometry %d micro batches", cleared.MicroBatches())
 	}
 
-	// Sweeping SeqLens over a workload session sweeps fixed shapes: the two
-	// cells must differ.
-	reports, err := s.Sweep(Sweep{Methods: []Method{Method1F1B}, SeqLens: []int{16, 32}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 2 {
-		t.Fatalf("sweep returned %d reports", len(reports))
+	// Cells derived at fixed sequence lengths from a workload session
+	// simulate fixed shapes: the two cells must differ.
+	var reports []*Report
+	for _, seq := range []int{16, 32} {
+		cell, err := s.With(WithSeqLen(seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := cell.Simulate(Method1F1B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, r)
 	}
 	if reports[0].SeqLen == reports[1].SeqLen {
-		t.Errorf("sweep cells share seq_len %d — the axis was ignored", reports[0].SeqLen)
+		t.Errorf("cells share seq_len %d — the fixed shape was ignored", reports[0].SeqLen)
 	}
 	for _, r := range reports {
 		if len(r.MicroBatchTokens) != 0 {
-			t.Error("fixed-shape sweep cell carries variable-length fields")
+			t.Error("fixed-shape cell carries variable-length fields")
 		}
 	}
 }
