@@ -227,7 +227,7 @@ func BenchmarkLargeSweep(b *testing.B) {
 // BenchmarkZB1PListScheduling measures the cost-driven ZB1P constructor.
 func BenchmarkZB1PListScheduling(b *testing.B) {
 	s := headlineSession(b)
-	costs := NewCosts(s.Workload())
+	costs := s.Costs()
 	cfg := ScheduleConfig{Stages: 8, MicroBatches: 16, Layers: 32}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

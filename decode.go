@@ -50,12 +50,6 @@ const (
 	DecodeObjectiveThroughput = decode.ObjectiveThroughput
 )
 
-// DecodeShardings enumerates the full-utilization KVP x TPA lattice for n
-// GPUs under a head config: every point with KVP*TPA = n and TPA <= K.
-func DecodeShardings(n int, h DecodeHeadConfig) []DecodeSharding {
-	return decode.Shardings(n, h)
-}
-
 // DecodeSpec is the materialized input of Session.Decode: the serving
 // scenario and the sharding axes to search. Specs with a decode section
 // produce one via Resolve (RunSet.Decode); construct one directly to

@@ -57,9 +57,6 @@ const (
 	FleetArrivalBursty = "bursty"
 )
 
-// FleetPolicies lists the preset fleet policy names.
-func FleetPolicies() []string { return fleet.Policies() }
-
 // FleetPolicyByName resolves a preset fleet policy case-insensitively and
 // reports whether it exists.
 func FleetPolicyByName(name string) (FleetPolicy, bool) { return fleet.PolicyByName(name) }

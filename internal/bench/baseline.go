@@ -73,14 +73,11 @@ func Baseline() ([]BaselineConfig, error) {
 	for _, c := range configs {
 		s := NewScenario(c.model, c.cluster, c.seqLen, c.stages)
 		scfg := sched.Config{Stages: c.stages, MicroBatches: s.MicroBatches, Layers: c.model.Layers}
-		w := s.Workload()
-		costs := sched.NewCosts(w)
+		costs := sched.NewCosts(s.Workload(), c.batch, nil)
 		tokens := s.TokensPerIteration()
 		if len(c.batch.Shapes) > 0 {
 			scfg.MicroBatches = c.batch.MicroBatches()
 			scfg.Batch = c.batch
-			w.Shape = c.batch.MaxShape()
-			costs = sched.NewBatchCosts(w, c.batch)
 			tokens = c.batch.TotalTokens()
 		}
 		bc := BaselineConfig{

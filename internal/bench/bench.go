@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cluster"
 	// Linked for its registry side effect: the HelixPipe variants register
 	// themselves into the sched method registry at init.
 	_ "repro/internal/core"
@@ -103,16 +104,16 @@ func (s Scenario) MemoryBudget() int64 {
 }
 
 // BuildPlan builds the plan for any registered method through the sched
-// method registry.
-func (s Scenario) BuildPlan(method sched.Method) (*sched.Plan, error) {
+// method registry, on books placed on the topology (flat books when nil).
+func (s Scenario) BuildPlan(method sched.Method, topo *cluster.Topology) (*sched.Plan, error) {
 	cfg := sched.Config{Stages: s.Stages, MicroBatches: s.MicroBatches, Layers: s.Model.Layers}
-	costs := sched.NewCosts(s.Workload())
+	costs := sched.NewCosts(s.Workload(), model.BatchSpec{}, topo)
 	return sched.Build(method, cfg, costs, sched.BuildParams{MemoryBudget: s.MemoryBudget()})
 }
 
 // Simulate builds and simulates one method for the scenario.
 func (s Scenario) Simulate(method sched.Method) (*sim.Result, error) {
-	plan, err := s.BuildPlan(method)
+	plan, err := s.BuildPlan(method, nil)
 	if err != nil {
 		return nil, err
 	}

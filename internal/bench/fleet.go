@@ -74,9 +74,9 @@ func FleetBaseline() (BaselineConfig, error) {
 
 // fleetBenchSimulator prices fleet-baseline jobs with the real discrete-event
 // simulator: the HelixPipe plan for the job's geometry, placed contiguously
-// on the carved sub-cluster, run under the carve's topology. Results are
-// memoized per (shape, carve signature) — the same keying as the public
-// spec→Report cache, scoped to the bench.
+// on the carved sub-cluster and built on books placed there, run under the
+// carve's topology. Results are memoized per (shape, carve signature) — the
+// same keying as the public spec→Report cache, scoped to the bench.
 type fleetBenchSimulator struct {
 	cache map[string]fleet.JobRun
 }
@@ -91,16 +91,16 @@ func (f *fleetBenchSimulator) Simulate(job fleet.Job, sub cluster.Cluster) (flee
 		run.CacheHit = true
 		return run, nil
 	}
-	s := NewScenario(model.Model3B(), costmodel.A800Cluster(), shape.seqLen, shape.stages)
-	plan, err := s.BuildPlan(sched.MethodHelix)
-	if err != nil {
-		return fleet.JobRun{}, err
-	}
 	placement, err := cluster.Contiguous(sub, shape.stages)
 	if err != nil {
 		return fleet.JobRun{}, err
 	}
 	topo, err := cluster.Resolve(sub, placement, cluster.Perturb{})
+	if err != nil {
+		return fleet.JobRun{}, err
+	}
+	s := NewScenario(model.Model3B(), costmodel.A800Cluster(), shape.seqLen, shape.stages)
+	plan, err := s.BuildPlan(sched.MethodHelix, topo)
 	if err != nil {
 		return fleet.JobRun{}, err
 	}

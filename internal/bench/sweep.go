@@ -42,7 +42,7 @@ func SweepBaseline() (BaselineConfig, error) {
 		for _, p := range sweepBaselineStages {
 			s := NewScenario(mc, cl, seq, p)
 			cfg := sched.Config{Stages: p, MicroBatches: s.MicroBatches, Layers: mc.Layers}
-			costs := sched.NewCosts(s.Workload())
+			costs := sched.NewCosts(s.Workload(), model.BatchSpec{}, nil)
 			params := sched.BuildParams{MemoryBudget: s.MemoryBudget()}
 			for _, method := range sched.Methods() {
 				plan, err := sched.Build(method, cfg, costs, params)

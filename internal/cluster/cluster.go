@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -102,10 +103,15 @@ func (c Cluster) Validate() error {
 	if len(c.Nodes) == 0 {
 		return fmt.Errorf("cluster: %s has no nodes", c.Name)
 	}
+	total := 0
 	for i, n := range c.Nodes {
 		if n.Devices <= 0 {
 			return fmt.Errorf("cluster: %s node %d has %d devices", c.Name, i, n.Devices)
 		}
+		if n.Devices > math.MaxInt-total {
+			return fmt.Errorf("cluster: %s device total overflows at node %d", c.Name, i)
+		}
+		total += n.Devices
 		if n.Devices > 1 {
 			if err := n.Intra.Validate(); err != nil {
 				return fmt.Errorf("cluster: %s node %d intra link: %w", c.Name, i, err)
@@ -129,6 +135,15 @@ func (c Cluster) Devices() int {
 	return total
 }
 
+// nodeBases returns the first global device id of each node.
+func (c Cluster) nodeBases() []int {
+	base := make([]int, len(c.Nodes))
+	for i := 1; i < len(c.Nodes); i++ {
+		base[i] = base[i-1] + c.Nodes[i-1].Devices
+	}
+	return base
+}
+
 // NodeOf returns the node index holding the given global device id, or -1
 // when the id is out of range.
 func (c Cluster) NodeOf(device int) int {
@@ -147,8 +162,11 @@ func (c Cluster) NodeOf(device int) int {
 // LinkBetween returns the link joining two devices: the node's intra link
 // when they share a node, the inter fabric otherwise. Both devices must be
 // in range (guaranteed after Validate on cluster and placement).
-func (c Cluster) LinkBetween(d1, d2 int) Link {
-	n1, n2 := c.NodeOf(d1), c.NodeOf(d2)
+func (c Cluster) LinkBetween(d1, d2 int) Link { return c.nodeLink(c.NodeOf(d1), c.NodeOf(d2)) }
+
+// nodeLink returns the link joining a device on node n1 to one on node n2:
+// a node's devices are interchangeable to the cost model.
+func (c Cluster) nodeLink(n1, n2 int) Link {
 	if n1 == n2 && n1 >= 0 {
 		return c.Nodes[n1].Intra
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -51,6 +52,16 @@ func TestClusterValidateAndIndexing(t *testing.T) {
 	bad.Inter = Link{}
 	if err := bad.Validate(); err == nil {
 		t.Error("multi-node cluster with no inter link validated")
+	}
+	// Four nodes of 2^62, 2^62, 2^62 and 2^62+8 devices would wrap the
+	// device total to 8.
+	bad = c
+	bad.Nodes = nil
+	for _, n := range []int{1 << 62, 1 << 62, 1 << 62, 1<<62 + 8} {
+		bad.Nodes = append(bad.Nodes, Node{Devices: n, Intra: c.Nodes[0].Intra})
+	}
+	if err := bad.Validate(); err == nil {
+		t.Errorf("device total overflowing int validated (Devices() = %d)", bad.Devices())
 	}
 }
 
@@ -166,6 +177,35 @@ func TestGreedyBeatsRoundRobinOnNeighbourTraffic(t *testing.T) {
 	// greedy must match it.
 	if gc > cc {
 		t.Errorf("greedy cost %g above contiguous %g", gc, cc)
+	}
+}
+
+// TestGreedyScansNodesNotDevices pins that the greedy search costs nodes,
+// not devices: on nodes of 2^31 devices it places 8 stages with under 1 MiB
+// allocated, where a per-device free list takes gigabytes, and it packs
+// neighbour traffic into the first node's lowest devices.
+func TestGreedyScansNodesNotDevices(t *testing.T) {
+	c := uniformCluster("huge", "A800", 2, 1<<31,
+		Link{Class: ClassNVLink, GBps: 200, LatencySec: 6e-6},
+		Link{Class: ClassIB, GBps: 46, LatencySec: 14e-6})
+	traffic := neighbourTraffic(8, 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := Greedy(c, 8, traffic, SearchOptions{Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("greedy on 2^31-device nodes allocated %d bytes, want under 1 MiB", alloc)
+	}
+	if err := p.Validate(c); err != nil {
+		t.Fatal(err)
+	}
+	for stage, dev := range p.Devices {
+		if dev >= 8 {
+			t.Errorf("stage %d on device %d, want the first node's devices 0-7: %v", stage, dev, p.Devices)
+		}
 	}
 }
 

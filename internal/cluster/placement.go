@@ -114,11 +114,8 @@ func RoundRobin(c Cluster, stages int) (Placement, error) {
 	if err := checkCapacity(c, stages); err != nil {
 		return Placement{}, err
 	}
-	base := make([]int, len(c.Nodes)) // first global device id of each node
+	base := c.nodeBases()
 	next := make([]int, len(c.Nodes)) // devices already taken per node
-	for i := 1; i < len(c.Nodes); i++ {
-		base[i] = base[i-1] + c.Nodes[i-1].Devices
-	}
 	p := Placement{Strategy: StrategyRoundRobin, Devices: make([]int, stages)}
 	node := 0
 	for stage := 0; stage < stages; stage++ {
@@ -187,19 +184,22 @@ func Greedy(c Cluster, stages int, traffic [][]int64, opt SearchOptions) (Placem
 	}
 	sort.SliceStable(order, func(a, b int) bool { return totals[order[a]] > totals[order[b]] })
 
-	devices := c.Devices()
-	devOf := make([]int, stages) // stage -> device
+	// A node's devices are interchangeable to the cost model (every link
+	// from one is its node's intra link or the inter fabric), so each node
+	// offers only its first free device and the scan costs nodes, not
+	// devices. Devices are taken in order, so the first cheapest node's
+	// first free device is the lowest-index cheapest device.
+	base := c.nodeBases()
+	taken := make([]int, len(c.Nodes)) // devices already taken per node
+	devOf := make([]int, stages)       // stage -> device
+	nodeOf := make([]int, stages)      // stage -> node
 	for i := range devOf {
 		devOf[i] = -1
 	}
-	free := make([]bool, devices)
-	for i := range free {
-		free[i] = true
-	}
 	for _, stage := range order {
-		bestDev, bestCost := -1, 0.0
-		for dev := 0; dev < devices; dev++ {
-			if !free[dev] {
+		bestNode, bestCost := -1, 0.0
+		for n, node := range c.Nodes {
+			if taken[n] == node.Devices {
 				continue
 			}
 			cost := 0.0
@@ -207,14 +207,14 @@ func Greedy(c Cluster, stages int, traffic [][]int64, opt SearchOptions) (Placem
 				if devOf[peer] < 0 || peer == stage {
 					continue
 				}
-				cost += linkCost(opt.Perturb.Apply(c.LinkBetween(dev, devOf[peer])), pair(stage, peer))
+				cost += linkCost(opt.Perturb.Apply(c.nodeLink(n, nodeOf[peer])), pair(stage, peer))
 			}
-			if bestDev < 0 || cost < bestCost {
-				bestDev, bestCost = dev, cost
+			if bestNode < 0 || cost < bestCost {
+				bestNode, bestCost = n, cost
 			}
 		}
-		devOf[stage] = bestDev
-		free[bestDev] = false
+		devOf[stage], nodeOf[stage] = base[bestNode]+taken[bestNode], bestNode
+		taken[bestNode]++
 	}
 
 	// Seeded swap local search: repeatedly try exchanging two stages' devices
@@ -224,17 +224,22 @@ func Greedy(c Cluster, stages int, traffic [][]int64, opt SearchOptions) (Placem
 		sweeps = 4
 	}
 	stream := rng.New(opt.Seed)
-	cost := placementCost(c, devOf, pair, opt.Perturb)
+	flows := trafficPairs(traffic)
+	cost := placementCost(c, nodeOf, flows, opt.Perturb)
 	for sweep := 0; sweep < sweeps; sweep++ {
 		improved := false
 		for _, ij := range shuffledPairs(stages, stream) {
 			i, j := ij[0], ij[1]
-			devOf[i], devOf[j] = devOf[j], devOf[i]
-			if next := placementCost(c, devOf, pair, opt.Perturb); next < cost {
+			swap := func() {
+				devOf[i], devOf[j] = devOf[j], devOf[i]
+				nodeOf[i], nodeOf[j] = nodeOf[j], nodeOf[i]
+			}
+			swap()
+			if next := placementCost(c, nodeOf, flows, opt.Perturb); next < cost {
 				cost = next
 				improved = true
 			} else {
-				devOf[i], devOf[j] = devOf[j], devOf[i]
+				swap()
 			}
 		}
 		if !improved {
@@ -270,8 +275,11 @@ func (p Placement) Cost(c Cluster, traffic [][]int64) float64 {
 	if len(traffic) != len(p.Devices) {
 		return 0
 	}
-	pair := func(i, j int) int64 { return traffic[i][j] + traffic[j][i] }
-	return placementCost(c, p.Devices, pair, Perturb{})
+	nodeOf := make([]int, len(p.Devices))
+	for i, dev := range p.Devices {
+		nodeOf[i] = c.NodeOf(dev)
+	}
+	return placementCost(c, nodeOf, trafficPairs(traffic), Perturb{})
 }
 
 // linkCost prices one stage pair's traffic on a link: serialization time at
@@ -287,12 +295,33 @@ func linkCost(l Link, bytes int64) float64 {
 	return cost
 }
 
-func placementCost(c Cluster, devOf []int, pair func(i, j int) int64, pt Perturb) float64 {
-	total := 0.0
-	for i := 0; i < len(devOf); i++ {
-		for j := i + 1; j < len(devOf); j++ {
-			total += linkCost(pt.Apply(c.LinkBetween(devOf[i], devOf[j])), pair(i, j))
+// flow is one stage pair that exchanges traffic, with both directions'
+// volume: links are full duplex, so a pair is priced on its total.
+type flow struct {
+	i, j  int
+	bytes int64
+}
+
+// trafficPairs lists the stage pairs of a traffic matrix that exchange
+// bytes, in (i, j) order. Pairs without traffic cost nothing, so the swap
+// search never looks up their links.
+func trafficPairs(traffic [][]int64) []flow {
+	var out []flow
+	for i := range traffic {
+		for j := i + 1; j < len(traffic); j++ {
+			if bytes := traffic[i][j] + traffic[j][i]; bytes > 0 {
+				out = append(out, flow{i, j, bytes})
+			}
 		}
+	}
+	return out
+}
+
+// placementCost prices the flows of stages placed on the given nodes.
+func placementCost(c Cluster, nodeOf []int, flows []flow, pt Perturb) float64 {
+	total := 0.0
+	for _, f := range flows {
+		total += linkCost(pt.Apply(c.nodeLink(nodeOf[f.i], nodeOf[f.j])), f.bytes)
 	}
 	return total
 }

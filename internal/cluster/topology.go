@@ -107,7 +107,8 @@ func (t *Topology) Link(from, to int) (bytesPerSec, latencySec float64, class Li
 }
 
 // ComputeFactor returns the compute stretch of one stage under the
-// perturbation (1 when unperturbed).
+// perturbation (1 when unperturbed). Placement-resolved cost books
+// (sched.NewCosts) apply it; the simulator only reads the topology's links.
 func (t *Topology) ComputeFactor(stage int) float64 { return t.computeFactor[stage] }
 
 // IntraLink returns the intra-node link of the stage's placed node — the

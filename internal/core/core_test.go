@@ -14,7 +14,7 @@ func testCosts(t *testing.T) sched.Costs {
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return sched.NewCosts(w)
+	return sched.NewCosts(w, model.BatchSpec{}, nil)
 }
 
 func TestPlacement(t *testing.T) {

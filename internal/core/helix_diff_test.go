@@ -42,10 +42,10 @@ func diffBooks(t *testing.T, p, m int) []diffBook {
 		t.Fatal(err)
 	}
 	return []diffBook{
-		{"flat", sched.NewCosts(w), model.BatchSpec{}},
-		{"varlen", sched.NewBatchCosts(w, batch), batch},
-		{"placed", sched.NewPlacedCosts(w, topo), model.BatchSpec{}},
-		{"placed-varlen", sched.NewPlacedBatchCosts(w, batch, topo), batch},
+		{"flat", sched.NewCosts(w, model.BatchSpec{}, nil), model.BatchSpec{}},
+		{"varlen", sched.NewCosts(w, batch, nil), batch},
+		{"placed", sched.NewCosts(w, model.BatchSpec{}, topo), model.BatchSpec{}},
+		{"placed-varlen", sched.NewCosts(w, batch, topo), batch},
 	}
 }
 

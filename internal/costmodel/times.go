@@ -183,9 +183,8 @@ func spCollectivesPerSegment(seg model.Segment, pass model.Pass) int {
 // SegmentTime returns the execution time in seconds of one layer segment for
 // one micro batch on one stage: GEMM time at the class-specific efficiency,
 // plus bandwidth-bound vector time, plus intra-node sequence-parallel
-// collectives, all stretched by the placed stage's perturbation factor (the
-// simulator stretched whole ops the same way before books were
-// placement-resolved, so collectives inside a slow stage slow down with it).
+// collectives, all stretched by the placed stage's perturbation factor:
+// whole ops stretch, so collectives inside a slow stage slow down with it.
 func (w Workload) SegmentTime(seg model.Segment, pass model.Pass) float64 {
 	flops := w.Model.SegmentFLOPs(seg, pass, w.Shape)
 	var compute float64

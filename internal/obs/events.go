@@ -28,9 +28,10 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one progress event. Producers (Session.Execute,
-// tune.Search.Points, decode.Search.Points) emit them to a pluggable Sink as
-// cells run; only the fields meaningful for the Kind are set.
+// Event is one progress event. Producers (Ordered, the pool behind
+// Session.Execute and tune.Search.Points, and decode.Search.Points) emit
+// them to a pluggable Sink as cells run; only the fields meaningful for the
+// Kind are set.
 type Event struct {
 	// Kind is the event kind.
 	Kind EventKind

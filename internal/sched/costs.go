@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 
+	"repro/internal/cluster"
 	"repro/internal/costmodel"
 	"repro/internal/model"
 )
@@ -61,9 +62,9 @@ type Costs struct {
 	// PerStage holds placement-resolved per-stage books: PerStage[s] prices
 	// stage s against its placed node (intra-node link class, device
 	// generation, perturbation factor). Empty means every stage shares the
-	// flat cluster-global books — the pre-placement behavior. When present,
-	// the simulator must not stretch compute by topology factors again; the
-	// books already carry them.
+	// flat cluster-global books — the pre-placement behavior. The books are
+	// the one place a topology's compute factors apply: the simulator runs
+	// a topology only on plans carrying one book per stage.
 	PerStage []StageBook
 	// P2PLatency and P2PBytesPerSec parameterize inter-stage links (shared by
 	// all micro batches; the hardware does not change per message).
@@ -133,42 +134,51 @@ func newMBCosts(w costmodel.Workload) MBCosts {
 	return c
 }
 
-// NewCosts builds the cost book for a fixed-shape workload: every micro batch
-// shares the workload's single (b, s) shape. Books are memoized by workload,
-// so identical cells across a sweep or fleet stream share one book.
-func NewCosts(w costmodel.Workload) Costs {
-	return Costs{
-		MBCosts:        memoMBCosts(w),
-		P2PLatency:     w.Cluster.InterNodeLatency,
-		P2PBytesPerSec: w.Cluster.InterNodeGBps * 1e9,
-	}
-}
-
-// NewBatchCosts builds the cost book for a variable-length workload: micro
-// batch i is costed at spec.Shapes[i], so every generator emits durations,
-// stash deltas and message volumes that follow each micro batch's own shape.
-// The uniform fallback book is costed at the per-axis maximum shape, keeping
-// out-of-range lookups conservative. Per-shape books are memoized, so a batch
-// that repeats a few distinct lengths prices each length once.
-func NewBatchCosts(w costmodel.Workload, spec model.BatchSpec) Costs {
-	wMax := w
-	wMax.Shape = spec.MaxShape()
+// NewCosts builds the cost book plans are annotated with. An empty batch
+// prices a fixed-shape workload: every micro batch shares w's (b, s) shape.
+// A non-empty batch prices a variable-length one: micro batch i is costed at
+// batch.Shapes[i], and the uniform fallback book at the per-axis maximum
+// shape, keeping out-of-range lookups conservative. A nil topology returns
+// flat books; otherwise PerStage[s] also prices stage s against its placed
+// node, while the embedded book stays the flat cluster-global one (partition
+// heuristics like AdaPipe's DP keep reasoning about the aggregate). Books are
+// memoized per workload, so identical cells across a sweep, tune grid or
+// fleet stream, and a batch repeating a few distinct lengths, price each
+// shape once.
+func NewCosts(w costmodel.Workload, batch model.BatchSpec, topo *cluster.Topology) Costs {
 	c := Costs{
-		MBCosts:        memoMBCosts(wMax),
 		P2PLatency:     w.Cluster.InterNodeLatency,
 		P2PBytesPerSec: w.Cluster.InterNodeGBps * 1e9,
 	}
-	if _, uniform := spec.Uniform(); uniform {
-		// One shape: the embedded book already covers every micro batch.
-		return c
-	}
-	c.PerMB = make([]MBCosts, len(spec.Shapes))
-	for i, sh := range spec.Shapes {
-		wi := w
-		wi.Shape = sh
-		c.PerMB[i] = memoMBCosts(wi)
+	c.MBCosts, c.PerMB = batchBooks(w, batch)
+	if topo != nil {
+		c.PerStage = make([]StageBook, topo.Stages())
+		for s := range c.PerStage {
+			book := &c.PerStage[s]
+			book.MBCosts, book.PerMB = batchBooks(placedWorkload(w, topo, s), batch)
+		}
 	}
 	return c
+}
+
+// batchBooks prices one workload's uniform book and, when the batch mixes
+// shapes, its per-micro-batch overrides.
+func batchBooks(w costmodel.Workload, batch model.BatchSpec) (MBCosts, []MBCosts) {
+	if len(batch.Shapes) == 0 {
+		return memoMBCosts(w), nil
+	}
+	wMax := w
+	wMax.Shape = batch.MaxShape()
+	if _, uniform := batch.Uniform(); uniform {
+		return memoMBCosts(wMax), nil
+	}
+	perMB := make([]MBCosts, len(batch.Shapes))
+	for i, sh := range batch.Shapes {
+		wi := w
+		wi.Shape = sh
+		perMB[i] = memoMBCosts(wi)
+	}
+	return memoMBCosts(wMax), perMB
 }
 
 func seqParOf(w costmodel.Workload) int64 {

@@ -3,7 +3,6 @@ package sched
 import (
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
-	"repro/internal/model"
 )
 
 // StageBook is the cost book of one placed pipeline stage: the stage's
@@ -43,50 +42,4 @@ func placedWorkload(w costmodel.Workload, topo *cluster.Topology, stage int) cos
 	}
 	ws.ComputeFactor = topo.ComputeFactor(stage)
 	return ws
-}
-
-// NewPlacedCosts builds the placement-resolved cost book for a fixed-shape
-// workload on a resolved topology: the embedded book stays the flat
-// cluster-global one (partition heuristics like AdaPipe's DP keep reasoning
-// about the aggregate), while PerStage[s] prices stage s against its placed
-// node. A nil topology degenerates to NewCosts.
-func NewPlacedCosts(w costmodel.Workload, topo *cluster.Topology) Costs {
-	c := NewCosts(w)
-	if topo == nil {
-		return c
-	}
-	c.PerStage = make([]StageBook, topo.Stages())
-	for s := range c.PerStage {
-		c.PerStage[s] = StageBook{MBCosts: memoMBCosts(placedWorkload(w, topo, s))}
-	}
-	return c
-}
-
-// NewPlacedBatchCosts builds the placement-resolved cost book for a
-// variable-length workload: stage s's book prices micro batch i at
-// spec.Shapes[i] under stage s's placed node. A nil topology degenerates to
-// NewBatchCosts.
-func NewPlacedBatchCosts(w costmodel.Workload, spec model.BatchSpec, topo *cluster.Topology) Costs {
-	c := NewBatchCosts(w, spec)
-	if topo == nil {
-		return c
-	}
-	_, uniform := spec.Uniform()
-	c.PerStage = make([]StageBook, topo.Stages())
-	for s := range c.PerStage {
-		ws := placedWorkload(w, topo, s)
-		wMax := ws
-		wMax.Shape = spec.MaxShape()
-		book := StageBook{MBCosts: memoMBCosts(wMax)}
-		if !uniform {
-			book.PerMB = make([]MBCosts, len(spec.Shapes))
-			for i, sh := range spec.Shapes {
-				wi := ws
-				wi.Shape = sh
-				book.PerMB[i] = memoMBCosts(wi)
-			}
-		}
-		c.PerStage[s] = book
-	}
-	return c
 }

@@ -56,8 +56,8 @@ func TestPlacedCostsPCIeStageSlower(t *testing.T) {
 	nvTopo := resolveTest(t, c, []int{0, 1}, none)   // both stages in the NVLink box
 	pcieTopo := resolveTest(t, c, []int{0, 8}, none) // stage 1 in the PCIe box
 
-	nvCosts := NewPlacedCosts(w, nvTopo)
-	pcieCosts := NewPlacedCosts(w, pcieTopo)
+	nvCosts := NewCosts(w, model.BatchSpec{}, nvTopo)
+	pcieCosts := NewCosts(w, model.BatchSpec{}, pcieTopo)
 
 	nvPlan, err := OneFOneB(cfg, nvCosts)
 	if err != nil {
@@ -117,8 +117,8 @@ func TestPlacedCostsPCIeStageSlower(t *testing.T) {
 func TestPlacedCostsNVLinkMatchesFlat(t *testing.T) {
 	w := placedTestWorkload(t)
 	topo := resolveTest(t, mixedLinkCluster(), []int{0, 1}, cluster.Perturb{SlowDevice: -1})
-	flat := NewCosts(w)
-	placed := NewPlacedCosts(w, topo)
+	flat := NewCosts(w, model.BatchSpec{}, nil)
+	placed := NewCosts(w, model.BatchSpec{}, topo)
 	if len(placed.PerStage) != 2 {
 		t.Fatalf("placed costs carry %d stage books, want 2", len(placed.PerStage))
 	}
@@ -142,8 +142,8 @@ func TestPerturbStretchesOwnStageOnly(t *testing.T) {
 	pt := cluster.Perturb{SlowDevice: devices[slowStage], SlowFactor: factor}
 	perturbed := resolveTest(t, c, devices, pt)
 
-	cleanCosts := NewPlacedCosts(w, clean)
-	slowCosts := NewPlacedCosts(w, perturbed)
+	cleanCosts := NewCosts(w, model.BatchSpec{}, clean)
+	slowCosts := NewCosts(w, model.BatchSpec{}, perturbed)
 	for s := 0; s < len(devices); s++ {
 		got, want := slowCosts.StageMB(s, 0), cleanCosts.StageMB(s, 0)
 		if s != slowStage {
@@ -175,7 +175,7 @@ func TestPlacedBatchCostsPerStage(t *testing.T) {
 	w := placedTestWorkload(t)
 	spec := model.BatchSpec{Shapes: []model.Shape{{B: 1, S: 16384}, {B: 1, S: 8192}}}
 	topo := resolveTest(t, mixedLinkCluster(), []int{0, 8}, cluster.Perturb{SlowDevice: -1})
-	costs := NewPlacedBatchCosts(w, spec, topo)
+	costs := NewCosts(w, spec, topo)
 	if len(costs.PerStage) != 2 {
 		t.Fatalf("placed batch costs carry %d stage books, want 2", len(costs.PerStage))
 	}

@@ -16,7 +16,7 @@ func realCosts(t *testing.T) Costs {
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return NewCosts(w)
+	return NewCosts(w, model.BatchSpec{}, nil)
 }
 
 func TestConfigValidate(t *testing.T) {

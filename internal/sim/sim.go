@@ -155,10 +155,11 @@ type Options struct {
 	SendLaunchSeconds float64
 	// Topology, when set, replaces the plan's single flat NIC model: each
 	// transfer's bandwidth and latency come from the link class between its
-	// endpoints' placed devices, and each stage's compute is stretched by the
-	// topology's perturbation factors (straggler, jitter). The SMPenalty
-	// pre-pass runs under the same topology, so the stretch stays
-	// order-independent.
+	// endpoints' placed devices. Compute is priced by the plan's
+	// placement-resolved books (sched.NewCosts on the same topology), which
+	// carry each stage's device generation and perturbation factors
+	// (straggler, jitter); Run rejects a topology plan without one book per
+	// stage.
 	Topology *cluster.Topology
 }
 
@@ -179,13 +180,8 @@ type Options struct {
 // pricing loop) build a Runner once and reuse it — reruns are then
 // allocation-free.
 func Run(plan *sched.Plan, opt Options) (*Result, error) {
-	if err := sched.Validate(plan); err != nil {
-		return nil, fmt.Errorf("sim: invalid plan: %w", err)
-	}
-	if opt.Topology != nil {
-		if err := opt.Topology.CheckStages(plan.Stages); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
+	if err := check(plan, opt); err != nil {
+		return nil, err
 	}
 	r := runnerPool.Get().(*Runner)
 	poolGets.Inc()
@@ -254,15 +250,30 @@ type Runner struct {
 // NewRunner validates the plan against the options and returns a reusable
 // simulator for it.
 func NewRunner(plan *sched.Plan, opt Options) (*Runner, error) {
-	if err := sched.Validate(plan); err != nil {
-		return nil, fmt.Errorf("sim: invalid plan: %w", err)
-	}
-	if opt.Topology != nil {
-		if err := opt.Topology.CheckStages(plan.Stages); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
+	if err := check(plan, opt); err != nil {
+		return nil, err
 	}
 	return newRunner(plan, opt), nil
+}
+
+// check validates the plan, and under a topology that the topology was
+// resolved for the plan's pipeline and the plan was built on its
+// placement-resolved books: a topology run on flat books would price every
+// stage as the flat cluster's device, whatever node it is placed on.
+func check(plan *sched.Plan, opt Options) error {
+	if err := sched.Validate(plan); err != nil {
+		return fmt.Errorf("sim: invalid plan: %w", err)
+	}
+	if t := opt.Topology; t != nil {
+		if err := t.CheckStages(plan.Stages); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
+		if len(plan.Costs.PerStage) != plan.Stages {
+			return fmt.Errorf("sim: a topology run needs one placement-resolved cost book per stage, plan has %d for %d stages",
+				len(plan.Costs.PerStage), plan.Stages)
+		}
+	}
+	return nil
 }
 
 // newRunner builds the runner below the validator; crafted test plans enter
@@ -643,12 +654,6 @@ func (e *engine) step(s int32) {
 		e.record(s, op, start, end)
 	default: // compute
 		dur := op.Dur
-		if t := e.opt.Topology; t != nil && len(e.plan.Costs.PerStage) == 0 {
-			// Straggler and jitter perturbations stretch this stage's compute.
-			// Placement-resolved books (Costs.PerStage) already price those
-			// factors into op durations, so they must not be applied twice.
-			dur *= t.ComputeFactor(int(s))
-		}
 		if e.opt.SMPenalty > 0 {
 			overlap := e.nicOverlap(s, start, start+dur)
 			dur += overlap * e.opt.SMPenalty

@@ -14,7 +14,7 @@ import (
 // given the per-GPU memory budget remaining after model states.
 func buildAll(t *testing.T, w costmodel.Workload, p, m int) map[sched.Method]*sched.Plan {
 	t.Helper()
-	costs := sched.NewCosts(w)
+	costs := sched.NewCosts(w, model.BatchSpec{}, nil)
 	cfg := sched.Config{Stages: p, MicroBatches: m, Layers: w.Model.Layers}
 	budget := int64(w.Cluster.GPU.MemoryGB*0.9*float64(1<<30)) -
 		w.Model.ModelStateBytesPerStage(p, w.Cluster.GPUsPerNode) -
@@ -165,7 +165,7 @@ func TestZB1PBeatsOneFOneB(t *testing.T) {
 // doubled in-flight window gives a bubble no worse than ZB1P's.
 func TestZB2PBubbleNotWorse(t *testing.T) {
 	w := costmodel.NewWorkload(model.Model7B(), costmodel.H20Cluster(), model.Shape{B: 1, S: 65536})
-	costs := sched.NewCosts(w)
+	costs := sched.NewCosts(w, model.BatchSpec{}, nil)
 	cfg := sched.Config{Stages: 4, MicroBatches: 16, Layers: 32}
 	zb1, err := sched.ZB1P(cfg, costs)
 	if err != nil {
@@ -237,7 +237,7 @@ func TestSpeedupGrowsWithSequence(t *testing.T) {
 // schedule whose blocking transfers sit on the critical path.
 func TestTwoFoldBeatsNaiveWithComm(t *testing.T) {
 	w := costmodel.NewWorkload(model.Model7B(), costmodel.H20Cluster(), model.Shape{B: 1, S: 65536})
-	costs := sched.NewCosts(w)
+	costs := sched.NewCosts(w, model.BatchSpec{}, nil)
 	cfg := sched.Config{Stages: 4, MicroBatches: 8, Layers: 32}
 	naive, err := core.Build(cfg, costs, core.Options{Fold: 1, Recompute: true})
 	if err != nil {
@@ -311,7 +311,7 @@ func TestMemoryProfiles(t *testing.T) {
 // throughput is consistent.
 func TestSimAccounting(t *testing.T) {
 	w := costmodel.NewWorkload(model.Model3B(), costmodel.H20Cluster(), model.Shape{B: 1, S: 32768})
-	costs := sched.NewCosts(w)
+	costs := sched.NewCosts(w, model.BatchSpec{}, nil)
 	cfg := sched.Config{Stages: 4, MicroBatches: 8, Layers: 16}
 	plan, err := sched.OneFOneB(cfg, costs)
 	if err != nil {
@@ -349,7 +349,7 @@ func TestSimAccounting(t *testing.T) {
 // no effect.
 func TestSMPenaltyStretchesCompute(t *testing.T) {
 	w := costmodel.NewWorkload(model.Model7B(), costmodel.H20Cluster(), model.Shape{B: 1, S: 65536})
-	costs := sched.NewCosts(w)
+	costs := sched.NewCosts(w, model.BatchSpec{}, nil)
 	cfg := sched.Config{Stages: 4, MicroBatches: 8, Layers: 32}
 	plan, err := core.Build(cfg, costs, core.DefaultOptions())
 	if err != nil {

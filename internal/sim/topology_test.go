@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/costmodel"
+	"repro/internal/model"
 	"repro/internal/sched"
 )
 
@@ -31,6 +33,18 @@ func twoNodeIB(devices int) cluster.Cluster {
 		},
 		Inter: cluster.Link{Class: cluster.ClassIB, GBps: 46, LatencySec: 14e-6},
 	}
+}
+
+// placedUnitCosts gives the didactic unit book one placed book per stage,
+// each the unit book itself: a topology run needs placement-resolved books,
+// and unit plans price compute identically on every device.
+func placedUnitCosts(commTime float64, stages int) sched.Costs {
+	c := sched.UnitCosts(commTime)
+	c.PerStage = make([]sched.StageBook, stages)
+	for s := range c.PerStage {
+		c.PerStage[s] = sched.StageBook{MBCosts: c.MBCosts}
+	}
+	return c
 }
 
 // runOn simulates the plan on one cluster under the given placement
@@ -87,7 +101,7 @@ func TestTopologyCommTiming(t *testing.T) {
 			cfg := sched.Config{Stages: tc.stages, MicroBatches: tc.microBs, Layers: 2 * tc.stages}
 			// Large messages so comm time dominates latency and the
 			// bandwidth ratio is visible end to end.
-			costs := sched.UnitCosts(0.01)
+			costs := placedUnitCosts(0.01, tc.stages)
 			plan, err := tc.build(cfg, costs)
 			if err != nil {
 				t.Fatal(err)
@@ -155,7 +169,7 @@ func TestTopologyCommTiming(t *testing.T) {
 // fabric.
 func TestGreedyPlacementBeatsRoundRobinSimulated(t *testing.T) {
 	cfg := sched.Config{Stages: 8, MicroBatches: 16, Layers: 16}
-	costs := sched.UnitCosts(0.05) // comm-heavy so placement matters
+	costs := placedUnitCosts(0.05, 8) // comm-heavy so placement matters
 	plan, err := sched.OneFOneB(cfg, costs)
 	if err != nil {
 		t.Fatal(err)
@@ -191,14 +205,47 @@ func TestTopologyStageMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestPerturbationsSlowTheIteration pins the fault layer: a straggler
-// device, a degraded fabric, and jitter each strictly slow the same plan.
-func TestPerturbationsSlowTheIteration(t *testing.T) {
+// TestTopologyRejectsFlatBooks pins that placed books are the one place a
+// topology prices compute: a topology run on a plan built on flat books
+// fails in both Run and NewRunner instead of pricing every stage as the flat
+// cluster's device.
+func TestTopologyRejectsFlatBooks(t *testing.T) {
 	cfg := sched.Config{Stages: 4, MicroBatches: 8, Layers: 8}
-	plan, err := sched.OneFOneB(cfg, sched.UnitCosts(0.05))
+	plan, err := sched.OneFOneB(cfg, sched.UnitCosts(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := twoNodeIB(4)
+	place, err := cluster.Contiguous(c, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := cluster.Resolve(c, place, cluster.Perturb{SlowDevice: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Placement = place.Devices
+	opt := Options{Topology: topo}
+	if _, err := Run(plan, opt); err == nil {
+		t.Error("Run accepted a topology plan on flat books")
+	}
+	if _, err := NewRunner(plan, opt); err == nil {
+		t.Error("NewRunner accepted a topology plan on flat books")
+	}
+	// The same plan without a topology runs.
+	if _, err := Run(plan, Options{}); err != nil {
+		t.Errorf("flat run of the flat plan: %v", err)
+	}
+}
+
+// TestPerturbationsSlowTheIteration pins the fault layer: a straggler
+// device, a degraded fabric, and jitter each strictly slow the same
+// schedule. Each perturbation prices a real workload on books placed under
+// it, as a Session does.
+func TestPerturbationsSlowTheIteration(t *testing.T) {
+	mc := model.Model3B()
+	w := costmodel.NewWorkload(mc, costmodel.A800Cluster(), model.Shape{B: 1, S: 16384})
+	cfg := sched.Config{Stages: 4, MicroBatches: 8, Layers: mc.Layers}
 	c := twoNodeIB(4)
 	place, err := cluster.Contiguous(c, 4)
 	if err != nil {
@@ -209,9 +256,12 @@ func TestPerturbationsSlowTheIteration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		planCopy := *plan
-		planCopy.Placement = place.Devices
-		res, err := Run(&planCopy, Options{Topology: topo})
+		plan, err := sched.OneFOneB(cfg, sched.NewCosts(w, model.BatchSpec{}, topo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Placement = place.Devices
+		res, err := Run(plan, Options{Topology: topo})
 		if err != nil {
 			t.Fatal(err)
 		}

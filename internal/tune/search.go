@@ -3,9 +3,7 @@ package tune
 import (
 	"fmt"
 	"iter"
-	"runtime"
 	"sort"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
@@ -17,8 +15,8 @@ import (
 )
 
 // Search accounting mirrors into the default obs registry: the evaluated-
-// point and memoized-cost-eval totals as plain counters, the per-reason
-// prune totals as one labeled counter family.
+// point and cost-eval (distinct shape) totals as plain counters, the
+// per-reason prune totals as one labeled counter family.
 var (
 	tunePointsC    = obs.Default().Counter("helix_tune_points_total")
 	tuneCostEvalsC = obs.Default().Counter("helix_tune_cost_evals_total")
@@ -52,10 +50,11 @@ type survivor struct {
 	estPeak int64 // memsim activation peak + model states
 }
 
-// shapeKey memoizes cost books: cost-model evaluation depends only on the
-// micro-batch shape (b, s) — or, for workload candidates, on the workload
-// and its order — so the whole method x stages x micro-batch cross product
-// shares one evaluation per shape.
+// shapeKey identifies the shape a candidate's cost books are priced at:
+// cost-model evaluation depends only on the micro-batch shape (b, s) — or,
+// for workload candidates, on the workload and its order — so the whole
+// method x stages x micro-batch cross product shares one evaluation per
+// shape through sched's process-wide book memo.
 type shapeKey struct {
 	b, s     int
 	workload string
@@ -64,11 +63,12 @@ type shapeKey struct {
 
 // Search is a prepared, streamable autotuner run. NewSearch validates the
 // spec and runs the cheap phases (grid enumeration, geometry and memory
-// pruning, cost-book memoization); Points streams the expensive phase — one
-// simulated Point or PruneError per surviving grid point, in deterministic
-// grid order, each yielded as soon as it is available; Result finalizes the
-// accounting and rankings over whatever Points has yielded so far. Run
-// wires the three together for callers that want the collected Result.
+// pruning, counting the distinct cost-book shapes); Points streams the
+// expensive phase — one simulated Point or PruneError per surviving grid
+// point, in deterministic grid order, each yielded as soon as it is
+// available; Result finalizes the accounting and rankings over whatever
+// Points has yielded so far. Run wires the three together for callers that
+// want the collected Result.
 type Search struct {
 	m      model.Config
 	cl     costmodel.ClusterSpec
@@ -77,7 +77,6 @@ type Search struct {
 
 	res       *Result
 	survivors []survivor
-	costs     map[shapeKey]sched.Costs
 	workloads map[string]model.BatchSpec
 }
 
@@ -122,7 +121,6 @@ func NewSearch(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Search, er
 			MemoryBudgetBytes: budget,
 			Pruned:            map[string]int{},
 		},
-		costs:     map[shapeKey]sched.Costs{},
 		workloads: map[string]model.BatchSpec{},
 	}
 	if spec.Cluster != nil {
@@ -153,23 +151,16 @@ func NewSearch(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Search, er
 		s.survivors = append(s.survivors, survivor{Candidate: c, estPeak: est})
 	}
 
-	// Phase 2: memoized cost books, one per distinct shape key; this is
-	// what keeps CostModelEvals strictly below the naive grid size.
+	// Phase 2: count the distinct shapes the survivors' books are priced
+	// at. The process-wide book memo evaluates each once, which keeps
+	// CostModelEvals strictly below the naive grid size.
+	shapes := map[shapeKey]bool{}
 	for _, sv := range s.survivors {
-		key := keyOf(sv.Candidate)
-		if _, ok := s.costs[key]; ok {
-			continue
+		if key := keyOf(sv.Candidate); !shapes[key] {
+			shapes[key] = true
+			s.res.CostModelEvals++
+			tuneCostEvalsC.Inc()
 		}
-		if key.workload != "" {
-			batch := *s.batchOf(sv.Candidate)
-			w := costmodel.NewWorkload(m, cl, batch.MaxShape())
-			s.costs[key] = sched.NewBatchCosts(w, batch)
-		} else {
-			w := costmodel.NewWorkload(m, cl, model.Shape{B: key.b, S: key.s})
-			s.costs[key] = sched.NewCosts(w)
-		}
-		s.res.CostModelEvals++
-		tuneCostEvalsC.Inc()
 	}
 	return s, nil
 }
@@ -196,74 +187,34 @@ func (s *Search) batchOf(c Candidate) *model.BatchSpec {
 	return &b
 }
 
-// Points streams the expensive phase: the surviving grid points run on a
-// bounded worker pool (Spec.Workers wide; a launch window a few pool
-// widths ahead of the yield cursor caps buffered results) and are yielded
-// in deterministic grid order as soon as each simulation completes —
-// evaluated points as (Point, nil), discarded ones as (Point{},
-// *PruneError). A prune never aborts the remaining points. The stream
-// records everything it yields into the Search's accounting, so Result
-// after draining equals what Run returns; breaking early launches nothing
-// further and leaves a partial (but consistent) Result. Points may be
-// consumed once.
+// Points streams the expensive phase: the surviving grid points run on
+// obs.Ordered's bounded worker pool (Spec.Workers wide) and are yielded in
+// deterministic grid order as soon as each simulation completes — evaluated
+// points as (Point, nil), discarded ones as (Point{}, *PruneError). A prune
+// never aborts the remaining points. The stream records everything it
+// yields into the Search's accounting, so Result after draining equals what
+// Run returns; breaking early launches nothing further and leaves a partial
+// (but consistent) Result. Points may be consumed once.
 func (s *Search) Points() iter.Seq2[Point, error] {
-	workers := s.spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	return func(yield func(Point, error) bool) {
 		type outcome struct {
 			point  Point
 			reason string // empty on success
-			err    error
 		}
-		window := 4 * workers
-		results := make([]chan outcome, len(s.survivors))
-		for i := range results {
-			results[i] = make(chan outcome, 1)
-		}
-		// The semaphore doubles as the worker-id pool, so progress events
-		// can report which slot evaluated each survivor.
-		sem := make(chan int, workers)
-		for w := 0; w < workers; w++ {
-			sem <- w
-		}
-		sink := s.spec.Sink
-		launch := func(i int) {
-			go func() {
-				w := <-sem
-				defer func() { sem <- w }()
-				sv := s.survivors[i]
-				var start time.Time
-				if sink != nil {
-					start = time.Now()
-					sink.Emit(obs.Event{Kind: obs.CellStarted, Label: sv.Candidate.String(),
-						Index: i, Total: len(s.survivors), Worker: w})
-				}
-				point, reason, err := evaluate(s.m, s.cl, s.spec, sv.Candidate,
-					s.batchOf(sv.Candidate), sv.estPeak, s.budget, s.costs[keyOf(sv.Candidate)])
-				if sink != nil {
-					sink.Emit(obs.Event{Kind: obs.CellFinished, Label: sv.Candidate.String(),
-						Index: i, Total: len(s.survivors), Worker: w,
-						Duration: time.Since(start), Err: err})
-				}
-				results[i] <- outcome{point: point, reason: reason, err: err}
-			}()
-		}
-		next := 0
-		for ; next < len(s.survivors) && next < window; next++ {
-			launch(next)
-		}
-		for i, sv := range s.survivors {
-			o := <-results[i]
-			if next < len(s.survivors) {
-				launch(next)
-				next++
-			}
+		cells := obs.Ordered(len(s.survivors), s.spec.Workers, s.spec.Sink,
+			func(i int) string { return s.survivors[i].Candidate.String() },
+			func(i int) (outcome, bool, error) {
+				point, reason, err := s.evaluate(s.survivors[i])
+				return outcome{point, reason}, false, err
+			})
+		i := 0
+		for o, err := range cells {
+			c := s.survivors[i].Candidate
+			i++
 			if o.reason != "" {
 				s.prune(o.reason)
-				s.res.Errors = append(s.res.Errors, o.err.Error())
-				if !yield(Point{}, &PruneError{Candidate: sv.Candidate, Reason: o.reason, Err: o.err}) {
+				s.res.Errors = append(s.res.Errors, err.Error())
+				if !yield(Point{}, &PruneError{Candidate: c, Reason: o.reason, Err: err}) {
 					return
 				}
 				continue
@@ -275,8 +226,8 @@ func (s *Search) Points() iter.Seq2[Point, error] {
 			}
 			if s.spec.budgetMet(o.point) {
 				// The budget target is met: stop the stream here. In-flight
-				// launches drain into their buffered channels and are
-				// discarded; nothing further launches.
+				// cells drain into their buffered slots and are discarded;
+				// nothing further launches.
 				s.res.StoppedEarly = true
 				return
 			}
@@ -315,49 +266,49 @@ func Run(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Result, error) {
 // (PruneBuild, PruneSim, PrunePlacement or PruneMeasured) reports a
 // discarded point. Under a cluster topology the candidate searches the
 // spec's placement strategies and keeps the best placement's result.
-func evaluate(m model.Config, cl costmodel.ClusterSpec, spec Spec, c Candidate, batch *model.BatchSpec,
-	estPeak, budget int64, costs sched.Costs) (Point, string, error) {
-	cfg := sched.Config{Stages: c.Stages, MicroBatches: c.MicroBatches, Layers: m.Layers}
+func (s *Search) evaluate(sv survivor) (Point, string, error) {
+	c := sv.Candidate
+	cfg := sched.Config{Stages: c.Stages, MicroBatches: c.MicroBatches, Layers: s.m.Layers}
 	tokens := int64(c.MicroBatchSize) * int64(c.SeqLen) * int64(c.MicroBatches)
 	padFraction := 0.0
-	if batch != nil {
+	if batch := s.batchOf(c); batch != nil {
 		cfg.Batch = *batch
 		tokens = batch.TotalTokens()
 		padFraction = batch.PadFraction()
 	}
-	activationBudget := budget - stateBytes(m, cl, c.Method, c.Stages)
-	plan, err := sched.Build(c.Method, cfg, costs, sched.BuildParams{MemoryBudget: activationBudget})
+	w := costmodel.NewWorkload(s.m, s.cl, model.Shape{B: c.MicroBatchSize, S: c.SeqLen})
+	params := sched.BuildParams{MemoryBudget: s.budget - stateBytes(s.m, s.cl, c.Method, c.Stages)}
+	build := func(topo *cluster.Topology) (*sched.Plan, error) {
+		return sched.Build(c.Method, cfg, sched.NewCosts(w, cfg.Batch, topo), params)
+	}
+	plan, err := build(nil)
 	if err != nil {
 		return Point{}, PruneBuild, fmt.Errorf("%s: %w", c, err)
 	}
 
 	var simRes *sim.Result
 	var best cluster.Placement
-	if spec.Cluster != nil {
-		pt := cluster.Perturb{SlowDevice: -1}
-		if spec.Perturb != nil {
-			pt = *spec.Perturb
-		}
-		simRes, best, err = simulatePlacements(plan, *spec.Cluster, spec.Placements, pt, cl)
+	if s.spec.Cluster != nil {
+		simRes, best, err = s.simulatePlacements(plan, build)
 		if err != nil {
 			reason := PruneSim
-			if c.Stages > spec.Cluster.Devices() {
+			if c.Stages > s.spec.Cluster.Devices() {
 				reason = PrunePlacement
 			}
 			return Point{}, reason, fmt.Errorf("%s: %w", c, err)
 		}
 	} else {
-		simRes, err = sim.Run(plan, sim.Options{SMPenalty: cl.CommSMPenalty})
+		simRes, err = sim.Run(plan, sim.Options{SMPenalty: s.cl.CommSMPenalty})
 		if err != nil {
 			return Point{}, PruneSim, fmt.Errorf("%s: %w", c, err)
 		}
 	}
-	peak := simRes.MaxPeakStashBytes() + stateBytes(m, cl, c.Method, c.Stages)
-	if peak > budget {
+	peak := simRes.MaxPeakStashBytes() + stateBytes(s.m, s.cl, c.Method, c.Stages)
+	if peak > s.budget {
 		// The cheap estimate admitted the point but the simulation measured
 		// it over budget: discard it rather than recommend an OOM.
 		return Point{}, PruneMeasured, fmt.Errorf(
-			"%s: measured peak %d exceeds budget %d", c, peak, budget)
+			"%s: measured peak %d exceeds budget %d", c, peak, s.budget)
 	}
 	point := Point{
 		Candidate:          c,
@@ -365,7 +316,7 @@ func evaluate(m model.Config, cl costmodel.ClusterSpec, spec Spec, c Candidate, 
 		PlacementDevices:   best.Devices,
 		PadFraction:        padFraction,
 		TokensPerIteration: tokens,
-		EstimatedPeakBytes: estPeak,
+		EstimatedPeakBytes: sv.estPeak,
 		PeakBytes:          peak,
 		IterationSeconds:   simRes.IterationSeconds,
 		TokensPerSecond:    simRes.Throughput(tokens),
@@ -377,50 +328,65 @@ func evaluate(m model.Config, cl costmodel.ClusterSpec, spec Spec, c Candidate, 
 	return point, "", nil
 }
 
-// simulatePlacements runs the plan once per placement strategy on the
-// topology and returns the fastest iteration's result and placement. The
-// greedy search seeds from zero, so results are deterministic.
-func simulatePlacements(plan *sched.Plan, topo cluster.Cluster, strategies []string,
-	pt cluster.Perturb, cl costmodel.ClusterSpec) (*sim.Result, cluster.Placement, error) {
+// simulatePlacements places the flat plan's traffic matrix with each of the
+// spec's placement strategies on its topology, rebuilds the plan on the cost
+// books placed there — the pricing a Session applies to a placed cell — and
+// returns the fastest iteration's result and placement. The greedy search
+// seeds from zero, so results are deterministic.
+func (s *Search) simulatePlacements(flat *sched.Plan,
+	build func(*cluster.Topology) (*sched.Plan, error)) (*sim.Result, cluster.Placement, error) {
+	topo := *s.spec.Cluster
+	if flat.Stages > topo.Devices() {
+		return nil, cluster.Placement{}, fmt.Errorf(
+			"%d stages exceed the %d devices of %s", flat.Stages, topo.Devices(), topo.Name)
+	}
+	strategies := s.spec.Placements
 	if len(strategies) == 0 {
 		strategies = cluster.Strategies()
 	}
-	if plan.Stages > topo.Devices() {
-		return nil, cluster.Placement{}, fmt.Errorf(
-			"%d stages exceed the %d devices of %s", plan.Stages, topo.Devices(), topo.Name)
+	pt := cluster.Perturb{SlowDevice: -1}
+	if s.spec.Perturb != nil {
+		pt = *s.spec.Perturb
 	}
-	traffic := plan.TrafficMatrix()
+	traffic := flat.TrafficMatrix()
+	run := func(strategy string) (*sim.Result, cluster.Placement, error) {
+		// Candidate links are priced as the perturbation leaves them, so a
+		// degraded fabric steers the search away from the broken links and
+		// the ranking matches the perturbed simulation below.
+		place, err := cluster.Generate(strategy, topo, flat.Stages, traffic, cluster.SearchOptions{Perturb: pt})
+		if err != nil {
+			return nil, place, err
+		}
+		view, err := cluster.Resolve(topo, place, pt)
+		if err != nil {
+			return nil, place, err
+		}
+		plan, err := build(view)
+		if err != nil {
+			return nil, place, err
+		}
+		plan.Placement = place.Devices
+		res, err := sim.Run(plan, sim.Options{SMPenalty: s.cl.CommSMPenalty, Topology: view})
+		return res, place, err
+	}
 	var bestRes *sim.Result
 	var bestPlace cluster.Placement
 	var firstErr error
 	for _, strategy := range strategies {
-		// Candidate links are priced as the perturbation leaves them, so a
-		// degraded fabric steers the search away from the broken links and the
-		// ranking matches the perturbed simulation below.
-		place, err := cluster.Generate(strategy, topo, plan.Stages, traffic, cluster.SearchOptions{Perturb: pt})
-		if err == nil {
-			var topoView *cluster.Topology
-			topoView, err = cluster.Resolve(topo, place, pt)
-			if err == nil {
-				plan.Placement = place.Devices
-				var res *sim.Result
-				res, err = sim.Run(plan, sim.Options{SMPenalty: cl.CommSMPenalty, Topology: topoView})
-				if err == nil {
-					if bestRes == nil || res.IterationSeconds < bestRes.IterationSeconds {
-						bestRes, bestPlace = res, place
-					}
-					continue
-				}
+		res, place, err := run(strategy)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("placement %s: %w", strategy, err)
 			}
+			continue
 		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("placement %s: %w", strategy, err)
+		if bestRes == nil || res.IterationSeconds < bestRes.IterationSeconds {
+			bestRes, bestPlace = res, place
 		}
 	}
 	if bestRes == nil {
 		return nil, cluster.Placement{}, firstErr
 	}
-	plan.Placement = bestPlace.Devices
 	return bestRes, bestPlace, nil
 }
 

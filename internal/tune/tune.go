@@ -2,10 +2,13 @@
 // cluster and a constraint spec it enumerates the method x sequence-length x
 // stages x micro-batch grid, discards memory-infeasible points with cheap
 // memsim peak estimates before simulating anything, fans the survivors
-// across a bounded worker pool, memoizes cost-model evaluations keyed by
-// micro-batch shape so repeated grid points are free, and ranks the results
-// into a best-throughput pick per sequence length and a throughput-versus-
-// peak-memory Pareto frontier.
+// across obs.Ordered's bounded worker pool, and ranks the results into a
+// best-throughput pick per sequence length and a throughput-versus-
+// peak-memory Pareto frontier. Cost books come from sched.NewCosts, whose
+// process-wide memo prices each micro-batch shape once; on a cluster
+// topology each placement is priced on books placed there, exactly as a
+// Session prices a placed cell, so a tuned point's iteration time equals
+// Session.Execute's on the same configuration.
 //
 // The paper's own evaluation is exactly such a sweep — method x seqlen x
 // cluster, with schedules winning or losing depending on where attention
@@ -293,8 +296,10 @@ type Result struct {
 	// Pruned counts discarded grid points per constraint (PruneGeometry,
 	// PruneMemory, PruneBuild, PruneSim).
 	Pruned map[string]int `json:"pruned"`
-	// CostModelEvals counts the cost-model evaluations actually issued;
-	// memoization keeps it strictly below GridSize on any real grid.
+	// CostModelEvals counts the distinct micro-batch shapes (or workload
+	// orders) the surviving points' cost books are priced at; the
+	// process-wide book memo evaluates each once, which keeps it strictly
+	// below GridSize on any real grid.
 	CostModelEvals int `json:"cost_model_evals"`
 	// Best is the highest-throughput feasible point per scenario — one per
 	// sequence length in Spec.SeqLens order, then one per workload in

@@ -441,11 +441,8 @@ func WriteTuneResultJSON(w io.Writer, r *TuneResult) error {
 	return enc.Encode(r)
 }
 
-// TuneCSVHeader returns the column names of the autotuner's CSV rows.
-func TuneCSVHeader() []string { return tune.CSVHeader() }
-
 // WriteTuneResultCSV writes every evaluated point of an autotuner result as
-// CSV, one row per configuration, matching TuneCSVHeader.
+// CSV: a header row, then one row per configuration.
 func WriteTuneResultCSV(w io.Writer, r *TuneResult) error {
 	return tune.WriteCSV(w, r.Points)
 }

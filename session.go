@@ -3,7 +3,6 @@ package helixpipe
 import (
 	"fmt"
 	"iter"
-	"runtime"
 	"time"
 
 	"repro/internal/bench"
@@ -402,16 +401,7 @@ func (s *Session) Workload() Workload {
 // intra-node link, device generation and perturbation factor; flat NVLink
 // topologies reproduce the flat book bit for bit.
 func (s *Session) Costs() Costs {
-	if len(s.batch.Shapes) > 0 {
-		if s.resolvedTopo != nil {
-			return sched.NewPlacedBatchCosts(s.Workload(), s.batch, s.resolvedTopo)
-		}
-		return sched.NewBatchCosts(s.Workload(), s.batch)
-	}
-	if s.resolvedTopo != nil {
-		return sched.NewPlacedCosts(s.Workload(), s.resolvedTopo)
-	}
-	return sched.NewCosts(s.Workload())
+	return sched.NewCosts(s.Workload(), s.batch, s.resolvedTopo)
 }
 
 // MemoryBudget returns the per-GPU activation budget handed to budget-aware
@@ -601,8 +591,10 @@ func (s *Session) Simulate(method Method) (*Report, error) {
 // Autotune searches the spec's method x seqlen x stages x micro-batch grid
 // for the session's model and cluster: grid points are pruned cheaply with
 // memsim peak-memory estimates before anything simulates, the survivors fan
-// out across a bounded worker pool with memoized cost-model evaluations, and
-// the result ranks a best-throughput pick per sequence length next to a
+// out across Execute's bounded worker pool, priced on the cost books a
+// session builds (placed books for each searched placement on a topology,
+// so a point's iteration time equals Execute's for the same cell), and the
+// result ranks a best-throughput pick per sequence length next to a
 // throughput-vs-peak-memory Pareto frontier.
 //
 // Empty spec axes fall back to the session's own geometry; a zero memory
@@ -688,82 +680,19 @@ func (s *Session) cachedJob(cache *ReportCache, method Method, engineName string
 var cellSecondsH = obs.Default().Histogram("helix_cell_seconds",
 	[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10})
 
-// streamReports runs the jobs on a bounded worker pool and yields each
-// job's (report, error) in job order, as soon as it is available — the
-// first report arrives while later cells are still simulating. A
-// semaphore keeps the pool full even when the in-order head cell is the
-// slow one, while a launch window a few pool-widths ahead of the yield
-// cursor caps how many finished reports can pile up waiting their turn: a
-// 500-cell grid holds a bounded window of reports, not five hundred. A
-// job error is yielded as (nil, err) and never aborts the remaining jobs.
-// Breaking out of the iteration launches nothing further; in-flight jobs
-// finish into their buffered slots and are collected by the GC.
-//
-// A non-nil sink receives a CellStarted/CellFinished event pair per job,
-// carrying the job's label, the worker slot that ran it, its wall clock
-// and (off the report's telemetry) the cache-hit flag.
+// streamReports runs the jobs on obs.Ordered's bounded worker pool and
+// yields each job's (report, error) in job order, as soon as it is
+// available. A non-nil sink receives a CellStarted/CellFinished event pair
+// per job, carrying the job's label, the worker slot that ran it, its wall
+// clock and (off the report's telemetry) the cache-hit flag.
 func streamReports(jobs []func() (*Report, error), labels []string, sink obs.Sink) iter.Seq2[*Report, error] {
-	return func(yield func(*Report, error) bool) {
-		type slot struct {
-			report *Report
-			err    error
-		}
-		workers := max(runtime.GOMAXPROCS(0), 1)
-		window := 4 * workers
-		results := make([]chan slot, len(jobs))
-		for i := range results {
-			results[i] = make(chan slot, 1)
-		}
-		// The semaphore doubles as the worker-id pool: a job holds one id
-		// for its whole run, so events can say which slot ran it.
-		sem := make(chan int, workers)
-		for w := 0; w < workers; w++ {
-			sem <- w
-		}
-		labelAt := func(i int) string {
-			if i < len(labels) {
-				return labels[i]
-			}
-			return ""
-		}
-		launch := func(i int) {
-			go func() {
-				w := <-sem
-				defer func() { sem <- w }()
-				start := time.Now()
-				if sink != nil {
-					sink.Emit(obs.Event{Kind: obs.CellStarted, Label: labelAt(i),
-						Index: i, Total: len(jobs), Worker: w})
-				}
-				r, err := jobs[i]()
-				cellSecondsH.Observe(time.Since(start).Seconds())
-				if sink != nil {
-					ev := obs.Event{Kind: obs.CellFinished, Label: labelAt(i),
-						Index: i, Total: len(jobs), Worker: w,
-						Duration: time.Since(start), Err: err}
-					if r != nil && r.Telemetry != nil {
-						ev.CacheHit = r.Telemetry.CacheHit
-					}
-					sink.Emit(ev)
-				}
-				results[i] <- slot{r, err}
-			}()
-		}
-		next := 0
-		for ; next < len(jobs) && next < window; next++ {
-			launch(next)
-		}
-		for i := range jobs {
-			res := <-results[i]
-			if next < len(jobs) {
-				launch(next)
-				next++
-			}
-			if !yield(res.report, res.err) {
-				return
-			}
-		}
-	}
+	return obs.Ordered(len(jobs), 0, sink, func(i int) string { return labels[i] },
+		func(i int) (*Report, bool, error) {
+			start := time.Now()
+			r, err := jobs[i]()
+			cellSecondsH.Observe(time.Since(start).Seconds())
+			return r, r != nil && r.Telemetry != nil && r.Telemetry.CacheHit, err
+		})
 }
 
 // Execute runs a resolved experiment spec on the session, streaming its

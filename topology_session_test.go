@@ -266,3 +266,65 @@ func TestAutotunePlacementAxis(t *testing.T) {
 		t.Errorf("BestTable misses placement column:\n%s", table)
 	}
 }
+
+// TestAutotuneMatchesExecute pins the one pricing path: the autotuner prices
+// a placed grid point on the same placement-resolved cost books a Session
+// builds, so a one-method topology spec gives a bit-equal iteration time and
+// the same placement through Execute and through Autotune restricted to the
+// spec's placement strategy. Greedy is left out: the autotuner seeds its
+// search from 0, Execute from placement_seed.
+func TestAutotuneMatchesExecute(t *testing.T) {
+	cases := []struct {
+		cluster, method, placement, perturb string
+		stages                              int
+	}{
+		{"DGX-A800x2-H20x2", "1F1B", "roundrobin", "", 8},
+		{"DGX-A800x2-H20x2", "ZB1P", "roundrobin", "", 4},
+		{"DGX-A800x2-H20x2", "HelixPipe", "roundrobin", "", 8},
+		{"DGX-A800x2-H20x2", "1F1B", "contiguous", "link=nvlinkx0.15", 8},
+		{"DGX-A800x4", "HelixPipe", "contiguous", "slow=1x2.0", 8},
+		{"DGX-A800x4", "HelixPipe", "contiguous", "link=nvlinkx0.5", 8},
+		// Control: a degraded inter-node fabric leaves every stage's book
+		// flat, so this case matched before the autotuner priced placed
+		// books.
+		{"DGX-A800x4", "1F1B", "roundrobin", "link=ibx0.5", 8},
+	}
+	for _, tc := range cases {
+		name := strings.Join([]string{tc.cluster, tc.method, tc.placement, tc.perturb}, "/")
+		t.Run(name, func(t *testing.T) {
+			spec := &ExperimentSpec{Model: "3B", Cluster: tc.cluster, SeqLen: 16384,
+				Stages: tc.stages, Methods: []string{tc.method}, Placement: tc.placement,
+				Perturb: tc.perturb}
+			reports, err := executeSpec(t, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(reports) != 1 {
+				t.Fatalf("Execute ran %d cells, want 1", len(reports))
+			}
+			want := reports[0]
+
+			tuned := *spec
+			tuned.Tune = &SpecTune{Placements: []string{tc.placement}, BudgetGB: 10000}
+			session, rs, err := tuned.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := session.Autotune(*rs.Tune)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Points) != 1 {
+				t.Fatalf("Autotune evaluated %d points (pruned %v, errors %v), want 1",
+					len(res.Points), res.Pruned, res.Errors)
+			}
+			got := res.Points[0]
+			if got.IterationSeconds != want.Sim.IterationSeconds {
+				t.Errorf("Autotune iteration %v s, Execute %v s", got.IterationSeconds, want.Sim.IterationSeconds)
+			}
+			if !reflect.DeepEqual(got.PlacementDevices, want.Placement) {
+				t.Errorf("Autotune placement %v, Execute %v", got.PlacementDevices, want.Placement)
+			}
+		})
+	}
+}
