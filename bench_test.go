@@ -173,6 +173,65 @@ func TestHelixBuildAllocBudget(t *testing.T) {
 	}
 }
 
+// placementSession is the headline configuration's books (7B, H20, 128k,
+// p=8) on the DGX-A800x4 topology, for the placement micro-benchmark.
+func placementSession(tb testing.TB) *Session {
+	tb.Helper()
+	topo, ok := TopologyByName("DGX-A800x4")
+	if !ok {
+		tb.Fatal("no DGX-A800x4 topology preset")
+	}
+	s, err := NewSession(Model7B(), H20Cluster(), WithSeqLen(131072), WithStages(8), WithCluster(topo))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkPlacementFor measures one greedy HelixPipe placement search at
+// the headline scale: the closed-form traffic matrix plus the search, no
+// plan build. The alloc-gate CI step pins its allocs/op to the budget in
+// testdata/alloc_budget.json.
+func BenchmarkPlacementFor(b *testing.B) {
+	s := placementSession(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.PlacementFor(MethodHelix, PlacementGreedy, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestPlacementForAllocBudget enforces the placement-search budget
+// in-process, the contract the CI alloc-gate re-checks from
+// BenchmarkPlacementFor's -benchmem output. A plan build inside the search
+// costs thousands of allocations and fails it.
+func TestPlacementForAllocBudget(t *testing.T) {
+	raw, err := os.ReadFile("testdata/alloc_budget.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget struct {
+		PlacementForAllocsPerOp float64 `json:"placement_for_allocs_per_op"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatal(err)
+	}
+	if budget.PlacementForAllocsPerOp <= 0 {
+		t.Fatal("testdata/alloc_budget.json pins no placement_for_allocs_per_op")
+	}
+	s := placementSession(t)
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := s.PlacementFor(MethodHelix, PlacementGreedy, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget.PlacementForAllocsPerOp {
+		t.Errorf("PlacementFor allocates %.0f allocs/op, budget %.0f (testdata/alloc_budget.json)",
+			got, budget.PlacementForAllocsPerOp)
+	}
+}
+
 // BenchmarkSimulateHelix measures one simulated headline iteration and
 // reports simulated tokens/s.
 func BenchmarkSimulateHelix(b *testing.B) {

@@ -107,6 +107,11 @@ func TestDecodeSpecErrors(t *testing.T) {
 		{"kv heads not dividing", `{"model": "7B", "cluster": "H20", "decode": {"kv_heads": 5}}`, "must divide"},
 		{"bad objective", `{"model": "7B", "cluster": "H20", "decode": {"objective": "goodput"}}`, "unknown decode objective"},
 		{"bad kvp", `{"model": "7B", "cluster": "H20", "decode": {"kvp": [0]}}`, "kvp values"},
+		{"context overflows", `{"model": "7B", "cluster": "H20", "decode": {"context_len": 9223372036854775000, "decode_tokens": 1000}}`, "decode tokens overflows"},
+		{"kv cache overflows", `{"model": "7B", "cluster": "H20", "decode": {"sessions": 4611686018427387904}}`, "KV cache of"},
+		{"too many tokens", `{"model": "7B", "cluster": "H20", "decode": {"context_len": 4096, "decode_tokens": 2000000000, "budget_gb": 1000000000}}`, "at most 1048576"},
+		{"weights overflow", `{"model": "7B", "cluster": "H20", "decode": {"mla": true, "latent_dim": 1125899906842624, "context_len": 1, "decode_tokens": 1, "sessions": 1}}`, "weights overflow"},
+		{"budget past int64", `{"model": "7B", "cluster": "H20", "decode": {"budget_gb": 1e12}}`, "does not fit int64"},
 	}
 	for _, c := range cases {
 		spec := decodeSpecJSON(t, c.text)

@@ -41,7 +41,8 @@ func main() {
 
 	// 2. The placement strategies. Contiguous keeps pipeline neighbours on
 	// one node; round robin deals them across nodes (every boundary pays
-	// IB); greedy searches against the plan's traffic matrix.
+	// IB); greedy searches against the method's traffic matrix, which
+	// PlacementFor reads in closed form without building a plan.
 	for _, strategy := range helixpipe.PlacementStrategies() {
 		placement, err := placed.PlacementFor(helixpipe.MethodHelix, strategy, 1)
 		if err != nil {

@@ -3,6 +3,7 @@ package helixpipe
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -69,4 +70,83 @@ func FuzzSpec(f *testing.F) {
 			t.Fatalf("Resolved is not idempotent:\n once %+v\ntwice %+v", resolved, again)
 		}
 	})
+}
+
+// FuzzDecode feeds arbitrary JSON through ParseSpec → Resolve →
+// Session.Decode. The seed corpus — the committed GQA example, an MLA spec
+// in code, and testdata/fuzz/FuzzDecode, which holds hostile sizes (a
+// context plus decode tokens past int, sessions whose KV cache overflows
+// int64, two billion decode tokens) — runs under plain go test; explore
+// further with
+//
+//	go test -run=NONE -fuzz=FuzzDecode -fuzztime=60s -fuzzminimizetime=5s -parallel=2 .
+//
+// Properties: nothing panics; every accepted input reports finite,
+// non-negative times and byte counts, one latency per generated token; no
+// kept point's TPA exceeds the effective KV heads (so MLA keeps pure KVP);
+// and every kept point's KV cache plus weights fits the per-device budget.
+func FuzzDecode(f *testing.F) {
+	data, err := os.ReadFile("examples/interactive_decode/gqa_1m.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"model": "7B", "cluster": "H20", "decode": {"mla": true, "latent_dim": 512, "context_len": 65536, "decode_tokens": 16, "sessions": 2}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(bytes.NewReader(data))
+		if err != nil || spec.Decode == nil {
+			return
+		}
+		session, rs, err := spec.Resolve()
+		if err != nil || rs.Kind != RunKindDecode {
+			return
+		}
+		report, err := session.Decode(*rs.Decode)
+		if err != nil {
+			return
+		}
+		sc := report.Scenario
+		for _, pt := range report.Points {
+			if effK := sc.Heads.EffectiveKVHeads(); pt.Sharding.TPA > effK {
+				t.Errorf("%s: kept with TPA above the %d effective KV heads", pt.Sharding, effK)
+			}
+			if len(pt.TokenSeconds) != sc.DecodeTokens {
+				t.Errorf("%s: %d token latencies for %d decode tokens", pt.Sharding, len(pt.TokenSeconds), sc.DecodeTokens)
+			}
+			times := append([]float64{pt.TTFTSeconds, pt.SecondsPerToken, pt.TokensPerSecond, pt.ComputeSeconds,
+				pt.Latency.MeanSeconds, pt.Latency.P50Seconds, pt.Latency.P95Seconds, pt.Latency.MaxSeconds,
+				pt.Comm.AllGatherSeconds, pt.Comm.AllToAllSeconds, pt.Comm.AllReduceSeconds, pt.Comm.TotalSeconds},
+				pt.TokenSeconds...)
+			for _, v := range times {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Fatalf("%s: time %g is not finite and non-negative", pt.Sharding, v)
+				}
+			}
+			if pt.KVBytesPerDevice < 0 || pt.WeightBytesPerDevice < 0 {
+				t.Fatalf("%s: negative bytes: kv %d, weights %d", pt.Sharding, pt.KVBytesPerDevice, pt.WeightBytesPerDevice)
+			}
+			// The shard recomputed in floating point, where a product cannot
+			// wrap: the reported bytes must be it, and it must fit.
+			kv := kvShardEstimate(sc, pt.Sharding)
+			if math.Abs(float64(pt.KVBytesPerDevice)-kv) > 1e-9*kv {
+				t.Fatalf("%s: kv bytes %d, but the shard holds %g", pt.Sharding, pt.KVBytesPerDevice, kv)
+			}
+			if pt.KVBytesPerDevice > report.BudgetBytes-pt.WeightBytesPerDevice {
+				t.Fatalf("%s: kept with kv %d + weights %d over the %d-byte budget", pt.Sharding,
+					pt.KVBytesPerDevice, pt.WeightBytesPerDevice, report.BudgetBytes)
+			}
+		}
+	})
+}
+
+// kvShardEstimate is one rank's end-of-run KV cache under the sharding, in
+// floating point: sessions x ceil((context + tokens) / KVP) x the rank's
+// per-token bytes x layers.
+func kvShardEstimate(sc DecodeScenario, sh DecodeSharding) float64 {
+	tokens := math.Ceil((float64(sc.ContextLen) + float64(sc.DecodeTokens)) / float64(sh.KVP))
+	perToken := float64(sc.Heads.LatentDim) * 2
+	if !sc.Heads.MLA {
+		perToken = float64(2*max(sc.Heads.KVHeads/sh.TPA, 1)*sc.Heads.HeadDim) * 2
+	}
+	return float64(sc.Sessions) * tokens * perToken * float64(sc.Layers)
 }

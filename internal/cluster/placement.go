@@ -149,8 +149,9 @@ type SearchOptions struct {
 // matrix: a constructive pass places the most communication-heavy stages
 // first, each onto the free device with the cheapest links to its placed
 // peers, then a seeded swap local search improves the result. traffic[i][j]
-// is the bytes stage i sends stage j over one iteration (sched's
-// Plan.TrafficMatrix); a nil matrix degenerates to Contiguous.
+// is the bytes stage i sends stage j over one iteration (a method's
+// registered traffic, sched.Traffic); a nil matrix degenerates to
+// Contiguous.
 func Greedy(c Cluster, stages int, traffic [][]int64, opt SearchOptions) (Placement, error) {
 	if err := checkCapacity(c, stages); err != nil {
 		return Placement{}, err

@@ -30,14 +30,10 @@ func init() {
 			Description: desc,
 			Rank:        rank,
 			Build: func(cfg sched.Config, costs sched.Costs, p sched.BuildParams) (*sched.Plan, error) {
-				opt := def
-				if p.HelixFold != 0 {
-					opt.Fold = p.HelixFold
-				}
-				if p.HelixRecompute != nil {
-					opt.Recompute = *p.HelixRecompute
-				}
-				return Build(cfg, costs, opt)
+				return Build(cfg, costs, def.with(p))
+			},
+			Traffic: func(cfg sched.Config, costs sched.Costs, p sched.BuildParams) ([][]int64, error) {
+				return traffic(cfg, costs, def.with(p))
 			},
 		})
 	}
@@ -68,6 +64,18 @@ type Options struct {
 // with recomputation without attention.
 func DefaultOptions() Options { return Options{Fold: 2, Recompute: true} }
 
+// with applies the BuildParams overrides (fold, recomputation) to a
+// variant's default options.
+func (opt Options) with(p sched.BuildParams) Options {
+	if p.HelixFold != 0 {
+		opt.Fold = p.HelixFold
+	}
+	if p.HelixRecompute != nil {
+		opt.Recompute = *p.HelixRecompute
+	}
+	return opt
+}
+
 // Build constructs the HelixPipe plan for the given pipeline configuration
 // and cost book.
 //
@@ -76,19 +84,8 @@ func DefaultOptions() Options { return Options{Fold: 2, Recompute: true} }
 // MicroBatches must be a positive multiple of fold*stages. Stages must be at
 // least 2 and divide Layers, which keeps both pipeline ends on stage 0.
 func Build(cfg sched.Config, costs sched.Costs, opt Options) (*sched.Plan, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkGeometry(cfg, opt); err != nil {
 		return nil, err
-	}
-	if opt.Fold != 1 && opt.Fold != 2 {
-		return nil, fmt.Errorf("core: fold must be 1 (naive FILO) or 2 (two-fold FILO), got %d", opt.Fold)
-	}
-	if cfg.Stages < 2 {
-		return nil, fmt.Errorf("core: HelixPipe needs at least 2 stages, got %d", cfg.Stages)
-	}
-	loopSize := opt.Fold * cfg.Stages
-	if cfg.MicroBatches%loopSize != 0 {
-		return nil, fmt.Errorf("core: micro batches (%d) must be a multiple of fold*stages (%d)",
-			cfg.MicroBatches, loopSize)
 	}
 	b := &helixBuilder{cfg: cfg, costs: costs, opt: opt}
 	b.buildTasks()
@@ -111,6 +108,55 @@ func Build(cfg sched.Config, costs sched.Costs, opt Options) (*sched.Plan, error
 		Costs:        costs,
 		Batch:        cfg.Batch,
 	}, nil
+}
+
+// checkGeometry reports why no HelixPipe plan exists for the configuration
+// and options; Build and traffic share it, so both reject with one text.
+func checkGeometry(cfg sched.Config, opt Options) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if opt.Fold != 1 && opt.Fold != 2 {
+		return fmt.Errorf("core: fold must be 1 (naive FILO) or 2 (two-fold FILO), got %d", opt.Fold)
+	}
+	if cfg.Stages < 2 {
+		return fmt.Errorf("core: HelixPipe needs at least 2 stages, got %d", cfg.Stages)
+	}
+	if loopSize := opt.Fold * cfg.Stages; cfg.MicroBatches%loopSize != 0 {
+		return fmt.Errorf("core: micro batches (%d) must be a multiple of fold*stages (%d)",
+			cfg.MicroBatches, loopSize)
+	}
+	return nil
+}
+
+// traffic is the traffic matrix of the plan Build constructs, read off the
+// attention parallel partition alone (section 4.2). For every layer l and
+// micro batch mb, the pre-attention on l mod p and the post-attention on
+// (l+1) mod p each exchange one boundary with the attention on
+// (l+mb+1) mod p: forward activation one way, its gradient back. A piece
+// co-located with its attention sends nothing. Fold and recomputation
+// reorder the schedule but move no bytes.
+func traffic(cfg sched.Config, costs sched.Costs, opt Options) ([][]int64, error) {
+	if err := checkGeometry(cfg, opt); err != nil {
+		return nil, err
+	}
+	p := cfg.Stages
+	m := sched.NewTrafficMatrix(p)
+	for mb := 0; mb < cfg.MicroBatches; mb++ {
+		bytes := costs.MB(mb).BoundBytes
+		for l := 0; l < cfg.Layers; l++ {
+			attn := AttnStage(l, mb, p)
+			if pre := PreOwner(l, p); pre != attn {
+				m[pre][attn] += bytes[sched.BoundPreAttn]
+				m[attn][pre] += bytes[sched.BoundPreAttn]
+			}
+			if post := PostOwner(l, p); post != attn {
+				m[attn][post] += bytes[sched.BoundAttnPost]
+				m[post][attn] += bytes[sched.BoundAttnPost]
+			}
+		}
+	}
+	return m, nil
 }
 
 // taskKind discriminates helix schedule tasks.

@@ -20,6 +20,8 @@ package decode
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -113,7 +115,7 @@ func (s Sharding) Check(n int, h HeadConfig) error {
 	switch {
 	case s.KVP <= 0 || s.TPA <= 0:
 		return fmt.Errorf("decode: sharding axes must be positive, got %s", s)
-	case s.GPUs() > n:
+	case s.KVP > n/s.TPA: // KVP*TPA > N, without overflowing the product
 		return fmt.Errorf("decode: %s needs %d GPUs, scenario has %d (KVP*TPA must be <= N)",
 			s, s.GPUs(), n)
 	case s.TPA > effK:
@@ -139,7 +141,9 @@ func (s Sharding) Check(n int, h HeadConfig) error {
 // TPA=1, KVP=4.
 func Shardings(n int, h HeadConfig) []Sharding {
 	var out []Sharding
-	for tpa := 1; tpa <= n; tpa++ {
+	// Check rejects TPA > K, so the scan stops there: a huge N costs
+	// nothing.
+	for tpa := 1; tpa <= n && tpa <= h.EffectiveKVHeads(); tpa++ {
 		if n%tpa != 0 {
 			continue
 		}
@@ -150,6 +154,12 @@ func Shardings(n int, h HeadConfig) []Sharding {
 	}
 	return out
 }
+
+// MaxDecodeTokens caps the tokens a scenario generates per session. The
+// search prices and reports every token (Point.TokenSeconds), so the cap
+// bounds one point's latencies at 8 MiB; decode runs generate hundreds to a
+// few thousand tokens.
+const MaxDecodeTokens = 1 << 20
 
 // Scenario is one interactive-decoding workload: a model's dimensions, its
 // head config, and the serving shape — context length already in the cache,
@@ -194,6 +204,10 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("decode: sessions must be positive, got %d", sc.Sessions)
 	case sc.GPUs <= 0:
 		return fmt.Errorf("decode: gpus must be positive, got %d", sc.GPUs)
+	case sc.DecodeTokens > MaxDecodeTokens:
+		return fmt.Errorf("decode: decode tokens must be at most %d, got %d", MaxDecodeTokens, sc.DecodeTokens)
+	case sc.ContextLen > math.MaxInt-sc.DecodeTokens:
+		return fmt.Errorf("decode: context length %d plus %d decode tokens overflows", sc.ContextLen, sc.DecodeTokens)
 	}
 	if err := sc.Heads.Validate(); err != nil {
 		return err
@@ -202,7 +216,50 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("decode: query heads x head dim (%d x %d) must equal hidden (%d)",
 			sc.Heads.QueryHeads, sc.Heads.HeadDim, sc.Hidden)
 	}
+	// Byte counts are int64. The unsharded end-of-run KV cache bounds every
+	// rank's shard, and twice the parameter count is the weight bytes.
+	h := sc.Heads
+	perToken := []int{2, h.KVHeads, h.HeadDim, FP16Bytes}
+	kvDim := []int{2, h.KVHeads, h.HeadDim}
+	if h.MLA {
+		perToken, kvDim = []int{h.LatentDim, FP16Bytes}, []int{h.LatentDim}
+	}
+	if !sumFits(append([]int{sc.Sessions, sc.ContextLen + sc.DecodeTokens, sc.Layers}, perToken...)) {
+		return fmt.Errorf("decode: the KV cache of %d sessions x %d tokens x %d layers overflows int64 bytes",
+			sc.Sessions, sc.ContextLen+sc.DecodeTokens, sc.Layers)
+	}
+	L, hid := sc.Layers, sc.Hidden
+	if !sumFits(
+		[]int{FP16Bytes, L, hid, h.QueryHeads, h.HeadDim},
+		append([]int{FP16Bytes, L, hid}, kvDim...),
+		[]int{FP16Bytes, L, hid, hid},
+		[]int{FP16Bytes, L, 8, hid, hid},
+		[]int{FP16Bytes, sc.Vocab, hid},
+	) {
+		return fmt.Errorf("decode: the model weights overflow int64 bytes")
+	}
 	return nil
+}
+
+// sumFits reports whether the sum of the terms' products of positive
+// factors fits int64.
+func sumFits(terms ...[]int) bool {
+	var total int64
+	for _, factors := range terms {
+		p := int64(1)
+		for _, f := range factors {
+			hi, lo := bits.Mul64(uint64(p), uint64(f))
+			if hi != 0 || lo > math.MaxInt64 {
+				return false
+			}
+			p = int64(lo)
+		}
+		if p > math.MaxInt64-total {
+			return false
+		}
+		total += p
+	}
+	return true
 }
 
 // kvShardBytes is one rank's KV-cache footprint at cache length s under the
@@ -251,7 +308,15 @@ func (sc Scenario) WeightBytesPerDevice() int64 {
 	return params * FP16Bytes / int64(sc.GPUs)
 }
 
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
+// ceilDiv divides rounding up, for a >= 0 and b > 0, without overflowing
+// a+b.
+func ceilDiv(a, b int) int {
+	q := a / b
+	if a%b != 0 {
+		q++
+	}
+	return q
+}
 
 // Dist summarizes a latency distribution with nearest-rank percentiles.
 type Dist struct {

@@ -1,6 +1,7 @@
 package decode
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -358,5 +359,23 @@ func TestRenderSmoke(t *testing.T) {
 	}
 	if rep.Summary() == "" || rep.Table() == "" {
 		t.Fatal("empty render")
+	}
+}
+
+// TestHostileShardingSizes pins the overflow-safe lattice: an axis product
+// past int is rejected rather than wrapping to a zero group size, and a huge
+// GPU count enumerates only the TPA values the heads allow.
+func TestHostileShardingSizes(t *testing.T) {
+	h := gqaHeads(32, 8, 128)
+	if err := (Sharding{KVP: 1 << 62, TPA: 4}).Check(8, h); err == nil {
+		t.Error("KVP*TPA past int must be rejected")
+	}
+	got := Shardings(1<<40, h)
+	want := []Sharding{{KVP: 1 << 40, TPA: 1}, {KVP: 1 << 39, TPA: 2}, {KVP: 1 << 38, TPA: 4}, {KVP: 1 << 37, TPA: 8}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Shardings(2^40) = %v, want %v", got, want)
+	}
+	if got := ceilDiv(math.MaxInt, 1<<40); got != math.MaxInt/(1<<40)+1 {
+		t.Errorf("ceilDiv(MaxInt, 2^40) = %d", got)
 	}
 }

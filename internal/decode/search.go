@@ -263,8 +263,9 @@ func (s *Search) Points() iter.Seq2[Point, error] {
 				decodePrunedC[PruneGeometry].Inc()
 				continue
 			}
-			need := sc.KVBytesPerDevice(sh) + sc.WeightBytesPerDevice()
-			if need > s.spec.BudgetBytes {
+			// KV plus weights over budget, compared without overflowing the
+			// sum.
+			if sc.KVBytesPerDevice(sh) > s.spec.BudgetBytes-sc.WeightBytesPerDevice() {
 				s.res.Pruned[PruneKVMemory]++
 				decodePrunedC[PruneKVMemory].Inc()
 				continue

@@ -16,6 +16,46 @@ const (
 
 var segsFwd = []model.Segment{segPre, segAttn, segPost}
 
+// interleavedChunks resolves the model-chunk count of an interleaved build:
+// the BuildParams value, or the default of 2.
+func interleavedChunks(p BuildParams) int {
+	if p.Chunks <= 0 {
+		return 2
+	}
+	return p.Chunks
+}
+
+// interleavedGeometry checks an interleaved configuration and returns its
+// virtual pipeline depth p*chunks. One stage is rejected: every chunk
+// boundary would be a send to the stage itself.
+func interleavedGeometry(cfg Config, chunks int) (int, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
+	if cfg.Stages < 2 {
+		return 0, fmt.Errorf("sched: interleaved 1F1B needs at least 2 stages, got %d", cfg.Stages)
+	}
+	if chunks < 1 {
+		return 0, fmt.Errorf("sched: interleaved chunks must be >= 1, got %d", chunks)
+	}
+	v := cfg.Stages * chunks
+	if cfg.Layers%v != 0 {
+		return 0, fmt.Errorf("sched: layers (%d) must divide into %d virtual stages", cfg.Layers, v)
+	}
+	return v, nil
+}
+
+// interleavedTraffic is the traffic matrix of the plan Interleaved builds:
+// the layer-wise chain over p*chunks virtual stages, virtual stage vs on
+// physical stage vs mod p.
+func interleavedTraffic(cfg Config, costs Costs, chunks int) ([][]int64, error) {
+	v, err := interleavedGeometry(cfg, chunks)
+	if err != nil {
+		return nil, err
+	}
+	return chainTraffic(cfg, costs, v), nil
+}
+
 // Interleaved builds the interleaved-1F1B schedule of Megatron-LM (paper
 // section 6.2): instead of one contiguous chunk, every stage owns `chunks`
 // smaller model chunks spread across the depth, shrinking the pipeline fill
@@ -27,19 +67,14 @@ var segsFwd = []model.Segment{segPre, segAttn, segPost}
 // The generator treats the p*chunks model chunks as virtual pipeline stages
 // and list-schedules them onto the physical stages with the same
 // deterministic earliest-start policy as ZB1P, with fused backward (B+W)
-// like 1F1B and a 1F1B-style in-flight cap per virtual stage.
+// like 1F1B and a 1F1B-style in-flight cap per virtual stage. It needs at
+// least two stages.
 func Interleaved(cfg Config, costs Costs, chunks int) (*Plan, error) {
-	if err := cfg.Validate(); err != nil {
+	v, err := interleavedGeometry(cfg, chunks)
+	if err != nil {
 		return nil, err
 	}
-	if chunks < 1 {
-		return nil, fmt.Errorf("sched: interleaved chunks must be >= 1, got %d", chunks)
-	}
 	p, m := cfg.Stages, cfg.MicroBatches
-	v := p * chunks // virtual pipeline depth
-	if cfg.Layers%v != 0 {
-		return nil, fmt.Errorf("sched: layers (%d) must divide into %d virtual stages", cfg.Layers, v)
-	}
 	layersPer := cfg.Layers / v
 
 	// Virtual stage vs runs on physical stage vs%%p and owns layers

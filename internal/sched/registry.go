@@ -31,7 +31,14 @@ type BuildParams struct {
 // Builder constructs the plan of one registered method.
 type Builder func(cfg Config, costs Costs, p BuildParams) (*Plan, error)
 
-// Registration describes one pipeline parallelism in the method registry.
+// TrafficFunc returns the per-(stage, peer) communication volume of the plan
+// a Builder would construct from the same arguments, without building it:
+// m[s][p] is the bytes stage s sends stage p over one iteration.
+type TrafficFunc func(cfg Config, costs Costs, p BuildParams) ([][]int64, error)
+
+// Registration describes one pipeline parallelism in the method registry:
+// how to build its plan, and how to read that plan's traffic without
+// building it.
 type Registration struct {
 	// Name is the canonical method name.
 	Name Method
@@ -41,6 +48,14 @@ type Registration struct {
 	Rank int
 	// Build constructs the method's plan.
 	Build Builder
+	// Traffic returns the method's traffic matrix in closed form, from its
+	// partition and message volumes alone, so placement search never builds
+	// a schedule only to read it. Whenever Build succeeds it must equal the
+	// plan's TrafficMatrix, and it must reject a geometry Build rejects with
+	// the same error text by calling the builder's geometry check. It may
+	// accept what Build rejects for other reasons (AdaPipe's memory budget,
+	// a list scheduler's deadlock); those surface when the plan is built.
+	Traffic TrafficFunc
 }
 
 var registry = struct {
@@ -53,15 +68,19 @@ var registry = struct {
 var ErrDuplicateMethod = errors.New("sched: duplicate method registration")
 
 // TryRegister adds a method to the registry and reports why it could not:
-// an empty name, a nil builder, or a name (case-insensitively) already
-// registered. On a duplicate the existing registration stays in place —
-// first wins, deterministically, whatever the init order.
+// an empty name, a nil builder or traffic function, or a name
+// (case-insensitively) already registered. On a duplicate the existing
+// registration stays in place — first wins, deterministically, whatever the
+// init order.
 func TryRegister(r Registration) error {
 	if r.Name == "" {
 		return errors.New("sched: Register with empty method name")
 	}
 	if r.Build == nil {
 		return fmt.Errorf("sched: Register(%s) with nil builder", r.Name)
+	}
+	if r.Traffic == nil {
+		return fmt.Errorf("sched: Register(%s) with nil traffic function", r.Name)
 	}
 	key := strings.ToLower(string(r.Name))
 	registry.Lock()
@@ -75,11 +94,12 @@ func TryRegister(r Registration) error {
 
 // Register adds a method to the registry. Generator packages call it from
 // init: the layer-wise baselines register here in package sched, and
-// internal/core registers the HelixPipe variants. Registering an empty name
-// or a nil builder panics — those are programmer errors that must surface at
-// process start. A duplicate name is logged and ignored, keeping the first
-// registration: panicking here would make program startup depend on package
-// init order. Callers that need the duplicate as a value use TryRegister.
+// internal/core registers the HelixPipe variants. Registering an empty name,
+// a nil builder or a nil traffic function panics — those are programmer
+// errors that must surface at process start. A duplicate name is logged and
+// ignored, keeping the first registration: panicking here would make program
+// startup depend on package init order. Callers that need the duplicate as a
+// value use TryRegister.
 func Register(r Registration) {
 	if err := TryRegister(r); err != nil {
 		if errors.Is(err, ErrDuplicateMethod) {
@@ -133,12 +153,31 @@ func Methods() []Method {
 // resolved case-insensitively; unknown names report the registered
 // alternatives.
 func Build(method Method, cfg Config, costs Costs, p BuildParams) (*Plan, error) {
-	r, ok := Lookup(string(method))
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown method %q (registered: %s)",
-			method, joinMethods(Methods()))
+	r, err := lookupMethod(method)
+	if err != nil {
+		return nil, err
 	}
 	return r.Build(cfg, costs, p)
+}
+
+// Traffic returns the traffic matrix of a registered method's plan without
+// building it (Registration.Traffic), resolving the name like Build.
+func Traffic(method Method, cfg Config, costs Costs, p BuildParams) ([][]int64, error) {
+	r, err := lookupMethod(method)
+	if err != nil {
+		return nil, err
+	}
+	return r.Traffic(cfg, costs, p)
+}
+
+// lookupMethod resolves a method name for Build and Traffic.
+func lookupMethod(method Method) (Registration, error) {
+	r, ok := Lookup(string(method))
+	if !ok {
+		return r, fmt.Errorf("sched: unknown method %q (registered: %s)",
+			method, joinMethods(Methods()))
+	}
+	return r, nil
 }
 
 func joinMethods(ms []Method) string {
@@ -150,7 +189,9 @@ func joinMethods(ms []Method) string {
 }
 
 // The layer-wise baselines register themselves here; HelixPipe's variants
-// are registered by internal/core, which builds on this package's IR.
+// are registered by internal/core, which builds on this package's IR. Every
+// layer-wise baseline but the interleaved one shares one traffic formula:
+// their schedules differ in order and partition, never in who sends what.
 func init() {
 	Register(Registration{
 		Name:        MethodGPipe,
@@ -159,6 +200,7 @@ func init() {
 		Build: func(cfg Config, costs Costs, _ BuildParams) (*Plan, error) {
 			return GPipe(cfg, costs)
 		},
+		Traffic: layerwiseTraffic,
 	})
 	Register(Registration{
 		Name:        Method1F1B,
@@ -167,17 +209,17 @@ func init() {
 		Build: func(cfg Config, costs Costs, _ BuildParams) (*Plan, error) {
 			return OneFOneB(cfg, costs)
 		},
+		Traffic: layerwiseTraffic,
 	})
 	Register(Registration{
 		Name:        MethodInterleaved,
 		Description: "interleaved 1F1B with multiple model chunks per stage",
 		Rank:        30,
 		Build: func(cfg Config, costs Costs, p BuildParams) (*Plan, error) {
-			chunks := p.Chunks
-			if chunks <= 0 {
-				chunks = 2
-			}
-			return Interleaved(cfg, costs, chunks)
+			return Interleaved(cfg, costs, interleavedChunks(p))
+		},
+		Traffic: func(cfg Config, costs Costs, p BuildParams) ([][]int64, error) {
+			return interleavedTraffic(cfg, costs, interleavedChunks(p))
 		},
 	})
 	Register(Registration{
@@ -187,6 +229,7 @@ func init() {
 		Build: func(cfg Config, costs Costs, _ BuildParams) (*Plan, error) {
 			return ZB1P(cfg, costs)
 		},
+		Traffic: layerwiseTraffic,
 	})
 	Register(Registration{
 		Name:        MethodZB2P,
@@ -195,6 +238,7 @@ func init() {
 		Build: func(cfg Config, costs Costs, _ BuildParams) (*Plan, error) {
 			return ZB2P(cfg, costs)
 		},
+		Traffic: layerwiseTraffic,
 	})
 	Register(Registration{
 		Name:        MethodAdaPipe,
@@ -203,5 +247,6 @@ func init() {
 		Build: func(cfg Config, costs Costs, p BuildParams) (*Plan, error) {
 			return AdaPipe(cfg, costs, p.MemoryBudget)
 		},
+		Traffic: layerwiseTraffic,
 	})
 }

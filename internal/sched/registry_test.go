@@ -19,11 +19,19 @@ func testBuilder(cfg Config, costs Costs, _ BuildParams) (*Plan, error) {
 }
 
 func TestTryRegisterRejectsBadRegistrations(t *testing.T) {
-	if err := TryRegister(Registration{Name: "", Build: testBuilder}); err == nil {
+	if err := TryRegister(Registration{Name: "", Build: testBuilder, Traffic: layerwiseTraffic}); err == nil {
 		t.Error("empty name must be rejected")
 	}
-	if err := TryRegister(Registration{Name: "registry-test-nil"}); err == nil {
+	if err := TryRegister(Registration{Name: "registry-test-nil", Traffic: layerwiseTraffic}); err == nil {
 		t.Error("nil builder must be rejected")
+	}
+	err := TryRegister(Registration{Name: "registry-test-nil-traffic", Build: testBuilder})
+	if err == nil || !strings.Contains(err.Error(), "nil traffic function") {
+		t.Errorf("nil traffic function must be rejected, got %v", err)
+	}
+	if _, ok := Lookup("registry-test-nil-traffic"); ok {
+		unregister("registry-test-nil-traffic")
+		t.Error("a rejected registration must not be registered")
 	}
 }
 
@@ -31,13 +39,13 @@ func TestDuplicateRegistrationIsDeterministic(t *testing.T) {
 	const name Method = "registry-test-dup"
 	defer unregister(name)
 
-	first := Registration{Name: name, Description: "first", Build: testBuilder}
+	first := Registration{Name: name, Description: "first", Build: testBuilder, Traffic: layerwiseTraffic}
 	if err := TryRegister(first); err != nil {
 		t.Fatal(err)
 	}
 	// A duplicate — same name, any case — returns ErrDuplicateMethod and
 	// leaves the first registration untouched.
-	dup := Registration{Name: "Registry-Test-DUP", Description: "second", Build: testBuilder}
+	dup := Registration{Name: "Registry-Test-DUP", Description: "second", Build: testBuilder, Traffic: layerwiseTraffic}
 	err := TryRegister(dup)
 	if !errors.Is(err, ErrDuplicateMethod) {
 		t.Fatalf("want ErrDuplicateMethod, got %v", err)
@@ -61,8 +69,9 @@ func TestDuplicateRegistrationIsDeterministic(t *testing.T) {
 
 func TestRegisterStillPanicsOnProgrammerErrors(t *testing.T) {
 	for _, r := range []Registration{
-		{Name: "", Build: testBuilder},
-		{Name: "registry-test-nil-builder"},
+		{Name: "", Build: testBuilder, Traffic: layerwiseTraffic},
+		{Name: "registry-test-nil-builder", Traffic: layerwiseTraffic},
+		{Name: "registry-test-nil-traffic", Build: testBuilder},
 	} {
 		func() {
 			defer func() {

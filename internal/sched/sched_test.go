@@ -493,3 +493,33 @@ func TestPlanAccessors(t *testing.T) {
 		t.Error("Methods() should list all implemented schedules")
 	}
 }
+
+// TestInterleavedNeedsTwoStages pins the one-stage rejection: every chunk
+// boundary of a one-stage interleaved plan would be a send to the stage
+// itself, so the builder and its traffic function refuse it up front, while
+// the other layer-wise baselines, which send nothing at p=1, still build.
+func TestInterleavedNeedsTwoStages(t *testing.T) {
+	cfg := testCfg(1, 4, 8)
+	costs := realCosts(t)
+	const want = "sched: interleaved 1F1B needs at least 2 stages, got 1"
+	if _, err := Build(MethodInterleaved, cfg, costs, BuildParams{}); err == nil || err.Error() != want {
+		t.Errorf("Build(Interleaved, p=1) = %v, want %q", err, want)
+	}
+	if _, err := Traffic(MethodInterleaved, cfg, costs, BuildParams{}); err == nil || err.Error() != want {
+		t.Errorf("Traffic(Interleaved, p=1) = %v, want %q", err, want)
+	}
+	for _, m := range []Method{MethodGPipe, Method1F1B, MethodZB1P, MethodZB2P, MethodAdaPipe} {
+		plan, err := Build(m, cfg, costs, BuildParams{})
+		if err != nil {
+			t.Errorf("Build(%s, p=1): %v", m, err)
+			continue
+		}
+		if err := Validate(plan); err != nil {
+			t.Errorf("%s at p=1: %v", m, err)
+		}
+		traffic, err := Traffic(m, cfg, costs, BuildParams{})
+		if err != nil || len(traffic) != 1 || traffic[0][0] != 0 {
+			t.Errorf("Traffic(%s, p=1) = %v, %v; want [[0]]", m, traffic, err)
+		}
+	}
+}

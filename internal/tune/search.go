@@ -281,23 +281,24 @@ func (s *Search) evaluate(sv survivor) (Point, string, error) {
 	build := func(topo *cluster.Topology) (*sched.Plan, error) {
 		return sched.Build(c.Method, cfg, sched.NewCosts(w, cfg.Batch, topo), params)
 	}
-	plan, err := build(nil)
-	if err != nil {
-		return Point{}, PruneBuild, fmt.Errorf("%s: %w", c, err)
-	}
 
 	var simRes *sim.Result
 	var best cluster.Placement
 	if s.spec.Cluster != nil {
-		simRes, best, err = s.simulatePlacements(plan, build)
+		traffic, err := sched.Traffic(c.Method, cfg, sched.NewCosts(w, cfg.Batch, nil), params)
 		if err != nil {
-			reason := PruneSim
-			if c.Stages > s.spec.Cluster.Devices() {
-				reason = PrunePlacement
-			}
+			return Point{}, PruneBuild, fmt.Errorf("%s: %w", c, err)
+		}
+		var reason string
+		simRes, best, reason, err = s.simulatePlacements(c.Stages, traffic, build)
+		if err != nil {
 			return Point{}, reason, fmt.Errorf("%s: %w", c, err)
 		}
 	} else {
+		plan, err := build(nil)
+		if err != nil {
+			return Point{}, PruneBuild, fmt.Errorf("%s: %w", c, err)
+		}
 		simRes, err = sim.Run(plan, sim.Options{SMPenalty: s.cl.CommSMPenalty})
 		if err != nil {
 			return Point{}, PruneSim, fmt.Errorf("%s: %w", c, err)
@@ -328,17 +329,27 @@ func (s *Search) evaluate(sv survivor) (Point, string, error) {
 	return point, "", nil
 }
 
-// simulatePlacements places the flat plan's traffic matrix with each of the
-// spec's placement strategies on its topology, rebuilds the plan on the cost
-// books placed there — the pricing a Session applies to a placed cell — and
-// returns the fastest iteration's result and placement. The greedy search
-// seeds from zero, so results are deterministic.
-func (s *Search) simulatePlacements(flat *sched.Plan,
-	build func(*cluster.Topology) (*sched.Plan, error)) (*sim.Result, cluster.Placement, error) {
+// simulatePlacements places the candidate's traffic matrix — read in closed
+// form, priced on flat books, since message volumes are equal on every
+// placed book — with each of the spec's placement strategies on its
+// topology, builds the plan once per placement on the cost books placed
+// there (the pricing a Session applies to a placed cell), and returns the
+// fastest iteration's result and placement. A failure comes with its prune
+// reason: a build failure is PruneBuild, as it is without a topology, since
+// whether a plan builds does not depend on where it is placed; a point wider
+// than the topology is PrunePlacement; any other is PruneSim. The greedy
+// search seeds from zero, so results are deterministic.
+func (s *Search) simulatePlacements(stages int, traffic [][]int64,
+	build func(*cluster.Topology) (*sched.Plan, error)) (*sim.Result, cluster.Placement, string, error) {
 	topo := *s.spec.Cluster
-	if flat.Stages > topo.Devices() {
-		return nil, cluster.Placement{}, fmt.Errorf(
-			"%d stages exceed the %d devices of %s", flat.Stages, topo.Devices(), topo.Name)
+	if stages > topo.Devices() {
+		// Nothing can be placed, but a plan that cannot be built is still
+		// counted as the build failure it is.
+		if _, err := build(nil); err != nil {
+			return nil, cluster.Placement{}, PruneBuild, err
+		}
+		return nil, cluster.Placement{}, PrunePlacement, fmt.Errorf(
+			"%d stages exceed the %d devices of %s", stages, topo.Devices(), topo.Name)
 	}
 	strategies := s.spec.Placements
 	if len(strategies) == 0 {
@@ -348,36 +359,36 @@ func (s *Search) simulatePlacements(flat *sched.Plan,
 	if s.spec.Perturb != nil {
 		pt = *s.spec.Perturb
 	}
-	traffic := flat.TrafficMatrix()
-	run := func(strategy string) (*sim.Result, cluster.Placement, error) {
-		// Candidate links are priced as the perturbation leaves them, so a
-		// degraded fabric steers the search away from the broken links and
-		// the ranking matches the perturbed simulation below.
-		place, err := cluster.Generate(strategy, topo, flat.Stages, traffic, cluster.SearchOptions{Perturb: pt})
-		if err != nil {
-			return nil, place, err
-		}
-		view, err := cluster.Resolve(topo, place, pt)
-		if err != nil {
-			return nil, place, err
-		}
-		plan, err := build(view)
-		if err != nil {
-			return nil, place, err
-		}
-		plan.Placement = place.Devices
-		res, err := sim.Run(plan, sim.Options{SMPenalty: s.cl.CommSMPenalty, Topology: view})
-		return res, place, err
-	}
 	var bestRes *sim.Result
 	var bestPlace cluster.Placement
 	var firstErr error
+	fail := func(strategy string, err error) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("placement %s: %w", strategy, err)
+		}
+	}
 	for _, strategy := range strategies {
-		res, place, err := run(strategy)
+		// Candidate links are priced as the perturbation leaves them, so a
+		// degraded fabric steers the search away from the broken links and
+		// the ranking matches the perturbed simulation below.
+		place, err := cluster.Generate(strategy, topo, stages, traffic, cluster.SearchOptions{Perturb: pt})
 		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("placement %s: %w", strategy, err)
-			}
+			fail(strategy, err)
+			continue
+		}
+		view, err := cluster.Resolve(topo, place, pt)
+		if err != nil {
+			fail(strategy, err)
+			continue
+		}
+		plan, err := build(view)
+		if err != nil {
+			return nil, cluster.Placement{}, PruneBuild, err
+		}
+		plan.Placement = place.Devices
+		res, err := sim.Run(plan, sim.Options{SMPenalty: s.cl.CommSMPenalty, Topology: view})
+		if err != nil {
+			fail(strategy, err)
 			continue
 		}
 		if bestRes == nil || res.IterationSeconds < bestRes.IterationSeconds {
@@ -385,9 +396,9 @@ func (s *Search) simulatePlacements(flat *sched.Plan,
 		}
 	}
 	if bestRes == nil {
-		return nil, cluster.Placement{}, firstErr
+		return nil, cluster.Placement{}, PruneSim, firstErr
 	}
-	return bestRes, bestPlace, nil
+	return bestRes, bestPlace, "", nil
 }
 
 func bubbleFraction(r *sim.Result) float64 {

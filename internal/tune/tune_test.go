@@ -3,9 +3,11 @@ package tune
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/costmodel"
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -431,5 +433,42 @@ func TestAutotuneBudgetDirectionFollowsObjective(t *testing.T) {
 	}
 	if res.StoppedEarly {
 		t.Error("a 1e-12 s/token target is unreachable; the marker must stay clear")
+	}
+}
+
+// TestPlacementPruneReasons pins how a topology-bound point's failure is
+// counted: a plan that cannot be built is PruneBuild with the build's own
+// error, whether or not the point could be placed, and a buildable point
+// wider than the topology is PrunePlacement.
+func TestPlacementPruneReasons(t *testing.T) {
+	topo, ok := cluster.PresetByName("DGX-H20x2")
+	if !ok {
+		t.Fatal("no DGX-H20x2 preset")
+	}
+	s, err := NewSearch(model.Model3B(), costmodel.H20Cluster(), Spec{SeqLens: []int{16384}, Stages: []int{4}, Cluster: &topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := errors.New("no partition fits")
+	fails := func(*cluster.Topology) (*sched.Plan, error) { return nil, broken }
+	builds := func(*cluster.Topology) (*sched.Plan, error) { return &sched.Plan{}, nil }
+	wide := topo.Devices() + 1
+	for _, c := range []struct {
+		name   string
+		stages int
+		build  func(*cluster.Topology) (*sched.Plan, error)
+		want   string
+	}{
+		{"placeable, unbuildable", 4, fails, PruneBuild},
+		{"too wide, unbuildable", wide, fails, PruneBuild},
+		{"too wide, buildable", wide, builds, PrunePlacement},
+	} {
+		_, _, reason, err := s.simulatePlacements(c.stages, sched.NewTrafficMatrix(c.stages), c.build)
+		if reason != c.want || err == nil {
+			t.Errorf("%s: reason %q (err %v), want %q", c.name, reason, err, c.want)
+		}
+		if c.want == PruneBuild && err != broken {
+			t.Errorf("%s: err %v, want the build's own error", c.name, err)
+		}
 	}
 }

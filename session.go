@@ -365,22 +365,31 @@ func (s *Session) Placement() (Placement, bool) {
 }
 
 // PlacementFor searches a placement of the session's stages for one method:
-// it builds the method's plan, reads its per-(stage, peer) traffic matrix,
-// and generates the named strategy's placement on the session's topology
-// ("contiguous", "roundrobin", or "greedy", which minimizes the modeled P2P
-// cost; seed drives the greedy local search deterministically). Apply the
-// result with With(WithPlacement(p)).
+// it reads the method's per-(stage, peer) traffic matrix from its registered
+// closed form, without building a plan, and generates the named strategy's
+// placement on the session's topology ("contiguous", "roundrobin", or
+// "greedy", which minimizes the modeled P2P cost; seed drives the greedy
+// local search deterministically). Apply the result with
+// With(WithPlacement(p)). A geometry the method cannot schedule fails here
+// with its builder's error; a failure only a build detects, such as
+// AdaPipe's memory budget, surfaces at Simulate with the same text.
 func (s *Session) PlacementFor(method Method, strategy string, seed uint64) (Placement, error) {
 	if s.topo == nil {
 		return Placement{}, fmt.Errorf("helixpipe: PlacementFor requires WithCluster")
 	}
-	plan, err := s.Plan(method)
+	reg, err := lookupMethod(method)
+	if err != nil {
+		return Placement{}, err
+	}
+	// Message volumes derive from shapes alone and are equal on every
+	// placed book, so the flat books price the traffic of any placement.
+	traffic, err := reg.Traffic(s.schedConfig(), sched.NewCosts(s.Workload(), s.batch, nil), s.buildParams())
 	if err != nil {
 		return Placement{}, err
 	}
 	// The search prices candidate links as the session's perturbation leaves
 	// them, so a degraded fabric steers placement away from the broken links.
-	p, err := cluster.Generate(strategy, *s.topo, s.stages, plan.TrafficMatrix(),
+	p, err := cluster.Generate(strategy, *s.topo, s.stages, traffic,
 		cluster.SearchOptions{Seed: seed, Perturb: s.perturb})
 	if err != nil {
 		return Placement{}, fmt.Errorf("helixpipe: %w", err)
@@ -458,16 +467,31 @@ func (s *Session) buildParams() sched.BuildParams {
 	return p
 }
 
+// schedConfig is the session's pipeline geometry as the schedule builders
+// take it.
+func (s *Session) schedConfig() sched.Config {
+	return sched.Config{Stages: s.stages, MicroBatches: s.MicroBatches(),
+		Layers: s.model.Layers, Batch: s.batch}
+}
+
+// lookupMethod resolves a method name case-insensitively through the
+// registry.
+func lookupMethod(method Method) (sched.Registration, error) {
+	reg, ok := sched.Lookup(string(method))
+	if !ok {
+		return reg, fmt.Errorf("helixpipe: unknown method %q (known: %v)", method, Methods())
+	}
+	return reg, nil
+}
+
 // Plan builds the schedule plan of any registered method for the session.
 // Method names resolve case-insensitively through the registry.
 func (s *Session) Plan(method Method) (*Plan, error) {
-	reg, ok := sched.Lookup(string(method))
-	if !ok {
-		return nil, fmt.Errorf("helixpipe: unknown method %q (known: %v)", method, Methods())
+	reg, err := lookupMethod(method)
+	if err != nil {
+		return nil, err
 	}
-	cfg := sched.Config{Stages: s.stages, MicroBatches: s.MicroBatches(),
-		Layers: s.model.Layers, Batch: s.batch}
-	plan, err := reg.Build(cfg, s.Costs(), s.buildParams())
+	plan, err := reg.Build(s.schedConfig(), s.Costs(), s.buildParams())
 	if err != nil {
 		return nil, err
 	}
@@ -608,10 +632,11 @@ func (s *Session) Autotune(spec TuneSpec) (*TuneResult, error) {
 
 // runCell runs one cell on the session: when strategy names one, a
 // placement search over the method's own traffic matrix (so each method
-// places itself), then one iteration on the named engine. It is the single
-// path from a (method, engine, seed, strategy, placementSeed) cell — the
-// tuple runKey hashes — to a Report, shared by Execute and the fleet
-// simulator.
+// places itself), then one iteration on the named engine. The search reads
+// the matrix in closed form (PlacementFor), so a placed cell builds one
+// plan, on its placed books. It is the single path from a (method, engine,
+// seed, strategy, placementSeed) cell — the tuple runKey hashes — to a
+// Report, shared by Execute and the fleet simulator.
 func (s *Session) runCell(method Method, engineName string, seed uint64, strategy string, placementSeed uint64) (*Report, error) {
 	placed := s
 	if strategy != "" {

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -398,6 +399,9 @@ func (d *SpecDecode) normalized(parent *ExperimentSpec) (*SpecDecode, error) {
 	}
 	if n.BudgetGB < 0 {
 		return nil, fmt.Errorf("helixpipe: decode budget_gb must be non-negative, got %g", n.BudgetGB)
+	}
+	if n.BudgetGB >= math.MaxInt64/(1<<30) {
+		return nil, fmt.Errorf("helixpipe: decode budget_gb %g does not fit int64 bytes", n.BudgetGB)
 	}
 	for _, v := range n.KVP {
 		if v <= 0 {
