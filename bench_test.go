@@ -256,9 +256,9 @@ func BenchmarkSimulateHelix(b *testing.B) {
 // BenchmarkLargeSweep measures a full sweep spec through Session.Execute —
 // every registered method across four sequence lengths and three pipeline
 // sizes (144 cells) — and reports cells simulated per second. This is the
-// wall-clock number the engine rewrite and cost-book memoization target; the
-// CI perf trajectory pins the closely related 216-cell sweep via
-// internal/bench.SweepBaseline.
+// wall-clock number the engine rewrite and cost-book memoization target; CI
+// gates the same path through the benchmark module's sweep-flat workload,
+// recorded on the parent commit and the change (benchmark/record.sh).
 func BenchmarkLargeSweep(b *testing.B) {
 	spec := &ExperimentSpec{Model: "3B", Cluster: "A800", Sweep: &SpecSweep{
 		SeqLens: []int{8192, 16384, 32768, 65536},

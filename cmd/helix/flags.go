@@ -54,9 +54,6 @@ var flagDefs = []struct {
 	{"out", "directory to write one .txt per experiment", on{"bench": ""}},
 	{"nocache", "disable the report cache: simulate every cell, even exact duplicates", on{"bench": false}},
 	{"metrics", "dump the telemetry metrics snapshot (Prometheus text) to stderr after a sweep", on{"bench": false}},
-	{"diff", "previous BENCH_baseline.json to diff the perf trajectory against", on{"bench": ""}},
-	{"against", "current BENCH_baseline.json for -diff", on{"bench": ""}},
-	{"threshold", "throughput regression fraction -diff fails on", on{"bench": 0.10}},
 	{"listen", "serve /metrics and /debug/vars on this address (e.g. localhost:6060) for the run's duration", on{"bench": "", "fleet": "", "serve": ""}},
 	{"policy", "admission/placement policy (fifo, bestfit, worstfit, backfill, preempt; 'help' to list)", on{"fleet": ""}},
 	{"jobs", "number of jobs to generate (default 50)", on{"fleet": 0}},

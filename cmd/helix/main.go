@@ -22,8 +22,6 @@
 //	helix bench -exp table2 -json          # one experiment, as JSON
 //	helix bench -method helixpipe,1f1b -csv sweep.csv
 //	                                       # Figure 8 sweep, rows streamed as cells complete
-//	helix bench -diff prev/BENCH_baseline.json -against BENCH_baseline.json
-//	                                       # perf trajectory: exit 1 on a >10% regression
 //	helix tune  -model 3B -cluster A800 -budget 64 -seq 32768,65536 -pp 2,4,8
 //	helix tune  -dist longtail -orders packed,longest,shortest,balanced
 //	helix fleet -spec examples/fleet_capacity/fleet_stream.json -policy preempt -csv jobs.csv
@@ -51,8 +49,8 @@ import (
 // command is one subcommand preset.
 type command struct {
 	name, about string
-	// mode runs a mode that is not a spec run (bench's tables and -diff
-	// gate, viz's figure panels) and reports whether it did.
+	// mode runs a mode that is not a spec run (bench's tables, viz's
+	// figure panels) and reports whether it did.
 	mode func(c *call) (bool, error)
 	// fill layers the subcommand's own flags onto the spec sections it
 	// presets.

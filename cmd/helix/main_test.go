@@ -175,6 +175,7 @@ func TestExitPaths(t *testing.T) {
 		{"train -method all", 1, "one method at a time"},
 		{"fleet -policy help", 2, "preempt"},
 		{"fleet", 1, "needs a spec with a fleet section"},
+		{"fleet -spec examples/fleet_capacity/fleet_stream.json -jobs 2000000000", 1, "fleet jobs must be between 1 and 65536"},
 		{"", 2, "usage: helix <command>"},
 		{"simulate", 2, "usage: helix <command>"},
 		{"sim -h", 0, "-placement"},
@@ -186,7 +187,7 @@ func TestExitPaths(t *testing.T) {
 		{"viz -emit-spec out.json", 1, "requires -spec"},
 		{"viz -figure 3", 1, "unknown figure 3"},
 		{"bench -csv out.csv", 1, "use it with -method or -spec"},
-		{"bench -diff prev.json", 1, "must both be given"},
+		{"bench -diff x", 2, "flag provided but not defined: -diff"},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(strings.Fields(tc.args), &stdout, &stderr)

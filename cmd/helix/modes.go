@@ -9,16 +9,12 @@ import (
 	"strings"
 
 	helixpipe "repro"
-	"repro/internal/bench"
 )
 
-// benchMode runs bench's modes that are not spec runs: the -diff perf
-// trajectory gate, and the paper's tables and figures unless -method or
-// -spec asks for a sweep.
+// benchMode runs bench's mode that is not a spec run: the paper's tables
+// and figures, unless -method or -spec asks for a sweep.
 func benchMode(c *call) (bool, error) {
 	switch {
-	case c.str("diff") != "" || c.str("against") != "":
-		return true, benchDiff(c)
 	case c.str("method") != "" || c.str("spec") != "":
 		return false, nil
 	case c.str("emit-spec") != "":
@@ -60,39 +56,6 @@ func benchMode(c *call) (bool, error) {
 	}
 	fmt.Fprintf(c.stdout, "ran %d experiments\n", len(matched))
 	return true, nil
-}
-
-// benchDiff enforces the perf trajectory: it diffs the previous recorded
-// baseline against the current one and fails on any throughput regression
-// beyond the threshold.
-func benchDiff(c *call) error {
-	prevPath, curPath := c.str("diff"), c.str("against")
-	if prevPath == "" || curPath == "" {
-		return errors.New("-diff and -against must both be given")
-	}
-	var sides [2][]bench.BaselineConfig
-	for i, path := range []string{prevPath, curPath} {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		sides[i], err = bench.ReadBaselineJSON(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	threshold := get[float64](c, "threshold")
-	regressions := bench.CompareBaselines(sides[0], sides[1], threshold)
-	if len(regressions) == 0 {
-		fmt.Fprintf(c.stdout, "perf trajectory ok: no throughput regression beyond %.0f%% across %d baseline configs\n",
-			threshold*100, len(sides[0]))
-		return nil
-	}
-	for _, r := range regressions {
-		fmt.Fprintf(c.stderr, "regression: %s\n", r)
-	}
-	return exitCode(1)
 }
 
 // figures lays out the paper's schedule diagrams, two panels each. The

@@ -3,6 +3,7 @@ package helixpipe
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -223,6 +224,45 @@ func TestFleetTraceReplay(t *testing.T) {
 	}
 	if report.Jobs != 3 {
 		t.Errorf("trace run covered %d jobs, want 3", report.Jobs)
+	}
+}
+
+// TestFleetHostileSizes pins the two fleet sizes that used to break a run:
+// two billion jobs, which ran out of memory materializing the stream, and
+// near-MaxInt64 iterations, whose link-traffic totals wrapped negative.
+// Both fail with an error now, whether the iterations come from the fleet
+// section or from a replayed trace.
+func TestFleetHostileSizes(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	if err := os.WriteFile(trace, []byte(`[
+		{"arrival_sec": 0, "template": "short-8k", "iterations": 9223372036854775807}
+	]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(f *SpecFleet)
+		want string
+	}{
+		{"two billion jobs", func(f *SpecFleet) { f.Jobs = 2_000_000_000 },
+			"fleet jobs must be between 1 and 65536, got 2000000000"},
+		{"MaxInt64 iterations", func(f *SpecFleet) { f.Jobs, f.Iterations = 3, math.MaxInt64 },
+			"9223372036854775807 iterations overflow the nvlink link traffic"},
+		{"MaxInt64 trace iterations", func(f *SpecFleet) { f.Trace, f.Jobs, f.Arrival, f.RatePerHour = trace, 0, "", 0 },
+			"9223372036854775807 iterations overflow the nvlink link traffic"},
+	} {
+		spec, err := ParseSpecFile("examples/fleet_capacity/fleet_stream.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(spec.Fleet)
+		session, rs, err := spec.Resolve()
+		if err == nil {
+			_, err = session.Fleet(*rs.Fleet)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -139,6 +139,70 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// FuzzFleet feeds arbitrary JSON through ParseSpec → Resolve →
+// Session.Fleet. The seed corpus — the five committed fleet_stream*.json
+// studies, and testdata/fuzz/FuzzFleet, which holds hostile sizes (two
+// billion jobs, iterations whose link traffic overflows int64, an arrival
+// rate so small the arrivals overflow to +Inf) — runs under plain go test;
+// explore further with
+//
+//	go test -run=NONE -fuzz=FuzzFleet -fuzztime=60s -fuzzminimizetime=5s -parallel=2 .
+//
+// Properties: nothing panics; every accepted input reports one job record
+// per job, finite non-negative times, and non-negative link bytes and
+// transfers.
+func FuzzFleet(f *testing.F) {
+	paths, err := filepath.Glob("examples/fleet_capacity/fleet_stream*.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range paths {
+		if strings.HasSuffix(path, ".golden.json") {
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(bytes.NewReader(data))
+		if err != nil || spec.Fleet == nil {
+			return
+		}
+		session, rs, err := spec.Resolve()
+		if err != nil || rs.Kind != RunKindFleet {
+			return
+		}
+		report, err := session.Fleet(*rs.Fleet)
+		if err != nil {
+			return
+		}
+		if report.Jobs != len(rs.Fleet.Jobs) || len(report.JobRecords) != report.Jobs {
+			t.Fatalf("%d jobs reported with %d records for a %d-job stream",
+				report.Jobs, len(report.JobRecords), len(rs.Fleet.Jobs))
+		}
+		times := []float64{report.StartSec, report.MakespanSec,
+			report.Wait.MeanSec, report.Wait.P50Sec, report.Wait.P90Sec, report.Wait.P99Sec, report.Wait.MaxSec,
+			report.JCT.MeanSec, report.JCT.P50Sec, report.JCT.P90Sec, report.JCT.P99Sec, report.JCT.MaxSec}
+		for _, rec := range report.JobRecords {
+			times = append(times, rec.ArrivalSec, rec.StartSec, rec.EndSec, rec.WaitSec, rec.JCTSec, rec.IterationSec)
+		}
+		for _, lt := range report.LinkTraffic {
+			if lt.Bytes < 0 || lt.Transfers < 0 {
+				t.Fatalf("%s link: negative traffic: %d bytes, %d transfers", lt.Class, lt.Bytes, lt.Transfers)
+			}
+			times = append(times, lt.Seconds)
+		}
+		for _, v := range times {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				t.Fatalf("time %g is not finite and non-negative", v)
+			}
+		}
+	})
+}
+
 // kvShardEstimate is one rank's end-of-run KV cache under the sharding, in
 // floating point: sessions x ceil((context + tokens) / KVP) x the rank's
 // per-token bytes x layers.

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cluster"
 	// Linked for its registry side effect: the HelixPipe variants register
 	// themselves into the sched method registry at init.
 	_ "repro/internal/core"
@@ -103,17 +102,12 @@ func (s Scenario) MemoryBudget() int64 {
 		s.Model.EmbeddingStateBytes(s.Cluster.GPUsPerNode)
 }
 
-// BuildPlan builds the plan for any registered method through the sched
-// method registry, on books placed on the topology (flat books when nil).
-func (s Scenario) BuildPlan(method sched.Method, topo *cluster.Topology) (*sched.Plan, error) {
-	cfg := sched.Config{Stages: s.Stages, MicroBatches: s.MicroBatches, Layers: s.Model.Layers}
-	costs := sched.NewCosts(s.Workload(), model.BatchSpec{}, topo)
-	return sched.Build(method, cfg, costs, sched.BuildParams{MemoryBudget: s.MemoryBudget()})
-}
-
-// Simulate builds and simulates one method for the scenario.
+// Simulate builds one method for the scenario through the sched method
+// registry, on flat books, and simulates it.
 func (s Scenario) Simulate(method sched.Method) (*sim.Result, error) {
-	plan, err := s.BuildPlan(method, nil)
+	cfg := sched.Config{Stages: s.Stages, MicroBatches: s.MicroBatches, Layers: s.Model.Layers}
+	costs := sched.NewCosts(s.Workload(), model.BatchSpec{}, nil)
+	plan, err := sched.Build(method, cfg, costs, sched.BuildParams{MemoryBudget: s.MemoryBudget()})
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,7 @@ package fleet
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cluster"
@@ -210,6 +211,8 @@ func Run(c cluster.Cluster, jobs []Job, simr Simulator, opt Options) (*Report, e
 			return nil, fmt.Errorf("fleet: job %s runs %d iterations", j.ID, j.Iterations)
 		case j.ArrivalSec < 0:
 			return nil, fmt.Errorf("fleet: job %s arrives at negative time %g", j.ID, j.ArrivalSec)
+		case math.IsInf(j.ArrivalSec, 0) || math.IsNaN(j.ArrivalSec):
+			return nil, fmt.Errorf("fleet: job %s arrives at non-finite time %g", j.ID, j.ArrivalSec)
 		}
 	}
 
@@ -272,7 +275,7 @@ func Run(c cluster.Cluster, jobs []Job, simr Simulator, opt Options) (*Report, e
 		return nil, fmt.Errorf("fleet: %d jobs stranded after the last event (engine bug)",
 			len(e.queue)+len(e.running))
 	}
-	return e.report(t0, prev, busyDevSec, fragDevSec), nil
+	return e.report(t0, prev, busyDevSec, fragDevSec)
 }
 
 // complete finishes a running job and releases its devices.

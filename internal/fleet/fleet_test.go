@@ -85,6 +85,14 @@ func TestRunValidation(t *testing.T) {
 		{"oversize demand", []Job{{ID: "j", Demand: 9, Iterations: 1}}, "demands 9"},
 		{"zero iterations", []Job{{ID: "j", Demand: 2}}, "iterations"},
 		{"negative arrival", []Job{{ID: "j", Demand: 2, Iterations: 1, ArrivalSec: -1}}, "negative time"},
+		{"infinite arrival", []Job{{ID: "j", Demand: 2, Iterations: 1, ArrivalSec: math.Inf(1)}}, "non-finite time"},
+		{"NaN arrival", []Job{{ID: "j", Demand: 2, Iterations: 1, ArrivalSec: math.NaN()}}, "non-finite time"},
+		// The stub moves 1000 bytes in 4 transfers per iteration.
+		{"link bytes overflow", []Job{{ID: "j", Demand: 2, Iterations: math.MaxInt64}}, "overflow the nvlink link traffic"},
+		{"link bytes sum overflow", []Job{
+			{ID: "a", Demand: 2, Iterations: math.MaxInt64 / 1000},
+			{ID: "b", Demand: 2, Iterations: math.MaxInt64 / 1000},
+		}, "job b: 9223372036854775 iterations overflow"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -127,8 +127,10 @@ type Report struct {
 	JobRecords []JobRecord `json:"job_records"`
 }
 
-// report assembles the Report after the event loop drains.
-func (e *engine) report(t0, end, busyDevSec, fragDevSec float64) *Report {
+// report assembles the Report after the event loop drains. It fails when a
+// link class's bytes or transfers, summed over every job's iterations,
+// overflow int64.
+func (e *engine) report(t0, end, busyDevSec, fragDevSec float64) (*Report, error) {
 	r := &Report{
 		Cluster:     e.c.Name,
 		Devices:     e.c.Devices(),
@@ -171,9 +173,14 @@ func (e *engine) report(t0, end, busyDevSec, fragDevSec float64) *Report {
 				classes[lc.Class] = agg
 			}
 			iters := int64(j.Iterations)
-			agg.Bytes += lc.Bytes * iters
+			bytes, okBytes := addProduct(agg.Bytes, lc.Bytes, iters)
+			transfers, okTransfers := addProduct(agg.Transfers, int64(lc.Transfers), iters)
+			if !okBytes || !okTransfers {
+				return nil, fmt.Errorf("fleet: job %s: %d iterations overflow the %s link traffic (int64 bytes and transfers)",
+					j.ID, j.Iterations, lc.Class)
+			}
+			agg.Bytes, agg.Transfers = bytes, transfers
 			agg.Seconds += lc.Seconds * float64(j.Iterations)
-			agg.Transfers += int64(lc.Transfers) * iters
 		}
 		r.JobRecords = append(r.JobRecords, rec)
 	}
@@ -189,7 +196,16 @@ func (e *engine) report(t0, end, busyDevSec, fragDevSec float64) *Report {
 		r.LinkTraffic = append(r.LinkTraffic, *agg)
 	}
 	sort.Slice(r.LinkTraffic, func(i, j int) bool { return r.LinkTraffic[i].Class < r.LinkTraffic[j].Class })
-	return r
+	return r, nil
+}
+
+// addProduct returns acc + x*n for non-negative operands, and false when the
+// product or the sum overflows int64.
+func addProduct(acc, x, n int64) (int64, bool) {
+	if n > 0 && x > (math.MaxInt64-acc)/n {
+		return acc, false
+	}
+	return acc + x*n, true
 }
 
 // WriteJSON writes the report as indented JSON. The encoding is

@@ -163,8 +163,8 @@ type SpecFleet struct {
 	// Policy names the admission/placement policy ("fifo", "bestfit",
 	// "worstfit", "backfill", "preempt"; default fifo).
 	Policy string `json:"policy,omitempty"`
-	// Jobs is the number of jobs to generate (default 50). Ignored with a
-	// trace.
+	// Jobs is the number of jobs to generate (default 50, at most
+	// MaxFleetJobs). Ignored with a trace.
 	Jobs int `json:"jobs,omitempty"`
 	// Arrival names the arrival generator ("poisson" or "bursty"; default
 	// poisson). Ignored with a trace.
@@ -185,6 +185,11 @@ type SpecFleet struct {
 	// Templates are the job shapes of the stream (at least one).
 	Templates []SpecFleetTemplate `json:"templates"`
 }
+
+// MaxFleetJobs caps the jobs a fleet section generates. Resolve
+// materializes the whole stream and the report keeps one record per job,
+// so the cap bounds a run's memory.
+const MaxFleetJobs = 1 << 16
 
 // normalized deep-copies a fleet section, fills its defaults and validates
 // it against the parent spec. It is idempotent, like ExperimentSpec's own
@@ -211,8 +216,8 @@ func (f *SpecFleet) normalized(parent *ExperimentSpec) (*SpecFleet, error) {
 		if n.Jobs == 0 {
 			n.Jobs = 50
 		}
-		if n.Jobs < 0 {
-			return nil, fmt.Errorf("helixpipe: fleet jobs must be positive, got %d", n.Jobs)
+		if n.Jobs < 0 || n.Jobs > MaxFleetJobs {
+			return nil, fmt.Errorf("helixpipe: fleet jobs must be between 1 and %d, got %d", MaxFleetJobs, n.Jobs)
 		}
 		switch n.Arrival {
 		case "":
