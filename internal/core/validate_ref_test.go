@@ -5,7 +5,9 @@ package core
 // TestValidateMatchesReference, kept here because this package's tests link
 // every registered method, which sched's own tests must not. It differs from
 // the original only in naming sched's identifiers through the package, in
-// the name refValidate, and in keeping no memo: every call walks the plan.
+// the name refValidate, in keeping no memo (every call walks the plan), and
+// in rejecting a second send of the same (tag, from, to), a rule Validate
+// gained later.
 
 import (
 	"fmt"
@@ -267,6 +269,7 @@ func validateDataflow(p *sched.Plan) error {
 		to   int
 	}
 	sent := map[msgKey]int{}
+	seen := map[msgKey]bool{}
 	have := make([]map[token]bool, p.Stages)
 	for s := range have {
 		have[s] = map[token]bool{}
@@ -291,7 +294,12 @@ func validateDataflow(p *sched.Plan) error {
 					if !have[s][tok] {
 						return fmt.Errorf("sched: stage %d sends %v before producing it", s, op.Tag)
 					}
-					sent[msgKey{tag: op.Tag, from: s, to: op.Peer}]++
+					k := msgKey{tag: op.Tag, from: s, to: op.Peer}
+					if seen[k] {
+						return fmt.Errorf("sched: stage %d sends %v to stage %d twice", s, op.Tag, op.Peer)
+					}
+					seen[k] = true
+					sent[k]++
 				default:
 					req, prod := opIO(op, p.Layers)
 					for _, tok := range req {

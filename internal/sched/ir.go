@@ -108,7 +108,9 @@ func (b Boundary) String() string {
 }
 
 // Tag uniquely identifies a message within one iteration. A KSend and a
-// KRecv match if and only if their tags are equal.
+// KRecv match if and only if their tags are equal and their stages name each
+// other as peers; Validate rejects a plan that sends the same (tag, from, to)
+// twice.
 type Tag struct {
 	// MB is the micro batch index.
 	MB int
@@ -221,9 +223,12 @@ type Plan struct {
 
 	// validated memoizes a successful Validate, so re-simulating the same
 	// plan (a pooled sim.Run per sweep cell) does not re-walk the full token
-	// dataflow every call. Code that mutates a plan's Ops after validating it
-	// must clear the flag; in practice plans are immutable once built.
+	// dataflow every call. recvSlots is the message match that walk recorded
+	// (RecvSlots). Both describe the Ops they were computed on, and a copy of
+	// the plan carries them: code that changes a validated plan's Ops must
+	// build a fresh Plan. In practice plans are immutable once built.
 	validated bool
+	recvSlots []int32
 }
 
 // TrafficMatrix returns the per-(stage, peer) communication volume of the

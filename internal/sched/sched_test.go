@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -450,6 +451,8 @@ func TestValidatorCatchesCorruption(t *testing.T) {
 		{"recv tag layer", KRecv, func(op *Op) { op.Tag.Layer = -1 }},
 		{"send tag boundary", KSend, func(op *Op) { op.Tag.Bound = BoundAttnPost + 1 }},
 		{"recv tag boundary", KRecv, func(op *Op) { op.Tag.Bound = BoundAct - 1 }},
+		{"op kind past recv", KForward, func(op *Op) { op.Kind = KRecv + 1 }},
+		{"negative op kind", KForward, func(op *Op) { op.Kind = KForward - 1 }},
 	}
 	for _, c := range outside {
 		p := fresh()
@@ -464,11 +467,91 @@ func TestValidatorCatchesCorruption(t *testing.T) {
 			t.Errorf("%s: error %q does not name the op %v", c.name, err, *op)
 		}
 	}
+	// An op of unknown kind appended to a valid plan passes every count and
+	// token check, and the engine used to simulate it as compute.
+	p = fresh()
+	p.Ops[0] = append(p.Ops[0], Op{Kind: OpKind(9), Dur: -1e9})
+	if err := Validate(p); err == nil || !strings.Contains(err.Error(), "unknown op kind") {
+		t.Errorf("validator accepted an op of unknown kind: %v", err)
+	}
 	// A geometry the ops cannot fill is rejected before any table is sized.
 	for _, g := range []struct{ mbs, layers int }{{-1, 4}, {4, -1}, {1 << 40, 1 << 40}} {
 		if err := Validate(&Plan{MicroBatches: g.mbs, Layers: g.layers}); err == nil {
 			t.Errorf("validator accepted an empty plan of %d micro batches and %d layers", g.mbs, g.layers)
 		}
+	}
+}
+
+// TestValidatorRejectsRepeatedMessage sends the same (tag, from, to) twice,
+// with a matching second recv: the token machine alone accepts it, and the
+// engine used to overwrite the first in-flight copy and report a deadlock on
+// a send "never initiated". The validator must name the repeated send.
+func TestValidatorRejectsRepeatedMessage(t *testing.T) {
+	p, err := GPipe(testCfg(2, 3, 2), UnitCosts(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := func(ops []Op, kind OpKind) int {
+		n := 0
+		for i, op := range ops {
+			if op.Kind == kind && !op.Tag.Back {
+				if n++; n == 2 {
+					return i
+				}
+			}
+		}
+		t.Fatalf("no second forward %v", kind)
+		return -1
+	}
+	dup := func(ops []Op, i int) []Op { return append(append([]Op(nil), ops[:i+1]...), ops[i:]...) }
+	send, recv := second(p.Ops[0], KSend), second(p.Ops[1], KRecv)
+	p.Ops[0], p.Ops[1] = dup(p.Ops[0], send), dup(p.Ops[1], recv)
+	err = Validate(p)
+	if want := "sched: stage 0 sends act/l1/mb1/f to stage 1 twice"; err == nil || err.Error() != want {
+		t.Fatalf("Validate = %v, want %q", err, want)
+	}
+}
+
+// TestRecvSlots pins the message match: a validated plan's recvs each take
+// the slot of the one send with their (tag, from, to), and an unvalidated
+// plan gets the same match from the (tag, from, to) fallback.
+func TestRecvSlots(t *testing.T) {
+	p, err := OneFOneB(testCfg(2, 4, 4), UnitCosts(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallback := RecvSlots(p)
+	if err := Validate(p); err != nil {
+		t.Fatal(err)
+	}
+	slots := RecvSlots(p)
+	if fmt.Sprint(slots) != fmt.Sprint(fallback) {
+		t.Fatalf("validated match %v differs from the fallback's %v", slots, fallback)
+	}
+	var sends []Op
+	var sendStage []int
+	for s, ops := range p.Ops {
+		for _, op := range ops {
+			if op.Kind == KSend {
+				sends, sendStage = append(sends, op), append(sendStage, s)
+			}
+		}
+	}
+	r := 0
+	for s, ops := range p.Ops {
+		for _, op := range ops {
+			if op.Kind != KRecv {
+				continue
+			}
+			k := slots[r]
+			if k < 0 || sends[k].Tag != op.Tag || sendStage[k] != op.Peer || sends[k].Peer != s {
+				t.Fatalf("recv %d (%v on stage %d) matched slot %d", r, op, s, k)
+			}
+			r++
+		}
+	}
+	if r != len(slots) || r != len(sends) {
+		t.Fatalf("%d recvs, %d slots, %d sends", r, len(slots), len(sends))
 	}
 }
 

@@ -165,7 +165,8 @@ func (g geometry) token(t token) int {
 }
 
 // Validate checks the plan's structural and dataflow invariants and returns
-// a descriptive error for the first violation found.
+// a descriptive error for the first violation found. A valid plan memoizes
+// the verdict and the message match RecvSlots returns.
 func Validate(p *Plan) error {
 	if p.validated {
 		return nil
@@ -180,14 +181,57 @@ func Validate(p *Plan) error {
 	if err := validateCounts(p, g); err != nil {
 		return err
 	}
-	if err := validateDataflow(p, g); err != nil {
+	slots, err := validateDataflow(p, g)
+	if err != nil {
 		return err
 	}
 	if err := validateMemory(p); err != nil {
 		return err
 	}
 	p.validated = true
+	p.recvSlots = slots
 	return nil
+}
+
+// RecvSlots matches every recv of the plan to the send it consumes. It
+// returns one entry per KRecv, in stage-major program order, holding that
+// send's slot: its ordinal among the plan's KSends in the same order, or -1
+// when no send matches. A validated plan returns the match its dataflow pass
+// recorded, shared and read-only. Any other plan is matched here by (tag,
+// from, to), the n-th recv of a message taking its n-th send.
+func RecvSlots(p *Plan) []int32 {
+	if p.validated {
+		return p.recvSlots
+	}
+	type msgKey struct {
+		tag      Tag
+		from, to int
+	}
+	pending := map[msgKey][]int32{}
+	var slot int32
+	for s, ops := range p.Ops {
+		for i := range ops {
+			if op := &ops[i]; op.Kind == KSend {
+				k := msgKey{tag: op.Tag, from: s, to: op.Peer}
+				pending[k] = append(pending[k], slot)
+				slot++
+			}
+		}
+	}
+	var slots []int32
+	for s, ops := range p.Ops {
+		for i := range ops {
+			if op := &ops[i]; op.Kind == KRecv {
+				k := msgKey{tag: op.Tag, from: op.Peer, to: s}
+				match := int32(-1)
+				if q := pending[k]; len(q) > 0 {
+					match, pending[k] = q[0], q[1:]
+				}
+				slots = append(slots, match)
+			}
+		}
+	}
+	return slots
 }
 
 func validateStructure(p *Plan) error {
@@ -215,6 +259,9 @@ func validateStructure(p *Plan) error {
 	for s, ops := range p.Ops {
 		for i := range ops {
 			op := &ops[i]
+			if op.Kind < KForward || op.Kind > KRecv {
+				return fmt.Errorf("sched: stage %d op %d (%v): unknown op kind", s, i, *op)
+			}
 			comm := op.Kind == KSend || op.Kind == KRecv
 			if op.Kind.IsCompute() && op.Dur < 0 {
 				return fmt.Errorf("sched: stage %d op %d (%v): negative duration", s, i, *op)
@@ -319,21 +366,35 @@ func validateCounts(p *Plan, g geometry) error {
 
 // validateDataflow runs the token machine to completion or reports the
 // deadlock / missing-input violation. Each stage's tokens are one bitset.
-func validateDataflow(p *Plan, g geometry) error {
+// On success it returns the message match RecvSlots reads: a recv consumes
+// the one send of its (tag, from, to), and a second send of the same
+// message is an error.
+func validateDataflow(p *Plan, g geometry) ([]int32, error) {
 	type msgKey struct {
 		tag  Tag
 		from int
 		to   int
 	}
-	sends := 0
-	for _, ops := range p.Ops {
-		for _, op := range ops {
-			if op.Kind == KSend {
+	// at[s] is stage s's walk position: its next op, the slot of its next
+	// send and the index of its next recv in slots. Both ordinals run
+	// stage-major, so each stage starts at the counts of the stages before.
+	type cursor struct{ pc, send, recv int32 }
+	at := make([]cursor, p.Stages)
+	var sends, recvs int32
+	for s, ops := range p.Ops {
+		at[s] = cursor{send: sends, recv: recvs}
+		for i := range ops {
+			switch ops[i].Kind {
+			case KSend:
 				sends++
+			case KRecv:
+				recvs++
 			}
 		}
 	}
-	sent := make(map[msgKey]int, sends)
+	slotOf := make(map[msgKey]int32, sends)
+	consumed := make([]bool, sends)
+	slots := make([]int32, recvs)
 	words := (g.tokens() + 63) / 64
 	bits := make([]uint64, p.Stages*words)
 	has := func(s int, tok token) bool {
@@ -344,38 +405,47 @@ func validateDataflow(p *Plan, g geometry) error {
 		i := g.token(tok)
 		bits[s*words+i/64] |= 1 << (i % 64)
 	}
-	pc := make([]int, p.Stages)
 	for {
 		progress := false
 		for s := 0; s < p.Stages; s++ {
+			c := &at[s]
 		stageLoop:
-			for pc[s] < len(p.Ops[s]) {
-				op := &p.Ops[s][pc[s]]
+			for int(c.pc) < len(p.Ops[s]) {
+				op := &p.Ops[s][c.pc]
 				switch op.Kind {
 				case KRecv:
-					k := msgKey{tag: op.Tag, from: op.Peer, to: s}
-					if sent[k] == 0 {
+					k, ok := slotOf[msgKey{tag: op.Tag, from: op.Peer, to: s}]
+					if !ok || consumed[k] {
 						break stageLoop // block until the matching send
 					}
-					sent[k]--
+					consumed[k] = true
+					slots[c.recv] = k
+					c.recv++
 					set(s, tokenOfTag(op.Tag))
 				case KSend:
 					if !has(s, tokenOfTag(op.Tag)) {
-						return fmt.Errorf("sched: stage %d sends %v before producing it", s, op.Tag)
+						return nil, fmt.Errorf("sched: stage %d sends %v before producing it", s, op.Tag)
 					}
-					sent[msgKey{tag: op.Tag, from: s, to: op.Peer}]++
+					// One hash per send: a repeated message leaves the
+					// map's size unchanged.
+					n := len(slotOf)
+					slotOf[msgKey{tag: op.Tag, from: s, to: op.Peer}] = c.send
+					if len(slotOf) == n {
+						return nil, fmt.Errorf("sched: stage %d sends %v to stage %d twice", s, op.Tag, op.Peer)
+					}
+					c.send++
 				default:
 					io := opIO(op, p.Layers)
 					for _, tok := range io.req[:io.nreq] {
 						if !has(s, tok) {
-							return fmt.Errorf("sched: stage %d op %v: missing input token %+v", s, *op, tok)
+							return nil, fmt.Errorf("sched: stage %d op %v: missing input token %+v", s, *op, tok)
 						}
 					}
 					for _, tok := range io.prod[:io.nprod] {
 						set(s, tok)
 					}
 				}
-				pc[s]++
+				c.pc++
 				progress = true
 			}
 		}
@@ -384,16 +454,26 @@ func validateDataflow(p *Plan, g geometry) error {
 		}
 	}
 	for s := 0; s < p.Stages; s++ {
-		if pc[s] != len(p.Ops[s]) {
-			return fmt.Errorf("sched: deadlock: stage %d blocked at op %d (%v)", s, pc[s], p.Ops[s][pc[s]])
+		if pc := at[s].pc; int(pc) != len(p.Ops[s]) {
+			return nil, fmt.Errorf("sched: deadlock: stage %d blocked at op %d (%v)", s, pc, p.Ops[s][pc])
 		}
 	}
-	for k, n := range sent {
-		if n != 0 {
-			return fmt.Errorf("sched: message %v from %d to %d sent %d times but never received", k.tag, k.from, k.to, n)
+	// Every recv consumed a distinct send, so a send is left over exactly
+	// when there are fewer recvs; name the first in slot order.
+	if recvs < sends {
+		var k int32
+		for s, ops := range p.Ops {
+			for i := range ops {
+				if op := &ops[i]; op.Kind == KSend {
+					if !consumed[k] {
+						return nil, fmt.Errorf("sched: message %v from %d to %d sent but never received", op.Tag, s, op.Peer)
+					}
+					k++
+				}
+			}
 		}
 	}
-	return nil
+	return slots, nil
 }
 
 // validateMemory checks stash conservation: on every stage the allocated

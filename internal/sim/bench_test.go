@@ -33,12 +33,35 @@ func benchEngineInputs(tb testing.TB) (*sched.Plan, Options) {
 	return plan, Options{SMPenalty: cl.CommSMPenalty}
 }
 
-// BenchmarkEngineSteadyState measures re-simulating one plan on a reused
-// Runner — the fleet-pricing / repeated-cell hot path. The alloc-gate CI
-// step pins its allocs/op to the budget in testdata/alloc_budget.json
-// (zero).
-func BenchmarkEngineSteadyState(b *testing.B) {
-	plan, opt := benchEngineInputs(b)
+// benchPlacedInputs places the same schedule on DGX-A800x4 with the greedy
+// strategy and rebuilds it on the placement-resolved books, so the topology
+// path (per-link pricing, link-class stats) is on the measured path too.
+func benchPlacedInputs(tb testing.TB) (*sched.Plan, Options) {
+	tb.Helper()
+	flat, opt := benchEngineInputs(tb)
+	c := cluster.DGXA800x4()
+	place, err := cluster.Generate("greedy", c, flat.Stages, flat.TrafficMatrix(), cluster.SearchOptions{Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	topo, err := cluster.Resolve(c, place, cluster.Perturb{SlowDevice: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mc := model.Model3B()
+	w := costmodel.NewWorkload(mc, costmodel.A800Cluster(), model.Shape{B: 1, S: 65536})
+	cfg := sched.Config{Stages: flat.Stages, MicroBatches: flat.MicroBatches, Layers: mc.Layers}
+	plan, err := core.Build(cfg, sched.NewCosts(w, model.BatchSpec{}, topo), core.DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan.Placement = place.Devices
+	opt.Topology = topo
+	return plan, opt
+}
+
+// benchSteadyState re-simulates one plan on a reused Runner.
+func benchSteadyState(b *testing.B, plan *sched.Plan, opt Options) {
 	r, err := NewRunner(plan, opt)
 	if err != nil {
 		b.Fatal(err)
@@ -50,6 +73,23 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEngineSteadyState measures re-simulating one plan on a reused
+// Runner — the fleet-pricing / repeated-cell hot path. The alloc-gate CI
+// step pins its allocs/op to the budget in testdata/alloc_budget.json
+// (zero).
+func BenchmarkEngineSteadyState(b *testing.B) {
+	plan, opt := benchEngineInputs(b)
+	benchSteadyState(b, plan, opt)
+}
+
+// BenchmarkEngineSteadyStatePlaced is BenchmarkEngineSteadyState on
+// DGX-A800x4: the alloc-gate CI step pins the placed path at the budget in
+// testdata/alloc_budget.json (zero) as well.
+func BenchmarkEngineSteadyStatePlaced(b *testing.B) {
+	plan, opt := benchPlacedInputs(b)
+	benchSteadyState(b, plan, opt)
 }
 
 // BenchmarkEngineOneShot measures the cold path — a pooled Runner per Run
@@ -107,8 +147,9 @@ func TestRunnerReuseMatchesOneShot(t *testing.T) {
 // benchmark (testdata/alloc_budget.json at the repo root); CI's alloc-gate
 // fails when the measured allocs/op exceed it.
 type allocBudget struct {
-	EngineSteadyStateAllocsPerOp float64 `json:"engine_steady_state_allocs_per_op"`
-	EngineColdRunAllocsPerOp     float64 `json:"engine_cold_run_allocs_per_op"`
+	EngineSteadyStateAllocsPerOp       float64 `json:"engine_steady_state_allocs_per_op"`
+	EngineSteadyStatePlacedAllocsPerOp float64 `json:"engine_steady_state_placed_allocs_per_op"`
+	EngineColdRunAllocsPerOp           float64 `json:"engine_cold_run_allocs_per_op"`
 }
 
 // readAllocBudget loads the pinned budget file shared with the CI gate.
@@ -125,30 +166,39 @@ func readAllocBudget(t *testing.T) allocBudget {
 	return budget
 }
 
-// TestEngineSteadyStateAllocBudget enforces the budget in-process: the
-// steady-state run must not allocate more per iteration than the pinned
-// file allows (zero). The same contract backs the CI alloc-gate step, which
-// re-checks it from the -benchmem output.
+// TestEngineSteadyStateAllocBudget enforces the budgets in-process: the
+// steady-state run, flat and placed, must not allocate more per iteration
+// than the pinned file allows (zero). The same contract backs the CI
+// alloc-gate step, which re-checks it from the -benchmem output.
 func TestEngineSteadyStateAllocBudget(t *testing.T) {
 	budget := readAllocBudget(t)
-	plan, opt := benchEngineInputs(t)
-	r, err := NewRunner(plan, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm up: the first run grows maps and the class-stats entries; the
-	// budget pins the steady state.
-	if _, err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := testing.AllocsPerRun(20, func() {
+	for _, c := range []struct {
+		name   string
+		inputs func(testing.TB) (*sched.Plan, Options)
+		budget float64
+	}{
+		{"flat", benchEngineInputs, budget.EngineSteadyStateAllocsPerOp},
+		{"placed", benchPlacedInputs, budget.EngineSteadyStatePlacedAllocsPerOp},
+	} {
+		plan, opt := c.inputs(t)
+		r, err := NewRunner(plan, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm up: the first run grows the class-stats entries; the budget
+		// pins the steady state.
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if got > budget.EngineSteadyStateAllocsPerOp {
-		t.Errorf("steady-state engine run allocates %.1f allocs/op, budget %.1f (testdata/alloc_budget.json)",
-			got, budget.EngineSteadyStateAllocsPerOp)
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := r.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.budget {
+			t.Errorf("%s steady-state engine run allocates %.1f allocs/op, budget %.1f (testdata/alloc_budget.json)",
+				c.name, got, c.budget)
+		}
 	}
 }
 
@@ -212,9 +262,9 @@ func TestColdRunResultDetached(t *testing.T) {
 }
 
 // TestPooledRunnerReleasesPlan pins that an idle pooled Runner keeps only its
-// buffers: returning it to the pool drops the plan, the topology and the
-// pre-pass oracle of its last run, so the plan of a finished Run is garbage
-// at the next collection.
+// buffers: returning it to the pool drops the plan, the topology, the
+// message match and the pre-pass oracle of its last run, so the plan of a
+// finished Run is garbage at the next collection.
 func TestPooledRunnerReleasesPlan(t *testing.T) {
 	plan, opt := benchEngineInputs(t)
 	c := cluster.DGXA800x4()
@@ -233,8 +283,8 @@ func TestPooledRunnerReleasesPlan(t *testing.T) {
 	}
 	putRunner(r)
 	for name, e := range map[string]*engine{"engine": r.eng, "pre-pass": r.pre} {
-		if e.plan != nil || e.opt.Topology != nil || e.oracle != nil {
-			t.Errorf("pooled Runner's %s still references its last plan, topology or oracle", name)
+		if e.plan != nil || e.opt.Topology != nil || e.recvSlots != nil || e.oracle != nil {
+			t.Errorf("pooled Runner's %s still references its last plan, topology, message match or oracle", name)
 		}
 	}
 

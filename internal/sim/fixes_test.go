@@ -10,9 +10,11 @@ import (
 
 // mirrorPlan relabels the plan's stages s -> p-1-s (programs and peers). A
 // mirrored plan is the same schedule under a different stage naming, so any
-// correct simulator must produce mirrored results.
+// correct simulator must produce mirrored results. It is a fresh plan, not a
+// copy: a copy would carry the original's validation memo and message match.
 func mirrorPlan(p *sched.Plan) *sched.Plan {
-	out := *p
+	out := sched.Plan{Method: p.Method, Stages: p.Stages, MicroBatches: p.MicroBatches, Layers: p.Layers,
+		Costs: p.Costs, Batch: p.Batch}
 	out.Ops = make([][]sched.Op, p.Stages)
 	for s, ops := range p.Ops {
 		ms := p.Stages - 1 - s

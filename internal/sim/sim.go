@@ -10,10 +10,13 @@
 // phenomena that the simulated task system reproduces exactly.
 //
 // The hot path is allocation-free in steady state: a Runner pre-sizes every
-// per-stage buffer from the plan once and reuses it across Run calls, the
-// event loop is an indexed min-heap of ready stages keyed by int64 ticks,
-// and blocked receivers park until their sender wakes them instead of being
-// re-polled every step.
+// per-stage buffer from the plan once and reuses it across Run calls. Only
+// sends wait on the event loop's min-heap, keyed by int64 ticks: a send is
+// the one op that touches state shared between stages, so each stage runs
+// its compute and its recvs of messages already in flight in place, and a
+// receiver whose message is not in flight parks until the send resumes it.
+// Messages never hash: the validator matches every recv to its send's slot
+// (sched.RecvSlots), and the engine indexes a flat arrival array by it.
 package sim
 
 import (
@@ -164,6 +167,9 @@ type Options struct {
 }
 
 // Run simulates one training iteration of the plan and returns the result.
+// Sends execute in global time order through a heap of waiting senders;
+// every other op runs in place on its stage, and each recv finds its message
+// by the slot Validate assigned it.
 //
 // With a non-zero SMPenalty the simulation runs twice: a penalty-free pass
 // first records the complete NIC transfer timeline, then the reported pass
@@ -208,8 +214,8 @@ var runnerPool = sync.Pool{New: func() any {
 }}
 
 // putRunner returns a Runner to the pool holding only its buffers: the plan,
-// topology and pre-pass oracle of its last run are dropped, so an idle
-// pooled Runner never keeps a finished plan alive.
+// topology, message match and pre-pass oracle of its last run are dropped,
+// so an idle pooled Runner never keeps a finished plan alive.
 func putRunner(r *Runner) {
 	r.eng.release()
 	if r.pre != nil {
@@ -231,7 +237,9 @@ var (
 // Runner is a reusable simulator for one plan: every per-stage buffer is
 // allocated and pre-sized once, from the plan, and reused across Run calls.
 // In steady state (second Run onward) a Runner performs zero heap
-// allocations per run — the property the alloc-gate CI step pins.
+// allocations per run — the property the alloc-gate CI step pins. Only its
+// senders wait on the event heap, and it reads the plan's message slots
+// from the validator (sched.RecvSlots) rather than hashing messages.
 //
 // A Runner is not safe for concurrent use, and the Result it returns aliases
 // its internal buffers: the result (including Spans) is valid only until the
@@ -277,7 +285,9 @@ func check(plan *sched.Plan, opt Options) error {
 }
 
 // newRunner builds the runner below the validator; crafted test plans enter
-// here via runEngine.
+// here via runEngine. An unvalidated plan's recvs are matched to their sends
+// by sched.RecvSlots' (tag, from, to) fallback, and a recv without a match
+// never runs, so the engine reports the deadlock.
 func newRunner(plan *sched.Plan, opt Options) *Runner {
 	r := &Runner{eng: &engine{}}
 	r.reinit(plan, opt)
@@ -325,12 +335,7 @@ func (r *Runner) Run() (*Result, error) {
 	return &r.res, nil
 }
 
-// message tracks one in-flight transfer.
-type message struct {
-	arrival float64
-}
-
-// tick is simulated time as an int64 the event loop orders stages by: the
+// tick is simulated time as an int64 the event loop orders sends by: the
 // order-preserving bit pattern of the non-negative float64 second count
 // (IEEE 754 ordering matches numeric ordering for non-negative values).
 // Encoding time this way keeps heap comparisons branch-cheap integer
@@ -350,10 +355,22 @@ type interval struct {
 
 // nicLog is the per-stage NIC reservation timeline, split by direction.
 // Within one direction the intervals are non-overlapping and sorted (each
-// direction serializes its transfers), so overlap queries binary-search
+// direction serializes its transfers), so overlap queries walk a cursor
 // instead of scanning.
 type nicLog struct {
 	send, recv [][]interval
+}
+
+// waiting is a stage queued on the ready heap at its next send.
+type waiting struct {
+	at    tick
+	stage int32
+}
+
+// nicCursor is one stage's position in each direction of the oracle: the
+// first interval that ends after the stage's latest compute start.
+type nicCursor struct {
+	send, recv int32
 }
 
 type engine struct {
@@ -362,24 +379,35 @@ type engine struct {
 
 	pc    []int32
 	clock []float64
-	tick  []tick
 
-	// ready is the indexed min-heap of runnable stages ordered by
-	// (tick, stage); pos[s] is s's heap index, -1 while s is parked on a
-	// recv whose message is not in flight yet (or complete).
-	ready []int32
-	pos   []int32
+	// ready is the min-heap of stages waiting at a send, ordered by the
+	// send's (tick, stage). Sends are the only ops that touch state shared
+	// between stages, so only they wait here; advance runs every other op
+	// in place.
+	ready []waiting
+
+	// Message slots. A send's slot is its ordinal among the plan's sends in
+	// stage-major order, and recvSlots[r] (sched.RecvSlots) is the slot of
+	// the send the plan's r-th recv consumes, -1 for none. sendBase[s] and
+	// recvBase[s] are the ordinals of stage s's first send and recv, nsend[s]
+	// and nrecv[s] count the ones it has executed: stage s's slot k is in
+	// flight once k < sendBase[s]+nsend[s], and arrival[k] holds its arrival.
+	recvSlots          []int32
+	sendBase, recvBase []int32
+	nsend, nrecv       []int32
+	arrival            []float64
 
 	sendFree []float64 // NIC send-direction availability per stage
 	recvFree []float64 // NIC recv-direction availability per stage
 	nic      nicLog
 	seq      int32
-	// oracle, when set, is the complete NIC timeline of a penalty-free
-	// pre-pass; SMPenalty overlap is resolved against it so the stretch does
-	// not depend on the engine's pick order.
+	// oracle is the complete NIC timeline of the penalty-free pre-pass every
+	// SMPenalty run makes; overlap is resolved against it so the stretch
+	// does not depend on the engine's pick order. cursor[s] is stage s's
+	// position in it.
 	oracle *nicLog
+	cursor []nicCursor
 
-	inflight map[msgKey]message
 	// classStats aggregates transfers per link class under a topology.
 	// Entries persist (zeroed) across reset so reruns stay allocation-free.
 	classStats map[cluster.LinkClass]*LinkClassStats
@@ -396,11 +424,6 @@ type engine struct {
 	classes []LinkClassStats
 
 	spans []Span
-}
-
-type msgKey struct {
-	tag      sched.Tag
-	from, to int
 }
 
 func newEngine(plan *sched.Plan, opt Options) *engine {
@@ -429,19 +452,19 @@ func (e *engine) reinit(plan *sched.Plan, opt Options) {
 	e.oracle = nil
 	e.pc = grow(e.pc, p)
 	e.clock = grow(e.clock, p)
-	e.tick = grow(e.tick, p)
 	if cap(e.ready) < p {
-		e.ready = make([]int32, 0, p)
+		e.ready = make([]waiting, 0, p)
 	}
 	e.ready = e.ready[:0]
-	e.pos = grow(e.pos, p)
+	e.sendBase = grow(e.sendBase, p+1)
+	e.recvBase = grow(e.recvBase, p+1)
+	e.nsend = grow(e.nsend, p)
+	e.nrecv = grow(e.nrecv, p)
 	e.sendFree = grow(e.sendFree, p)
 	e.recvFree = grow(e.recvFree, p)
 	e.nic.send = grow(e.nic.send, p)
 	e.nic.recv = grow(e.nic.recv, p)
-	if e.inflight == nil {
-		e.inflight = map[msgKey]message{}
-	}
+	e.cursor = grow(e.cursor, p)
 	if e.classStats == nil {
 		e.classStats = map[cluster.LinkClass]*LinkClassStats{}
 	}
@@ -453,47 +476,48 @@ func (e *engine) reinit(plan *sched.Plan, opt Options) {
 	e.stash = grow(e.stash, p)
 	e.peak = grow(e.peak, p)
 	e.idle = grow(e.idle, p)
-	for s := range e.pos {
-		e.pos[s] = -1
-	}
-	// Pre-size the NIC timelines and the span buffer exactly from the plan:
-	// sends and receives per stage are known up front, so steady-state runs
-	// never grow a buffer.
-	sends := make([]int, p)
-	recvs := make([]int, p)
+	// Number the messages and pre-size the NIC timelines, the arrivals and
+	// the span buffer exactly from the plan: each stage's sends and recvs
+	// are known up front, so steady-state runs never grow a buffer.
+	var sends, recvs int32
 	ops := 0
 	for s := 0; s < p; s++ {
+		e.sendBase[s], e.recvBase[s] = sends, recvs
 		ops += len(plan.Ops[s])
 		for i := range plan.Ops[s] {
-			if plan.Ops[s][i].Kind == sched.KSend {
-				sends[s]++
-				if peer := plan.Ops[s][i].Peer; peer >= 0 && peer < p {
-					recvs[peer]++
-				}
+			switch plan.Ops[s][i].Kind {
+			case sched.KSend:
+				sends++
+			case sched.KRecv:
+				recvs++
 			}
 		}
 	}
+	e.sendBase[p], e.recvBase[p] = sends, recvs
 	for s := 0; s < p; s++ {
-		if cap(e.nic.send[s]) < sends[s] {
-			e.nic.send[s] = make([]interval, 0, sends[s])
+		if n := int(e.sendBase[s+1] - e.sendBase[s]); cap(e.nic.send[s]) < n {
+			e.nic.send[s] = make([]interval, 0, n)
 		}
 		e.nic.send[s] = e.nic.send[s][:0]
-		if cap(e.nic.recv[s]) < recvs[s] {
-			e.nic.recv[s] = make([]interval, 0, recvs[s])
+		if n := int(e.recvBase[s+1] - e.recvBase[s]); cap(e.nic.recv[s]) < n {
+			e.nic.recv[s] = make([]interval, 0, n)
 		}
 		e.nic.recv[s] = e.nic.recv[s][:0]
 	}
+	e.arrival = grow(e.arrival, int(sends))
+	e.recvSlots = sched.RecvSlots(plan)
 	if opt.Trace && cap(e.spans) < ops {
 		e.spans = make([]Span, 0, ops)
 	}
 	e.spans = e.spans[:0]
 }
 
-// release drops the engine's references to its plan, options and oracle,
-// keeping every buffer; reinit binds the next plan.
+// release drops the engine's references to its plan, options, message
+// match and oracle, keeping every buffer; reinit binds the next plan.
 func (e *engine) release() {
 	e.plan = nil
 	e.opt = Options{}
+	e.recvSlots = nil
 	e.oracle = nil
 }
 
@@ -504,12 +528,13 @@ func (e *engine) reset() {
 	for s := 0; s < p; s++ {
 		e.pc[s] = 0
 		e.clock[s] = 0
-		e.tick[s] = 0
-		e.pos[s] = -1
+		e.nsend[s] = 0
+		e.nrecv[s] = 0
 		e.sendFree[s] = 0
 		e.recvFree[s] = 0
 		e.nic.send[s] = e.nic.send[s][:0]
 		e.nic.recv[s] = e.nic.recv[s][:0]
+		e.cursor[s] = nicCursor{}
 		e.busy[s] = 0
 		e.commStall[s] = 0
 		e.wait[s] = 0
@@ -520,7 +545,6 @@ func (e *engine) reset() {
 	}
 	e.ready = e.ready[:0]
 	e.seq = 0
-	clear(e.inflight)
 	for _, st := range e.classStats {
 		*st = LinkClassStats{Class: st.Class}
 	}
@@ -528,103 +552,64 @@ func (e *engine) reset() {
 	e.spans = e.spans[:0]
 }
 
-// heapLess orders ready stages by (tick, stage): the smallest clock runs
-// first, ties to the lowest stage index — the same global pick order as a
-// linear minimum scan, so schedules execute identically.
-func (e *engine) heapLess(a, b int32) bool {
-	if e.tick[a] != e.tick[b] {
-		return e.tick[a] < e.tick[b]
+// before orders the ready heap by (tick, stage): the earliest send runs
+// first, ties to the lowest stage index.
+func before(a, b waiting) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return a < b
+	return a.stage < b.stage
 }
 
-func (e *engine) heapPush(s int32) {
-	e.ready = append(e.ready, s)
-	i := int32(len(e.ready) - 1)
-	e.pos[s] = i
-	e.siftUp(i)
-}
-
-func (e *engine) heapPop() int32 {
-	s := e.ready[0]
-	last := int32(len(e.ready) - 1)
-	e.ready[0] = e.ready[last]
-	e.pos[e.ready[0]] = 0
-	e.ready = e.ready[:last]
-	if last > 0 {
-		e.siftDown(0)
-	}
-	e.pos[s] = -1
-	return s
-}
-
-func (e *engine) siftUp(i int32) {
-	for i > 0 {
+func (e *engine) heapPush(w waiting) {
+	e.ready = append(e.ready, w)
+	for i := len(e.ready) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !e.heapLess(e.ready[i], e.ready[parent]) {
+		if !before(e.ready[i], e.ready[parent]) {
 			return
 		}
 		e.ready[i], e.ready[parent] = e.ready[parent], e.ready[i]
-		e.pos[e.ready[i]] = i
-		e.pos[e.ready[parent]] = parent
 		i = parent
 	}
 }
 
-func (e *engine) siftDown(i int32) {
-	n := int32(len(e.ready))
-	for {
+func (e *engine) heapPop() int32 {
+	s := e.ready[0].stage
+	last := len(e.ready) - 1
+	e.ready[0] = e.ready[last]
+	e.ready = e.ready[:last]
+	for i := 0; ; {
 		left, right := 2*i+1, 2*i+2
 		smallest := i
-		if left < n && e.heapLess(e.ready[left], e.ready[smallest]) {
+		if left < last && before(e.ready[left], e.ready[smallest]) {
 			smallest = left
 		}
-		if right < n && e.heapLess(e.ready[right], e.ready[smallest]) {
+		if right < last && before(e.ready[right], e.ready[smallest]) {
 			smallest = right
 		}
 		if smallest == i {
-			return
+			return s
 		}
 		e.ready[i], e.ready[smallest] = e.ready[smallest], e.ready[i]
-		e.pos[e.ready[i]] = i
-		e.pos[e.ready[smallest]] = smallest
 		i = smallest
 	}
 }
 
-// runnable reports whether the stage's next op can execute now: anything but
-// a recv, or a recv whose message is already in flight.
-func (e *engine) runnable(s int32) bool {
-	op := &e.plan.Ops[s][e.pc[s]]
-	if op.Kind != sched.KRecv {
-		return true
-	}
-	_, ok := e.inflight[msgKey{tag: op.Tag, from: op.Peer, to: int(s)}]
-	return ok
-}
-
-// run advances stages in global time order until every program completes:
-// the ready heap always pops the unblocked stage with the smallest clock, so
-// NIC reservations happen in non-decreasing global time. Stages whose next
-// op is a recv with no message in flight park outside the heap until their
-// sender initiates (execSend wakes them), replacing the per-step rescan of
-// every stage with one push.
+// run executes the sends of every stage in global time order until every
+// program completes. The ready heap always pops the earliest waiting send,
+// so NIC reservations, transfer numbering and link-class sums happen in
+// non-decreasing global time; the ops between two sends touch only their
+// own stage, so the order in which stages run them changes no result.
 func (e *engine) run() error {
 	p := e.plan.Stages
 	for s := 0; s < p; s++ {
-		if len(e.plan.Ops[s]) == 0 {
-			continue
-		}
-		if e.runnable(int32(s)) {
-			e.heapPush(int32(s))
-		}
+		e.advance(int32(s))
 	}
 	for len(e.ready) > 0 {
 		s := e.heapPop()
-		e.step(s)
-		if int(e.pc[s]) < len(e.plan.Ops[s]) && e.runnable(s) {
-			e.heapPush(s)
-		}
+		e.execSend(s)
+		e.pc[s]++
+		e.advance(s)
 	}
 	for s := 0; s < p; s++ {
 		if int(e.pc[s]) < len(e.plan.Ops[s]) {
@@ -634,56 +619,62 @@ func (e *engine) run() error {
 	return nil
 }
 
-// step executes exactly one op on the given stage.
-func (e *engine) step(s int32) {
+// advance runs stage s's ops in place — compute, and recvs whose message is
+// already in flight — until the stage reaches a send, which queues it on
+// the ready heap, a recv whose message is not in flight, which parks it
+// until that message's send resumes it, or the end of its program.
+func (e *engine) advance(s int32) {
+	ops := e.plan.Ops[s]
+	for int(e.pc[s]) < len(ops) {
+		op := &ops[e.pc[s]]
+		start := e.clock[s]
+		switch op.Kind {
+		case sched.KSend:
+			e.heapPush(waiting{at: toTick(start), stage: s})
+			return
+		case sched.KRecv:
+			k := e.recvSlots[e.recvBase[s]+e.nrecv[s]]
+			if k < 0 || k >= e.sendBase[op.Peer]+e.nsend[op.Peer] {
+				return
+			}
+			e.nrecv[s]++
+			end := e.arrival[k]
+			if start > end {
+				end = start
+			}
+			e.wait[s] += end - start
+			e.clock[s] = end
+			e.record(s, op, start, end)
+		default: // compute
+			dur := op.Dur
+			if e.opt.SMPenalty > 0 {
+				overlap := e.nicOverlap(s, start, start+dur)
+				dur += overlap * e.opt.SMPenalty
+			}
+			end := start + dur
+			e.stash[s] += op.Alloc
+			if e.stash[s] > e.peak[s] {
+				e.peak[s] = e.stash[s]
+			}
+			e.stash[s] -= op.Free
+			e.busy[s] += dur
+			e.clock[s] = end
+			e.record(s, op, start, end)
+		}
+		e.pc[s]++
+	}
+}
+
+// execSend executes stage s's next op, a send: it reserves the NIC pair and
+// computes the arrival time. Blocking sends additionally hold the compute
+// stream until the message lands. A receiver parked on a recv resumes, in
+// case this is its message.
+func (e *engine) execSend(s int32) {
 	op := &e.plan.Ops[s][e.pc[s]]
 	start := e.clock[s]
-	switch op.Kind {
-	case sched.KSend:
-		e.execSend(s, op, start)
-	case sched.KRecv:
-		key := msgKey{tag: op.Tag, from: op.Peer, to: int(s)}
-		msg := e.inflight[key]
-		delete(e.inflight, key)
-		end := msg.arrival
-		if start > end {
-			end = start
-		}
-		e.wait[s] += end - start
-		e.setClock(s, end)
-		e.record(s, op, start, end)
-	default: // compute
-		dur := op.Dur
-		if e.opt.SMPenalty > 0 {
-			overlap := e.nicOverlap(s, start, start+dur)
-			dur += overlap * e.opt.SMPenalty
-		}
-		end := start + dur
-		e.stash[s] += op.Alloc
-		if e.stash[s] > e.peak[s] {
-			e.peak[s] = e.stash[s]
-		}
-		e.stash[s] -= op.Free
-		e.busy[s] += dur
-		e.setClock(s, end)
-		e.record(s, op, start, end)
-	}
-	e.pc[s]++
-}
-
-func (e *engine) setClock(s int32, v float64) {
-	e.clock[s] = v
-	e.tick[s] = toTick(v)
-}
-
-// execSend reserves the NIC pair and computes the arrival time. Blocking
-// sends additionally hold the compute stream until the message lands. If the
-// receiver is parked on exactly this message, it wakes into the ready heap.
-func (e *engine) execSend(s int32, op *sched.Op, start float64) {
-	c := e.plan.Costs
 	// The flat NIC parameters of the cost book, unless a topology resolves
 	// this stage pair to a concrete link.
-	bytesPerSec, latency := c.P2PBytesPerSec, c.P2PLatency
+	bytesPerSec, latency := e.plan.Costs.P2PBytesPerSec, e.plan.Costs.P2PLatency
 	if t := e.opt.Topology; t != nil {
 		var class cluster.LinkClass
 		bytesPerSec, latency, class = t.Link(int(s), op.Peer)
@@ -720,38 +711,30 @@ func (e *engine) execSend(s int32, op *sched.Op, start float64) {
 	e.nic.recv[op.Peer] = append(e.nic.recv[op.Peer], iv)
 	e.linkBusy[s] += wireDur
 	e.sent[s] += op.Bytes
-	e.inflight[msgKey{tag: op.Tag, from: int(s), to: op.Peer}] = message{arrival: arrival}
-	// Wake a receiver parked on exactly this message.
-	if p := int32(op.Peer); p != s && e.pos[p] < 0 && int(e.pc[p]) < len(e.plan.Ops[p]) {
-		next := &e.plan.Ops[p][e.pc[p]]
-		if next.Kind == sched.KRecv && next.Peer == int(s) && next.Tag == op.Tag {
-			e.heapPush(p)
-		}
-	}
+	e.arrival[e.sendBase[s]+e.nsend[s]] = arrival
+	e.nsend[s]++
 	if op.Blocking {
 		e.commStall[s] += arrival - start
-		e.setClock(s, arrival)
+		e.clock[s] = arrival
 		e.record(s, op, start, arrival)
-		return
+	} else {
+		e.clock[s] = start + launch
+		e.record(s, op, start, start+launch)
 	}
-	e.setClock(s, start+launch)
-	e.record(s, op, start, start+launch)
+	if p := op.Peer; p != int(s) && int(e.pc[p]) < len(e.plan.Ops[p]) && e.plan.Ops[p][e.pc[p]].Kind == sched.KRecv {
+		e.advance(int32(p))
+	}
 }
 
-// nicOverlap returns the total overlap of [start, end] with this stage's NIC
-// transfer intervals: the penalty-free pre-pass oracle when one exists (the
-// order-independent final set), the intervals recorded so far otherwise.
-// Each direction's timeline is sorted and non-overlapping, so the
-// overlapping run is found by binary search; the two runs are then merged in
-// transfer-initiation (seq) order so the sum accumulates exactly as a single
-// chronological scan would.
+// nicOverlap returns the total overlap of [start, end] with this stage's
+// NIC transfer intervals in the pre-pass oracle (the order-independent
+// final set). The overlapping run of each direction starts at the stage's
+// cursor; the two runs are then merged in transfer-initiation (seq) order so
+// the sum accumulates exactly as a single chronological scan would.
 func (e *engine) nicOverlap(s int32, start, end float64) float64 {
-	log := &e.nic
-	if e.oracle != nil {
-		log = e.oracle
-	}
-	sendRun := overlapRun(log.send[s], start, end)
-	recvRun := overlapRun(log.recv[s], start, end)
+	cur := &e.cursor[s]
+	sendRun := overlapping(e.oracle.send[s], &cur.send, start, end)
+	recvRun := overlapping(e.oracle.recv[s], &cur.recv, start, end)
 	var total float64
 	i, j := 0, 0
 	for i < len(sendRun) && j < len(recvRun) {
@@ -772,17 +755,26 @@ func (e *engine) nicOverlap(s int32, start, end float64) float64 {
 	return total
 }
 
-// overlapRun returns the contiguous run of intervals overlapping [start,
-// end] within one sorted, non-overlapping timeline.
-func overlapRun(ivs []interval, start, end float64) []interval {
-	// First interval that ends after the query starts (ends are
-	// non-decreasing).
-	lo := sort.Search(len(ivs), func(i int) bool { return ivs[i].end > start })
-	hi := lo
-	for hi < len(ivs) && ivs[hi].start < end {
+// overlapping returns the contiguous run of intervals overlapping [start,
+// end] within one sorted, non-overlapping timeline, moving the cursor *lo to
+// its first interval that ends after start (ends are non-decreasing). A
+// stage's compute starts never decrease while launch and latency are
+// non-negative, so the cursor only walks forward; stepping back keeps the
+// run exact for any query order.
+func overlapping(ivs []interval, lo *int32, start, end float64) []interval {
+	i := *lo
+	for i > 0 && ivs[i-1].end > start {
+		i--
+	}
+	for int(i) < len(ivs) && ivs[i].end <= start {
+		i++
+	}
+	*lo = i
+	hi := i
+	for int(hi) < len(ivs) && ivs[hi].start < end {
 		hi++
 	}
-	return ivs[lo:hi]
+	return ivs[i:hi]
 }
 
 func clampedOverlap(iv interval, start, end float64) float64 {
@@ -807,16 +799,13 @@ func (e *engine) deadlockError() error {
 		if int(e.pc[s]) >= len(e.plan.Ops[s]) {
 			continue
 		}
+		// Only a recv can block: every send is queued and executed.
 		op := e.plan.Ops[s][e.pc[s]]
 		if len(b) > 0 {
 			b = append(b, "; "...)
 		}
-		b = fmt.Appendf(b, "stage %d blocked at op %d/%d", s, e.pc[s], len(e.plan.Ops[s]))
-		if op.Kind == sched.KRecv {
-			b = fmt.Appendf(b, " waiting for tag %v from stage %d (send never initiated)", op.Tag, op.Peer)
-		} else {
-			b = fmt.Appendf(b, " (%v)", op)
-		}
+		b = fmt.Appendf(b, "stage %d blocked at op %d/%d waiting for tag %v from stage %d (send never initiated)",
+			s, e.pc[s], len(e.plan.Ops[s]), op.Tag, op.Peer)
 	}
 	return fmt.Errorf("sim: deadlock — %s", b)
 }
