@@ -173,6 +173,67 @@ func TestHelixBuildAllocBudget(t *testing.T) {
 	}
 }
 
+// layerwiseMethods are the layer-wise baselines BenchmarkBuildLayerwisePlans
+// builds per op.
+var layerwiseMethods = []Method{MethodGPipe, Method1F1B, MethodInterleaved, MethodZB1P, MethodZB2P, MethodAdaPipe}
+
+// layerwiseSession is 7B on H20 at 64k with p=8 and the default m=16 and
+// memory budget, for the layer-wise build micro-benchmark.
+func layerwiseSession(tb testing.TB) *Session {
+	tb.Helper()
+	s, err := NewSession(Model7B(), H20Cluster(), WithSeqLen(65536), WithStages(8))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// buildLayerwisePlans builds every layer-wise baseline once.
+func buildLayerwisePlans(tb testing.TB, s *Session) {
+	for _, m := range layerwiseMethods {
+		if _, err := s.Plan(m); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildLayerwisePlans measures building the six layer-wise
+// baselines (GPipe, 1F1B, interleaved 1F1B, ZB1P, ZB2P, AdaPipe) at 7B/H20,
+// 64k, p=8, m=16. The alloc-gate CI step pins its allocs/op to the budget
+// in testdata/alloc_budget.json.
+func BenchmarkBuildLayerwisePlans(b *testing.B) {
+	s := layerwiseSession(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildLayerwisePlans(b, s)
+	}
+}
+
+// TestLayerwiseBuildAllocBudget enforces the layer-wise build budget
+// in-process, the contract the CI alloc-gate re-checks from
+// BenchmarkBuildLayerwisePlans's -benchmem output.
+func TestLayerwiseBuildAllocBudget(t *testing.T) {
+	raw, err := os.ReadFile("testdata/alloc_budget.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget struct {
+		LayerwiseBuildAllocsPerOp float64 `json:"layerwise_build_allocs_per_op"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatal(err)
+	}
+	if budget.LayerwiseBuildAllocsPerOp <= 0 {
+		t.Fatal("testdata/alloc_budget.json pins no layerwise_build_allocs_per_op")
+	}
+	s := layerwiseSession(t)
+	got := testing.AllocsPerRun(5, func() { buildLayerwisePlans(t, s) })
+	if got > budget.LayerwiseBuildAllocsPerOp {
+		t.Errorf("layer-wise plan builds allocate %.0f allocs/op, budget %.0f (testdata/alloc_budget.json)",
+			got, budget.LayerwiseBuildAllocsPerOp)
+	}
+}
+
 // placementSession is the headline configuration's books (7B, H20, 128k,
 // p=8) on the DGX-A800x4 topology, for the placement micro-benchmark.
 func placementSession(tb testing.TB) *Session {

@@ -205,7 +205,6 @@ type runKeyIdentity struct {
 	Helix        *HelixOptions         `json:"helix,omitempty"`
 	Trace        bool                  `json:"trace,omitempty"`
 	SMPenalty    float64               `json:"sm_penalty,omitempty"`
-	SendLaunch   float64               `json:"send_launch_seconds,omitempty"`
 	Topology     *cluster.Cluster      `json:"topology,omitempty"`
 	Placement    *cluster.Placement    `json:"placement,omitempty"`
 	Perturb      cluster.Perturb       `json:"perturb"`
@@ -236,7 +235,6 @@ func (s *Session) runKey(method Method, engineName string, seed uint64, strategy
 		Helix:        s.helix,
 		Trace:        opt.Trace,
 		SMPenalty:    opt.SMPenalty,
-		SendLaunch:   opt.SendLaunchSeconds,
 		Topology:     s.topo,
 		Placement:    s.placement,
 		Perturb:      s.perturb,

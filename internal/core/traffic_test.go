@@ -69,7 +69,6 @@ func TestTrafficMatchesPlan(t *testing.T) {
 		p    sched.BuildParams
 	}{
 		{"zero", sched.BuildParams{}},
-		{"chunks=3", sched.BuildParams{Chunks: 3}},
 		{"fold=1", sched.BuildParams{HelixFold: 1}},
 		{"budget=1KiB", sched.BuildParams{MemoryBudget: 1 << 10}},
 	}

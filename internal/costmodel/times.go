@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/model"
 )
@@ -100,6 +101,45 @@ func (w Workload) Validate() error {
 		return fmt.Errorf("costmodel: SeqPar %d exceeds node size %d", w.SeqPar, w.Cluster.GPUsPerNode)
 	}
 	return nil
+}
+
+// ValidateIteration reports an error when one iteration of m micro batches
+// of the workload's shape cannot be counted in int64: its token count m·b·s,
+// or its stash bound m·L·(full per-layer stash bytes), every layer's
+// activations of every micro batch held at once. Plans, simulations and
+// reports sum token and byte counts within these bounds, so a geometry past
+// them would wrap and report garbage. Shape and m must be positive.
+func (w Workload) ValidateIteration(m int) error {
+	b, s := int64(w.Shape.B), int64(w.Shape.S)
+	if _, ok := mulInt64(int64(m), b, s); !ok {
+		return fmt.Errorf("costmodel: the iteration's token count (%d micro batches of %d x %d tokens) overflows int64",
+			m, b, s)
+	}
+	layer, ok := mulInt64(b, s, w.Model.LayerActivationElems(model.Shape{B: 1, S: 1}), model.FP16Bytes)
+	if sp := int64(w.seqPar()); ok && sp > 1 {
+		layer /= sp
+	}
+	if ok {
+		_, ok = mulInt64(int64(m), int64(w.Model.Layers), layer)
+	}
+	if !ok {
+		return fmt.Errorf("costmodel: the iteration's stash bound (%d micro batches x %d layers x the full "+
+			"per-layer stash of %d x %d tokens) overflows int64 bytes", m, w.Model.Layers, b, s)
+	}
+	return nil
+}
+
+// mulInt64 returns the product of non-negative factors, and false when it
+// overflows int64.
+func mulInt64(factors ...int64) (int64, bool) {
+	p := int64(1)
+	for _, f := range factors {
+		if f != 0 && p > math.MaxInt64/f {
+			return 0, false
+		}
+		p *= f
+	}
+	return p, true
 }
 
 func (w Workload) seqPar() int {

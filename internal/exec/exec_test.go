@@ -57,7 +57,7 @@ func TestGradientParityAcrossSchedules(t *testing.T) {
 			full := costs.SegStash[0] + costs.SegStash[1] + costs.SegStash[2]
 			return sched.AdaPipe(cfg, costs, int64(cfg.Layers/cfg.Stages)*full) // forces recompute on stage 0
 		},
-		"Interleaved": func() (*sched.Plan, error) { return sched.Interleaved(cfg, costs, 2) },
+		"Interleaved": func() (*sched.Plan, error) { return sched.Interleaved(cfg, costs) },
 		"Helix-naive": func() (*sched.Plan, error) {
 			return core.Build(cfg, costs, core.Options{Fold: 1, Recompute: true})
 		},

@@ -46,7 +46,7 @@ func TestVariableLengthGradientParity(t *testing.T) {
 			full := worst.SegStash[0] + worst.SegStash[1] + worst.SegStash[2]
 			return sched.AdaPipe(cfg, costs, int64(cfg.Layers/cfg.Stages)*full)
 		},
-		"Interleaved": func() (*sched.Plan, error) { return sched.Interleaved(cfg, costs, 2) },
+		"Interleaved": func() (*sched.Plan, error) { return sched.Interleaved(cfg, costs) },
 		"Helix-naive": func() (*sched.Plan, error) {
 			return core.Build(cfg, costs, core.Options{Fold: 1, Recompute: true})
 		},

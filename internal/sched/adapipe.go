@@ -140,12 +140,9 @@ func AdaPipe(cfg Config, costs Costs, memBudgetBytes int64) (*Plan, error) {
 
 	lw := newLayerwise(cfg, costs, chunksFromSizes(sizes))
 	for s := 0; s < p; s++ {
-		r, _ := minRecompute(sizes[s], p-s)
-		// Recompute the last r layers of the chunk; the choice within the
-		// chunk does not affect time or peak memory.
-		for i := sizes[s] - r; i < sizes[s]; i++ {
-			lw.recomp[s][lw.chunks[s][i]] = true
-		}
+		// Recompute the chunk's last layers, as many as the budget needs;
+		// the choice within the chunk does not affect time or peak memory.
+		lw.recomp[s], _ = minRecompute(sizes[s], p-s)
 	}
 	plan := oneFOneBOn(lw)
 	plan.Method = MethodAdaPipe

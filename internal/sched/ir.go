@@ -114,15 +114,14 @@ func (b Boundary) String() string {
 type Tag struct {
 	// MB is the micro batch index.
 	MB int
-	// Layer is the layer the boundary belongs to.
+	// Layer is the layer the boundary belongs to. A layer-wise boundary
+	// names the first layer of the chunk its activation enters, so tags
+	// stay unique when a stage owns several chunks (interleaved 1F1B).
 	Layer int
 	// Bound is the boundary kind.
 	Bound Boundary
 	// Back marks gradient (backward) traffic.
 	Back bool
-	// Chunk disambiguates model chunks for interleaved schedules (0
-	// otherwise).
-	Chunk int
 }
 
 // String implements fmt.Stringer.

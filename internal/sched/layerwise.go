@@ -5,82 +5,78 @@ import (
 )
 
 // This file implements the layer-wise baselines: the model is partitioned
-// into contiguous layer chunks, one per stage, and micro batches flow
-// stage-to-stage (GPipe and 1F1B here; ZB1P and AdaPipe build on the same
-// emit helpers in their own files).
+// into contiguous layer chunks and micro batches flow chunk to chunk. Each
+// chunk is a virtual stage, chunk vs running on stage vs mod p, so one set of
+// emitters serves one chunk per stage (GPipe and 1F1B here; ZB1P, ZB2P and
+// AdaPipe in their own files) and two per stage (interleaved 1F1B) alike.
 
 // layerwise accumulates per-stage programs for chunked layer partitions.
 type layerwise struct {
-	cfg    Config
-	costs  Costs
-	chunks [][]int        // chunks[stage] lists the stage's layer indices
-	recomp []map[int]bool // recomp[stage][layer]: fully recompute that layer
+	cfg   Config
+	costs Costs
+	// first[vs] is chunk vs's first layer: the chunk owns layers
+	// [first[vs], first[vs+1]), so len(first) is the chunk count plus one.
+	first []int
+	// recomp[vs] is the number of the chunk's last layers that are fully
+	// recomputed in its backward steps (AdaPipe).
+	recomp []int
 	ops    [][]Op
 }
 
-// evenChunks partitions L layers into p contiguous equal chunks.
-func evenChunks(layers, stages int) [][]int {
-	per := layers / stages
-	chunks := make([][]int, stages)
-	next := 0
-	for s := range chunks {
-		for i := 0; i < per; i++ {
-			chunks[s] = append(chunks[s], next)
-			next++
-		}
+// evenChunks partitions L layers into n contiguous equal chunks, returned as
+// chunk boundaries (layerwise.first).
+func evenChunks(layers, n int) []int {
+	first := make([]int, n+1)
+	for vs := range first {
+		first[vs] = vs * (layers / n)
 	}
-	return chunks
+	return first
 }
 
 // chunksFromSizes partitions layers into contiguous chunks of the given
-// sizes (which must sum to the layer count).
-func chunksFromSizes(sizes []int) [][]int {
-	chunks := make([][]int, len(sizes))
-	next := 0
-	for s, n := range sizes {
-		for i := 0; i < n; i++ {
-			chunks[s] = append(chunks[s], next)
-			next++
-		}
+// sizes (which must sum to the layer count), returned as chunk boundaries.
+func chunksFromSizes(sizes []int) []int {
+	first := make([]int, len(sizes)+1)
+	for vs, n := range sizes {
+		first[vs+1] = first[vs] + n
 	}
-	return chunks
+	return first
 }
 
-func newLayerwise(cfg Config, costs Costs, chunks [][]int) *layerwise {
-	lw := &layerwise{
+func newLayerwise(cfg Config, costs Costs, first []int) *layerwise {
+	return &layerwise{
 		cfg:    cfg,
 		costs:  costs,
-		chunks: chunks,
-		recomp: make([]map[int]bool, cfg.Stages),
+		first:  first,
+		recomp: make([]int, len(first)-1),
 		ops:    make([][]Op, cfg.Stages),
 	}
-	for s := range lw.recomp {
-		lw.recomp[s] = map[int]bool{}
-	}
-	return lw
 }
 
 func (lw *layerwise) emit(stage int, op Op) { lw.ops[stage] = append(lw.ops[stage], op) }
 
-// inBoundaryLayer returns the layer identifying the activation boundary
-// entering the stage (the first layer of its chunk).
-func (lw *layerwise) inBoundaryLayer(stage int) int { return lw.chunks[stage][0] }
+// lastChunk returns the index of the chunk holding the model's last layers.
+func (lw *layerwise) lastChunk() int { return len(lw.first) - 2 }
 
-// emitFStep emits the full forward step of one micro batch on one stage:
-// receive the boundary activation (or embed on stage 0), run every chunk
-// layer segment by segment, and forward the result downstream. Costs come
-// from the micro batch's own book, so variable-length micro batches get
+// emitFStep emits the full forward step of one micro batch through chunk vs:
+// receive the boundary activation (or embed in chunk 0), run every chunk
+// layer segment by segment, and forward the result to the next chunk. A
+// boundary's tag names the first layer of the chunk it enters, which is
+// unique per boundary however many chunks a stage owns. Costs come from the
+// micro batch's own book, so variable-length micro batches get
 // shape-correct durations, stashes and message volumes.
-func (lw *layerwise) emitFStep(stage, mb int) {
+func (lw *layerwise) emitFStep(vs, mb int) {
+	p := lw.cfg.Stages
+	stage, lo, hi := vs%p, lw.first[vs], lw.first[vs+1]
 	c := lw.costs.StageMB(stage, mb)
-	if stage == 0 {
+	if vs == 0 {
 		lw.emit(stage, Op{Kind: KForward, MB: mb, Layer: LayerEmbed, Dur: c.EmbedF})
 	} else {
-		lw.emit(stage, Op{Kind: KRecv, MB: mb, Peer: stage - 1,
-			Tag: Tag{MB: mb, Layer: lw.inBoundaryLayer(stage), Bound: BoundAct}})
+		lw.emit(stage, Op{Kind: KRecv, MB: mb, Peer: (vs - 1) % p,
+			Tag: Tag{MB: mb, Layer: lo, Bound: BoundAct}})
 	}
-	for _, layer := range lw.chunks[stage] {
-		rec := lw.recomp[stage][layer]
+	for layer := lo; layer < hi; layer++ {
+		rec := layer >= hi-lw.recomp[vs]
 		for _, seg := range model.Segments {
 			op := Op{Kind: KForward, MB: mb, Layer: layer, Seg: seg, Dur: c.SegDur(seg, KForward)}
 			switch {
@@ -94,23 +90,24 @@ func (lw *layerwise) emitFStep(stage, mb int) {
 			lw.emit(stage, op)
 		}
 	}
-	if stage < lw.cfg.Stages-1 {
-		lw.emit(stage, Op{Kind: KSend, MB: mb, Peer: stage + 1,
-			Tag:   Tag{MB: mb, Layer: lw.inBoundaryLayer(stage + 1), Bound: BoundAct},
+	if vs < lw.lastChunk() {
+		lw.emit(stage, Op{Kind: KSend, MB: mb, Peer: (vs + 1) % p,
+			Tag:   Tag{MB: mb, Layer: hi, Bound: BoundAct},
 			Bytes: c.BoundBytes[BoundAct]})
 	}
 }
 
-// emitBStep emits the backward step of one micro batch: receive the gradient
-// (or run the deferred head forward+loss+backward on the last stage), walk
-// the chunk layers in reverse with backward-B, optionally emitting the
-// weight gradients in place (withW), and send the boundary gradient
-// upstream. With withW false the caller is responsible for scheduling the
-// corresponding W ops later (ZB1P).
-func (lw *layerwise) emitBStep(stage, mb int, withW bool) {
+// emitBStep emits the backward step of one micro batch through chunk vs:
+// receive the gradient (or run the deferred head forward+loss+backward in
+// the last chunk), walk the chunk layers in reverse with backward-B,
+// optionally emitting the weight gradients in place (withW), and send the
+// boundary gradient to the previous chunk. With withW false the caller is
+// responsible for scheduling the corresponding W ops later (ZB1P).
+func (lw *layerwise) emitBStep(vs, mb int, withW bool) {
+	p := lw.cfg.Stages
+	stage, lo, hi := vs%p, lw.first[vs], lw.first[vs+1]
 	c := lw.costs.StageMB(stage, mb)
-	last := lw.cfg.Stages - 1
-	if stage == last {
+	if vs == lw.lastChunk() {
 		// Section 4.6: the LM-head forward and loss run inside the backward
 		// pass, so no [s,b,V] logits tensor is ever stashed. The head input
 		// and output gradient live until the head's backward-W.
@@ -119,12 +116,11 @@ func (lw *layerwise) emitBStep(stage, mb int, withW bool) {
 			lw.emit(stage, Op{Kind: KBackwardW, MB: mb, Layer: LayerHead, Dur: c.HeadW, Free: c.EmbedGradStash})
 		}
 	} else {
-		lw.emit(stage, Op{Kind: KRecv, MB: mb, Peer: stage + 1,
-			Tag: Tag{MB: mb, Layer: lw.inBoundaryLayer(stage + 1), Bound: BoundAct, Back: true}})
+		lw.emit(stage, Op{Kind: KRecv, MB: mb, Peer: (vs + 1) % p,
+			Tag: Tag{MB: mb, Layer: hi, Bound: BoundAct, Back: true}})
 	}
-	for i := len(lw.chunks[stage]) - 1; i >= 0; i-- {
-		layer := lw.chunks[stage][i]
-		if lw.recomp[stage][layer] {
+	for layer := hi - 1; layer >= lo; layer-- {
+		if layer >= hi-lw.recomp[vs] {
 			// Full-layer recomputation (AdaPipe style): regenerate all three
 			// segment stashes from the retained layer input, one op per
 			// segment so the numeric executor can replay it faithfully.
@@ -147,19 +143,20 @@ func (lw *layerwise) emitBStep(stage, mb int, withW bool) {
 			}
 		}
 	}
-	if stage == 0 {
+	if vs == 0 {
 		if withW {
 			lw.emit(stage, Op{Kind: KBackwardW, MB: mb, Layer: LayerEmbed, Dur: c.EmbedW})
 		}
 	} else {
-		lw.emit(stage, Op{Kind: KSend, MB: mb, Peer: stage - 1,
-			Tag:   Tag{MB: mb, Layer: lw.inBoundaryLayer(stage), Bound: BoundAct, Back: true},
+		lw.emit(stage, Op{Kind: KSend, MB: mb, Peer: (vs - 1) % p,
+			Tag:   Tag{MB: mb, Layer: lo, Bound: BoundAct, Back: true},
 			Bytes: c.BoundBytes[BoundAct]})
 	}
 }
 
 // emitWStep emits the deferred weight-gradient ops of one (micro batch,
-// layer) unit: post then pre, in the order ZB1P fills bubbles with.
+// layer) unit on a stage: post then pre, in the order ZB1P fills bubbles
+// with.
 func (lw *layerwise) emitWStep(stage, mb, layer int) {
 	c := lw.costs.StageMB(stage, mb)
 	for _, seg := range []model.Segment{model.SegPost, model.SegPre} {
@@ -175,38 +172,40 @@ func (lw *layerwise) wStepDur(stage, mb int) float64 {
 	return c.SegDur(model.SegPost, KBackwardW) + c.SegDur(model.SegPre, KBackwardW)
 }
 
-// fStepDur returns the duration of one emitFStep's compute on a stage.
-func (lw *layerwise) fStepDur(stage, mb int) float64 {
-	c := lw.costs.StageMB(stage, mb)
-	d := 0.0
-	if stage == 0 {
+// fStepDur returns the compute duration of one emitFStep.
+func (lw *layerwise) fStepDur(vs, mb int) float64 {
+	c := lw.costs.StageMB(vs%lw.cfg.Stages, mb)
+	d := float64(lw.first[vs+1]-lw.first[vs]) * c.LayerDur(KForward)
+	if vs == 0 {
 		d += c.EmbedF
 	}
-	d += float64(len(lw.chunks[stage])) * c.LayerDur(KForward)
 	return d
 }
 
-// bStepDur returns the duration of one emitBStep's compute on a stage.
-func (lw *layerwise) bStepDur(stage, mb int, withW bool) float64 {
-	c := lw.costs.StageMB(stage, mb)
+// bStepDur returns the compute duration of one emitBStep of a chunk without
+// recomputation. The fused step (withW) is priced as a product of the layer
+// count and the deferred one as a running sum; the two forms round
+// differently, and the list scheduler breaks start-time ties on the exact
+// values, so each keeps the form its schedule was calibrated with.
+func (lw *layerwise) bStepDur(vs, mb int, withW bool) float64 {
+	c := lw.costs.StageMB(vs%lw.cfg.Stages, mb)
+	last, n := vs == lw.lastChunk(), lw.first[vs+1]-lw.first[vs]
+	if withW {
+		d := float64(n) * (c.LayerDur(KBackwardB) + c.SegDur(model.SegPre, KBackwardW) + c.SegDur(model.SegPost, KBackwardW))
+		if last {
+			d += c.HeadFB + c.HeadW
+		}
+		if vs == 0 {
+			d += c.EmbedW
+		}
+		return d
+	}
 	d := 0.0
-	if stage == lw.cfg.Stages-1 {
+	if last {
 		d += c.HeadFB
-		if withW {
-			d += c.HeadW
-		}
 	}
-	for _, layer := range lw.chunks[stage] {
-		if lw.recomp[stage][layer] {
-			d += c.SegRecompute[model.SegPre] + c.SegRecompute[model.SegAttn] + c.SegRecompute[model.SegPost]
-		}
+	for i := 0; i < n; i++ {
 		d += c.LayerDur(KBackwardB)
-		if withW {
-			d += c.SegDur(model.SegPre, KBackwardW) + c.SegDur(model.SegPost, KBackwardW)
-		}
-	}
-	if stage == 0 && withW {
-		d += c.EmbedW
 	}
 	return d
 }
@@ -255,7 +254,8 @@ func OneFOneB(cfg Config, costs Costs) (*Plan, error) {
 }
 
 // oneFOneBOn runs the canonical 1F1B emission order on a prepared layerwise
-// builder (shared with AdaPipe, which changes chunks and recompute sets).
+// builder with one chunk per stage (shared with AdaPipe, which changes the
+// chunk sizes and recompute counts).
 func oneFOneBOn(lw *layerwise) *Plan {
 	cfg := lw.cfg
 	for s := 0; s < cfg.Stages; s++ {

@@ -12,14 +12,13 @@ import (
 // BuildParams carries the method-specific knobs a plan builder may consume.
 // The zero value asks every method for its paper-default configuration, so
 // generic callers (the experiment harness, sweeps, the helix command)
-// can build any registered method without knowing its parameters.
+// can build any registered method without knowing its parameters. GPipe,
+// 1F1B, interleaved 1F1B (always two chunks per stage), ZB1P and ZB2P read
+// none of them.
 type BuildParams struct {
 	// MemoryBudget is the per-GPU activation budget in bytes for
 	// budget-aware schedules (AdaPipe). Zero or negative means unlimited.
 	MemoryBudget int64
-	// Chunks is the model-chunk count of interleaved schedules; zero keeps
-	// the method default (2).
-	Chunks int
 	// HelixFold overrides the HelixPipe fold (1 naive FILO, 2 two-fold);
 	// zero keeps the registered variant's default.
 	HelixFold int
@@ -215,12 +214,10 @@ func init() {
 		Name:        MethodInterleaved,
 		Description: "interleaved 1F1B with multiple model chunks per stage",
 		Rank:        30,
-		Build: func(cfg Config, costs Costs, p BuildParams) (*Plan, error) {
-			return Interleaved(cfg, costs, interleavedChunks(p))
+		Build: func(cfg Config, costs Costs, _ BuildParams) (*Plan, error) {
+			return Interleaved(cfg, costs)
 		},
-		Traffic: func(cfg Config, costs Costs, p BuildParams) ([][]int64, error) {
-			return interleavedTraffic(cfg, costs, interleavedChunks(p))
-		},
+		Traffic: interleavedTraffic,
 	})
 	Register(Registration{
 		Name:        MethodZB1P,

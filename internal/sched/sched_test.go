@@ -64,7 +64,7 @@ func TestGeneratorsProduceValidPlans(t *testing.T) {
 			budget := int64(c.Stages) * int64(c.Layers/c.Stages) * full / 2
 			return AdaPipe(c, costs, budget)
 		}},
-		{"Interleaved", func(c Config) (*Plan, error) { return Interleaved(c, costs, 2) }},
+		{"Interleaved", func(c Config) (*Plan, error) { return Interleaved(c, costs) }},
 	}
 	for _, g := range gens {
 		for _, sh := range shapes {

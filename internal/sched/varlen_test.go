@@ -16,7 +16,7 @@ func varlenBuilders(cfg Config, costs Costs) map[Method]func() (*Plan, error) {
 		Method1F1B:        func() (*Plan, error) { return OneFOneB(cfg, costs) },
 		MethodZB1P:        func() (*Plan, error) { return ZB1P(cfg, costs) },
 		MethodZB2P:        func() (*Plan, error) { return ZB2P(cfg, costs) },
-		MethodInterleaved: func() (*Plan, error) { return Interleaved(cfg, costs, 2) },
+		MethodInterleaved: func() (*Plan, error) { return Interleaved(cfg, costs) },
 		MethodAdaPipe:     func() (*Plan, error) { return AdaPipe(cfg, costs, 0) },
 	}
 }

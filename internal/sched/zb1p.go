@@ -33,43 +33,57 @@ func ZB2P(cfg Config, costs Costs) (*Plan, error) {
 	return zeroBubble(cfg, costs, 2*cfg.Stages, MethodZB2P)
 }
 
-// zeroBubble is the shared cost-driven list scheduler of ZB1P and ZB2P;
-// inflightCap bounds forward admission per stage (p for ZB1P, matching
-// Equation 4's 1F1B-equivalent memory; 2p for ZB2P).
-func zeroBubble(cfg Config, costs Costs, inflightCap int, method Method) (*Plan, error) {
+// zeroBubble list-schedules one chunk per stage with deferred weight
+// gradients; inflight bounds forward admission per stage (p for ZB1P,
+// matching Equation 4's 1F1B-equivalent memory; 2p for ZB2P).
+func zeroBubble(cfg Config, costs Costs, inflight int, method Method) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	lw := newLayerwise(cfg, costs, evenChunks(cfg.Layers, cfg.Stages))
-	p, m := cfg.Stages, cfg.MicroBatches
+	if err := lw.listSchedule(func(int) int { return inflight }, true); err != nil {
+		return nil, err
+	}
+	return lw.plan(method), nil
+}
+
+// listSchedule emits every chunk's forward and backward steps by
+// deterministic earliest-start list scheduling, the policy ZB1P, ZB2P and
+// interleaved 1F1B share. Each round, every stage offers its best next
+// action: scanning its chunks in order, a chunk's next backward step, then
+// its next forward step while fewer than inflight(vs) of the chunk's micro
+// batches are between forward and backward, then (with deferW) the oldest
+// weight gradient its backward steps left pending; a later candidate wins
+// only by starting strictly earlier. The stage whose action starts earliest
+// runs it, the lowest stage on ties. A step starts once its stage is free
+// and its input has arrived, P2PTime of the micro batch's boundary after the
+// neighbouring chunk finished. Without deferW, backward steps run their
+// weight gradients fused. Chunks must not recompute (bStepDur).
+func (lw *layerwise) listSchedule(inflight func(vs int) int, deferW bool) error {
+	p, m, v := lw.cfg.Stages, lw.cfg.MicroBatches, len(lw.first)-1
 	const inf = math.MaxFloat64
 
-	fArr := make([][]float64, p)  // arrival time of the forward input
-	bArr := make([][]float64, p)  // arrival time of the gradient input
-	fDone := make([][]float64, p) // completion time of the local forward
-	for s := 0; s < p; s++ {
-		fArr[s] = make([]float64, m)
-		bArr[s] = make([]float64, m)
-		fDone[s] = make([]float64, m)
-		for j := 0; j < m; j++ {
-			if s != 0 {
-				fArr[s][j] = inf
-			}
-			bArr[s][j] = inf
-			fDone[s][j] = inf
+	// Indexed [vs*m+j] for chunk vs and micro batch j: the arrival time of
+	// the forward input, the arrival time of the gradient input, and the
+	// completion time of the local forward.
+	fArr, bArr, fDone := make([]float64, v*m), make([]float64, v*m), make([]float64, v*m)
+	for i := range fArr {
+		if i >= m {
+			fArr[i] = inf
 		}
+		bArr[i], fDone[i] = inf, inf
 	}
 
 	type wUnit struct {
 		mb, layer int // layer, or LayerHead / LayerEmbed
 	}
 	clock := make([]float64, p)
-	fNext := make([]int, p)
-	bNext := make([]int, p)
+	fNext := make([]int, v)
+	bNext := make([]int, v)
 	wQ := make([][]wUnit, p)
 
 	wUnitDur := func(s int, u wUnit) float64 {
-		c := costs.StageMB(s, u.mb)
+		c := lw.costs.StageMB(s, u.mb)
 		switch u.layer {
 		case LayerHead:
 			return c.HeadW
@@ -80,7 +94,7 @@ func zeroBubble(cfg Config, costs Costs, inflightCap int, method Method) (*Plan,
 		}
 	}
 	emitWUnit := func(s int, u wUnit) {
-		c := costs.StageMB(s, u.mb)
+		c := lw.costs.StageMB(s, u.mb)
 		switch u.layer {
 		case LayerHead:
 			lw.emit(s, Op{Kind: KBackwardW, MB: u.mb, Layer: LayerHead, Dur: c.HeadW, Free: c.EmbedGradStash})
@@ -91,100 +105,101 @@ func zeroBubble(cfg Config, costs Costs, inflightCap int, method Method) (*Plan,
 		}
 	}
 
-	type action int
-	const (
-		actNone action = iota
-		actB
-		actF
-		actW
-	)
-	// nextAction returns the stage's best next action and its start time.
-	nextAction := func(s int) (action, float64) {
-		best, bestStart := actNone, inf
-		if j := bNext[s]; j < m {
-			ready := bArr[s][j]
-			if s == p-1 {
-				ready = fDone[s][j]
+	// action is a stage's next step: a chunk's backward or forward step, or
+	// (vs < 0) its oldest pending weight gradient.
+	type action struct {
+		vs    int
+		back  bool
+		start float64
+	}
+	// next returns the stage's best next action; start is inf when it has
+	// none.
+	next := func(s int) action {
+		best := action{start: inf}
+		for vs := s; vs < v; vs += p {
+			if j := bNext[vs]; j < m {
+				ready := bArr[vs*m+j]
+				if vs == v-1 {
+					ready = fDone[vs*m+j]
+				}
+				if ready < inf {
+					if t := math.Max(clock[s], ready); t < best.start {
+						best = action{vs: vs, back: true, start: t}
+					}
+				}
 			}
-			if ready < inf {
-				if t := math.Max(clock[s], ready); t < bestStart {
-					best, bestStart = actB, t
+			if j := fNext[vs]; j < m && j-bNext[vs] < inflight(vs) {
+				if ready := fArr[vs*m+j]; ready < inf {
+					if t := math.Max(clock[s], ready); t < best.start {
+						best = action{vs: vs, start: t}
+					}
 				}
 			}
 		}
-		if j := fNext[s]; j < m && fNext[s]-bNext[s] < inflightCap {
-			if ready := fArr[s][j]; ready < inf {
-				if t := math.Max(clock[s], ready); t < bestStart {
-					best, bestStart = actF, t
-				}
-			}
+		if len(wQ[s]) > 0 && clock[s] < best.start {
+			best = action{vs: -1, start: clock[s]}
 		}
-		if len(wQ[s]) > 0 {
-			if t := clock[s]; t < bestStart {
-				best, bestStart = actW, t
-			}
-		}
-		return best, bestStart
+		return best
 	}
 
 	for {
-		bestStage, bestAct, bestStart := -1, actNone, inf
-		for s := 0; s < p; s++ {
-			act, start := nextAction(s)
-			if act != actNone && start < bestStart {
-				bestStage, bestAct, bestStart = s, act, start
+		s, act := -1, action{start: inf}
+		for stage := 0; stage < p; stage++ {
+			if a := next(stage); a.start < act.start {
+				s, act = stage, a
 			}
 		}
-		if bestStage < 0 {
+		if s < 0 {
 			break
 		}
-		s := bestStage
-		switch bestAct {
-		case actF:
-			j := fNext[s]
-			end := bestStart + lw.fStepDur(s, j)
-			lw.emitFStep(s, j)
-			fDone[s][j] = end
-			if s < p-1 {
-				fArr[s+1][j] = end + costs.P2PTime(costs.MB(j).BoundBytes[BoundAct])
-			}
-			fNext[s]++
-			clock[s] = end
-		case actB:
-			j := bNext[s]
-			end := bestStart + lw.bStepDur(s, j, false)
-			lw.emitBStep(s, j, false)
-			if s > 0 {
-				bArr[s-1][j] = end + costs.P2PTime(costs.MB(j).BoundBytes[BoundAct])
-			}
-			bNext[s]++
-			clock[s] = end
-			// Enqueue the deferred weight gradients: head first (it ran
-			// first in the backward step), then the chunk layers in the
-			// backward order they were visited.
-			if s == p-1 {
-				wQ[s] = append(wQ[s], wUnit{mb: j, layer: LayerHead})
-			}
-			for i := len(lw.chunks[s]) - 1; i >= 0; i-- {
-				wQ[s] = append(wQ[s], wUnit{mb: j, layer: lw.chunks[s][i]})
-			}
-			if s == 0 {
-				wQ[s] = append(wQ[s], wUnit{mb: j, layer: LayerEmbed})
-			}
-		case actW:
+		vs := act.vs
+		switch {
+		case vs < 0:
 			u := wQ[s][0]
 			wQ[s] = wQ[s][1:]
 			emitWUnit(s, u)
-			clock[s] = bestStart + wUnitDur(s, u)
+			clock[s] = act.start + wUnitDur(s, u)
+		case act.back:
+			j := bNext[vs]
+			end := act.start + lw.bStepDur(vs, j, !deferW)
+			lw.emitBStep(vs, j, !deferW)
+			if vs > 0 {
+				bArr[(vs-1)*m+j] = end + lw.costs.P2PTime(lw.costs.MB(j).BoundBytes[BoundAct])
+			}
+			bNext[vs]++
+			clock[s] = end
+			if deferW {
+				// Enqueue the deferred weight gradients: head first (it ran
+				// first in the backward step), then the chunk layers in the
+				// backward order they were visited.
+				if vs == v-1 {
+					wQ[s] = append(wQ[s], wUnit{mb: j, layer: LayerHead})
+				}
+				for layer := lw.first[vs+1] - 1; layer >= lw.first[vs]; layer-- {
+					wQ[s] = append(wQ[s], wUnit{mb: j, layer: layer})
+				}
+				if vs == 0 {
+					wQ[s] = append(wQ[s], wUnit{mb: j, layer: LayerEmbed})
+				}
+			}
+		default:
+			j := fNext[vs]
+			end := act.start + lw.fStepDur(vs, j)
+			lw.emitFStep(vs, j)
+			fDone[vs*m+j] = end
+			if vs < v-1 {
+				fArr[(vs+1)*m+j] = end + lw.costs.P2PTime(lw.costs.MB(j).BoundBytes[BoundAct])
+			}
+			fNext[vs]++
+			clock[s] = end
 		}
 	}
 
-	for s := 0; s < p; s++ {
-		if fNext[s] != m || bNext[s] != m || len(wQ[s]) != 0 {
-			return nil, fmt.Errorf("sched: ZB1P scheduling deadlocked at stage %d (F %d/%d, B %d/%d, W pending %d)",
-				s, fNext[s], m, bNext[s], m, len(wQ[s]))
+	for vs := 0; vs < v; vs++ {
+		if fNext[vs] != m || bNext[vs] != m {
+			return fmt.Errorf("sched: list scheduling deadlocked at chunk %d on stage %d (F %d/%d, B %d/%d)",
+				vs, vs%p, fNext[vs], m, bNext[vs], m)
 		}
 	}
-	plan := lw.plan(method)
-	return plan, nil
+	return nil
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -50,32 +51,80 @@ func TestZB2PValidAndDeeper(t *testing.T) {
 
 // TestGeneratorPropertyRandomShapes is a property test over random pipeline
 // shapes: every layer-wise generator must produce a validating plan for any
-// (p, m, L) with p | L and m >= 1.
+// (p, m, L) with p | L and m >= 1 (2p | L for interleaved 1F1B), and each
+// stage's program must hold exactly m·Σ(4 + 8·n + 3·r) ops over the chunks it
+// runs, n being a chunk's layer count and r its recomputed layers. Per micro
+// batch and chunk that is the input recv or embedding plus the output send
+// or head backward and weight gradient, the embedding's weight gradient or
+// the gradient send, three forward, three backward-B and two backward-W ops
+// per layer, and three recompute ops per recomputed layer.
 func TestGeneratorPropertyRandomShapes(t *testing.T) {
 	costs := UnitCosts(0)
+	full := costs.SegStash[model.SegPre] + costs.SegStash[model.SegAttn] + costs.SegStash[model.SegPost]
 	check := func(pRaw, mRaw, lRaw uint8) bool {
 		p := int(pRaw)%7 + 2         // 2..8
 		m := int(mRaw)%12 + 1        // 1..12
-		layersPer := int(lRaw)%4 + 1 // 1..4
+		layersPer := int(lRaw)%8 + 1 // 1..8
 		cfg := Config{Stages: p, MicroBatches: m, Layers: p * layersPer}
-		for _, build := range []func(Config, Costs) (*Plan, error){GPipe, OneFOneB, ZB1P, ZB2P} {
-			plan, err := build(cfg, costs)
+		builds := map[string]func() (*Plan, error){
+			"GPipe":         func() (*Plan, error) { return GPipe(cfg, costs) },
+			"1F1B":          func() (*Plan, error) { return OneFOneB(cfg, costs) },
+			"ZB1P":          func() (*Plan, error) { return ZB1P(cfg, costs) },
+			"ZB2P":          func() (*Plan, error) { return ZB2P(cfg, costs) },
+			"AdaPipe":       func() (*Plan, error) { return AdaPipe(cfg, costs, 0) },
+			"AdaPipe-tight": func() (*Plan, error) { return AdaPipe(cfg, costs, int64(cfg.Layers)*full/2) },
+		}
+		if layersPer%2 == 0 {
+			builds["Interleaved"] = func() (*Plan, error) { return Interleaved(cfg, costs) }
+		}
+		ok := true
+		for name, build := range builds {
+			plan, err := build()
+			if err == nil {
+				err = Validate(plan)
+			}
+			if err == nil {
+				err = checkProgramLengths(plan)
+			}
 			if err != nil {
-				return false
-			}
-			if Validate(plan) != nil {
-				return false
+				t.Errorf("%s p=%d m=%d L=%d: %v", name, p, m, cfg.Layers, err)
+				ok = false
 			}
 		}
-		plan, err := AdaPipe(cfg, costs, 0)
-		if err != nil || Validate(plan) != nil {
-			return false
-		}
-		return true
+		return ok
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// checkProgramLengths checks each stage program's length against
+// m·Σ(4 + 8·n + 3·r) over the stage's chunks: interleaved 1F1B runs two
+// chunks per stage, every other layer-wise method one. A stage's layers and
+// recomputed layers are the distinct layers of its forward and recompute
+// ops.
+func checkProgramLengths(plan *Plan) error {
+	chunks := 1
+	if plan.Method == MethodInterleaved {
+		chunks = 2
+	}
+	for s, ops := range plan.Ops {
+		layers, recomputed := map[int]bool{}, map[int]bool{}
+		for _, op := range ops {
+			switch {
+			case op.Kind == KForward && op.Layer >= 0:
+				layers[op.Layer] = true
+			case op.Kind == KRecompute:
+				recomputed[op.Layer] = true
+			}
+		}
+		want := plan.MicroBatches * (4*chunks + 8*len(layers) + 3*len(recomputed))
+		if len(ops) != want {
+			return fmt.Errorf("stage %d holds %d ops, want %d (%d chunks, %d layers, %d recomputed)",
+				s, len(ops), want, chunks, len(layers), len(recomputed))
+		}
+	}
+	return nil
 }
 
 // TestStashSplitsSumToFull is a property of the cost book: per segment, the

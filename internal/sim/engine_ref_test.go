@@ -396,7 +396,7 @@ func (e *refEngine) execSend(s int32, op *sched.Op, start float64) {
 			st.Seconds += float64(op.Bytes) / bytesPerSec
 		}
 	}
-	launch := e.opt.SendLaunchSeconds
+	launch := 0.0 // the engine charges no send-launch time
 	xferStart := start + launch
 	if e.sendFree[s] > xferStart {
 		xferStart = e.sendFree[s]

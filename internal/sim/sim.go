@@ -153,9 +153,6 @@ type Options struct {
 	// observes the effect is marginal). Compute ops are stretched by
 	// SMPenalty times their overlap with NIC busy intervals.
 	SMPenalty float64
-	// SendLaunchSeconds is the compute-stream cost of initiating an async
-	// send (kernel launch + NCCL bookkeeping).
-	SendLaunchSeconds float64
 	// Topology, when set, replaces the plan's single flat NIC model: each
 	// transfer's bandwidth and latency come from the link class between its
 	// endpoints' placed devices. Compute is priced by the plan's
@@ -689,8 +686,7 @@ func (e *engine) execSend(s int32) {
 			st.Seconds += float64(op.Bytes) / bytesPerSec
 		}
 	}
-	launch := e.opt.SendLaunchSeconds
-	xferStart := start + launch
+	xferStart := start
 	if e.sendFree[s] > xferStart {
 		xferStart = e.sendFree[s]
 	}
@@ -718,8 +714,7 @@ func (e *engine) execSend(s int32) {
 		e.clock[s] = arrival
 		e.record(s, op, start, arrival)
 	} else {
-		e.clock[s] = start + launch
-		e.record(s, op, start, start+launch)
+		e.record(s, op, start, start)
 	}
 	if p := op.Peer; p != int(s) && int(e.pc[p]) < len(e.plan.Ops[p]) && e.plan.Ops[p][e.pc[p]].Kind == sched.KRecv {
 		e.advance(int32(p))
@@ -758,7 +753,7 @@ func (e *engine) nicOverlap(s int32, start, end float64) float64 {
 // overlapping returns the contiguous run of intervals overlapping [start,
 // end] within one sorted, non-overlapping timeline, moving the cursor *lo to
 // its first interval that ends after start (ends are non-decreasing). A
-// stage's compute starts never decrease while launch and latency are
+// stage's compute starts never decrease while link latencies are
 // non-negative, so the cursor only walks forward; stepping back keeps the
 // run exact for any query order.
 func overlapping(ivs []interval, lo *int32, start, end float64) []interval {

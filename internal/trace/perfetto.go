@@ -18,7 +18,7 @@ import (
 // Flow arrows need anchors on both lanes, so — unlike the ASCII/SVG
 // renderers, which drop them — recv waits are emitted as slices on the
 // receiving lane (category "recv", spanning wait-begin to arrival) and
-// async sends as zero-or-launch-duration slices on the sender.
+// async sends as zero-duration slices on the sender.
 func Perfetto(t *obs.Trace, res *sim.Result, pid int, name string) {
 	t.ProcessName(pid, name)
 	t.ProcessSortIndex(pid, pid)

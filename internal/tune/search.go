@@ -137,12 +137,12 @@ func NewSearch(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Search, er
 	// estimate is order-independent (its outstanding window holds the
 	// largest micro batches), so ordered variants share the verdict.
 	for _, c := range grid {
+		w := costmodel.NewWorkload(m, cl, model.Shape{B: c.MicroBatchSize, S: c.SeqLen})
 		if c.Stages <= 0 || c.MicroBatches <= 0 || c.MicroBatchSize <= 0 ||
-			c.SeqLen <= 0 || m.Layers%c.Stages != 0 {
+			c.SeqLen <= 0 || m.Layers%c.Stages != 0 || w.ValidateIteration(c.MicroBatches) != nil {
 			s.prune(PruneGeometry)
 			continue
 		}
-		w := costmodel.NewWorkload(m, cl, model.Shape{B: c.MicroBatchSize, S: c.SeqLen})
 		est, err := estimatePeak(w, c, s.batchOf(c), budget)
 		if err != nil || est > budget {
 			s.prune(PruneMemory)

@@ -223,6 +223,9 @@ func (s *Session) validate() error {
 			return fmt.Errorf("helixpipe: invalid workload: %w", err)
 		}
 	}
+	if err := s.Workload().ValidateIteration(s.MicroBatches()); err != nil {
+		return fmt.Errorf("helixpipe: %w", err)
+	}
 	return s.resolveTopology()
 }
 

@@ -228,6 +228,14 @@ func TestSpecInvalid(t *testing.T) {
 		{"numeric tune", ExperimentSpec{Model: "7B", Cluster: "H20", Engine: "numeric",
 			Tune: &SpecTune{}}, "engine must be"},
 		{"indivisible layers", ExperimentSpec{Model: "7B", Cluster: "H20", Stages: 5}, "divisible"},
+		// Geometries whose token or byte counts overflow int64 used to run
+		// and report zero tokens and stash, or fail as a negative stash.
+		{"overflowing seq_len tokens", ExperimentSpec{Model: "7B", Cluster: "H20", SeqLen: 1 << 62, Stages: 2,
+			Methods: []string{"1F1B", "HelixPipe", "ZB1P"}}, "token count (4 micro batches of 1 x 4611686018427387904 tokens) overflows int64"},
+		{"overflowing micro batch tokens", ExperimentSpec{Model: "7B", Cluster: "H20", MicroBatchSize: 1 << 62, Stages: 2,
+			Methods: []string{"1F1B", "HelixPipe", "ZB1P"}}, "token count (4 micro batches of 4611686018427387904 x 131072 tokens) overflows int64"},
+		{"overflowing stash", ExperimentSpec{Model: "7B", Cluster: "H20", SeqLen: 1 << 50, Stages: 2,
+			Methods: []string{"1F1B", "HelixPipe", "ZB1P"}}, "stash bound (4 micro batches x 32 layers"},
 	}
 	for _, tc := range cases {
 		_, _, err := tc.spec.Resolve()
@@ -511,6 +519,28 @@ func TestExecuteTuneStreams(t *testing.T) {
 	}
 	if res.Evaluated != n {
 		t.Errorf("Autotune evaluated %d, stream yielded %d", res.Evaluated, n)
+	}
+}
+
+// TestTunePrunesOverflowingGeometry pins a tune grid point whose stash
+// overflows int64: its memory estimate used to keep it, and it ranked at 0
+// tokens/s. It is now a geometry prune, like an indivisible stage count.
+func TestTunePrunesOverflowingGeometry(t *testing.T) {
+	spec := &ExperimentSpec{
+		Model: "7B", Cluster: "A800", Stages: 2, Methods: []string{"1F1B"},
+		Tune: &SpecTune{SeqLens: []int{1 << 62}, BudgetGB: 80},
+	}
+	session, rs, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := session.Autotune(*rs.Tune)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GridSize != 1 || res.Pruned["geometry"] != 1 || len(res.Points) != 0 {
+		t.Errorf("grid %d, pruned %v, %d points; want the one point pruned as geometry",
+			res.GridSize, res.Pruned, len(res.Points))
 	}
 }
 
