@@ -13,8 +13,10 @@ import (
 
 // FuzzSpec feeds arbitrary JSON through ParseSpec → Resolved → Resolve. The
 // seed corpus — every committed example spec plus specs carrying non-finite
-// perturbation factors in code, and testdata/fuzz/FuzzSpec — runs under
-// plain go test; explore further with
+// perturbation factors in code, and testdata/fuzz/FuzzSpec, which also holds
+// iterations past the caps (a million micro batches, explicit or tuned, and
+// 80,000 and a million workload documents) — runs under plain go test;
+// explore further with
 //
 //	go test -run=NONE -fuzz=FuzzSpec -fuzztime=60s -fuzzminimizetime=5s -parallel=2 .
 //

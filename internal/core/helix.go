@@ -342,10 +342,7 @@ func (b *helixBuilder) buildTasks() {
 // that same order, maintained from per-task pending-prerequisite counts.
 func (b *helixBuilder) schedule() error {
 	p, n := b.cfg.Stages, len(b.tasks)
-	b.ops = make([][]sched.Op, p)
-	for s, ops := range b.programLengths() {
-		b.ops[s] = make([]sched.Op, 0, ops)
-	}
+	b.ops = sched.Programs(b.programLengths())
 	b.arrival = make([]float64, b.cfg.MicroBatches*b.cfg.Layers*4)
 	b.clock = make([]float64, p)
 	b.sendFree = make([]float64, p)

@@ -103,13 +103,22 @@ func (w Workload) Validate() error {
 	return nil
 }
 
+// MaxMicroBatches caps the micro batches of one iteration. A plan build
+// allocates every stage program up front, a few hundred ops per micro batch
+// and stage, so the cap keeps one build to a few hundred MB.
+const MaxMicroBatches = 1 << 12
+
 // ValidateIteration reports an error when one iteration of m micro batches
-// of the workload's shape cannot be counted in int64: its token count m·b·s,
-// or its stash bound m·L·(full per-layer stash bytes), every layer's
+// of the workload's shape is too large to plan: more than MaxMicroBatches
+// micro batches, or counts that overflow int64, its token count m·b·s or
+// its stash bound m·L·(full per-layer stash bytes), every layer's
 // activations of every micro batch held at once. Plans, simulations and
 // reports sum token and byte counts within these bounds, so a geometry past
 // them would wrap and report garbage. Shape and m must be positive.
 func (w Workload) ValidateIteration(m int) error {
+	if m > MaxMicroBatches {
+		return fmt.Errorf("costmodel: micro batches must be at most %d, got %d", MaxMicroBatches, m)
+	}
 	b, s := int64(w.Shape.B), int64(w.Shape.S)
 	if _, ok := mulInt64(int64(m), b, s); !ok {
 		return fmt.Errorf("costmodel: the iteration's token count (%d micro batches of %d x %d tokens) overflows int64",

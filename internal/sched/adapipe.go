@@ -138,13 +138,13 @@ func AdaPipe(cfg Config, costs Costs, memBudgetBytes int64) (*Plan, error) {
 		l -= c
 	}
 
-	lw := newLayerwise(cfg, costs, chunksFromSizes(sizes))
-	for s := 0; s < p; s++ {
+	recomp := make([]int, p)
+	for s := range recomp {
 		// Recompute the chunk's last layers, as many as the budget needs;
 		// the choice within the chunk does not affect time or peak memory.
-		lw.recomp[s], _ = minRecompute(sizes[s], p-s)
+		recomp[s], _ = minRecompute(sizes[s], p-s)
 	}
-	plan := oneFOneBOn(lw)
+	plan := oneFOneBOn(newLayerwise(cfg, costs, chunksFromSizes(sizes), recomp))
 	plan.Method = MethodAdaPipe
 	return plan, nil
 }

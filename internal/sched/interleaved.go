@@ -47,7 +47,7 @@ func Interleaved(cfg Config, costs Costs) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	lw := newLayerwise(cfg, costs, evenChunks(cfg.Layers, v))
+	lw := newLayerwise(cfg, costs, evenChunks(cfg.Layers, v), nil)
 	if err := lw.listSchedule(func(vs int) int { return v - vs }, false); err != nil {
 		return nil, err
 	}

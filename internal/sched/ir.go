@@ -249,6 +249,29 @@ func (p *Plan) TrafficMatrix() [][]int64 {
 	return m
 }
 
+// Programs returns one empty stage program per entry of lengths, program s
+// with room for exactly lengths[s] ops. Builders that know their program
+// lengths before emitting (every generator in this repository) allocate a
+// plan's programs through it, once: all of them are carved out of one
+// backing array, each capped at its length, so a program that outgrows its
+// count reallocates instead of spilling into the next stage's.
+func Programs(lengths []int) [][]Op { return carve[Op](lengths) }
+
+// carve returns len(lengths) empty slices with capacities lengths, sharing
+// one backing array.
+func carve[T any](lengths []int) [][]T {
+	total := 0
+	for _, n := range lengths {
+		total += n
+	}
+	backing := make([]T, total)
+	out := make([][]T, len(lengths))
+	for i, n := range lengths {
+		out[i], backing = backing[:0:n], backing[n:]
+	}
+	return out
+}
+
 // NumOps returns the total operation count across all stages.
 func (p *Plan) NumOps() int {
 	n := 0

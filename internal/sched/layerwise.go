@@ -43,14 +43,20 @@ func chunksFromSizes(sizes []int) []int {
 	return first
 }
 
-func newLayerwise(cfg Config, costs Costs, first []int) *layerwise {
-	return &layerwise{
-		cfg:    cfg,
-		costs:  costs,
-		first:  first,
-		recomp: make([]int, len(first)-1),
-		ops:    make([][]Op, cfg.Stages),
+// newLayerwise prepares a builder over the chunks first delimits, chunk vs
+// recomputing its last recomp[vs] layers (nil: none). Whatever the emission
+// order, chunk vs emits 4 + 8·n + 3·r ops per micro batch (n layers, r of
+// them recomputed), so every stage program is allocated once, at its exact
+// length.
+func newLayerwise(cfg Config, costs Costs, first, recomp []int) *layerwise {
+	if recomp == nil {
+		recomp = make([]int, len(first)-1)
 	}
+	lengths := make([]int, cfg.Stages)
+	for vs, r := range recomp {
+		lengths[vs%cfg.Stages] += cfg.MicroBatches * (4 + 8*(first[vs+1]-first[vs]) + 3*r)
+	}
+	return &layerwise{cfg: cfg, costs: costs, first: first, recomp: recomp, ops: Programs(lengths)}
 }
 
 func (lw *layerwise) emit(stage int, op Op) { lw.ops[stage] = append(lw.ops[stage], op) }
@@ -230,7 +236,7 @@ func GPipe(cfg Config, costs Costs) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	lw := newLayerwise(cfg, costs, evenChunks(cfg.Layers, cfg.Stages))
+	lw := newLayerwise(cfg, costs, evenChunks(cfg.Layers, cfg.Stages), nil)
 	for s := 0; s < cfg.Stages; s++ {
 		for mb := 0; mb < cfg.MicroBatches; mb++ {
 			lw.emitFStep(s, mb)
@@ -250,7 +256,7 @@ func OneFOneB(cfg Config, costs Costs) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return oneFOneBOn(newLayerwise(cfg, costs, evenChunks(cfg.Layers, cfg.Stages))), nil
+	return oneFOneBOn(newLayerwise(cfg, costs, evenChunks(cfg.Layers, cfg.Stages), nil)), nil
 }
 
 // oneFOneBOn runs the canonical 1F1B emission order on a prepared layerwise

@@ -40,7 +40,7 @@ func zeroBubble(cfg Config, costs Costs, inflight int, method Method) (*Plan, er
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	lw := newLayerwise(cfg, costs, evenChunks(cfg.Layers, cfg.Stages))
+	lw := newLayerwise(cfg, costs, evenChunks(cfg.Layers, cfg.Stages), nil)
 	if err := lw.listSchedule(func(int) int { return inflight }, true); err != nil {
 		return nil, err
 	}
@@ -80,7 +80,19 @@ func (lw *layerwise) listSchedule(inflight func(vs int) int, deferW bool) error 
 	clock := make([]float64, p)
 	fNext := make([]int, v)
 	bNext := make([]int, v)
-	wQ := make([][]wUnit, p)
+	// wQ[s] is stage s's FIFO of pending weight gradients, sized up front
+	// to every unit the stage enqueues (each micro batch's chunk layers,
+	// plus its head and embedding units), so popping by reslicing never
+	// forces a regrowth.
+	units := make([]int, p)
+	if deferW {
+		for vs := 0; vs < v; vs++ {
+			units[vs%p] += m * (lw.first[vs+1] - lw.first[vs])
+		}
+		units[(v-1)%p] += m // head
+		units[0] += m       // embedding
+	}
+	wQ := carve[wUnit](units)
 
 	wUnitDur := func(s int, u wUnit) float64 {
 		c := lw.costs.StageMB(s, u.mb)

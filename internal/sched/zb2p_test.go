@@ -102,7 +102,9 @@ func TestGeneratorPropertyRandomShapes(t *testing.T) {
 // m·Σ(4 + 8·n + 3·r) over the stage's chunks: interleaved 1F1B runs two
 // chunks per stage, every other layer-wise method one. A stage's layers and
 // recomputed layers are the distinct layers of its forward and recompute
-// ops.
+// ops. Each program must also be exactly full, its capacity its length: the
+// builders allocate it once from the same closed form, so spare capacity
+// means the formula over-allocates and a regrown slice means it fell short.
 func checkProgramLengths(plan *Plan) error {
 	chunks := 1
 	if plan.Method == MethodInterleaved {
@@ -122,6 +124,9 @@ func checkProgramLengths(plan *Plan) error {
 		if len(ops) != want {
 			return fmt.Errorf("stage %d holds %d ops, want %d (%d chunks, %d layers, %d recomputed)",
 				s, len(ops), want, chunks, len(layers), len(recomputed))
+		}
+		if cap(ops) != len(ops) {
+			return fmt.Errorf("stage %d program has len %d, cap %d", s, len(ops), cap(ops))
 		}
 	}
 	return nil

@@ -54,7 +54,8 @@ type SpecWorkload struct {
 	// Dist names the synthetic document-length distribution ("uniform",
 	// "bimodal", "longtail"). Ignored when Shapes is set.
 	Dist string `json:"dist,omitempty"`
-	// Docs is the number of documents to sample (default 64).
+	// Docs is the number of documents to sample (default 64, at most
+	// MaxWorkloadDocs).
 	Docs int `json:"docs,omitempty"`
 	// MinSeq is the shortest document (default MaxSeq/16).
 	MinSeq int `json:"min_seq,omitempty"`
@@ -69,6 +70,12 @@ type SpecWorkload struct {
 	// Shapes pins the per-micro-batch shapes explicitly, bypassing sampling.
 	Shapes []Shape `json:"shapes,omitempty"`
 }
+
+// MaxWorkloadDocs caps the documents a synthetic workload samples. Resolve
+// packs them into micro batches before anything runs, and packing time grows
+// quadratically with the document count, so the cap bounds Resolve's time;
+// costmodel.MaxMicroBatches bounds the micro batches they pack into.
+const MaxWorkloadDocs = 1 << 14
 
 // SpecHelix pins the HelixPipe build options for every helix method of the
 // spec, overriding each variant's registered default.
@@ -714,6 +721,9 @@ func (s *ExperimentSpec) normalized() (*ExperimentSpec, error) {
 			}
 			if w.Docs == 0 {
 				w.Docs = 64
+			}
+			if w.Docs > MaxWorkloadDocs {
+				return nil, fmt.Errorf("helixpipe: workload docs must be at most %d, got %d", MaxWorkloadDocs, w.Docs)
 			}
 			if w.MaxSeq == 0 {
 				w.MaxSeq = n.SeqLen

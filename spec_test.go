@@ -236,6 +236,20 @@ func TestSpecInvalid(t *testing.T) {
 			Methods: []string{"1F1B", "HelixPipe", "ZB1P"}}, "token count (4 micro batches of 4611686018427387904 x 131072 tokens) overflows int64"},
 		{"overflowing stash", ExperimentSpec{Model: "7B", Cluster: "H20", SeqLen: 1 << 50, Stages: 2,
 			Methods: []string{"1F1B", "HelixPipe", "ZB1P"}}, "stash bound (4 micro batches x 32 layers"},
+		// Plan builds allocate every stage program up front: a million
+		// micro batches used to resolve and then run out of memory in the
+		// build, and a million documents kept Resolve packing for minutes.
+		{"micro batches past the cap", ExperimentSpec{Model: "7B", Cluster: "H20", SeqLen: 1, Stages: 2,
+			MicroBatches: 1 << 20, Methods: []string{"1F1B"}}, "micro batches must be at most 4096, got 1048576"},
+		{"tune run past the micro-batch cap", ExperimentSpec{Model: "7B", Cluster: "H20", SeqLen: 1, Stages: 2,
+			MicroBatches: 1 << 20, Methods: []string{"1F1B"},
+			Tune: &SpecTune{Stages: []int{2}, MicroBatches: []int{1 << 20}, BudgetGB: 80}}, "micro batches must be at most 4096"},
+		{"packed micro batches past the cap", ExperimentSpec{Model: "7B", Cluster: "H20", Stages: 2, Methods: []string{"1F1B"},
+			Workload: &SpecWorkload{Dist: "uniform", Docs: 16384, MinSeq: 1, MaxSeq: 4096}}, "micro batches must be at most 4096"},
+		{"docs past the cap", ExperimentSpec{Model: "7B", Cluster: "H20", Stages: 2, Methods: []string{"1F1B"},
+			Workload: &SpecWorkload{Dist: "uniform", Docs: 80000, MinSeq: 1, MaxSeq: 4096}}, "workload docs must be at most 16384, got 80000"},
+		{"a million docs", ExperimentSpec{Model: "7B", Cluster: "H20", Stages: 2, Methods: []string{"1F1B"},
+			Workload: &SpecWorkload{Dist: "uniform", Docs: 1000000, MinSeq: 1, MaxSeq: 4096}}, "workload docs must be at most 16384"},
 	}
 	for _, tc := range cases {
 		_, _, err := tc.spec.Resolve()
@@ -522,25 +536,33 @@ func TestExecuteTuneStreams(t *testing.T) {
 	}
 }
 
-// TestTunePrunesOverflowingGeometry pins a tune grid point whose stash
-// overflows int64: its memory estimate used to keep it, and it ranked at 0
-// tokens/s. It is now a geometry prune, like an indivisible stage count.
+// TestTunePrunesOverflowingGeometry pins tune grid points too large to plan
+// as geometry prunes, like an indivisible stage count. A stash that
+// overflows int64 used to pass the memory estimate and rank at 0 tokens/s;
+// a million micro batches used to pass both prunes and run out of memory
+// in the plan build.
 func TestTunePrunesOverflowingGeometry(t *testing.T) {
-	spec := &ExperimentSpec{
-		Model: "7B", Cluster: "A800", Stages: 2, Methods: []string{"1F1B"},
-		Tune: &SpecTune{SeqLens: []int{1 << 62}, BudgetGB: 80},
+	cases := []struct {
+		name string
+		tune SpecTune
+	}{
+		{"overflowing stash", SpecTune{SeqLens: []int{1 << 62}, BudgetGB: 80}},
+		{"micro batches past the cap", SpecTune{SeqLens: []int{1}, MicroBatches: []int{1 << 20}, BudgetGB: 80}},
 	}
-	session, rs, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := session.Autotune(*rs.Tune)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GridSize != 1 || res.Pruned["geometry"] != 1 || len(res.Points) != 0 {
-		t.Errorf("grid %d, pruned %v, %d points; want the one point pruned as geometry",
-			res.GridSize, res.Pruned, len(res.Points))
+	for _, tc := range cases {
+		spec := &ExperimentSpec{Model: "7B", Cluster: "A800", Stages: 2, Methods: []string{"1F1B"}, Tune: &tc.tune}
+		session, rs, err := spec.Resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		res, err := session.Autotune(*rs.Tune)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.GridSize != 1 || res.Pruned["geometry"] != 1 || len(res.Points) != 0 {
+			t.Errorf("%s: grid %d, pruned %v, %d points; want the one point pruned as geometry",
+				tc.name, res.GridSize, res.Pruned, len(res.Points))
+		}
 	}
 }
 
