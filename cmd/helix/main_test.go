@@ -27,6 +27,7 @@ var traffic = []struct{ args, golden string }{
 	{"sim -model 1.3B -cluster DGX-H20x2 -seq 8192 -pp 8 -method 1F1B -placement greedy -perturb slow=3x1.5", "sim_h20x2_greedy"},
 	{"tune -model 3B -cluster DGX-A800x4 -seq 32768 -pp 4,8 -budget 64 -perturb link=ibx0.5", "tune_a800x4_perturb"},
 	{"tune -model 3B -cluster A800 -seq 32768 -pp 2 -budget 64 -dist bimodal -docs 24 -minseq 4096 -maxseq 32768 -orders packed,longest", "tune_bimodal"},
+	{"tune -model 7B -cluster H20 -seq 65536 -pp 4 -budget 40 -method 1F1B -dist bimodal -docs 24 -minseq 4096 -maxseq 65536 -orders packed", "tune_bimodal_7b"},
 	{"sim -model 3B -cluster DGX-A800x2-H20x2 -seq 16384 -pp 8 -method 1F1B -placement greedy -perturb link=nvlinkx0.15", "sim_mixed_greedy"},
 	{"fleet -spec examples/fleet_capacity/fleet_stream.json", "fleet_stream"},
 	{"fleet -spec examples/fleet_capacity/fleet_stream.json -policy preempt -csv fleet-jobs.csv", "fleet_preempt_csv"},

@@ -297,7 +297,6 @@ const (
 	TunePruneMemory    = tune.PruneMemory
 	TunePruneBuild     = tune.PruneBuild
 	TunePruneSim       = tune.PruneSim
-	TunePruneMeasured  = tune.PruneMeasured
 	TunePrunePlacement = tune.PrunePlacement
 )
 

@@ -21,7 +21,7 @@ const (
 )
 
 // Prune reasons recorded in Report.Pruned, mirroring the autotuner's
-// memsim-style accounting: geometry kills invalid lattice points before
+// "why pruned" accounting: geometry kills invalid lattice points before
 // pricing, kv-memory kills points whose KV cache plus weight shard cannot
 // fit the per-device budget.
 const (

@@ -7,12 +7,13 @@ import (
 )
 
 // Ordered runs n cells on a bounded worker pool (workers wide; GOMAXPROCS
-// when workers <= 0) and yields each cell's result in cell order as soon as
-// it is available: the first result arrives while later cells still run. The
-// semaphore doubles as the worker-id pool, so a cell holds one id for its
-// whole run. A launch window of 4×workers ahead of the yield cursor keeps the
-// pool full behind a slow head cell while capping how many finished results
-// wait their turn: a 500-cell grid holds a bounded window, not five hundred.
+// when workers <= 0; never wider than n) and yields each cell's result in
+// cell order as soon as it is available: the first result arrives while
+// later cells still run. The semaphore doubles as the worker-id pool, so a
+// cell holds one id for its whole run. A launch window of 4×workers ahead of
+// the yield cursor keeps the pool full behind a slow head cell while capping
+// how many finished results wait their turn: a 500-cell grid holds a bounded
+// window, not five hundred.
 // A cell's error is yielded with its result and never aborts the remaining
 // cells. Breaking out of the iteration launches nothing further; in-flight
 // cells finish into their buffered slots and are collected by the GC.
@@ -25,6 +26,7 @@ func Ordered[T any](n, workers int, sink Sink, label func(int) string,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, n)
 	return func(yield func(T, error) bool) {
 		type slot struct {
 			v   T

@@ -145,9 +145,11 @@ type Op struct {
 	Seg model.Segment
 	// Dur is the compute duration in seconds (compute kinds only).
 	Dur float64
-	// Alloc is the number of bytes of stash the op allocates on completion.
+	// Alloc is the number of bytes of stash the compute op allocates. It
+	// counts toward the stage's peak before the op's Free is released
+	// (StashPeaks). Message ops carry no stash.
 	Alloc int64
-	// Free is the number of bytes of stash the op releases on completion.
+	// Free is the number of bytes of stash the compute op releases.
 	Free int64
 	// Peer is the other stage of a communication op.
 	Peer int
@@ -223,11 +225,14 @@ type Plan struct {
 	// validated memoizes a successful Validate, so re-simulating the same
 	// plan (a pooled sim.Run per sweep cell) does not re-walk the full token
 	// dataflow every call. recvSlots is the message match that walk recorded
-	// (RecvSlots). Both describe the Ops they were computed on, and a copy of
-	// the plan carries them: code that changes a validated plan's Ops must
-	// build a fresh Plan. In practice plans are immutable once built.
-	validated bool
-	recvSlots []int32
+	// (RecvSlots), and stashPeaks the per-stage stash peaks of its memory
+	// pass (StashPeaks). All three describe the Ops they were computed on,
+	// and a copy of the plan carries them: code that changes a validated
+	// plan's Ops must build a fresh Plan. In practice plans are immutable
+	// once built.
+	validated  bool
+	recvSlots  []int32
+	stashPeaks []int64
 }
 
 // TrafficMatrix returns the per-(stage, peer) communication volume of the

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -467,6 +468,32 @@ func TestValidatorCatchesCorruption(t *testing.T) {
 			t.Errorf("%s: error %q does not name the op %v", c.name, err, *op)
 		}
 	}
+	// A message op carrying stash, balanced on the stage's compute ops so
+	// the running balance stays sound: the engine applies Alloc and Free on
+	// compute only, so the memory walk and the simulated peak would differ.
+	for _, c := range []struct {
+		name        string
+		kind        OpKind
+		alloc, free int64
+	}{
+		{"send with Alloc", KSend, 1 << 40, 0},
+		{"recv with Free", KRecv, 0, 1 << 40},
+	} {
+		p := fresh()
+		op := first(p, c.kind)
+		op.Alloc, op.Free = c.alloc, c.free
+		ops := p.Ops[0]
+		ops[0].Alloc += c.free
+		ops[len(ops)-1].Free += c.alloc
+		err := Validate(p)
+		if err == nil {
+			t.Errorf("validator accepted a %s", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), op.String()) {
+			t.Errorf("%s: error %q does not name the op %v", c.name, err, *op)
+		}
+	}
 	// An op of unknown kind appended to a valid plan passes every count and
 	// token check, and the engine used to simulate it as compute.
 	p = fresh()
@@ -603,6 +630,37 @@ func TestInterleavedNeedsTwoStages(t *testing.T) {
 		traffic, err := Traffic(m, cfg, costs, BuildParams{})
 		if err != nil || len(traffic) != 1 || traffic[0][0] != 0 {
 			t.Errorf("Traffic(%s, p=1) = %v, %v; want [[0]]", m, traffic, err)
+		}
+	}
+}
+
+// TestStashPeaks pins the one stash-peak rule: a stage's peak is the largest
+// running sum of its ops' Alloc and Free in program order, an op's Alloc
+// counting before its Free. Validate memoizes the walk, and a plan not yet
+// validated is walked on demand to the same peaks.
+func TestStashPeaks(t *testing.T) {
+	crafted := &Plan{Stages: 2, Ops: [][]Op{
+		{{Kind: KForward, Alloc: 5}, {Kind: KForward, Alloc: 3, Free: 5}, {Kind: KBackwardB, Free: 3}},
+		{{Kind: KForward, Alloc: 2, Free: 2}},
+	}}
+	if got := StashPeaks(crafted); !slices.Equal(got, []int64{8, 2}) {
+		t.Errorf("crafted plan peaks %v, want [8 2]", got)
+	}
+	costs := realCosts(t)
+	for _, method := range Methods() {
+		plan, err := Build(method, testCfg(4, 8, 8), costs, BuildParams{})
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		walked := StashPeaks(plan)
+		if err := Validate(plan); err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		if memo := StashPeaks(plan); !slices.Equal(memo, walked) || len(memo) != plan.Stages {
+			t.Errorf("%s: validated peaks %v, walked %v", method, memo, walked)
+		}
+		if slices.Max(walked) <= 0 {
+			t.Errorf("%s: no stage stashes anything: %v", method, walked)
 		}
 	}
 }

@@ -185,12 +185,27 @@ func Validate(p *Plan) error {
 	if err != nil {
 		return err
 	}
-	if err := validateMemory(p); err != nil {
+	peaks, err := stashPeaks(p)
+	if err != nil {
 		return err
 	}
 	p.validated = true
 	p.recvSlots = slots
+	p.stashPeaks = peaks
 	return nil
+}
+
+// StashPeaks returns each stage's peak activation stash: the largest running
+// sum of its ops' Alloc and Free in program order, an op's Alloc counting
+// before its Free. The sum does not depend on timing, so it is the peak
+// sim.Run reports. A validated plan returns the peaks its memory pass
+// recorded, shared and read-only. Any other plan is walked here.
+func StashPeaks(p *Plan) []int64 {
+	if p.validated {
+		return p.stashPeaks
+	}
+	peaks, _ := stashPeaks(p)
+	return peaks
 }
 
 // RecvSlots matches every recv of the plan to the send it consumes. It
@@ -267,6 +282,9 @@ func validateStructure(p *Plan) error {
 				return fmt.Errorf("sched: stage %d op %d (%v): negative duration", s, i, *op)
 			}
 			if comm {
+				if op.Alloc != 0 || op.Free != 0 {
+					return fmt.Errorf("sched: stage %d op %d (%v): stash on a message op", s, i, *op)
+				}
 				if op.Peer < 0 || op.Peer >= p.Stages {
 					return fmt.Errorf("sched: stage %d op %d (%v): peer out of range", s, i, *op)
 				}
@@ -476,21 +494,28 @@ func validateDataflow(p *Plan, g geometry) ([]int32, error) {
 	return slots, nil
 }
 
-// validateMemory checks stash conservation: on every stage the allocated
-// bytes equal the freed bytes over the iteration (no leak across iterations)
-// and the running balance never goes negative in program order.
-func validateMemory(p *Plan) error {
+// stashPeaks walks every stage's stash in program order and returns the
+// per-stage peaks with the first conservation violation: a running balance
+// that goes negative, or a stage whose allocations and frees differ over the
+// iteration (a leak across iterations). The walk always finishes, so a plan
+// run below the validator still gets every stage's peak.
+func stashPeaks(p *Plan) ([]int64, error) {
+	peaks := make([]int64, len(p.Ops))
+	var first error
 	for s, ops := range p.Ops {
 		var bal int64
-		for i, op := range ops {
-			bal += op.Alloc - op.Free
-			if bal < 0 {
-				return fmt.Errorf("sched: stage %d op %d (%v): stash balance negative (%d)", s, i, op, bal)
+		for i := range ops {
+			op := &ops[i]
+			bal += op.Alloc
+			peaks[s] = max(peaks[s], bal)
+			bal -= op.Free
+			if bal < 0 && first == nil {
+				first = fmt.Errorf("sched: stage %d op %d (%v): stash balance negative (%d)", s, i, *op, bal)
 			}
 		}
-		if bal != 0 {
-			return fmt.Errorf("sched: stage %d leaks %d stash bytes per iteration", s, bal)
+		if bal != 0 && first == nil {
+			first = fmt.Errorf("sched: stage %d leaks %d stash bytes per iteration", s, bal)
 		}
 	}
-	return nil
+	return peaks, first
 }

@@ -65,7 +65,9 @@ type Result struct {
 	// LinkBusySeconds is the per-stage NIC busy time (max of the send and
 	// receive directions).
 	LinkBusySeconds []float64
-	// PeakStashBytes is the per-stage peak activation stash.
+	// PeakStashBytes is the per-stage peak activation stash
+	// (sched.StashPeaks): a running sum over the stage's program order that
+	// no timing changes.
 	PeakStashBytes []int64
 	// BytesSent is the per-stage outbound traffic.
 	BytesSent []int64
@@ -414,7 +416,6 @@ type engine struct {
 	wait      []float64
 	linkBusy  []float64
 	sent      []int64
-	stash     []int64
 	peak      []int64
 
 	idle    []float64
@@ -470,8 +471,10 @@ func (e *engine) reinit(plan *sched.Plan, opt Options) {
 	e.wait = grow(e.wait, p)
 	e.linkBusy = grow(e.linkBusy, p)
 	e.sent = grow(e.sent, p)
-	e.stash = grow(e.stash, p)
+	// The stash peaks do not depend on timing: the validator's walk fixes
+	// them once per plan, and no run changes them.
 	e.peak = grow(e.peak, p)
+	copy(e.peak, sched.StashPeaks(plan))
 	e.idle = grow(e.idle, p)
 	// Number the messages and pre-size the NIC timelines, the arrivals and
 	// the span buffer exactly from the plan: each stage's sends and recvs
@@ -537,8 +540,6 @@ func (e *engine) reset() {
 		e.wait[s] = 0
 		e.linkBusy[s] = 0
 		e.sent[s] = 0
-		e.stash[s] = 0
-		e.peak[s] = 0
 	}
 	e.ready = e.ready[:0]
 	e.seq = 0
@@ -649,11 +650,6 @@ func (e *engine) advance(s int32) {
 				dur += overlap * e.opt.SMPenalty
 			}
 			end := start + dur
-			e.stash[s] += op.Alloc
-			if e.stash[s] > e.peak[s] {
-				e.peak[s] = e.stash[s]
-			}
-			e.stash[s] -= op.Free
 			e.busy[s] += dur
 			e.clock[s] = end
 			e.record(s, op, start, end)

@@ -15,7 +15,7 @@ func (r *Result) Summary() string {
 		r.Model, r.Cluster, gb(r.MemoryBudgetBytes))
 	fmt.Fprintf(&b, "grid %d points, evaluated %d, cost-model evaluations %d\n",
 		r.GridSize, r.Evaluated, r.CostModelEvals)
-	for _, reason := range []string{PruneGeometry, PruneMemory, PruneBuild, PruneSim, PruneMeasured, PrunePlacement} {
+	for _, reason := range []string{PruneGeometry, PruneMemory, PruneBuild, PruneSim, PrunePlacement} {
 		if n := r.Pruned[reason]; n > 0 {
 			fmt.Fprintf(&b, "pruned %d (%s)\n", n, reason)
 		}
@@ -51,8 +51,8 @@ func pointTable(title string, points []Point) string {
 			placed = true
 		}
 	}
-	fmt.Fprintf(&b, "%-22s %-14s %-4s %-4s %-3s %-12s %-10s %-10s %-12s",
-		"method", "scenario", "pp", "m", "b", "tokens/s", "bubble %", "peak GB", "est peak GB")
+	fmt.Fprintf(&b, "%-22s %-14s %-4s %-4s %-3s %-12s %-10s %-10s",
+		"method", "scenario", "pp", "m", "b", "tokens/s", "bubble %", "peak GB")
 	if placed {
 		fmt.Fprintf(&b, " %-10s", "placement")
 	}
@@ -65,9 +65,9 @@ func pointTable(title string, points []Point) string {
 				scenario += "/" + p.Order
 			}
 		}
-		fmt.Fprintf(&b, "%-22s %-14s %-4d %-4d %-3d %-12.0f %-10.1f %-10.1f %-12.1f",
+		fmt.Fprintf(&b, "%-22s %-14s %-4d %-4d %-3d %-12.0f %-10.1f %-10.1f",
 			p.Method, scenario, p.Stages, p.MicroBatches, p.MicroBatchSize,
-			p.TokensPerSecond, p.BubbleFraction*100, gb(p.PeakBytes), gb(p.EstimatedPeakBytes))
+			p.TokensPerSecond, p.BubbleFraction*100, gb(p.PeakBytes))
 		if placed {
 			fmt.Fprintf(&b, " %-10s", p.Placement)
 		}
@@ -84,7 +84,7 @@ func CSVHeader() []string {
 		"method", "workload", "order", "seq_len", "stages", "micro_batches", "micro_batch_size",
 		"placement", "placement_devices", "pad_fraction",
 		"tokens_per_second", "seconds_per_token", "iteration_seconds", "bubble_fraction",
-		"peak_bytes", "estimated_peak_bytes",
+		"peak_bytes",
 	}
 }
 
@@ -108,7 +108,7 @@ func (p Point) CSVRow() []string {
 		fmt.Sprintf("%g", p.TokensPerSecond), fmt.Sprintf("%g", p.SecondsPerToken),
 		fmt.Sprintf("%g", p.IterationSeconds),
 		fmt.Sprintf("%g", p.BubbleFraction),
-		fmt.Sprintf("%d", p.PeakBytes), fmt.Sprintf("%d", p.EstimatedPeakBytes),
+		fmt.Sprintf("%d", p.PeakBytes),
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
-	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -28,8 +27,8 @@ func (s *Search) prune(reason string) {
 }
 
 // PruneError reports one discarded grid point of a streaming search: the
-// candidate, the constraint that discarded it (PruneBuild, PruneSim,
-// PrunePlacement or PruneMeasured), and the underlying cause.
+// candidate, the constraint that discarded it (PruneBuild, PruneMemory,
+// PruneSim or PrunePlacement), and the underlying cause.
 type PruneError struct {
 	// Candidate is the discarded grid point.
 	Candidate Candidate
@@ -44,12 +43,6 @@ func (e *PruneError) Error() string { return fmt.Sprintf("pruned (%s): %v", e.Re
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *PruneError) Unwrap() error { return e.Err }
 
-// survivor is a grid point that passed the cheap pruning phases.
-type survivor struct {
-	Candidate
-	estPeak int64 // memsim activation peak + model states
-}
-
 // shapeKey identifies the shape a candidate's cost books are priced at:
 // cost-model evaluation depends only on the micro-batch shape (b, s) — or,
 // for workload candidates, on the workload and its order — so the whole
@@ -62,7 +55,7 @@ type shapeKey struct {
 }
 
 // Search is a prepared, streamable autotuner run. NewSearch validates the
-// spec and runs the cheap phases (grid enumeration, geometry and memory
+// spec and runs the cheap phases (grid enumeration, geometry and model-state
 // pruning, counting the distinct cost-book shapes); Points streams the
 // expensive phase — one simulated Point or PruneError per surviving grid
 // point, in deterministic grid order, each yielded as soon as it is
@@ -76,7 +69,7 @@ type Search struct {
 	budget int64
 
 	res       *Result
-	survivors []survivor
+	survivors []Candidate
 	workloads map[string]model.BatchSpec
 }
 
@@ -96,9 +89,9 @@ func NewSearch(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Search, er
 	}
 	methods := sched.Methods()
 	if len(spec.Methods) > 0 {
-		// Resolve to canonical registry names: the per-method memory
-		// profiles (stageTrace, stateBytes) switch on them, so a
-		// case-variant spelling must not fall through to the default.
+		// Resolve to canonical registry names: stateBytes switches on
+		// them, so a case-variant spelling must not fall through to the
+		// default.
 		methods = make([]sched.Method, 0, len(spec.Methods))
 		for _, method := range spec.Methods {
 			r, ok := sched.Lookup(string(method))
@@ -132,10 +125,11 @@ func NewSearch(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Search, er
 		s.workloads[w.Name] = w.Batch
 	}
 
-	// Phase 1: cheap pruning. Geometry first, then the memsim peak-memory
-	// estimate — no cost model, no plan building, no simulation. The
-	// estimate is order-independent (its outstanding window holds the
-	// largest micro batches), so ordered variants share the verdict.
+	// Phase 1: cheap pruning, with no cost model, plan or simulation. A
+	// point goes when its geometry is unusable, or when its model states
+	// alone exceed the budget: no stash can fit beside them. Every other
+	// point is built in Points and pruned there on its plan's own stash
+	// peak.
 	for _, c := range grid {
 		w := costmodel.NewWorkload(m, cl, model.Shape{B: c.MicroBatchSize, S: c.SeqLen})
 		if c.Stages <= 0 || c.MicroBatches <= 0 || c.MicroBatchSize <= 0 ||
@@ -143,20 +137,19 @@ func NewSearch(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Search, er
 			s.prune(PruneGeometry)
 			continue
 		}
-		est, err := estimatePeak(w, c, s.batchOf(c), budget)
-		if err != nil || est > budget {
+		if stateBytes(m, cl, c.Method, c.Stages) > budget {
 			s.prune(PruneMemory)
 			continue
 		}
-		s.survivors = append(s.survivors, survivor{Candidate: c, estPeak: est})
+		s.survivors = append(s.survivors, c)
 	}
 
 	// Phase 2: count the distinct shapes the survivors' books are priced
 	// at. The process-wide book memo evaluates each once, which keeps
 	// CostModelEvals strictly below the naive grid size.
 	shapes := map[shapeKey]bool{}
-	for _, sv := range s.survivors {
-		if key := keyOf(sv.Candidate); !shapes[key] {
+	for _, c := range s.survivors {
+		if key := keyOf(c); !shapes[key] {
 			shapes[key] = true
 			s.res.CostModelEvals++
 			tuneCostEvalsC.Inc()
@@ -187,10 +180,11 @@ func (s *Search) batchOf(c Candidate) *model.BatchSpec {
 	return &b
 }
 
-// Points streams the expensive phase: the surviving grid points run on
-// obs.Ordered's bounded worker pool (Spec.Workers wide) and are yielded in
-// deterministic grid order as soon as each simulation completes — evaluated
-// points as (Point, nil), discarded ones as (Point{}, *PruneError). A prune
+// Points streams the expensive phase: the surviving grid points are built,
+// checked against the budget on their own stash peaks and simulated on
+// obs.Ordered's bounded worker pool (Spec.Workers wide), and are yielded in
+// deterministic grid order as soon as each one completes — evaluated points
+// as (Point, nil), discarded ones as (Point{}, *PruneError). A prune
 // never aborts the remaining points. The stream records everything it
 // yields into the Search's accounting, so Result after draining equals what
 // Run returns; breaking early launches nothing further and leaves a partial
@@ -202,14 +196,14 @@ func (s *Search) Points() iter.Seq2[Point, error] {
 			reason string // empty on success
 		}
 		cells := obs.Ordered(len(s.survivors), s.spec.Workers, s.spec.Sink,
-			func(i int) string { return s.survivors[i].Candidate.String() },
+			func(i int) string { return s.survivors[i].String() },
 			func(i int) (outcome, bool, error) {
 				point, reason, err := s.evaluate(s.survivors[i])
 				return outcome{point, reason}, false, err
 			})
 		i := 0
 		for o, err := range cells {
-			c := s.survivors[i].Candidate
+			c := s.survivors[i]
 			i++
 			if o.reason != "" {
 				s.prune(o.reason)
@@ -263,11 +257,12 @@ func Run(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Result, error) {
 }
 
 // evaluate builds and simulates one surviving candidate. A non-empty reason
-// (PruneBuild, PruneSim, PrunePlacement or PruneMeasured) reports a
-// discarded point. Under a cluster topology the candidate searches the
-// spec's placement strategies and keeps the best placement's result.
-func (s *Search) evaluate(sv survivor) (Point, string, error) {
-	c := sv.Candidate
+// (PruneBuild, PruneMemory, PruneSim or PrunePlacement) reports a discarded
+// point. Each plan's largest stage stash plus the model states is checked
+// against the budget before it is simulated. Under a cluster topology the
+// candidate searches the spec's placement strategies and keeps the fastest
+// placement that fits.
+func (s *Search) evaluate(c Candidate) (Point, string, error) {
 	cfg := sched.Config{Stages: c.Stages, MicroBatches: c.MicroBatches, Layers: s.m.Layers}
 	tokens := int64(c.MicroBatchSize) * int64(c.SeqLen) * int64(c.MicroBatches)
 	padFraction := 0.0
@@ -277,9 +272,17 @@ func (s *Search) evaluate(sv survivor) (Point, string, error) {
 		padFraction = batch.PadFraction()
 	}
 	w := costmodel.NewWorkload(s.m, s.cl, model.Shape{B: c.MicroBatchSize, S: c.SeqLen})
-	params := sched.BuildParams{MemoryBudget: s.budget - stateBytes(s.m, s.cl, c.Method, c.Stages)}
-	build := func(topo *cluster.Topology) (*sched.Plan, error) {
-		return sched.Build(c.Method, cfg, sched.NewCosts(w, cfg.Batch, topo), params)
+	states := stateBytes(s.m, s.cl, c.Method, c.Stages)
+	params := sched.BuildParams{MemoryBudget: s.budget - states}
+	build := func(topo *cluster.Topology) (*sched.Plan, string, error) {
+		plan, err := sched.Build(c.Method, cfg, sched.NewCosts(w, cfg.Batch, topo), params)
+		if err != nil {
+			return nil, PruneBuild, err
+		}
+		if peak := maxStash(plan) + states; peak > s.budget {
+			return nil, PruneMemory, fmt.Errorf("peak %d exceeds budget %d", peak, s.budget)
+		}
+		return plan, "", nil
 	}
 
 	var simRes *sim.Result
@@ -295,21 +298,14 @@ func (s *Search) evaluate(sv survivor) (Point, string, error) {
 			return Point{}, reason, fmt.Errorf("%s: %w", c, err)
 		}
 	} else {
-		plan, err := build(nil)
+		plan, reason, err := build(nil)
 		if err != nil {
-			return Point{}, PruneBuild, fmt.Errorf("%s: %w", c, err)
+			return Point{}, reason, fmt.Errorf("%s: %w", c, err)
 		}
 		simRes, err = sim.Run(plan, sim.Options{SMPenalty: s.cl.CommSMPenalty})
 		if err != nil {
 			return Point{}, PruneSim, fmt.Errorf("%s: %w", c, err)
 		}
-	}
-	peak := simRes.MaxPeakStashBytes() + stateBytes(s.m, s.cl, c.Method, c.Stages)
-	if peak > s.budget {
-		// The cheap estimate admitted the point but the simulation measured
-		// it over budget: discard it rather than recommend an OOM.
-		return Point{}, PruneMeasured, fmt.Errorf(
-			"%s: measured peak %d exceeds budget %d", c, peak, s.budget)
 	}
 	point := Point{
 		Candidate:          c,
@@ -317,8 +313,7 @@ func (s *Search) evaluate(sv survivor) (Point, string, error) {
 		PlacementDevices:   best.Devices,
 		PadFraction:        padFraction,
 		TokensPerIteration: tokens,
-		EstimatedPeakBytes: sv.estPeak,
-		PeakBytes:          peak,
+		PeakBytes:          simRes.MaxPeakStashBytes() + states,
 		IterationSeconds:   simRes.IterationSeconds,
 		TokensPerSecond:    simRes.Throughput(tokens),
 		BubbleFraction:     bubbleFraction(simRes),
@@ -329,23 +324,35 @@ func (s *Search) evaluate(sv survivor) (Point, string, error) {
 	return point, "", nil
 }
 
+// maxStash returns the plan's largest per-stage stash peak (sched.StashPeaks),
+// 0 for a plan without stages.
+func maxStash(plan *sched.Plan) int64 {
+	var peak int64
+	for _, v := range sched.StashPeaks(plan) {
+		peak = max(peak, v)
+	}
+	return peak
+}
+
 // simulatePlacements places the candidate's traffic matrix — read in closed
 // form, priced on flat books, since message volumes are equal on every
 // placed book — with each of the spec's placement strategies on its
 // topology, builds the plan once per placement on the cost books placed
 // there (the pricing a Session applies to a placed cell), and returns the
-// fastest iteration's result and placement. A failure comes with its prune
-// reason: a build failure is PruneBuild, as it is without a topology, since
-// whether a plan builds does not depend on where it is placed; a point wider
-// than the topology is PrunePlacement; any other is PruneSim. The greedy
-// search seeds from zero, so results are deterministic.
+// fastest iteration's result and placement among the plans that fit the
+// budget. A failure comes with its prune reason: a build failure is
+// PruneBuild, as it is without a topology, since whether a plan builds does
+// not depend on where it is placed; a point wider than the topology is
+// PrunePlacement; a point whose every built plan is over budget is
+// PruneMemory; any other is PruneSim. The greedy search seeds from zero, so
+// results are deterministic.
 func (s *Search) simulatePlacements(stages int, traffic [][]int64,
-	build func(*cluster.Topology) (*sched.Plan, error)) (*sim.Result, cluster.Placement, string, error) {
+	build func(*cluster.Topology) (*sched.Plan, string, error)) (*sim.Result, cluster.Placement, string, error) {
 	topo := *s.spec.Cluster
 	if stages > topo.Devices() {
 		// Nothing can be placed, but a plan that cannot be built is still
 		// counted as the build failure it is.
-		if _, err := build(nil); err != nil {
+		if _, reason, err := build(nil); reason == PruneBuild {
 			return nil, cluster.Placement{}, PruneBuild, err
 		}
 		return nil, cluster.Placement{}, PrunePlacement, fmt.Errorf(
@@ -361,7 +368,7 @@ func (s *Search) simulatePlacements(stages int, traffic [][]int64,
 	}
 	var bestRes *sim.Result
 	var bestPlace cluster.Placement
-	var firstErr error
+	var firstErr, memErr error
 	fail := func(strategy string, err error) {
 		if firstErr == nil {
 			firstErr = fmt.Errorf("placement %s: %w", strategy, err)
@@ -381,9 +388,17 @@ func (s *Search) simulatePlacements(stages int, traffic [][]int64,
 			fail(strategy, err)
 			continue
 		}
-		plan, err := build(view)
-		if err != nil {
+		plan, reason, err := build(view)
+		switch reason {
+		case PruneBuild:
 			return nil, cluster.Placement{}, PruneBuild, err
+		case PruneMemory:
+			// Placed books may reorder a list-scheduled plan, and with it
+			// the plan's peak: another placement may still fit.
+			if memErr == nil {
+				memErr = fmt.Errorf("placement %s: %w", strategy, err)
+			}
+			continue
 		}
 		plan.Placement = place.Devices
 		res, err := sim.Run(plan, sim.Options{SMPenalty: s.cl.CommSMPenalty, Topology: view})
@@ -395,10 +410,13 @@ func (s *Search) simulatePlacements(stages int, traffic [][]int64,
 			bestRes, bestPlace = res, place
 		}
 	}
-	if bestRes == nil {
-		return nil, cluster.Placement{}, PruneSim, firstErr
+	switch {
+	case bestRes != nil:
+		return bestRes, bestPlace, "", nil
+	case memErr != nil:
+		return nil, cluster.Placement{}, PruneMemory, memErr
 	}
-	return bestRes, bestPlace, "", nil
+	return nil, cluster.Placement{}, PruneSim, firstErr
 }
 
 func bubbleFraction(r *sim.Result) float64 {
@@ -406,132 +424,6 @@ func bubbleFraction(r *sim.Result) float64 {
 		return 0
 	}
 	return r.BubbleSeconds() / r.IterationSeconds
-}
-
-// estimatePeak returns the candidate's per-GPU peak-memory estimate: the
-// memsim caching-allocator replay of the most loaded stage's activation
-// trace plus model states. The replay costs a few hundred allocator
-// operations — the "cheap" in cheap pruning. For workload candidates the
-// trace carries per-micro-batch stashes (largest first — the conservative
-// outstanding window).
-func estimatePeak(w costmodel.Workload, c Candidate, batch *model.BatchSpec, budget int64) (int64, error) {
-	states := stateBytes(w.Model, w.Cluster, c.Method, c.Stages)
-	if states >= budget {
-		// Model states alone exhaust the budget; no activation trace needed.
-		return states, nil
-	}
-	tr := stageTrace(w, c, batch)
-	cfg := memsim.DefaultConfig()
-	cfg.SegmentBytes = 64 << 20
-	st, err := memsim.EstimatePeak(cfg, tr)
-	if err != nil {
-		return 0, err
-	}
-	return st.PeakReservedBytes + states, nil
-}
-
-// stashProfile discriminates how much one layer stashes per method.
-type stashProfile int
-
-const (
-	stashFull  stashProfile = iota // every activation (16bsh per layer)
-	stashHelix                     // recomputation without attention (4bsh)
-	stashInput                     // full recomputation floor (1bsh)
-)
-
-// layerStashBytes returns one layer's per-GPU stash for a shape under a
-// profile.
-func layerStashBytes(w costmodel.Workload, sh model.Shape, p stashProfile) int64 {
-	seqPar := int64(w.Cluster.GPUsPerNode)
-	switch p {
-	case stashHelix:
-		return w.Model.HelixStashElems(sh) * model.FP16Bytes / seqPar
-	case stashInput:
-		return sh.Tokens() * int64(w.Model.Hidden) * model.FP16Bytes / seqPar
-	default:
-		return w.Model.LayerActivationElems(sh) * model.FP16Bytes / seqPar
-	}
-}
-
-// stageTrace maps a candidate onto the allocation trace of its most loaded
-// pipeline stage. The per-method profiles follow the paper's analysis
-// (Equations 2 and 4, Table 2): what varies between schedules is how much
-// one layer stashes and how many micro batches stay outstanding at once. On
-// a variable-length workload the outstanding window holds the workload's
-// largest micro batches — the worst case any pick order can reach.
-func stageTrace(w costmodel.Workload, c Candidate, batch *model.BatchSpec) memsim.StageTrace {
-	seqPar := int64(w.Cluster.GPUsPerNode)
-	unit := w.Shape.Tokens() * int64(w.Model.Hidden) * model.FP16Bytes / seqPar
-
-	tr := memsim.StageTrace{
-		LayersPerStage: w.Model.Layers / c.Stages,
-		// The MLP working set of one layer: input, the two 4bsh
-		// intermediates, output — the buffers whose irregular sizes carve
-		// the pool (section 4.4.2). On variable-length workloads this is the
-		// largest micro batch's working set.
-		TransientBytes: []int64{unit, 4 * unit, 4 * unit, unit},
-	}
-	profile := stashFull
-	switch c.Method {
-	case sched.MethodGPipe:
-		// All forwards before any backward: every micro batch outstanding.
-		tr.OutstandingMB = c.MicroBatches
-	case sched.MethodInterleaved:
-		// Interleaving adds up to one extra in-flight micro batch at the
-		// first stage over plain 1F1B.
-		tr.OutstandingMB = min(c.Stages+1, c.MicroBatches)
-	case sched.MethodZB1P:
-		// Equation 4: ZB1P's worst stage matches 1F1B's first stage, plus
-		// the last stage's fp32 embedding-gradient stash for deferred W.
-		tr.OutstandingMB = min(c.Stages, c.MicroBatches)
-		tr.ResidentBytes = embedGradResidents(w, c.Stages-1)
-	case sched.MethodZB2P:
-		// ZB2P admits roughly a second pipeline's worth of warmup forwards
-		// for its smaller bubble, doubling ZB1P's outstanding count.
-		tr.OutstandingMB = min(2*c.Stages, c.MicroBatches)
-		tr.ResidentBytes = embedGradResidents(w, c.Stages-1)
-	case sched.MethodAdaPipe:
-		// AdaPipe recomputes adaptively under the budget; its floor is full
-		// recomputation, which keeps only each layer's input.
-		profile, tr.OutstandingMB = stashInput, min(c.Stages, c.MicroBatches)
-	case sched.MethodHelix, sched.MethodHelixNaive:
-		// Table 2: the FILO schedules stash all m micro batches, but
-		// recomputation without attention keeps only 4bsh per layer.
-		profile, tr.OutstandingMB = stashHelix, c.MicroBatches
-	case sched.MethodHelixNoRecompute:
-		tr.OutstandingMB = c.MicroBatches
-	default:
-		// Unknown registered methods get the 1F1B profile: the most common
-		// steady state, p outstanding micro batches of full layer stashes.
-		tr.OutstandingMB = min(c.Stages, c.MicroBatches)
-	}
-	tr.StashBytes = layerStashBytes(w, w.Shape, profile)
-	if batch != nil {
-		perMB := make([]int64, 0, len(batch.Shapes))
-		for _, sh := range batch.Shapes {
-			perMB = append(perMB, layerStashBytes(w, sh, profile))
-		}
-		sort.Slice(perMB, func(i, j int) bool { return perMB[i] > perMB[j] })
-		if len(perMB) > tr.OutstandingMB {
-			perMB = perMB[:tr.OutstandingMB]
-		}
-		tr.StashBytesPerMB = perMB
-	}
-	return tr
-}
-
-// embedGradResidents returns the last stage's deferred embedding-gradient
-// stashes under the zero-bubble schedules: one fp32 head-activation pair per
-// warmup micro batch (section 5.4).
-func embedGradResidents(w costmodel.Workload, warmup int) []int64 {
-	if warmup <= 0 {
-		return nil
-	}
-	out := make([]int64, warmup)
-	for i := range out {
-		out[i] = w.EmbeddingGradStashBytes()
-	}
-	return out
 }
 
 // bestPerScenario picks the best point under the spec's objective per

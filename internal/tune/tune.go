@@ -1,14 +1,17 @@
 // Package tune implements the configuration autotuner: given a model, a
 // cluster and a constraint spec it enumerates the method x sequence-length x
-// stages x micro-batch grid, discards memory-infeasible points with cheap
-// memsim peak estimates before simulating anything, fans the survivors
-// across obs.Ordered's bounded worker pool, and ranks the results into a
-// best-throughput pick per sequence length and a throughput-versus-
-// peak-memory Pareto frontier. Cost books come from sched.NewCosts, whose
-// process-wide memo prices each micro-batch shape once; on a cluster
-// topology each placement is priced on books placed there, exactly as a
-// Session prices a placed cell, so a tuned point's iteration time equals
-// Session.Execute's on the same configuration.
+// stages x micro-batch grid, discards unusable geometries and points whose
+// model states alone exceed the budget, fans the rest across obs.Ordered's
+// bounded worker pool, and ranks the results into a best-throughput pick per
+// sequence length and a throughput-versus-peak-memory Pareto frontier. Each
+// point's plan is built, and its own stash peak (sched.StashPeaks) plus
+// model states is checked against the budget before it is simulated: the
+// peak is a running sum over the plan's ops that no timing changes, so the
+// check is exact and no point is simulated only to be dropped. Cost books
+// come from sched.NewCosts, whose process-wide memo prices each micro-batch
+// shape once; on a cluster topology each placement is priced on books placed
+// there, exactly as a Session prices a placed cell, so a tuned point's
+// iteration time equals Session.Execute's on the same configuration.
 //
 // The paper's own evaluation is exactly such a sweep — method x seqlen x
 // cluster, with schedules winning or losing depending on where attention
@@ -34,17 +37,15 @@ const (
 	// PruneGeometry counts grid points with an unusable pipeline geometry
 	// (non-positive axes, layers not divisible by stages).
 	PruneGeometry = "geometry"
-	// PruneMemory counts grid points whose memsim peak-memory estimate
-	// exceeds the per-GPU budget.
+	// PruneMemory counts grid points whose per-GPU peak exceeds the budget:
+	// model states alone, before any build, or the built plan's largest
+	// stage stash plus model states, before any simulation.
 	PruneMemory = "memory-budget"
 	// PruneBuild counts survivors whose schedule builder rejected the
 	// configuration (e.g. AdaPipe finding no partition under the budget).
 	PruneBuild = "build-error"
 	// PruneSim counts survivors whose simulation failed.
 	PruneSim = "sim-error"
-	// PruneMeasured counts survivors whose simulated (measured) peak memory
-	// exceeded the budget even though the cheap estimate admitted them.
-	PruneMeasured = "memory-measured"
 	// PrunePlacement counts survivors that could not be placed on the
 	// topology (more stages than devices).
 	PrunePlacement = "placement"
@@ -109,8 +110,8 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 	// Cluster is an optional cluster topology. When set, every surviving
 	// grid point additionally searches the Placements strategies: each
-	// placement is simulated under the topology's link classes and the
-	// point keeps its best placement's result.
+	// placement whose plan fits the budget is simulated under the
+	// topology's link classes, and the point keeps the fastest.
 	Cluster *cluster.Cluster `json:"cluster,omitempty"`
 	// Placements are the placement strategies to search per grid point
 	// ("contiguous", "roundrobin", "greedy"); empty means all three.
@@ -261,11 +262,9 @@ type Point struct {
 	// TokensPerIteration is the token count the candidate's iteration
 	// processes (padded; the throughput numerator).
 	TokensPerIteration int64 `json:"tokens_per_iteration"`
-	// EstimatedPeakBytes is the memsim per-GPU peak estimate the point was
-	// admitted under: peak reserved activation memory plus model states.
-	EstimatedPeakBytes int64 `json:"estimated_peak_bytes"`
-	// PeakBytes is the measured per-GPU peak: the simulator's largest stash
-	// peak plus model states. The Pareto frontier orders by this.
+	// PeakBytes is the per-GPU peak: the plan's largest stage stash peak
+	// (the one the simulator reports) plus model states. It is within the
+	// budget, and the Pareto frontier orders by it.
 	PeakBytes int64 `json:"peak_bytes"`
 	// IterationSeconds is the simulated iteration makespan.
 	IterationSeconds float64 `json:"iteration_seconds"`
@@ -294,7 +293,7 @@ type Result struct {
 	// successfully.
 	Evaluated int `json:"evaluated"`
 	// Pruned counts discarded grid points per constraint (PruneGeometry,
-	// PruneMemory, PruneBuild, PruneSim).
+	// PruneMemory, PruneBuild, PruneSim, PrunePlacement).
 	Pruned map[string]int `json:"pruned"`
 	// CostModelEvals counts the distinct micro-batch shapes (or workload
 	// orders) the surviving points' cost books are priced at; the
@@ -313,7 +312,8 @@ type Result struct {
 	// StoppedEarly marks a run the Budget target cut short: the last point
 	// met the threshold and the remaining grid never simulated.
 	StoppedEarly bool `json:"stopped_early,omitempty"`
-	// Errors records build/sim failures of pruned survivors.
+	// Errors records why each point built in the expensive phase was
+	// pruned: build, memory, placement and simulation failures.
 	Errors []string `json:"errors,omitempty"`
 }
 

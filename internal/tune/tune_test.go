@@ -34,16 +34,12 @@ func TestAutotuneA800Budget(t *testing.T) {
 	if len(res.Best) == 0 {
 		t.Fatal("expected best-per-seqlen picks")
 	}
-	// No returned configuration may exceed the budget by its memsim
-	// estimate — the feasibility guarantee of the pruning phase.
+	// No returned configuration may exceed the budget: every point's plan
+	// is checked on its own stash peak before it simulates.
 	for _, set := range [][]Point{res.Points, res.Best, res.Frontier} {
 		for _, p := range set {
-			if p.EstimatedPeakBytes > res.MemoryBudgetBytes {
-				t.Errorf("%s: memsim peak %d exceeds budget %d",
-					p.Candidate, p.EstimatedPeakBytes, res.MemoryBudgetBytes)
-			}
 			if p.PeakBytes > res.MemoryBudgetBytes {
-				t.Errorf("%s: measured peak %d exceeds budget %d",
+				t.Errorf("%s: peak %d exceeds budget %d",
 					p.Candidate, p.PeakBytes, res.MemoryBudgetBytes)
 			}
 		}
@@ -201,11 +197,11 @@ func TestAutotuneCanonicalizesMethodNames(t *testing.T) {
 	if lower.Points[0].Method != sched.MethodHelix {
 		t.Errorf("lowercase spelling not canonicalized: %q", lower.Points[0].Method)
 	}
-	// The case-variant spelling must hit the same per-method memory
-	// profile, not fall through to the 1F1B default.
-	if lower.Points[0].EstimatedPeakBytes != canonical.Points[0].EstimatedPeakBytes {
-		t.Errorf("estimate differs by spelling: %d vs %d",
-			lower.Points[0].EstimatedPeakBytes, canonical.Points[0].EstimatedPeakBytes)
+	// The case-variant spelling must count the same model states (HelixPipe
+	// holds the embedding twice), not fall through to the default.
+	if lower.Points[0].PeakBytes != canonical.Points[0].PeakBytes {
+		t.Errorf("peak differs by spelling: %d vs %d",
+			lower.Points[0].PeakBytes, canonical.Points[0].PeakBytes)
 	}
 	// Case variants of one method dedupe to one grid point.
 	res, err := Run(model.Model3B(), costmodel.A800Cluster(), Spec{
@@ -244,6 +240,22 @@ func TestAutotuneSpecValidation(t *testing.T) {
 		Methods: []sched.Method{"no-such-method"},
 	}); err == nil || !strings.Contains(err.Error(), "unknown method") {
 		t.Errorf("unknown method: got %v", err)
+	}
+}
+
+// TestAutotuneHostileWorkerCount asks for more workers than any process
+// could run: the pool is never wider than the grid, so the search runs.
+func TestAutotuneHostileWorkerCount(t *testing.T) {
+	res, err := Run(model.Model3B(), costmodel.A800Cluster(), Spec{
+		SeqLens: []int{4096},
+		Stages:  []int{2},
+		Workers: 1 << 62,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluated != res.GridSize {
+		t.Errorf("evaluated %d of %d points (pruned %v, errors %v)", res.Evaluated, res.GridSize, res.Pruned, res.Errors)
 	}
 }
 
@@ -316,36 +328,6 @@ func TestResultSerializationAndTables(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "method,workload,order,seq_len") {
 		t.Errorf("CSV header = %q", lines[0])
-	}
-}
-
-func TestStageTraceProfiles(t *testing.T) {
-	w := costmodel.NewWorkload(model.Model3B(), costmodel.A800Cluster(),
-		model.Shape{B: 1, S: 65536})
-	base := Candidate{SeqLen: 65536, Stages: 4, MicroBatches: 8, MicroBatchSize: 1}
-
-	trace := func(m sched.Method) int64 {
-		c := base
-		c.Method = m
-		tr := stageTrace(w, c, nil)
-		return tr.StashBytes * int64(tr.OutstandingMB) * int64(tr.LayersPerStage)
-	}
-	// Table 2 ordering: HelixPipe's recomputation-without-attention stash is
-	// far below 1F1B's full stash, which is below GPipe's all-outstanding.
-	if !(trace(sched.MethodHelix) < trace(sched.Method1F1B)) {
-		t.Error("helix stash volume should undercut 1F1B")
-	}
-	if !(trace(sched.Method1F1B) < trace(sched.MethodGPipe)) {
-		t.Error("1F1B stash volume should undercut GPipe")
-	}
-	if !(trace(sched.MethodHelix) < trace(sched.MethodHelixNoRecompute)) {
-		t.Error("recomputation must shrink the helix stash")
-	}
-	// ZB1P carries the deferred embedding-gradient residents.
-	c := base
-	c.Method = sched.MethodZB1P
-	if tr := stageTrace(w, c, nil); len(tr.ResidentBytes) != c.Stages-1 {
-		t.Errorf("ZB1P residents = %d, want %d", len(tr.ResidentBytes), c.Stages-1)
 	}
 }
 
@@ -438,8 +420,9 @@ func TestAutotuneBudgetDirectionFollowsObjective(t *testing.T) {
 
 // TestPlacementPruneReasons pins how a topology-bound point's failure is
 // counted: a plan that cannot be built is PruneBuild with the build's own
-// error, whether or not the point could be placed, and a buildable point
-// wider than the topology is PrunePlacement.
+// error, whether or not the point could be placed; a buildable point wider
+// than the topology is PrunePlacement; and a point whose every placed plan
+// is over budget is PruneMemory.
 func TestPlacementPruneReasons(t *testing.T) {
 	topo, ok := cluster.PresetByName("DGX-H20x2")
 	if !ok {
@@ -450,18 +433,22 @@ func TestPlacementPruneReasons(t *testing.T) {
 		t.Fatal(err)
 	}
 	broken := errors.New("no partition fits")
-	fails := func(*cluster.Topology) (*sched.Plan, error) { return nil, broken }
-	builds := func(*cluster.Topology) (*sched.Plan, error) { return &sched.Plan{}, nil }
+	fails := func(*cluster.Topology) (*sched.Plan, string, error) { return nil, PruneBuild, broken }
+	builds := func(*cluster.Topology) (*sched.Plan, string, error) { return &sched.Plan{}, "", nil }
+	overBudget := func(*cluster.Topology) (*sched.Plan, string, error) {
+		return nil, PruneMemory, errors.New("peak over budget")
+	}
 	wide := topo.Devices() + 1
 	for _, c := range []struct {
 		name   string
 		stages int
-		build  func(*cluster.Topology) (*sched.Plan, error)
+		build  func(*cluster.Topology) (*sched.Plan, string, error)
 		want   string
 	}{
 		{"placeable, unbuildable", 4, fails, PruneBuild},
 		{"too wide, unbuildable", wide, fails, PruneBuild},
 		{"too wide, buildable", wide, builds, PrunePlacement},
+		{"placeable, over budget", 4, overBudget, PruneMemory},
 	} {
 		_, _, reason, err := s.simulatePlacements(c.stages, sched.NewTrafficMatrix(c.stages), c.build)
 		if reason != c.want || err == nil {

@@ -190,27 +190,3 @@ func TestSearchStreams(t *testing.T) {
 		t.Errorf("collector disagrees with stream: %+v vs %+v", collected, res)
 	}
 }
-
-// TestWorkloadStageTrace checks the variable-length trace carries the
-// largest per-micro-batch stashes, descending.
-func TestWorkloadStageTrace(t *testing.T) {
-	w := costmodel.NewWorkload(model.TinyTest(), costmodel.H20Cluster(), model.Shape{B: 1, S: 64})
-	batch := model.BatchSpec{Shapes: []model.Shape{
-		{B: 1, S: 16}, {B: 1, S: 64}, {B: 1, S: 32}, {B: 1, S: 64},
-	}}
-	c := Candidate{Method: sched.Method1F1B, Workload: "wl", SeqLen: 64,
-		Stages: 2, MicroBatches: 4, MicroBatchSize: 1}
-	tr := stageTrace(w, c, &batch)
-	if len(tr.StashBytesPerMB) != tr.OutstandingMB {
-		t.Fatalf("per-mb stashes = %d, want outstanding %d", len(tr.StashBytesPerMB), tr.OutstandingMB)
-	}
-	for i := 1; i < len(tr.StashBytesPerMB); i++ {
-		if tr.StashBytesPerMB[i] > tr.StashBytesPerMB[i-1] {
-			t.Error("per-mb stashes not descending")
-		}
-	}
-	// The conservative window starts with the longest micro batch's stash.
-	if tr.StashBytesPerMB[0] != layerStashBytes(w, model.Shape{B: 1, S: 64}, stashFull) {
-		t.Errorf("largest stash %d mismatch", tr.StashBytesPerMB[0])
-	}
-}

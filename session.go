@@ -616,13 +616,14 @@ func (s *Session) Simulate(method Method) (*Report, error) {
 }
 
 // Autotune searches the spec's method x seqlen x stages x micro-batch grid
-// for the session's model and cluster: grid points are pruned cheaply with
-// memsim peak-memory estimates before anything simulates, the survivors fan
-// out across Execute's bounded worker pool, priced on the cost books a
-// session builds (placed books for each searched placement on a topology,
-// so a point's iteration time equals Execute's for the same cell), and the
-// result ranks a best-throughput pick per sequence length next to a
-// throughput-vs-peak-memory Pareto frontier.
+// for the session's model and cluster. The points fan out across Execute's
+// bounded worker pool, each built on the cost books a session builds
+// (placed books for each searched placement on a topology, so a point's
+// iteration time equals Execute's for the same cell). A plan whose own stash
+// peak plus model states exceeds the memory budget is pruned before it
+// simulates, so every reported point fits. The result ranks a
+// best-throughput pick per sequence length next to a throughput-vs-peak-
+// memory Pareto frontier.
 //
 // Empty spec axes fall back to the session's own geometry; a zero memory
 // budget means the GPU's full capacity. Build or simulation failures of
