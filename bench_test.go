@@ -147,6 +147,23 @@ func BenchmarkBuildHelixPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildHelixPlanLargeM measures HelixPipe plan construction where
+// the micro-batch count dominates: 7B on H20 at 4k tokens, p=4, m=1024. A
+// scheduler that rescans its ready tasks per pick grows with m² here; the
+// rank-ordered ready set keeps the build within a few times ZB1P's.
+func BenchmarkBuildHelixPlanLargeM(b *testing.B) {
+	s, err := NewSession(Model7B(), H20Cluster(), WithSeqLen(4096), WithStages(4), WithMicroBatches(1024))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Plan(MethodHelix); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestHelixBuildAllocBudget enforces the helix build budget in-process, the
 // contract the CI alloc-gate re-checks from BenchmarkBuildHelixPlan's
 // -benchmem output.

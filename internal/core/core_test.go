@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"testing/quick"
 
 	"repro/internal/costmodel"
 	"repro/internal/model"
@@ -114,6 +115,60 @@ func TestBuildMultiLoop(t *testing.T) {
 				t.Errorf("fold=%d loops=%d: %v", fold, loops, err)
 			}
 		}
+	}
+}
+
+// TestHelixProgramLengthsRandomShapes is the HelixPipe counterpart of the
+// layer-wise m·Σ(4 + 8n + 3r) property (sched's
+// TestGeneratorPropertyRandomShapes): over random (p, L, fold, loops,
+// recomputation), the plan validates and stage s's program holds exactly
+//
+//	n_s = (L·m/p)(12 + 2r) + 4·L·m·(p−2)/p² + 4m·[s = 0]
+//
+// ops, r being 1 with recomputation. Attention is co-located with its
+// pre-owner exactly when mb ≡ p−1 (mod p) and with its post-owner exactly
+// when mb ≡ 0 (mod p), so every stage exchanges the same number of messages;
+// fold only reorders. Each program must also be exactly full: Build
+// allocates it once at this length.
+func TestHelixProgramLengthsRandomShapes(t *testing.T) {
+	costs := sched.UnitCosts(0.5)
+	check := func(pRaw, lRaw, loopsRaw uint8, twoFold, recompute bool) bool {
+		p := int(pRaw)%7 + 2            // 2..8
+		layers := p * (int(lRaw)%5 + 1) // L/p in 1..5
+		loops := int(loopsRaw)%3 + 1    // 1..3
+		opt := Options{Fold: 1, Recompute: recompute}
+		if twoFold {
+			opt.Fold = 2
+		}
+		m := loops * opt.Fold * p
+		cfg := sched.Config{Stages: p, MicroBatches: m, Layers: layers}
+		plan, err := Build(cfg, costs, opt)
+		if err == nil {
+			err = sched.Validate(plan)
+		}
+		if err != nil {
+			t.Errorf("p=%d L=%d m=%d %+v: %v", p, layers, m, opt, err)
+			return false
+		}
+		r := 0
+		if recompute {
+			r = 1
+		}
+		for s, ops := range plan.Ops {
+			want := layers*m/p*(12+2*r) + 4*layers*m*(p-2)/(p*p)
+			if s == 0 {
+				want += 4 * m
+			}
+			if len(ops) != want || cap(ops) != want {
+				t.Errorf("p=%d L=%d m=%d %+v: stage %d program has len %d, cap %d, want %d",
+					p, layers, m, opt, s, len(ops), cap(ops), want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -12,6 +12,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -88,8 +89,7 @@ func Build(cfg sched.Config, costs sched.Costs, opt Options) (*sched.Plan, error
 		return nil, err
 	}
 	b := &helixBuilder{cfg: cfg, costs: costs, opt: opt}
-	b.buildTasks()
-	if err := b.schedule(); err != nil {
+	if err := b.schedule(b.buildTasks()); err != nil {
 		return nil, err
 	}
 	method := sched.MethodHelix
@@ -160,7 +160,7 @@ func traffic(cfg sched.Config, costs sched.Costs, opt Options) ([][]int64, error
 }
 
 // taskKind discriminates helix schedule tasks.
-type taskKind int
+type taskKind uint8
 
 const (
 	tUnitF taskKind = iota // forward of one unit for one micro-batch group
@@ -171,20 +171,31 @@ const (
 
 // hTask is one schedulable unit of helix work. Unit tasks process a whole
 // fold group back to back (the essence of the two-fold schedule); attention
-// tasks are per micro batch so they interleave freely.
+// tasks are per micro batch so they interleave freely. A task is stored at
+// its rank (see unitF).
 type hTask struct {
-	kind    taskKind
-	unit    int   // unit index for tUnitF/tUnitB (0..L); layer for attention
-	mbs     []int // the micro batches, in emission order
-	stage   int
-	key     [4]int // lexicographic priority
-	prereqs []int
+	kind taskKind
+	// left counts the prerequisites not run yet.
+	left  uint8
+	stage int32
+	// unit is the unit (0..L) of a unit task, the layer of an attention task.
+	unit int32
+	// idx is the fold group of a unit task, the micro batch of an attention
+	// task.
+	idx int32
+	// slot is the arrival slot of the first input, -1 for the tasks that
+	// consume none (the embedding forward and the head backward).
+	slot int32
 }
 
 type helixBuilder struct {
 	cfg   sched.Config
 	costs sched.Costs
 	opt   Options
+
+	// Rank geometry (see unitF): FILO loops per phase, tasks per unit slot
+	// and per loop of a phase, and the rank of the first backward task.
+	loops, slotLen, loopLen, backStart int
 
 	tasks []hTask
 	ops   [][]sched.Op
@@ -200,298 +211,354 @@ type helixBuilder struct {
 	// emitted program order matches true arrival order.
 	sendFree []float64
 	recvFree []float64
+	// The ready set. here[s] is a min-heap of the ranks of stage s's ready
+	// tasks whose first input arrived by the stage clock; flight holds, in
+	// rank order, the ready tasks whose input was still in flight when last
+	// looked at. tops is pick's scratch.
+	here   [][]int32
+	flight []candidate
+	tops   []candidate
 }
 
-func (b *helixBuilder) addTask(t hTask) int {
-	b.tasks = append(b.tasks, t)
-	return len(b.tasks) - 1
+// The scheduler visits candidates by their priority key: phase (forward,
+// then backward), FILO loop (backward loops in reverse), unit or attention
+// slot (2u for unit u, 2l+1 for the attention of layer l, counted from the
+// head in the backward phase), and position in the loop (reversed in the
+// backward phase). Each key is unique: a slot of a loop holds p unit tasks,
+// one per fold group, or fold·p attention tasks, one per micro batch. So the
+// tasks are numbered in key order and a task's id is its rank: a loop of a
+// phase is L+1 unit slots of p tasks interleaved with L attention slots of
+// fold·p tasks. unitF, attnF, unitB and attnB return the ranks of the four
+// task kinds.
+
+// unitF is the rank of unit u's forward for fold group g.
+func (b *helixBuilder) unitF(u, g int) int {
+	p := b.cfg.Stages
+	return g/p*b.loopLen + u*b.slotLen + g%p
 }
 
-// buildTasks enumerates every task of one training iteration with its
-// priority key and prerequisites.
-func (b *helixBuilder) buildTasks() {
-	p, m, L := b.cfg.Stages, b.cfg.MicroBatches, b.cfg.Layers
-	fold := b.opt.Fold
-	loopSize := fold * p
-	loops := m / loopSize
+// attnF is the rank of layer l's forward attention for micro batch mb.
+func (b *helixBuilder) attnF(l, mb int) int {
+	p, fp := b.cfg.Stages, b.opt.Fold*b.cfg.Stages
+	return mb/fp*b.loopLen + l*b.slotLen + p + mb%fp
+}
 
-	// Task id lookup tables.
-	unitF := make([][]int, L+1) // [unit][group] -> task id
-	attnF := make([][]int, L)   // [layer][mb] -> task id
-	for u := range unitF {
-		unitF[u] = make([]int, m/fold)
-	}
-	for l := range attnF {
-		attnF[l] = make([]int, m)
-	}
-	groupMBs := func(g int) []int {
-		mbs := make([]int, fold)
-		for i := range mbs {
-			mbs[i] = g*fold + i
-		}
-		return mbs
-	}
-	totalGroups := m / fold
-	// Forward and backward each hold one task per (unit, group) and one per
-	// (layer, micro batch).
-	b.tasks = make([]hTask, 0, 2*((L+1)*totalGroups+L*m))
+// unitB is the rank of unit u's backward for fold group g.
+func (b *helixBuilder) unitB(u, g int) int {
+	p := b.cfg.Stages
+	return b.backStart + (b.loops-1-g/p)*b.loopLen + (b.cfg.Layers-u)*b.slotLen + p - 1 - g%p
+}
 
-	// Forward unit and attention tasks.
-	for u := 0; u <= L; u++ {
-		for g := 0; g < totalGroups; g++ {
-			loop := (g * fold) / loopSize
-			gInLoop := g % p
-			t := hTask{
-				kind:  tUnitF,
-				unit:  u,
-				mbs:   groupMBs(g),
-				stage: UnitOwner(u, p),
-				key:   [4]int{0, loop, 2 * u, gInLoop},
-			}
-			if u > 0 {
-				for _, mb := range t.mbs {
-					t.prereqs = append(t.prereqs, attnF[u-1][mb])
-				}
-			}
-			unitF[u][g] = b.addTask(t)
-		}
-		if u == L {
-			break
-		}
-		for g := 0; g < totalGroups; g++ {
-			for _, mb := range groupMBs(g) {
-				loop := mb / loopSize
-				t := hTask{
-					kind:    tAttnF,
-					unit:    u,
-					mbs:     []int{mb},
-					stage:   AttnStage(u, mb, p),
-					key:     [4]int{0, loop, 2*u + 1, mb % loopSize},
-					prereqs: []int{unitF[u][g]},
-				}
-				attnF[u][mb] = b.addTask(t)
-			}
-		}
-	}
+// attnB is the rank of layer l's backward attention for micro batch mb.
+func (b *helixBuilder) attnB(l, mb int) int {
+	p, fp := b.cfg.Stages, b.opt.Fold*b.cfg.Stages
+	return b.backStart + (b.loops-1-mb/fp)*b.loopLen + (b.cfg.Layers-1-l)*b.slotLen + p + fp - 1 - mb%fp
+}
 
-	// Backward: FILO — loops in reverse, micro batches in reverse.
-	unitB := make([][]int, L+1)
-	attnB := make([][]int, L)
-	for u := range unitB {
-		unitB[u] = make([]int, totalGroups)
+// buildTasks stores every task of one training iteration at its rank with
+// its prerequisite count and first-input slot, and returns how many tasks
+// each stage runs.
+func (b *helixBuilder) buildTasks() []int {
+	p, m, L, fold := b.cfg.Stages, b.cfg.MicroBatches, b.cfg.Layers, b.opt.Fold
+	b.loops = m / (fold * p)
+	b.slotLen = p + fold*p
+	b.loopLen = L*b.slotLen + p
+	b.backStart = b.loops * b.loopLen
+	b.tasks = make([]hTask, 2*b.backStart)
+	perStage := make([]int, p)
+	// put stores a task at rank r. Its first input is the one its first
+	// micro batch in emission order consumes: a forward group's lowest, a
+	// backward group's highest.
+	put := func(r int, kind taskKind, left, stage, unit, idx, firstMB int) {
+		t := hTask{kind: kind, left: uint8(left), stage: int32(stage), unit: int32(unit), idx: int32(idx), slot: -1}
+		if tag, ok := b.inputTag(&t, firstMB); ok {
+			t.slot = int32(b.arrivalSlot(tag))
+		}
+		b.tasks[r] = t
+		perStage[stage]++
 	}
-	for l := range attnB {
-		attnB[l] = make([]int, m)
-	}
-	invLoop := func(loop int) int { return loops - 1 - loop }
-	for u := L; u >= 0; u-- {
-		for g := totalGroups - 1; g >= 0; g-- {
-			loop := (g * fold) / loopSize
-			gInLoop := g % p
-			mbs := groupMBs(g)
-			rev := make([]int, len(mbs))
-			for i, mb := range mbs {
-				rev[len(mbs)-1-i] = mb
-			}
-			t := hTask{
-				kind:  tUnitB,
-				unit:  u,
-				mbs:   rev,
-				stage: UnitOwner(u, p),
-				key:   [4]int{1, invLoop(loop), 2 * (L - u), p - 1 - gInLoop},
+	for g := 0; g < m/fold; g++ {
+		for u := 0; u <= L; u++ {
+			// Unit F waits on the forward attention of each micro batch of
+			// its group; unit B on its own forward and, below the head, on
+			// the backward attention of each micro batch.
+			fLeft, bLeft := fold, fold+1
+			if u == 0 {
+				fLeft = 0
 			}
 			if u == L {
-				t.prereqs = append(t.prereqs, unitF[u][g])
-			} else {
-				for _, mb := range t.mbs {
-					t.prereqs = append(t.prereqs, attnB[u][mb])
-				}
-				t.prereqs = append(t.prereqs, unitF[u][g])
+				bLeft = 1
 			}
-			unitB[u][g] = b.addTask(t)
-		}
-		if u == 0 {
-			break
-		}
-		l := u - 1 // attention backward of layer u-1 follows unit u backward
-		for g := totalGroups - 1; g >= 0; g-- {
-			mbs := groupMBs(g)
-			for i := len(mbs) - 1; i >= 0; i-- {
-				mb := mbs[i]
-				loop := mb / loopSize
-				t := hTask{
-					kind:    tAttnB,
-					unit:    l,
-					mbs:     []int{mb},
-					stage:   AttnStage(l, mb, p),
-					key:     [4]int{1, invLoop(loop), 2*(L-u) + 1, loopSize - 1 - mb%loopSize},
-					prereqs: []int{unitB[u][g], attnF[l][mb]},
-				}
-				attnB[l][mb] = b.addTask(t)
-			}
+			put(b.unitF(u, g), tUnitF, fLeft, UnitOwner(u, p), u, g, g*fold)
+			put(b.unitB(u, g), tUnitB, bLeft, UnitOwner(u, p), u, g, g*fold+fold-1)
 		}
 	}
+	for mb := 0; mb < m; mb++ {
+		for l := 0; l < L; l++ {
+			// Attention F waits on its unit's forward; attention B on the
+			// next unit's backward and its own forward.
+			put(b.attnF(l, mb), tAttnF, 1, AttnStage(l, mb, p), l, mb, mb)
+			put(b.attnB(l, mb), tAttnB, 2, AttnStage(l, mb, p), l, mb, mb)
+		}
+	}
+	return perStage
 }
 
 // schedule orders the tasks with deterministic earliest-start greedy list
 // scheduling and emits the per-stage op programs.
-//
-// Candidates are visited by (key, id) and a later candidate wins only when
-// its start is lower by more than 1e-15. Only ready tasks (every
-// prerequisite already run) can win, so the scan walks a ready list kept in
-// that same order, maintained from per-task pending-prerequisite counts.
-func (b *helixBuilder) schedule() error {
-	p, n := b.cfg.Stages, len(b.tasks)
-	b.ops = sched.Programs(b.programLengths())
+func (b *helixBuilder) schedule(perStage []int) error {
+	p := b.cfg.Stages
+	b.ops = sched.Programs(programLengths(b.cfg, b.opt))
 	b.arrival = make([]float64, b.cfg.MicroBatches*b.cfg.Layers*4)
-	b.clock = make([]float64, p)
-	b.sendFree = make([]float64, p)
-	b.recvFree = make([]float64, p)
-
-	// Candidate order: by key then id, a total order. rank[id] is a task's
-	// position in it.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	state := make([]float64, 3*p)
+	b.clock, b.sendFree, b.recvFree = state[:p:p], state[p:2*p:2*p], state[2*p:]
+	// A stage's heap never holds more than the stage's tasks.
+	heaps := make([]int32, len(b.tasks))
+	b.here = make([][]int32, p)
+	for s, n := range perStage {
+		b.here[s], heaps = heaps[:0:n], heaps[n:]
 	}
-	slices.SortFunc(order, func(i, j int) int {
-		if c := slices.Compare(b.tasks[i].key[:], b.tasks[j].key[:]); c != 0 {
-			return c
-		}
-		return i - j
-	})
-	rank := make([]int, n)
-	for r, id := range order {
-		rank[id] = r
-	}
-
-	// pending counts each task's prerequisites not run yet; the dependents
-	// of task i are next[first[i]:first[i+1]].
-	pending := make([]int, n)
-	first := make([]int, n+1)
-	for i := range b.tasks {
-		pending[i] = len(b.tasks[i].prereqs)
-		for _, pre := range b.tasks[i].prereqs {
-			first[pre+1]++
+	b.flight = make([]candidate, 0, len(b.tasks))
+	b.tops = make([]candidate, 0, p)
+	for r := range b.tasks {
+		if b.tasks[r].left == 0 {
+			b.ready(r)
 		}
 	}
-	for i := 0; i < n; i++ {
-		first[i+1] += first[i]
-	}
-	next := make([]int, first[n])
-	fill := make([]int, n)
-	for i := range b.tasks {
-		for _, pre := range b.tasks[i].prereqs {
-			next[first[pre]+fill[pre]] = i
-			fill[pre]++
-		}
-	}
-
-	// ready holds the ranks of the tasks that may run next, ascending.
-	ready := make([]int, 0, n)
-	for r, id := range order {
-		if pending[id] == 0 {
-			ready = append(ready, r)
-		}
-	}
-	for remaining := n; remaining > 0; remaining-- {
-		best, bestStart := -1, math.MaxFloat64
-		for i, r := range ready {
-			t := &b.tasks[order[r]]
-			start := math.Max(b.clock[t.stage], b.firstInputArrival(t))
-			if start < bestStart-1e-15 {
-				best, bestStart = i, start
-			}
-		}
-		if best < 0 {
+	for remaining := len(b.tasks); remaining > 0; remaining-- {
+		r := b.pick()
+		if r < 0 {
 			return fmt.Errorf("core: helix scheduling wedged with %d tasks remaining", remaining)
 		}
-		id := order[ready[best]]
-		ready = slices.Delete(ready, best, best+1)
-		b.runTask(&b.tasks[id])
-		for _, dep := range next[first[id]:first[id+1]] {
-			if pending[dep]--; pending[dep] == 0 {
-				at, _ := slices.BinarySearch(ready, rank[dep])
-				ready = slices.Insert(ready, at, rank[dep])
-			}
-		}
+		t := &b.tasks[r]
+		b.runTask(t)
+		b.release(t)
 	}
 	return nil
 }
 
-// programLengths counts the ops runTask will emit on each stage, so every
-// stage program is allocated once at its exact length.
-func (b *helixBuilder) programLengths() []int {
-	L, p := b.cfg.Layers, b.cfg.Stages
-	recompute := 0
-	if b.opt.Recompute {
-		recompute = 1
+// inputArrival returns the arrival estimate of the task's first input, 0
+// when it has none. Every task's first input is produced by one of its
+// prerequisites, so once the task is ready the estimate is final.
+func (b *helixBuilder) inputArrival(t *hTask) float64 {
+	if t.slot < 0 {
+		return 0
 	}
-	// comm counts the recv or send a piece on stage s exchanges with peer:
-	// none when the peer is the same stage.
-	comm := func(s, peer int) int {
-		if peer == s {
-			return 0
-		}
-		return 1
-	}
-	n := make([]int, p)
-	for i := range b.tasks {
-		t := &b.tasks[i]
-		s := t.stage
-		for _, mb := range t.mbs {
-			switch t.kind {
-			case tUnitF:
-				n[s]++ // embedding or post-attention forward
-				if t.unit > 0 {
-					n[s] += comm(s, AttnStage(t.unit-1, mb, p))
-				}
-				if t.unit < L {
-					n[s] += 1 + comm(s, AttnStage(t.unit, mb, p))
-				}
-			case tAttnF, tAttnB:
-				n[s] += 1 + comm(s, PreOwner(t.unit, p)) + comm(s, PostOwner(t.unit, p))
-			case tUnitB:
-				if t.unit == L {
-					n[s] += 2 // fused head forward+backward-B, head backward-W
-				} else {
-					n[s] += comm(s, AttnStage(t.unit, mb, p)) + recompute + 2
-				}
-				if t.unit > 0 {
-					n[s] += recompute + 2 + comm(s, AttnStage(t.unit-1, mb, p))
-				} else {
-					n[s]++ // embedding backward-W
-				}
-			}
-		}
-	}
-	return n
+	return b.arrival[t.slot]
 }
 
-// firstInputArrival returns the arrival estimate of the task's first message
-// input, or 0 when it has none.
-func (b *helixBuilder) firstInputArrival(t *hTask) float64 {
-	if tag, ok := b.inputTag(t, t.mbs[0]); ok {
-		if a := b.arrival[b.arrivalSlot(tag)]; a > 0 {
-			return a
+// pick removes the next task to run from the ready set and returns its
+// rank, or -1 when no task is ready.
+//
+// A task starts at max(stage clock, first-input arrival). Candidates are
+// visited in rank order, and a later candidate wins only when its start is
+// lower by more than 1e-15. Every task in here[s] starts at stage s's clock,
+// so of those only the heap's top can win: a later one starting at the same
+// time never beats the best so far. The scan therefore visits the heap tops
+// and the flight list, merged in rank order. Flight tasks whose input has
+// arrived by now move to their stages' heaps after the scan. A winner among
+// them is then its heap's least rank, as is a winning heap top: any lower
+// rank of its stage was visited before it at the same start.
+func (b *helixBuilder) pick() int {
+	tops := b.tops[:0]
+	for s, h := range b.here {
+		if len(h) == 0 {
+			continue
+		}
+		top := candidate{rank: h[0], stage: int32(s)}
+		i := len(tops)
+		tops = append(tops, top)
+		for ; i > 0 && tops[i-1].rank > top.rank; i-- {
+			tops[i] = tops[i-1]
+		}
+		tops[i] = top
+	}
+	clocks, flight := b.clock, b.flight
+	best, bestStart := candidate{rank: -1}, math.MaxFloat64
+	next, arrived := 0, 0
+	for _, c := range flight {
+		for ; next < len(tops) && tops[next].rank < c.rank; next++ {
+			if start := clocks[tops[next].stage]; start < bestStart-1e-15 {
+				best, bestStart = tops[next], start
+			}
+		}
+		clock := clocks[c.stage]
+		if start := max(clock, c.arrival); start < bestStart-1e-15 {
+			best, bestStart = c, start
+		}
+		if c.arrival <= clock {
+			arrived++
 		}
 	}
-	return 0
+	for _, top := range tops[next:] {
+		if start := clocks[top.stage]; start < bestStart-1e-15 {
+			best, bestStart = top, start
+		}
+	}
+	if arrived > 0 {
+		kept := 0
+		for _, c := range flight {
+			if c.arrival <= clocks[c.stage] {
+				push(&b.here[c.stage], c.rank)
+			} else {
+				flight[kept] = c
+				kept++
+			}
+		}
+		b.flight = flight[:kept]
+	}
+	switch {
+	case best.rank < 0:
+		return -1
+	case best.arrival <= clocks[best.stage]:
+		pop(&b.here[best.stage])
+	default:
+		i := b.flightIndex(best.rank)
+		b.flight = slices.Delete(b.flight, i, i+1)
+	}
+	return int(best.rank)
+}
+
+// candidate is a ready task as pick visits it: its rank, its stage and its
+// first input's arrival, final once the task is ready (zero for a heap top,
+// which starts at the stage clock).
+type candidate struct {
+	rank, stage int32
+	arrival     float64
+}
+
+// flightIndex returns where rank r is, or belongs, in the flight list.
+func (b *helixBuilder) flightIndex(r int32) int {
+	i, _ := slices.BinarySearchFunc(b.flight, r, func(c candidate, r int32) int { return cmp.Compare(c.rank, r) })
+	return i
+}
+
+// ready adds a task whose prerequisites all ran to the ready set.
+func (b *helixBuilder) ready(r int) {
+	t := &b.tasks[r]
+	if a := b.inputArrival(t); a > b.clock[t.stage] {
+		c := candidate{rank: int32(r), stage: t.stage, arrival: a}
+		b.flight = slices.Insert(b.flight, b.flightIndex(c.rank), c)
+		return
+	}
+	push(&b.here[t.stage], int32(r))
+}
+
+// release counts a task that ran off its dependents' prerequisites and
+// readies those it was the last of: a unit forward feeds its attention
+// forwards and its own backward, an attention forward the next unit's
+// forward and its own backward, a unit backward the attention backwards of
+// the layer below, and an attention backward its unit's backward.
+func (b *helixBuilder) release(t *hTask) {
+	fold := b.opt.Fold
+	u, i := int(t.unit), int(t.idx)
+	switch t.kind {
+	case tUnitF:
+		if u < b.cfg.Layers {
+			for mb := i * fold; mb < (i+1)*fold; mb++ {
+				b.done(b.attnF(u, mb))
+			}
+		}
+		b.done(b.unitB(u, i))
+	case tAttnF:
+		b.done(b.unitF(u+1, i/fold))
+		b.done(b.attnB(u, i))
+	case tUnitB:
+		if u > 0 {
+			for mb := i * fold; mb < (i+1)*fold; mb++ {
+				b.done(b.attnB(u-1, mb))
+			}
+		}
+	default: // tAttnB
+		b.done(b.unitB(u, i/fold))
+	}
+}
+
+// done counts one prerequisite of task r as run.
+func (b *helixBuilder) done(r int) {
+	t := &b.tasks[r]
+	if t.left--; t.left == 0 {
+		b.ready(r)
+	}
+}
+
+// push adds rank r to the min-heap h.
+func push(h *[]int32, r int32) {
+	a := append(*h, r)
+	for i := len(a) - 1; i > 0; {
+		up := (i - 1) / 2
+		if a[up] <= a[i] {
+			break
+		}
+		a[up], a[i] = a[i], a[up]
+		i = up
+	}
+	*h = a
+}
+
+// pop removes the least rank from the min-heap h.
+func pop(h *[]int32) {
+	a := *h
+	n := len(a) - 1
+	a[0] = a[n]
+	a = a[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && a[l] < a[least] {
+			least = l
+		}
+		if r := 2*i + 2; r < n && a[r] < a[least] {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		a[i], a[least] = a[least], a[i]
+		i = least
+	}
+	*h = a
+}
+
+// programLengths returns the op count of every stage program in closed form,
+// so each is allocated once at its exact length. Per (layer, micro batch)
+// the pre- and post-attention each run forward, backward-B, backward-W and,
+// with recomputation, a recompute on their owners, and attention a forward
+// and a backward-B on its stage; with p | L and fold·p | m every stage owns
+// L·m/p of each, so (L·m/p)(8 + 2r) compute ops. Each of the four messages
+// of a (layer, micro batch) costs a send on one end and a recv on the other,
+// unless attention is co-located with the pre-owner (exactly when
+// mb ≡ p−1 mod p) or with the post-owner (exactly when mb ≡ 0 mod p); that
+// leaves every stage 8·(L/p)·(m/p)·(p−1) message ops. Stage 0 also runs the
+// embedding forward and weight gradient and the head's two ops, four per
+// micro batch. Fold reorders ops but adds none.
+func programLengths(cfg sched.Config, opt Options) []int {
+	L, m, p := cfg.Layers, cfg.MicroBatches, cfg.Stages
+	r := 0
+	if opt.Recompute {
+		r = 1
+	}
+	n := make([]int, p)
+	for s := range n {
+		n[s] = L*m/p*(8+2*r) + 8*(L/p)*(m/p)*(p-1)
+	}
+	n[0] += 4 * m
+	return n
 }
 
 // inputTag returns the message tag one micro-batch piece of the task
 // consumes, and false for the pieces that consume none (the embedding
 // forward and the head backward).
 func (b *helixBuilder) inputTag(t *hTask, mb int) (sched.Tag, bool) {
+	l := int(t.unit)
 	switch t.kind {
 	case tUnitF:
-		return sched.Tag{MB: mb, Layer: t.unit - 1, Bound: sched.BoundAttnPost}, t.unit > 0
+		return sched.Tag{MB: mb, Layer: l - 1, Bound: sched.BoundAttnPost}, l > 0
 	case tAttnF:
-		return sched.Tag{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn}, true
+		return sched.Tag{MB: mb, Layer: l, Bound: sched.BoundPreAttn}, true
 	case tUnitB:
-		return sched.Tag{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn, Back: true}, t.unit < b.cfg.Layers
+		return sched.Tag{MB: mb, Layer: l, Bound: sched.BoundPreAttn, Back: true}, l < b.cfg.Layers
 	default: // tAttnB
-		return sched.Tag{MB: mb, Layer: t.unit, Bound: sched.BoundAttnPost, Back: true}, true
+		return sched.Tag{MB: mb, Layer: l, Bound: sched.BoundAttnPost, Back: true}, true
 	}
 }
 
@@ -520,7 +587,32 @@ func (b *helixBuilder) runTask(t *hTask) {
 	}
 }
 
-func (b *helixBuilder) emit(stage int, op sched.Op) { b.ops[stage] = append(b.ops[stage], op) }
+// next returns the next op slot of a stage program, zeroed: the program
+// was allocated zeroed and no slot is written twice. compute and message
+// store an op's fields into it one by one, which builds the op in place
+// where appending a composite literal would copy all of it.
+func (b *helixBuilder) next(stage int) *sched.Op {
+	ops := b.ops[stage]
+	if len(ops) == cap(ops) {
+		ops = append(ops, sched.Op{})
+	} else {
+		ops = ops[:len(ops)+1]
+	}
+	b.ops[stage] = ops
+	return &ops[len(ops)-1]
+}
+
+// compute emits a compute op on a stage program.
+func (b *helixBuilder) compute(stage int, kind sched.OpKind, mb, layer int, seg model.Segment, dur float64, alloc, free int64) {
+	op := b.next(stage)
+	op.Kind, op.MB, op.Layer, op.Seg, op.Dur, op.Alloc, op.Free = kind, mb, layer, seg, dur, alloc, free
+}
+
+// message emits a send or recv on a stage program.
+func (b *helixBuilder) message(stage int, kind sched.OpKind, mb, peer int, tag sched.Tag, bytes int64, blocking bool) {
+	op := b.next(stage)
+	op.Kind, op.MB, op.Peer, op.Tag, op.Bytes, op.Blocking = kind, mb, peer, tag, bytes, blocking
+}
 
 // recvPiece emits the recv op for one micro-batch piece and returns the
 // stage clock after waiting for the arrival. When the producer ran on this
@@ -532,8 +624,8 @@ func (b *helixBuilder) recvPiece(t *hTask, mb int, from int, clock float64) floa
 	if !ok {
 		return clock
 	}
-	if from != t.stage {
-		b.emit(t.stage, sched.Op{Kind: sched.KRecv, MB: mb, Peer: from, Tag: tag})
+	if stage := int(t.stage); from != stage {
+		b.message(stage, sched.KRecv, mb, from, tag, 0, false)
 	}
 	if a := b.arrival[b.arrivalSlot(tag)]; a > clock {
 		clock = a
@@ -553,9 +645,7 @@ func (b *helixBuilder) sendPiece(stage, mb, peer int, tag sched.Tag, clock float
 	}
 	blocking := b.opt.Fold == 1
 	bytes := b.costs.MB(tag.MB).BoundBytes[tag.Bound]
-	b.emit(stage, sched.Op{
-		Kind: sched.KSend, MB: mb, Peer: peer, Tag: tag, Bytes: bytes, Blocking: blocking,
-	})
+	b.message(stage, sched.KSend, mb, peer, tag, bytes, blocking)
 	// Reserve the duplex NIC pair exactly like the simulator does, so the
 	// emitted program order anticipates link contention.
 	var wire float64
@@ -599,108 +689,110 @@ func (b *helixBuilder) attnFree(mb int) int64 {
 	return c.SegStash[model.SegAttn]
 }
 
+// runUnitF runs a unit's forward over its fold group, lowest micro batch
+// first.
 func (b *helixBuilder) runUnitF(t *hTask) {
-	L, p := b.cfg.Layers, b.cfg.Stages
-	clock := b.clock[t.stage]
-	for _, mb := range t.mbs {
-		c := b.costs.StageMB(t.stage, mb)
-		if t.unit > 0 {
-			from := AttnStage(t.unit-1, mb, p)
+	L, p, fold := b.cfg.Layers, b.cfg.Stages, b.opt.Fold
+	stage, u, g := int(t.stage), int(t.unit), int(t.idx)
+	clock := b.clock[stage]
+	for mb := g * fold; mb < (g+1)*fold; mb++ {
+		c := b.costs.StageMB(stage, mb)
+		if u > 0 {
+			from := AttnStage(u-1, mb, p)
 			clock = b.recvPiece(t, mb, from, clock)
-			b.emit(t.stage, sched.Op{Kind: sched.KForward, MB: mb, Layer: t.unit - 1, Seg: model.SegPost,
-				Dur: c.Seg[model.SegPost][model.Forward], Alloc: b.stashAlloc(mb, model.SegPost)})
+			b.compute(stage, sched.KForward, mb, u-1, model.SegPost,
+				c.Seg[model.SegPost][model.Forward], b.stashAlloc(mb, model.SegPost), 0)
 			clock += c.Seg[model.SegPost][model.Forward]
 		} else {
-			b.emit(t.stage, sched.Op{Kind: sched.KForward, MB: mb, Layer: sched.LayerEmbed, Dur: c.EmbedF})
+			b.compute(stage, sched.KForward, mb, sched.LayerEmbed, model.SegPre, c.EmbedF, 0, 0)
 			clock += c.EmbedF
 		}
-		if t.unit < L {
-			b.emit(t.stage, sched.Op{Kind: sched.KForward, MB: mb, Layer: t.unit, Seg: model.SegPre,
-				Dur: c.Seg[model.SegPre][model.Forward], Alloc: b.stashAlloc(mb, model.SegPre)})
+		if u < L {
+			b.compute(stage, sched.KForward, mb, u, model.SegPre,
+				c.Seg[model.SegPre][model.Forward], b.stashAlloc(mb, model.SegPre), 0)
 			clock += c.Seg[model.SegPre][model.Forward]
-			clock = b.sendPiece(t.stage, mb, AttnStage(t.unit, mb, p),
-				sched.Tag{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn}, clock)
+			clock = b.sendPiece(stage, mb, AttnStage(u, mb, p),
+				sched.Tag{MB: mb, Layer: u, Bound: sched.BoundPreAttn}, clock)
 		}
 	}
-	b.clock[t.stage] = clock
+	b.clock[stage] = clock
 }
 
+// runAttn runs one micro batch's attention forward or backward.
 func (b *helixBuilder) runAttn(t *hTask, back bool) {
 	p := b.cfg.Stages
-	l := t.unit
-	mb := t.mbs[0]
-	c := b.costs.StageMB(t.stage, mb)
-	clock := b.clock[t.stage]
+	stage, l, mb := int(t.stage), int(t.unit), int(t.idx)
+	c := b.costs.StageMB(stage, mb)
+	clock := b.clock[stage]
 	if back {
 		clock = b.recvPiece(t, mb, PostOwner(l, p), clock)
-		b.emit(t.stage, sched.Op{Kind: sched.KBackwardB, MB: mb, Layer: l, Seg: model.SegAttn,
-			Dur: c.Seg[model.SegAttn][model.BackwardB], Free: b.attnFree(mb)})
+		b.compute(stage, sched.KBackwardB, mb, l, model.SegAttn,
+			c.Seg[model.SegAttn][model.BackwardB], 0, b.attnFree(mb))
 		clock += c.Seg[model.SegAttn][model.BackwardB]
-		clock = b.sendPiece(t.stage, mb, PreOwner(l, p),
+		clock = b.sendPiece(stage, mb, PreOwner(l, p),
 			sched.Tag{MB: mb, Layer: l, Bound: sched.BoundPreAttn, Back: true}, clock)
 	} else {
 		clock = b.recvPiece(t, mb, PreOwner(l, p), clock)
-		b.emit(t.stage, sched.Op{Kind: sched.KForward, MB: mb, Layer: l, Seg: model.SegAttn,
-			Dur: c.Seg[model.SegAttn][model.Forward], Alloc: b.stashAlloc(mb, model.SegAttn)})
+		b.compute(stage, sched.KForward, mb, l, model.SegAttn,
+			c.Seg[model.SegAttn][model.Forward], b.stashAlloc(mb, model.SegAttn), 0)
 		clock += c.Seg[model.SegAttn][model.Forward]
-		clock = b.sendPiece(t.stage, mb, PostOwner(l, p),
+		clock = b.sendPiece(stage, mb, PostOwner(l, p),
 			sched.Tag{MB: mb, Layer: l, Bound: sched.BoundAttnPost}, clock)
 	}
-	b.clock[t.stage] = clock
+	b.clock[stage] = clock
 }
 
+// runUnitB runs a unit's backward over its fold group, highest micro batch
+// first (first in, last out).
 func (b *helixBuilder) runUnitB(t *hTask) {
-	L, p := b.cfg.Layers, b.cfg.Stages
-	clock := b.clock[t.stage]
-	for _, mb := range t.mbs {
-		c := b.costs.StageMB(t.stage, mb)
-		if t.unit == L {
+	L, p, fold := b.cfg.Layers, b.cfg.Stages, b.opt.Fold
+	stage, u, g := int(t.stage), int(t.unit), int(t.idx)
+	clock := b.clock[stage]
+	for mb := (g+1)*fold - 1; mb >= g*fold; mb-- {
+		c := b.costs.StageMB(stage, mb)
+		if u == L {
 			// Deferred LM head: forward + loss + backward-B fused (4.6),
 			// weight gradient immediately after (no ZB1P-style deferral).
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardB, MB: mb, Layer: sched.LayerHead,
-				Dur: c.HeadFB, Alloc: c.EmbedGradStash})
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardW, MB: mb, Layer: sched.LayerHead,
-				Dur: c.HeadW, Free: c.EmbedGradStash})
+			b.compute(stage, sched.KBackwardB, mb, sched.LayerHead, model.SegPre, c.HeadFB, c.EmbedGradStash, 0)
+			b.compute(stage, sched.KBackwardW, mb, sched.LayerHead, model.SegPre, c.HeadW, 0, c.EmbedGradStash)
 			clock += c.HeadFB + c.HeadW
 		} else {
-			from := AttnStage(t.unit, mb, p)
+			from := AttnStage(u, mb, p)
 			clock = b.recvPiece(t, mb, from, clock)
 		}
 		// Recompute the unit's discarded intermediates in forward order:
 		// post-attention of layer unit-1, then pre-attention of layer unit.
 		if b.opt.Recompute {
-			if t.unit > 0 {
-				b.emit(t.stage, sched.Op{Kind: sched.KRecompute, MB: mb, Layer: t.unit - 1, Seg: model.SegPost,
-					Dur:   c.SegRecompute[model.SegPost],
-					Alloc: c.SegStash[model.SegPost] - c.HelixSegStash[model.SegPost]})
+			if u > 0 {
+				b.compute(stage, sched.KRecompute, mb, u-1, model.SegPost, c.SegRecompute[model.SegPost],
+					c.SegStash[model.SegPost]-c.HelixSegStash[model.SegPost], 0)
 				clock += c.SegRecompute[model.SegPost]
 			}
-			if t.unit < L {
-				b.emit(t.stage, sched.Op{Kind: sched.KRecompute, MB: mb, Layer: t.unit, Seg: model.SegPre,
-					Dur:   c.SegRecompute[model.SegPre],
-					Alloc: c.SegStash[model.SegPre] - c.HelixSegStash[model.SegPre]})
+			if u < L {
+				b.compute(stage, sched.KRecompute, mb, u, model.SegPre, c.SegRecompute[model.SegPre],
+					c.SegStash[model.SegPre]-c.HelixSegStash[model.SegPre], 0)
 				clock += c.SegRecompute[model.SegPre]
 			}
 		}
-		if t.unit < L {
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardB, MB: mb, Layer: t.unit, Seg: model.SegPre,
-				Dur: c.Seg[model.SegPre][model.BackwardB], Free: c.SegStashBFree[model.SegPre]})
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardW, MB: mb, Layer: t.unit, Seg: model.SegPre,
-				Dur: c.Seg[model.SegPre][model.BackwardW], Free: c.SegStashWFree[model.SegPre]})
+		if u < L {
+			b.compute(stage, sched.KBackwardB, mb, u, model.SegPre,
+				c.Seg[model.SegPre][model.BackwardB], 0, c.SegStashBFree[model.SegPre])
+			b.compute(stage, sched.KBackwardW, mb, u, model.SegPre,
+				c.Seg[model.SegPre][model.BackwardW], 0, c.SegStashWFree[model.SegPre])
 			clock += c.Seg[model.SegPre][model.BackwardB] + c.Seg[model.SegPre][model.BackwardW]
 		}
-		if t.unit > 0 {
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardB, MB: mb, Layer: t.unit - 1, Seg: model.SegPost,
-				Dur: c.Seg[model.SegPost][model.BackwardB], Free: c.SegStashBFree[model.SegPost]})
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardW, MB: mb, Layer: t.unit - 1, Seg: model.SegPost,
-				Dur: c.Seg[model.SegPost][model.BackwardW], Free: c.SegStashWFree[model.SegPost]})
+		if u > 0 {
+			b.compute(stage, sched.KBackwardB, mb, u-1, model.SegPost,
+				c.Seg[model.SegPost][model.BackwardB], 0, c.SegStashBFree[model.SegPost])
+			b.compute(stage, sched.KBackwardW, mb, u-1, model.SegPost,
+				c.Seg[model.SegPost][model.BackwardW], 0, c.SegStashWFree[model.SegPost])
 			clock += c.Seg[model.SegPost][model.BackwardB] + c.Seg[model.SegPost][model.BackwardW]
-			clock = b.sendPiece(t.stage, mb, AttnStage(t.unit-1, mb, p),
-				sched.Tag{MB: mb, Layer: t.unit - 1, Bound: sched.BoundAttnPost, Back: true}, clock)
+			clock = b.sendPiece(stage, mb, AttnStage(u-1, mb, p),
+				sched.Tag{MB: mb, Layer: u - 1, Bound: sched.BoundAttnPost, Back: true}, clock)
 		} else {
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardW, MB: mb, Layer: sched.LayerEmbed, Dur: c.EmbedW})
+			b.compute(stage, sched.KBackwardW, mb, sched.LayerEmbed, model.SegPre, c.EmbedW, 0, 0)
 			clock += c.EmbedW
 		}
 	}
-	b.clock[t.stage] = clock
+	b.clock[stage] = clock
 }

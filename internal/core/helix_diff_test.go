@@ -63,37 +63,91 @@ func firstOpDiff(a, b []sched.Op) int {
 	return -1
 }
 
-// TestHelixMatchesReferenceScheduler proves the ready-list scheduler against
-// the full-rescan scheduler it replaced (helix_ref_test.go) over a dense
-// grid: both folds, recomputation on and off, p in {2,4,8}, one and two FILO
-// loops, and flat, variable-length and placed cost books. Every stage
-// program must be op-for-op identical and allocated at exactly its length.
+// tieBooks returns the didactic cost books for m micro batches, on which
+// picks are decided by ties: UnitCosts at several message times gives many
+// starts that tie exactly, and UnitBatchCosts with scales 1/3, 1 and 1.5
+// gives starts that differ only by rounding, within the scheduler's 1e-15
+// tolerance or just outside it.
+func tieBooks(m int) []diffBook {
+	scales := make([]float64, m)
+	for i := range scales {
+		scales[i] = []float64{1.0 / 3, 1, 1.5}[i%3]
+	}
+	return []diffBook{
+		{"unit comm=0", sched.UnitCosts(0), model.BatchSpec{}},
+		{"unit comm=0.5", sched.UnitCosts(0.5), model.BatchSpec{}},
+		{"unit comm=1", sched.UnitCosts(1), model.BatchSpec{}},
+		{"unit comm=3", sched.UnitCosts(3), model.BatchSpec{}},
+		{"unit-batch comm=0.5", sched.UnitBatchCosts(0.5, scales), model.BatchSpec{}},
+	}
+}
+
+// checkReference builds one cell with Build and with the full-rescan
+// reference scheduler (helix_ref_test.go) and fails unless every stage
+// program is op-for-op identical, floats bit for bit, and allocated at
+// exactly its length.
+func checkReference(t *testing.T, cfg sched.Config, book diffBook, opt Options) {
+	t.Helper()
+	cell := fmt.Sprintf("p=%d L=%d m=%d fold=%d recompute=%v %s",
+		cfg.Stages, cfg.Layers, cfg.MicroBatches, opt.Fold, opt.Recompute, book.name)
+	plan, err := Build(cfg, book.costs, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", cell, err)
+	}
+	want, err := refBuild(cfg, book.costs, opt)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", cell, err)
+	}
+	for s := range want {
+		if i := firstOpDiff(plan.Ops[s], want[s]); i >= 0 {
+			t.Fatalf("%s: stage %d differs from the reference at op %d", cell, s, i)
+		}
+		if len(plan.Ops[s]) != cap(plan.Ops[s]) {
+			t.Errorf("%s: stage %d program has len %d, cap %d", cell, s, len(plan.Ops[s]), cap(plan.Ops[s]))
+		}
+	}
+}
+
+// TestHelixMatchesReferenceScheduler proves the rank-ordered ready-set
+// scheduler against the full-rescan scheduler kept in helix_ref_test.go
+// over three grids, both folds and recomputation on and off throughout:
+//   - p in {2,4,8}, L=16, one and two FILO loops, on flat, variable-length
+//     and placed cost books;
+//   - p=3, L in {3,12}, up to eight loops, on the same books;
+//   - p in {2,3,4,8}, L in {p,4p}, on the didactic books of tieBooks, where
+//     exact and near ties decide which ready task runs next.
 func TestHelixMatchesReferenceScheduler(t *testing.T) {
-	const layers = 16
-	for _, p := range []int{2, 4, 8} {
+	for _, recompute := range []bool{true, false} {
 		for _, fold := range []int{1, 2} {
-			for _, m := range []int{fold * p, 2 * fold * p} {
-				for _, book := range diffBooks(t, p, m) {
-					for _, recompute := range []bool{true, false} {
-						opt := Options{Fold: fold, Recompute: recompute}
-						cfg := sched.Config{Stages: p, MicroBatches: m, Layers: layers, Batch: book.batch}
-						cell := fmt.Sprintf("p=%d m=%d fold=%d recompute=%v %s", p, m, fold, recompute, book.name)
-						plan, err := Build(cfg, book.costs, opt)
-						if err != nil {
-							t.Fatalf("%s: %v", cell, err)
-						}
-						want, err := refBuild(cfg, book.costs, opt)
-						if err != nil {
-							t.Fatalf("%s: reference: %v", cell, err)
-						}
-						for s := range want {
-							if i := firstOpDiff(plan.Ops[s], want[s]); i >= 0 {
-								t.Fatalf("%s: stage %d differs from the reference at op %d", cell, s, i)
-							}
-							if len(plan.Ops[s]) != cap(plan.Ops[s]) {
-								t.Errorf("%s: stage %d program has len %d, cap %d", cell, s,
-									len(plan.Ops[s]), cap(plan.Ops[s]))
-							}
+			opt := Options{Fold: fold, Recompute: recompute}
+			for _, p := range []int{2, 4, 8} {
+				for _, m := range []int{fold * p, 2 * fold * p} {
+					for _, book := range diffBooks(t, p, m) {
+						checkReference(t, sched.Config{Stages: p, MicroBatches: m, Layers: 16, Batch: book.batch}, book, opt)
+					}
+				}
+			}
+			for _, layers := range []int{3, 12} {
+				for _, loops := range []int{1, 3, 8} {
+					m := loops * fold * 3
+					for _, book := range diffBooks(t, 3, m) {
+						checkReference(t, sched.Config{Stages: 3, MicroBatches: m, Layers: layers, Batch: book.batch}, book, opt)
+					}
+				}
+			}
+			for _, p := range []int{2, 3, 4, 8} {
+				for _, layers := range []int{p, 4 * p} {
+					// The reference rescans every task per pick, so its time
+					// grows with the square of the task count: 4p layers run
+					// one loop only.
+					loopCounts := []int{1, 2}
+					if layers > p {
+						loopCounts = loopCounts[:1]
+					}
+					for _, loops := range loopCounts {
+						m := loops * fold * p
+						for _, book := range tieBooks(m) {
+							checkReference(t, sched.Config{Stages: p, MicroBatches: m, Layers: layers}, book, opt)
 						}
 					}
 				}

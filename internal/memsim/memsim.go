@@ -13,10 +13,7 @@
 // reports reserved-versus-allocated inflation.
 package memsim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Config tunes the allocator.
 type Config struct {
@@ -283,18 +280,4 @@ func (a *Allocator) CheckInvariants() error {
 		return fmt.Errorf("memsim: accounting says %d allocated, blocks say %d", a.allocated, allocated)
 	}
 	return nil
-}
-
-// FreeBlockSizes returns the free-list sizes sorted descending, for reports.
-func (a *Allocator) FreeBlockSizes() []int64 {
-	var out []int64
-	for _, seg := range a.segments {
-		for _, blk := range seg.blocks {
-			if blk.free {
-				out = append(out, blk.size)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
-	return out
 }

@@ -38,15 +38,15 @@ func AdaPipe(cfg Config, costs Costs, memBudgetBytes int64) (*Plan, error) {
 	// per-axis maximum shape — a phantom micro batch no real iteration
 	// contains — so the worst case must be scanned from the actual per-MB
 	// books, not seeded with the fallback.
-	worst := costs.MBCosts
+	worst := &costs.MBCosts
 	if len(costs.PerMB) > 0 {
-		layerStash := func(c MBCosts) int64 {
+		layerStash := func(c *MBCosts) int64 {
 			return c.SegStash[model.SegPre] + c.SegStash[model.SegAttn] + c.SegStash[model.SegPost]
 		}
-		worst = costs.PerMB[0]
+		worst = &costs.PerMB[0]
 		for mb := 1; mb < cfg.MicroBatches && mb < len(costs.PerMB); mb++ {
-			if layerStash(costs.PerMB[mb]) > layerStash(worst) {
-				worst = costs.PerMB[mb]
+			if layerStash(&costs.PerMB[mb]) > layerStash(worst) {
+				worst = &costs.PerMB[mb]
 			}
 		}
 	}

@@ -75,12 +75,12 @@ type Costs struct {
 // MB returns the cost book of one micro batch: the per-micro-batch override
 // when present, the uniform book otherwise. The uniform fallback is shared
 // with MeanMB: both answer "no overrides, or an out-of-range request" with
-// the embedded book.
-func (c Costs) MB(mb int) MBCosts {
-	if book, ok := c.override(mb); ok {
-		return book
+// the embedded book. The row is the book's own, shared and read-only.
+func (c *Costs) MB(mb int) *MBCosts {
+	if mb >= 0 && mb < len(c.PerMB) {
+		return &c.PerMB[mb]
 	}
-	return c.MBCosts
+	return &c.MBCosts
 }
 
 // StageMB returns the cost book of one micro batch as priced on one placed
@@ -89,19 +89,12 @@ func (c Costs) MB(mb int) MBCosts {
 // this so per-stage compute, collective and perturbation differences reach
 // the plan's ops. Byte fields (stashes, message volumes) are shape-derived
 // and identical across stages, so stage-agnostic callers may keep using MB.
-func (c Costs) StageMB(stage, mb int) MBCosts {
+// The row is the book's own, shared and read-only.
+func (c *Costs) StageMB(stage, mb int) *MBCosts {
 	if stage >= 0 && stage < len(c.PerStage) {
 		return c.PerStage[stage].mb(mb)
 	}
 	return c.MB(mb)
-}
-
-// override returns the per-micro-batch book for an index covered by PerMB.
-func (c Costs) override(mb int) (MBCosts, bool) {
-	if mb < 0 || mb >= len(c.PerMB) {
-		return MBCosts{}, false
-	}
-	return c.PerMB[mb], true
 }
 
 // Variable reports whether the cost book carries per-micro-batch overrides.
@@ -189,7 +182,14 @@ func seqParOf(w costmodel.Workload) int64 {
 }
 
 // SegDur returns the compute duration of a segment op of the given kind.
-func (c MBCosts) SegDur(seg model.Segment, kind OpKind) float64 {
+func (c MBCosts) SegDur(seg model.Segment, kind OpKind) float64 { return c.segDur(seg, kind) }
+
+// LayerDur returns the whole-layer duration for a compute kind.
+func (c MBCosts) LayerDur(kind OpKind) float64 { return c.layerDur(kind) }
+
+// segDur is SegDur read through a shared row, which a value receiver would
+// copy whole.
+func (c *MBCosts) segDur(seg model.Segment, kind OpKind) float64 {
 	switch kind {
 	case KForward:
 		return c.Seg[seg][model.Forward]
@@ -204,11 +204,11 @@ func (c MBCosts) SegDur(seg model.Segment, kind OpKind) float64 {
 	}
 }
 
-// LayerDur returns the whole-layer duration for a compute kind.
-func (c MBCosts) LayerDur(kind OpKind) float64 {
+// layerDur is LayerDur read through a shared row.
+func (c *MBCosts) layerDur(kind OpKind) float64 {
 	var d float64
 	for _, seg := range model.Segments {
-		d += c.SegDur(seg, kind)
+		d += c.segDur(seg, kind)
 	}
 	return d
 }
@@ -239,7 +239,7 @@ func (c Costs) MeanMB(m int) MBCosts {
 }
 
 // add accumulates another book field by field.
-func (c *MBCosts) add(b MBCosts) {
+func (c *MBCosts) add(b *MBCosts) {
 	for i := 0; i < 3; i++ {
 		for p := 0; p < 3; p++ {
 			c.Seg[i][p] += b.Seg[i][p]

@@ -17,12 +17,13 @@ type StageBook struct {
 }
 
 // mb returns the stage's book for one micro batch, falling back to the
-// stage's uniform book outside the override range.
-func (b StageBook) mb(mb int) MBCosts {
+// stage's uniform book outside the override range. The row is the book's
+// own, shared and read-only.
+func (b *StageBook) mb(mb int) *MBCosts {
 	if mb >= 0 && mb < len(b.PerMB) {
-		return b.PerMB[mb]
+		return &b.PerMB[mb]
 	}
-	return b.MBCosts
+	return &b.MBCosts
 }
 
 // placedWorkload resolves the workload to one placed stage of the topology:

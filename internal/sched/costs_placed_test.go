@@ -83,7 +83,7 @@ func TestPlacedCostsPCIeStageSlower(t *testing.T) {
 	}
 
 	// Stage 0 sits in the NVLink box under both placements: identical book.
-	if nvCosts.StageMB(0, 0) != pcieCosts.StageMB(0, 0) {
+	if *nvCosts.StageMB(0, 0) != *pcieCosts.StageMB(0, 0) {
 		t.Error("stage 0 book changed although its placement did not")
 	}
 	// Stage 1's PCIe book must be slower on every SP-collective-bearing
@@ -123,7 +123,7 @@ func TestPlacedCostsNVLinkMatchesFlat(t *testing.T) {
 		t.Fatalf("placed costs carry %d stage books, want 2", len(placed.PerStage))
 	}
 	for s := range placed.PerStage {
-		if placed.StageMB(s, 0) != flat.MB(0) {
+		if *placed.StageMB(s, 0) != *flat.MB(0) {
 			t.Errorf("stage %d NVLink book differs from the flat book", s)
 		}
 	}
@@ -147,7 +147,7 @@ func TestPerturbStretchesOwnStageOnly(t *testing.T) {
 	for s := 0; s < len(devices); s++ {
 		got, want := slowCosts.StageMB(s, 0), cleanCosts.StageMB(s, 0)
 		if s != slowStage {
-			if got != want {
+			if *got != *want {
 				t.Errorf("stage %d book changed although only stage %d's device is slow", s, slowStage)
 			}
 			continue

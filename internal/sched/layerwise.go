@@ -84,7 +84,7 @@ func (lw *layerwise) emitFStep(vs, mb int) {
 	for layer := lo; layer < hi; layer++ {
 		rec := layer >= hi-lw.recomp[vs]
 		for _, seg := range model.Segments {
-			op := Op{Kind: KForward, MB: mb, Layer: layer, Seg: seg, Dur: c.SegDur(seg, KForward)}
+			op := Op{Kind: KForward, MB: mb, Layer: layer, Seg: seg, Dur: c.segDur(seg, KForward)}
 			switch {
 			case rec && seg == model.SegPre:
 				op.Alloc = c.InputStash // keep only the layer input
@@ -142,10 +142,10 @@ func (lw *layerwise) emitBStep(vs, mb int, withW bool) {
 		for s := len(model.Segments) - 1; s >= 0; s-- {
 			seg := model.Segments[s]
 			lw.emit(stage, Op{Kind: KBackwardB, MB: mb, Layer: layer, Seg: seg,
-				Dur: c.SegDur(seg, KBackwardB), Free: c.SegStashBFree[seg]})
+				Dur: c.segDur(seg, KBackwardB), Free: c.SegStashBFree[seg]})
 			if withW && seg != model.SegAttn {
 				lw.emit(stage, Op{Kind: KBackwardW, MB: mb, Layer: layer, Seg: seg,
-					Dur: c.SegDur(seg, KBackwardW), Free: c.SegStashWFree[seg]})
+					Dur: c.segDur(seg, KBackwardW), Free: c.SegStashWFree[seg]})
 			}
 		}
 	}
@@ -167,7 +167,7 @@ func (lw *layerwise) emitWStep(stage, mb, layer int) {
 	c := lw.costs.StageMB(stage, mb)
 	for _, seg := range []model.Segment{model.SegPost, model.SegPre} {
 		lw.emit(stage, Op{Kind: KBackwardW, MB: mb, Layer: layer, Seg: seg,
-			Dur: c.SegDur(seg, KBackwardW), Free: c.SegStashWFree[seg]})
+			Dur: c.segDur(seg, KBackwardW), Free: c.SegStashWFree[seg]})
 	}
 }
 
@@ -175,13 +175,13 @@ func (lw *layerwise) emitWStep(stage, mb, layer int) {
 // stage.
 func (lw *layerwise) wStepDur(stage, mb int) float64 {
 	c := lw.costs.StageMB(stage, mb)
-	return c.SegDur(model.SegPost, KBackwardW) + c.SegDur(model.SegPre, KBackwardW)
+	return c.segDur(model.SegPost, KBackwardW) + c.segDur(model.SegPre, KBackwardW)
 }
 
 // fStepDur returns the compute duration of one emitFStep.
 func (lw *layerwise) fStepDur(vs, mb int) float64 {
 	c := lw.costs.StageMB(vs%lw.cfg.Stages, mb)
-	d := float64(lw.first[vs+1]-lw.first[vs]) * c.LayerDur(KForward)
+	d := float64(lw.first[vs+1]-lw.first[vs]) * c.layerDur(KForward)
 	if vs == 0 {
 		d += c.EmbedF
 	}
@@ -197,7 +197,7 @@ func (lw *layerwise) bStepDur(vs, mb int, withW bool) float64 {
 	c := lw.costs.StageMB(vs%lw.cfg.Stages, mb)
 	last, n := vs == lw.lastChunk(), lw.first[vs+1]-lw.first[vs]
 	if withW {
-		d := float64(n) * (c.LayerDur(KBackwardB) + c.SegDur(model.SegPre, KBackwardW) + c.SegDur(model.SegPost, KBackwardW))
+		d := float64(n) * (c.layerDur(KBackwardB) + c.segDur(model.SegPre, KBackwardW) + c.segDur(model.SegPost, KBackwardW))
 		if last {
 			d += c.HeadFB + c.HeadW
 		}
@@ -211,7 +211,7 @@ func (lw *layerwise) bStepDur(vs, mb int, withW bool) float64 {
 		d += c.HeadFB
 	}
 	for i := 0; i < n; i++ {
-		d += c.LayerDur(KBackwardB)
+		d += c.layerDur(KBackwardB)
 	}
 	return d
 }

@@ -75,7 +75,7 @@ func TestMeanMBMatchesMB(t *testing.T) {
 	// The consolidated uniform fallback: without overrides both MB and
 	// MeanMB return the embedded book.
 	uniform := UnitCosts(0.01)
-	if uniform.MB(3) != uniform.MBCosts || uniform.MeanMB(4) != uniform.MBCosts {
+	if *uniform.MB(3) != uniform.MBCosts || uniform.MeanMB(4) != uniform.MBCosts {
 		t.Error("uniform fallback broken")
 	}
 	// With overrides, MeanMB of identical books equals any one of them up to
@@ -83,10 +83,10 @@ func TestMeanMBMatchesMB(t *testing.T) {
 	c := UnitBatchCosts(0.01, []float64{2, 2, 2})
 	mean := c.MeanMB(3)
 	if mean.Seg != c.MB(0).Seg || mean.BoundBytes != c.MB(0).BoundBytes {
-		t.Errorf("MeanMB of identical books differs: %+v vs %+v", mean, c.MB(0))
+		t.Errorf("MeanMB of identical books differs: %+v vs %+v", mean, *c.MB(0))
 	}
 	// Out-of-range lookups keep the conservative uniform book.
-	if c.MB(99) != c.MBCosts || c.MB(-1) != c.MBCosts {
+	if *c.MB(99) != c.MBCosts || *c.MB(-1) != c.MBCosts {
 		t.Error("out-of-range MB lookup not uniform")
 	}
 }

@@ -67,73 +67,80 @@ type opTokens struct {
 	nreq, nprod int
 }
 
-// needs returns the effect of an op requiring one token.
-func needs(req token) opTokens { return opTokens{req: [1]token{req}, nreq: 1} }
-
-// makes returns the effect with the given products added.
-func (io opTokens) makes(prod ...token) opTokens {
-	io.nprod = copy(io.prod[:], prod)
+// needs records the token the op requires.
+func (io *opTokens) needs(req token) *opTokens {
+	io.req[0], io.nreq = req, 1
 	return io
 }
 
-// opIO returns the tokens an op requires and produces. Recompute ops have no
-// token effects (they regenerate locally stashed intermediates).
-func opIO(op *Op, layers int) opTokens {
+// makes records a token the op produces.
+func (io *opTokens) makes(prod token) *opTokens {
+	io.prod[io.nprod] = prod
+	io.nprod++
+	return io
+}
+
+// opIO fills io with the tokens an op requires and produces, in place: the
+// validator runs it once per op. Recompute ops have no token effects (they
+// regenerate locally stashed intermediates).
+func opIO(op *Op, layers int, io *opTokens) {
+	io.nreq, io.nprod = 0, 0
 	switch op.Kind {
 	case KForward:
 		switch op.Layer {
 		case LayerEmbed:
-			return opTokens{}.makes(token{kind: tokA, mb: op.MB, layer: 0})
+			io.makes(token{kind: tokA, mb: op.MB, layer: 0})
+			return
 		case LayerHead:
-			return needs(token{kind: tokA, mb: op.MB, layer: layers})
+			io.needs(token{kind: tokA, mb: op.MB, layer: layers})
+			return
 		}
 		switch op.Seg {
 		case model.SegPre:
-			return needs(token{kind: tokA, mb: op.MB, layer: op.Layer}).
+			io.needs(token{kind: tokA, mb: op.MB, layer: op.Layer}).
 				makes(token{kind: tokQ, mb: op.MB, layer: op.Layer})
 		case model.SegAttn:
-			return needs(token{kind: tokQ, mb: op.MB, layer: op.Layer}).
+			io.needs(token{kind: tokQ, mb: op.MB, layer: op.Layer}).
 				makes(token{kind: tokO, mb: op.MB, layer: op.Layer})
 		default:
-			return needs(token{kind: tokO, mb: op.MB, layer: op.Layer}).
+			io.needs(token{kind: tokO, mb: op.MB, layer: op.Layer}).
 				makes(token{kind: tokA, mb: op.MB, layer: op.Layer + 1})
 		}
 	case KBackwardB:
 		switch op.Layer {
 		case LayerHead:
 			// Deferred head: forward + loss + backward in one op (4.6).
-			return needs(token{kind: tokA, mb: op.MB, layer: layers}).makes(
-				token{kind: tokGA, mb: op.MB, layer: layers},
-				token{kind: tokWEnable, mb: op.MB, layer: LayerHead},
-			)
+			io.needs(token{kind: tokA, mb: op.MB, layer: layers}).
+				makes(token{kind: tokGA, mb: op.MB, layer: layers}).
+				makes(token{kind: tokWEnable, mb: op.MB, layer: LayerHead})
+			return
 		case LayerEmbed:
-			return needs(token{kind: tokGA, mb: op.MB, layer: 0})
+			io.needs(token{kind: tokGA, mb: op.MB, layer: 0})
+			return
 		}
 		switch op.Seg {
 		case model.SegPost:
-			return needs(token{kind: tokGA, mb: op.MB, layer: op.Layer + 1}).makes(
-				token{kind: tokGO, mb: op.MB, layer: op.Layer},
-				token{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: model.SegPost},
-			)
+			io.needs(token{kind: tokGA, mb: op.MB, layer: op.Layer + 1}).
+				makes(token{kind: tokGO, mb: op.MB, layer: op.Layer}).
+				makes(token{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: model.SegPost})
 		case model.SegAttn:
-			return needs(token{kind: tokGO, mb: op.MB, layer: op.Layer}).
+			io.needs(token{kind: tokGO, mb: op.MB, layer: op.Layer}).
 				makes(token{kind: tokGQ, mb: op.MB, layer: op.Layer})
 		default:
-			return needs(token{kind: tokGQ, mb: op.MB, layer: op.Layer}).makes(
-				token{kind: tokGA, mb: op.MB, layer: op.Layer},
-				token{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: model.SegPre},
-			)
+			io.needs(token{kind: tokGQ, mb: op.MB, layer: op.Layer}).
+				makes(token{kind: tokGA, mb: op.MB, layer: op.Layer}).
+				makes(token{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: model.SegPre})
 		}
 	case KBackwardW:
 		switch op.Layer {
 		case LayerHead:
-			return needs(token{kind: tokWEnable, mb: op.MB, layer: LayerHead})
+			io.needs(token{kind: tokWEnable, mb: op.MB, layer: LayerHead})
 		case LayerEmbed:
-			return needs(token{kind: tokGA, mb: op.MB, layer: 0})
+			io.needs(token{kind: tokGA, mb: op.MB, layer: 0})
+		default:
+			io.needs(token{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: op.Seg})
 		}
-		return needs(token{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: op.Seg})
 	}
-	return opTokens{}
 }
 
 // geometry indexes the dense tables the checks run on. Structure validation
@@ -423,6 +430,7 @@ func validateDataflow(p *Plan, g geometry) ([]int32, error) {
 		i := g.token(tok)
 		bits[s*words+i/64] |= 1 << (i % 64)
 	}
+	var io opTokens
 	for {
 		progress := false
 		for s := 0; s < p.Stages; s++ {
@@ -453,7 +461,7 @@ func validateDataflow(p *Plan, g geometry) ([]int32, error) {
 					}
 					c.send++
 				default:
-					io := opIO(op, p.Layers)
+					opIO(op, p.Layers, &io)
 					for _, tok := range io.req[:io.nreq] {
 						if !has(s, tok) {
 							return nil, fmt.Errorf("sched: stage %d op %v: missing input token %+v", s, *op, tok)
