@@ -310,6 +310,73 @@ func TestPlacementForAllocBudget(t *testing.T) {
 	}
 }
 
+// headlinePlans builds the headline HelixPipe and ZB1P plans (7B, H20, 128k,
+// p=8, m=16) for the validator micro-benchmark.
+func headlinePlans(tb testing.TB) []*Plan {
+	tb.Helper()
+	s := headlineSession(tb)
+	var plans []*Plan
+	for _, m := range []Method{MethodHelix, MethodZB1P} {
+		p, err := s.Plan(m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	return plans
+}
+
+// validateFresh validates each plan's programs once. Validate memoizes its
+// verdict on the Plan value, so every call validates a fresh Plan over the
+// same programs.
+func validateFresh(tb testing.TB, plans []*Plan) {
+	for _, p := range plans {
+		fresh := Plan{Method: p.Method, Stages: p.Stages, MicroBatches: p.MicroBatches, Layers: p.Layers,
+			Ops: p.Ops, Costs: p.Costs, Batch: p.Batch, Placement: p.Placement}
+		if err := sched.Validate(&fresh); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkValidatePlans measures the plan validator (structure, counts,
+// token dataflow with the message match, and the stash walk) on the headline
+// HelixPipe and ZB1P programs. The alloc-gate CI step pins its allocs/op to
+// the budget in testdata/alloc_budget.json.
+func BenchmarkValidatePlans(b *testing.B) {
+	plans := headlinePlans(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		validateFresh(b, plans)
+	}
+}
+
+// TestValidateAllocBudget enforces the validator budget in-process, the
+// contract the CI alloc-gate re-checks from BenchmarkValidatePlans's
+// -benchmem output. Matching messages through a hash map costs several
+// allocations per plan more and fails it.
+func TestValidateAllocBudget(t *testing.T) {
+	raw, err := os.ReadFile("testdata/alloc_budget.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget struct {
+		ValidateAllocsPerOp float64 `json:"validate_allocs_per_op"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatal(err)
+	}
+	if budget.ValidateAllocsPerOp <= 0 {
+		t.Fatal("testdata/alloc_budget.json pins no validate_allocs_per_op")
+	}
+	plans := headlinePlans(t)
+	got := testing.AllocsPerRun(5, func() { validateFresh(t, plans) })
+	if got > budget.ValidateAllocsPerOp {
+		t.Errorf("validating the headline plans allocates %.0f allocs/op, budget %.0f (testdata/alloc_budget.json)",
+			got, budget.ValidateAllocsPerOp)
+	}
+}
+
 // BenchmarkSimulateHelix measures one simulated headline iteration and
 // reports simulated tokens/s.
 func BenchmarkSimulateHelix(b *testing.B) {

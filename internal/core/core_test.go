@@ -209,10 +209,10 @@ func TestParameterOwnershipBalanced(t *testing.T) {
 		for _, op := range ops {
 			if op.Kind == sched.KForward && op.Layer >= 0 {
 				if op.Seg == model.SegPre {
-					pre[s][op.Layer] = true
+					pre[s][int(op.Layer)] = true
 				}
 				if op.Seg == model.SegPost {
-					post[s][op.Layer] = true
+					post[s][int(op.Layer)] = true
 				}
 			}
 		}
@@ -239,10 +239,10 @@ func TestAttentionSpreadInPlan(t *testing.T) {
 	for s, ops := range plan.Ops {
 		for _, op := range ops {
 			if op.Kind == sched.KForward && op.Layer >= 0 && op.Seg == model.SegAttn && op.MB < 4 {
-				if stagesOf[op.Layer] == nil {
-					stagesOf[op.Layer] = map[int]bool{}
+				if stagesOf[int(op.Layer)] == nil {
+					stagesOf[int(op.Layer)] = map[int]bool{}
 				}
-				stagesOf[op.Layer][s] = true
+				stagesOf[int(op.Layer)][s] = true
 			}
 		}
 	}

@@ -552,20 +552,20 @@ func (b *helixBuilder) inputTag(t *hTask, mb int) (sched.Tag, bool) {
 	l := int(t.unit)
 	switch t.kind {
 	case tUnitF:
-		return sched.Tag{MB: mb, Layer: l - 1, Bound: sched.BoundAttnPost}, l > 0
+		return sched.Tag{MB: int32(mb), Layer: int32(l - 1), Bound: sched.BoundAttnPost}, l > 0
 	case tAttnF:
-		return sched.Tag{MB: mb, Layer: l, Bound: sched.BoundPreAttn}, true
+		return sched.Tag{MB: int32(mb), Layer: int32(l), Bound: sched.BoundPreAttn}, true
 	case tUnitB:
-		return sched.Tag{MB: mb, Layer: l, Bound: sched.BoundPreAttn, Back: true}, l < b.cfg.Layers
+		return sched.Tag{MB: int32(mb), Layer: int32(l), Bound: sched.BoundPreAttn, Back: true}, l < b.cfg.Layers
 	default: // tAttnB
-		return sched.Tag{MB: mb, Layer: l, Bound: sched.BoundAttnPost, Back: true}, true
+		return sched.Tag{MB: int32(mb), Layer: int32(l), Bound: sched.BoundAttnPost, Back: true}, true
 	}
 }
 
 // arrivalSlot indexes a helix message in the dense arrival table, by
 // (micro batch, layer, boundary, direction).
 func (b *helixBuilder) arrivalSlot(tag sched.Tag) int {
-	slot := (tag.MB*b.cfg.Layers+tag.Layer)*2 + int(tag.Bound-sched.BoundPreAttn)
+	slot := (int(tag.MB)*b.cfg.Layers+int(tag.Layer))*2 + int(tag.Bound-sched.BoundPreAttn)
 	slot *= 2
 	if tag.Back {
 		slot++
@@ -605,13 +605,13 @@ func (b *helixBuilder) next(stage int) *sched.Op {
 // compute emits a compute op on a stage program.
 func (b *helixBuilder) compute(stage int, kind sched.OpKind, mb, layer int, seg model.Segment, dur float64, alloc, free int64) {
 	op := b.next(stage)
-	op.Kind, op.MB, op.Layer, op.Seg, op.Dur, op.Alloc, op.Free = kind, mb, layer, seg, dur, alloc, free
+	op.Kind, op.MB, op.Layer, op.Seg, op.Dur, op.Alloc, op.Free = kind, int32(mb), int32(layer), seg, dur, alloc, free
 }
 
 // message emits a send or recv on a stage program.
 func (b *helixBuilder) message(stage int, kind sched.OpKind, mb, peer int, tag sched.Tag, bytes int64, blocking bool) {
 	op := b.next(stage)
-	op.Kind, op.MB, op.Peer, op.Tag, op.Bytes, op.Blocking = kind, mb, peer, tag, bytes, blocking
+	op.Kind, op.MB, op.Peer, op.Tag, op.Bytes, op.Blocking = kind, int32(mb), int32(peer), tag, bytes, blocking
 }
 
 // recvPiece emits the recv op for one micro-batch piece and returns the
@@ -644,7 +644,7 @@ func (b *helixBuilder) sendPiece(stage, mb, peer int, tag sched.Tag, clock float
 		return clock
 	}
 	blocking := b.opt.Fold == 1
-	bytes := b.costs.MB(tag.MB).BoundBytes[tag.Bound]
+	bytes := b.costs.MB(int(tag.MB)).BoundBytes[tag.Bound]
 	b.message(stage, sched.KSend, mb, peer, tag, bytes, blocking)
 	// Reserve the duplex NIC pair exactly like the simulator does, so the
 	// emitted program order anticipates link contention.
@@ -712,7 +712,7 @@ func (b *helixBuilder) runUnitF(t *hTask) {
 				c.Seg[model.SegPre][model.Forward], b.stashAlloc(mb, model.SegPre), 0)
 			clock += c.Seg[model.SegPre][model.Forward]
 			clock = b.sendPiece(stage, mb, AttnStage(u, mb, p),
-				sched.Tag{MB: mb, Layer: u, Bound: sched.BoundPreAttn}, clock)
+				sched.Tag{MB: int32(mb), Layer: int32(u), Bound: sched.BoundPreAttn}, clock)
 		}
 	}
 	b.clock[stage] = clock
@@ -730,14 +730,14 @@ func (b *helixBuilder) runAttn(t *hTask, back bool) {
 			c.Seg[model.SegAttn][model.BackwardB], 0, b.attnFree(mb))
 		clock += c.Seg[model.SegAttn][model.BackwardB]
 		clock = b.sendPiece(stage, mb, PreOwner(l, p),
-			sched.Tag{MB: mb, Layer: l, Bound: sched.BoundPreAttn, Back: true}, clock)
+			sched.Tag{MB: int32(mb), Layer: int32(l), Bound: sched.BoundPreAttn, Back: true}, clock)
 	} else {
 		clock = b.recvPiece(t, mb, PreOwner(l, p), clock)
 		b.compute(stage, sched.KForward, mb, l, model.SegAttn,
 			c.Seg[model.SegAttn][model.Forward], b.stashAlloc(mb, model.SegAttn), 0)
 		clock += c.Seg[model.SegAttn][model.Forward]
 		clock = b.sendPiece(stage, mb, PostOwner(l, p),
-			sched.Tag{MB: mb, Layer: l, Bound: sched.BoundAttnPost}, clock)
+			sched.Tag{MB: int32(mb), Layer: int32(l), Bound: sched.BoundAttnPost}, clock)
 	}
 	b.clock[stage] = clock
 }
@@ -788,7 +788,7 @@ func (b *helixBuilder) runUnitB(t *hTask) {
 				c.Seg[model.SegPost][model.BackwardW], 0, c.SegStashWFree[model.SegPost])
 			clock += c.Seg[model.SegPost][model.BackwardB] + c.Seg[model.SegPost][model.BackwardW]
 			clock = b.sendPiece(stage, mb, AttnStage(u-1, mb, p),
-				sched.Tag{MB: mb, Layer: u - 1, Bound: sched.BoundAttnPost, Back: true}, clock)
+				sched.Tag{MB: int32(mb), Layer: int32(u - 1), Bound: sched.BoundAttnPost, Back: true}, clock)
 		} else {
 			b.compute(stage, sched.KBackwardW, mb, sched.LayerEmbed, model.SegPre, c.EmbedW, 0, 0)
 			clock += c.EmbedW

@@ -281,16 +281,16 @@ func (b *refHelixBuilder) inputTags(t *refTask, mb int) []sched.Tag {
 		if t.unit == 0 {
 			return nil
 		}
-		return []sched.Tag{{MB: mb, Layer: t.unit - 1, Bound: sched.BoundAttnPost}}
+		return []sched.Tag{{MB: int32(mb), Layer: int32(t.unit - 1), Bound: sched.BoundAttnPost}}
 	case tAttnF:
-		return []sched.Tag{{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn}}
+		return []sched.Tag{{MB: int32(mb), Layer: int32(t.unit), Bound: sched.BoundPreAttn}}
 	case tUnitB:
 		if t.unit == L {
 			return nil
 		}
-		return []sched.Tag{{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn, Back: true}}
+		return []sched.Tag{{MB: int32(mb), Layer: int32(t.unit), Bound: sched.BoundPreAttn, Back: true}}
 	default: // tAttnB
-		return []sched.Tag{{MB: mb, Layer: t.unit, Bound: sched.BoundAttnPost, Back: true}}
+		return []sched.Tag{{MB: int32(mb), Layer: int32(t.unit), Bound: sched.BoundAttnPost, Back: true}}
 	}
 }
 
@@ -319,7 +319,7 @@ func (b *refHelixBuilder) emit(stage int, op sched.Op) { b.ops[stage] = append(b
 func (b *refHelixBuilder) recvPiece(t *refTask, mb int, from int, clock float64) float64 {
 	for _, tag := range b.inputTags(t, mb) {
 		if from != t.stage {
-			b.emit(t.stage, sched.Op{Kind: sched.KRecv, MB: mb, Peer: from, Tag: tag})
+			b.emit(t.stage, sched.Op{Kind: sched.KRecv, MB: int32(mb), Peer: int32(from), Tag: tag})
 		}
 		if a, ok := b.arrival[tag]; ok && a > clock {
 			clock = a
@@ -339,9 +339,9 @@ func (b *refHelixBuilder) sendPiece(stage, mb, peer int, tag sched.Tag, clock fl
 		return clock
 	}
 	blocking := b.opt.Fold == 1
-	bytes := b.costs.MB(tag.MB).BoundBytes[tag.Bound]
+	bytes := b.costs.MB(int(tag.MB)).BoundBytes[tag.Bound]
 	b.emit(stage, sched.Op{
-		Kind: sched.KSend, MB: mb, Peer: peer, Tag: tag, Bytes: bytes, Blocking: blocking,
+		Kind: sched.KSend, MB: int32(mb), Peer: int32(peer), Tag: tag, Bytes: bytes, Blocking: blocking,
 	})
 	// Reserve the duplex NIC pair exactly like the simulator does, so the
 	// emitted program order anticipates link contention.
@@ -394,19 +394,19 @@ func (b *refHelixBuilder) runUnitF(t *refTask) {
 		if t.unit > 0 {
 			from := AttnStage(t.unit-1, mb, p)
 			clock = b.recvPiece(t, mb, from, clock)
-			b.emit(t.stage, sched.Op{Kind: sched.KForward, MB: mb, Layer: t.unit - 1, Seg: model.SegPost,
+			b.emit(t.stage, sched.Op{Kind: sched.KForward, MB: int32(mb), Layer: int32(t.unit - 1), Seg: model.SegPost,
 				Dur: c.Seg[model.SegPost][model.Forward], Alloc: b.stashAlloc(mb, model.SegPost)})
 			clock += c.Seg[model.SegPost][model.Forward]
 		} else {
-			b.emit(t.stage, sched.Op{Kind: sched.KForward, MB: mb, Layer: sched.LayerEmbed, Dur: c.EmbedF})
+			b.emit(t.stage, sched.Op{Kind: sched.KForward, MB: int32(mb), Layer: sched.LayerEmbed, Dur: c.EmbedF})
 			clock += c.EmbedF
 		}
 		if t.unit < L {
-			b.emit(t.stage, sched.Op{Kind: sched.KForward, MB: mb, Layer: t.unit, Seg: model.SegPre,
+			b.emit(t.stage, sched.Op{Kind: sched.KForward, MB: int32(mb), Layer: int32(t.unit), Seg: model.SegPre,
 				Dur: c.Seg[model.SegPre][model.Forward], Alloc: b.stashAlloc(mb, model.SegPre)})
 			clock += c.Seg[model.SegPre][model.Forward]
 			clock = b.sendPiece(t.stage, mb, AttnStage(t.unit, mb, p),
-				sched.Tag{MB: mb, Layer: t.unit, Bound: sched.BoundPreAttn}, clock)
+				sched.Tag{MB: int32(mb), Layer: int32(t.unit), Bound: sched.BoundPreAttn}, clock)
 		}
 	}
 	b.clock[t.stage] = clock
@@ -420,18 +420,18 @@ func (b *refHelixBuilder) runAttn(t *refTask, back bool) {
 	clock := b.clock[t.stage]
 	if back {
 		clock = b.recvPiece(t, mb, PostOwner(l, p), clock)
-		b.emit(t.stage, sched.Op{Kind: sched.KBackwardB, MB: mb, Layer: l, Seg: model.SegAttn,
+		b.emit(t.stage, sched.Op{Kind: sched.KBackwardB, MB: int32(mb), Layer: int32(l), Seg: model.SegAttn,
 			Dur: c.Seg[model.SegAttn][model.BackwardB], Free: b.attnFree(mb)})
 		clock += c.Seg[model.SegAttn][model.BackwardB]
 		clock = b.sendPiece(t.stage, mb, PreOwner(l, p),
-			sched.Tag{MB: mb, Layer: l, Bound: sched.BoundPreAttn, Back: true}, clock)
+			sched.Tag{MB: int32(mb), Layer: int32(l), Bound: sched.BoundPreAttn, Back: true}, clock)
 	} else {
 		clock = b.recvPiece(t, mb, PreOwner(l, p), clock)
-		b.emit(t.stage, sched.Op{Kind: sched.KForward, MB: mb, Layer: l, Seg: model.SegAttn,
+		b.emit(t.stage, sched.Op{Kind: sched.KForward, MB: int32(mb), Layer: int32(l), Seg: model.SegAttn,
 			Dur: c.Seg[model.SegAttn][model.Forward], Alloc: b.stashAlloc(mb, model.SegAttn)})
 		clock += c.Seg[model.SegAttn][model.Forward]
 		clock = b.sendPiece(t.stage, mb, PostOwner(l, p),
-			sched.Tag{MB: mb, Layer: l, Bound: sched.BoundAttnPost}, clock)
+			sched.Tag{MB: int32(mb), Layer: int32(l), Bound: sched.BoundAttnPost}, clock)
 	}
 	b.clock[t.stage] = clock
 }
@@ -444,9 +444,9 @@ func (b *refHelixBuilder) runUnitB(t *refTask) {
 		if t.unit == L {
 			// Deferred LM head: forward + loss + backward-B fused (4.6),
 			// weight gradient immediately after (no ZB1P-style deferral).
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardB, MB: mb, Layer: sched.LayerHead,
+			b.emit(t.stage, sched.Op{Kind: sched.KBackwardB, MB: int32(mb), Layer: sched.LayerHead,
 				Dur: c.HeadFB, Alloc: c.EmbedGradStash})
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardW, MB: mb, Layer: sched.LayerHead,
+			b.emit(t.stage, sched.Op{Kind: sched.KBackwardW, MB: int32(mb), Layer: sched.LayerHead,
 				Dur: c.HeadW, Free: c.EmbedGradStash})
 			clock += c.HeadFB + c.HeadW
 		} else {
@@ -457,35 +457,35 @@ func (b *refHelixBuilder) runUnitB(t *refTask) {
 		// post-attention of layer unit-1, then pre-attention of layer unit.
 		if b.opt.Recompute {
 			if t.unit > 0 {
-				b.emit(t.stage, sched.Op{Kind: sched.KRecompute, MB: mb, Layer: t.unit - 1, Seg: model.SegPost,
+				b.emit(t.stage, sched.Op{Kind: sched.KRecompute, MB: int32(mb), Layer: int32(t.unit - 1), Seg: model.SegPost,
 					Dur:   c.SegRecompute[model.SegPost],
 					Alloc: c.SegStash[model.SegPost] - c.HelixSegStash[model.SegPost]})
 				clock += c.SegRecompute[model.SegPost]
 			}
 			if t.unit < L {
-				b.emit(t.stage, sched.Op{Kind: sched.KRecompute, MB: mb, Layer: t.unit, Seg: model.SegPre,
+				b.emit(t.stage, sched.Op{Kind: sched.KRecompute, MB: int32(mb), Layer: int32(t.unit), Seg: model.SegPre,
 					Dur:   c.SegRecompute[model.SegPre],
 					Alloc: c.SegStash[model.SegPre] - c.HelixSegStash[model.SegPre]})
 				clock += c.SegRecompute[model.SegPre]
 			}
 		}
 		if t.unit < L {
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardB, MB: mb, Layer: t.unit, Seg: model.SegPre,
+			b.emit(t.stage, sched.Op{Kind: sched.KBackwardB, MB: int32(mb), Layer: int32(t.unit), Seg: model.SegPre,
 				Dur: c.Seg[model.SegPre][model.BackwardB], Free: c.SegStashBFree[model.SegPre]})
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardW, MB: mb, Layer: t.unit, Seg: model.SegPre,
+			b.emit(t.stage, sched.Op{Kind: sched.KBackwardW, MB: int32(mb), Layer: int32(t.unit), Seg: model.SegPre,
 				Dur: c.Seg[model.SegPre][model.BackwardW], Free: c.SegStashWFree[model.SegPre]})
 			clock += c.Seg[model.SegPre][model.BackwardB] + c.Seg[model.SegPre][model.BackwardW]
 		}
 		if t.unit > 0 {
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardB, MB: mb, Layer: t.unit - 1, Seg: model.SegPost,
+			b.emit(t.stage, sched.Op{Kind: sched.KBackwardB, MB: int32(mb), Layer: int32(t.unit - 1), Seg: model.SegPost,
 				Dur: c.Seg[model.SegPost][model.BackwardB], Free: c.SegStashBFree[model.SegPost]})
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardW, MB: mb, Layer: t.unit - 1, Seg: model.SegPost,
+			b.emit(t.stage, sched.Op{Kind: sched.KBackwardW, MB: int32(mb), Layer: int32(t.unit - 1), Seg: model.SegPost,
 				Dur: c.Seg[model.SegPost][model.BackwardW], Free: c.SegStashWFree[model.SegPost]})
 			clock += c.Seg[model.SegPost][model.BackwardB] + c.Seg[model.SegPost][model.BackwardW]
 			clock = b.sendPiece(t.stage, mb, AttnStage(t.unit-1, mb, p),
-				sched.Tag{MB: mb, Layer: t.unit - 1, Bound: sched.BoundAttnPost, Back: true}, clock)
+				sched.Tag{MB: int32(mb), Layer: int32(t.unit - 1), Bound: sched.BoundAttnPost, Back: true}, clock)
 		} else {
-			b.emit(t.stage, sched.Op{Kind: sched.KBackwardW, MB: mb, Layer: sched.LayerEmbed, Dur: c.EmbedW})
+			b.emit(t.stage, sched.Op{Kind: sched.KBackwardW, MB: int32(mb), Layer: sched.LayerEmbed, Dur: c.EmbedW})
 			clock += c.EmbedW
 		}
 	}

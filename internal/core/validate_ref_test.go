@@ -52,20 +52,20 @@ func tokenOfTag(t sched.Tag) token {
 	if !t.Back {
 		switch t.Bound {
 		case sched.BoundAct:
-			return token{kind: tokA, mb: t.MB, layer: t.Layer}
+			return token{kind: tokA, mb: int(t.MB), layer: int(t.Layer)}
 		case sched.BoundPreAttn:
-			return token{kind: tokQ, mb: t.MB, layer: t.Layer}
+			return token{kind: tokQ, mb: int(t.MB), layer: int(t.Layer)}
 		default:
-			return token{kind: tokO, mb: t.MB, layer: t.Layer}
+			return token{kind: tokO, mb: int(t.MB), layer: int(t.Layer)}
 		}
 	}
 	switch t.Bound {
 	case sched.BoundAct:
-		return token{kind: tokGA, mb: t.MB, layer: t.Layer}
+		return token{kind: tokGA, mb: int(t.MB), layer: int(t.Layer)}
 	case sched.BoundPreAttn:
-		return token{kind: tokGQ, mb: t.MB, layer: t.Layer}
+		return token{kind: tokGQ, mb: int(t.MB), layer: int(t.Layer)}
 	default:
-		return token{kind: tokGO, mb: t.MB, layer: t.Layer}
+		return token{kind: tokGO, mb: int(t.MB), layer: int(t.Layer)}
 	}
 }
 
@@ -76,58 +76,58 @@ func opIO(op sched.Op, layers int) (req []token, prod []token) {
 	case sched.KForward:
 		switch op.Layer {
 		case sched.LayerEmbed:
-			return nil, []token{{kind: tokA, mb: op.MB, layer: 0}}
+			return nil, []token{{kind: tokA, mb: int(op.MB), layer: 0}}
 		case sched.LayerHead:
-			return []token{{kind: tokA, mb: op.MB, layer: layers}}, nil
+			return []token{{kind: tokA, mb: int(op.MB), layer: layers}}, nil
 		}
 		switch op.Seg {
 		case model.SegPre:
-			return []token{{kind: tokA, mb: op.MB, layer: op.Layer}},
-				[]token{{kind: tokQ, mb: op.MB, layer: op.Layer}}
+			return []token{{kind: tokA, mb: int(op.MB), layer: int(op.Layer)}},
+				[]token{{kind: tokQ, mb: int(op.MB), layer: int(op.Layer)}}
 		case model.SegAttn:
-			return []token{{kind: tokQ, mb: op.MB, layer: op.Layer}},
-				[]token{{kind: tokO, mb: op.MB, layer: op.Layer}}
+			return []token{{kind: tokQ, mb: int(op.MB), layer: int(op.Layer)}},
+				[]token{{kind: tokO, mb: int(op.MB), layer: int(op.Layer)}}
 		default:
-			return []token{{kind: tokO, mb: op.MB, layer: op.Layer}},
-				[]token{{kind: tokA, mb: op.MB, layer: op.Layer + 1}}
+			return []token{{kind: tokO, mb: int(op.MB), layer: int(op.Layer)}},
+				[]token{{kind: tokA, mb: int(op.MB), layer: int(op.Layer + 1)}}
 		}
 	case sched.KBackwardB:
 		switch op.Layer {
 		case sched.LayerHead:
 			// Deferred head: forward + loss + backward in one op (4.6).
-			return []token{{kind: tokA, mb: op.MB, layer: layers}},
+			return []token{{kind: tokA, mb: int(op.MB), layer: layers}},
 				[]token{
-					{kind: tokGA, mb: op.MB, layer: layers},
-					{kind: tokWEnable, mb: op.MB, layer: sched.LayerHead},
+					{kind: tokGA, mb: int(op.MB), layer: layers},
+					{kind: tokWEnable, mb: int(op.MB), layer: sched.LayerHead},
 				}
 		case sched.LayerEmbed:
-			return []token{{kind: tokGA, mb: op.MB, layer: 0}}, nil
+			return []token{{kind: tokGA, mb: int(op.MB), layer: 0}}, nil
 		}
 		switch op.Seg {
 		case model.SegPost:
-			return []token{{kind: tokGA, mb: op.MB, layer: op.Layer + 1}},
+			return []token{{kind: tokGA, mb: int(op.MB), layer: int(op.Layer + 1)}},
 				[]token{
-					{kind: tokGO, mb: op.MB, layer: op.Layer},
-					{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: model.SegPost},
+					{kind: tokGO, mb: int(op.MB), layer: int(op.Layer)},
+					{kind: tokWEnable, mb: int(op.MB), layer: int(op.Layer), seg: model.SegPost},
 				}
 		case model.SegAttn:
-			return []token{{kind: tokGO, mb: op.MB, layer: op.Layer}},
-				[]token{{kind: tokGQ, mb: op.MB, layer: op.Layer}}
+			return []token{{kind: tokGO, mb: int(op.MB), layer: int(op.Layer)}},
+				[]token{{kind: tokGQ, mb: int(op.MB), layer: int(op.Layer)}}
 		default:
-			return []token{{kind: tokGQ, mb: op.MB, layer: op.Layer}},
+			return []token{{kind: tokGQ, mb: int(op.MB), layer: int(op.Layer)}},
 				[]token{
-					{kind: tokGA, mb: op.MB, layer: op.Layer},
-					{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: model.SegPre},
+					{kind: tokGA, mb: int(op.MB), layer: int(op.Layer)},
+					{kind: tokWEnable, mb: int(op.MB), layer: int(op.Layer), seg: model.SegPre},
 				}
 		}
 	case sched.KBackwardW:
 		switch op.Layer {
 		case sched.LayerHead:
-			return []token{{kind: tokWEnable, mb: op.MB, layer: sched.LayerHead}}, nil
+			return []token{{kind: tokWEnable, mb: int(op.MB), layer: sched.LayerHead}}, nil
 		case sched.LayerEmbed:
-			return []token{{kind: tokGA, mb: op.MB, layer: 0}}, nil
+			return []token{{kind: tokGA, mb: int(op.MB), layer: 0}}, nil
 		}
-		return []token{{kind: tokWEnable, mb: op.MB, layer: op.Layer, seg: op.Seg}}, nil
+		return []token{{kind: tokWEnable, mb: int(op.MB), layer: int(op.Layer), seg: op.Seg}}, nil
 	}
 	return nil, nil
 }
@@ -178,14 +178,14 @@ func validateStructure(p *sched.Plan) error {
 				return fmt.Errorf("sched: stage %d op %d (%v): negative duration", s, i, op)
 			}
 			if op.Kind == sched.KSend || op.Kind == sched.KRecv {
-				if op.Peer < 0 || op.Peer >= p.Stages {
+				if op.Peer < 0 || int(op.Peer) >= p.Stages {
 					return fmt.Errorf("sched: stage %d op %d (%v): peer out of range", s, i, op)
 				}
-				if op.Peer == s {
+				if int(op.Peer) == s {
 					return fmt.Errorf("sched: stage %d op %d (%v): self communication", s, i, op)
 				}
 			}
-			if op.MB < 0 || (op.Kind != sched.KSend && op.Kind != sched.KRecv && op.MB >= p.MicroBatches) {
+			if op.MB < 0 || (op.Kind != sched.KSend && op.Kind != sched.KRecv && int(op.MB) >= p.MicroBatches) {
 				return fmt.Errorf("sched: stage %d op %d (%v): micro batch out of range", s, i, op)
 			}
 		}
@@ -211,9 +211,9 @@ func validateCounts(p *sched.Plan) error {
 			if !op.Kind.IsCompute() || op.Kind == sched.KRecompute {
 				continue
 			}
-			k := key{mb: op.MB, layer: op.Layer, seg: op.Seg, kind: op.Kind}
+			k := key{mb: int(op.MB), layer: int(op.Layer), seg: op.Seg, kind: op.Kind}
 			count[k]++
-			fk := key{mb: op.MB, layer: op.Layer, seg: op.Seg, kind: sched.KForward}
+			fk := key{mb: int(op.MB), layer: int(op.Layer), seg: op.Seg, kind: sched.KForward}
 			switch op.Kind {
 			case sched.KForward:
 				home[fk] = s
@@ -283,7 +283,7 @@ func validateDataflow(p *sched.Plan) error {
 				op := p.Ops[s][pc[s]]
 				switch op.Kind {
 				case sched.KRecv:
-					k := msgKey{tag: op.Tag, from: op.Peer, to: s}
+					k := msgKey{tag: op.Tag, from: int(op.Peer), to: s}
 					if sent[k] == 0 {
 						break stageLoop // block until the matching send
 					}
@@ -294,7 +294,7 @@ func validateDataflow(p *sched.Plan) error {
 					if !have[s][tok] {
 						return fmt.Errorf("sched: stage %d sends %v before producing it", s, op.Tag)
 					}
-					k := msgKey{tag: op.Tag, from: s, to: op.Peer}
+					k := msgKey{tag: op.Tag, from: s, to: int(op.Peer)}
 					if seen[k] {
 						return fmt.Errorf("sched: stage %d sends %v to stage %d twice", s, op.Tag, op.Peer)
 					}

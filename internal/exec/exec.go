@@ -80,7 +80,7 @@ func Run(plan *sched.Plan, m *nn.Model, batches []nn.MicroBatch) (*Result, error
 	for s, ops := range plan.Ops {
 		for _, op := range ops {
 			if op.Kind == sched.KSend {
-				chans[chKey{op.Tag, s, op.Peer}] = make(chan Value, 1)
+				chans[chKey{op.Tag, s, int(op.Peer)}] = make(chan Value, 1)
 			}
 		}
 	}
@@ -96,7 +96,7 @@ func Run(plan *sched.Plan, m *nn.Model, batches []nn.MicroBatch) (*Result, error
 	for _, ops := range plan.Ops {
 		for _, op := range ops {
 			if op.Kind == sched.KRecompute {
-				dropped[segKey{op.Layer, int(op.Seg)}] = true
+				dropped[segKey{int(op.Layer), int(op.Seg)}] = true
 			}
 		}
 	}
@@ -204,7 +204,7 @@ func tokenOfTag(t sched.Tag) token {
 	default:
 		kind = tokGO
 	}
-	return token{kind: kind, mb: t.MB, layer: t.Layer}
+	return token{kind: kind, mb: int(t.MB), layer: int(t.Layer)}
 }
 
 type worker struct {
@@ -247,9 +247,9 @@ func (w *worker) run() error {
 	for _, op := range w.plan.Ops[w.stage] {
 		switch op.Kind {
 		case sched.KSend:
-			w.send(op.Tag, op.Peer, w.get(tokenOfTag(op.Tag)))
+			w.send(op.Tag, int(op.Peer), w.get(tokenOfTag(op.Tag)))
 		case sched.KRecv:
-			w.store[tokenOfTag(op.Tag)] = w.recv(op.Tag, op.Peer)
+			w.store[tokenOfTag(op.Tag)] = w.recv(op.Tag, int(op.Peer))
 		case sched.KForward:
 			w.forward(op)
 		case sched.KRecompute:
@@ -264,8 +264,8 @@ func (w *worker) run() error {
 }
 
 func (w *worker) forward(op sched.Op) {
-	mb := op.MB
-	switch op.Layer {
+	mb, layer := int(op.MB), int(op.Layer)
+	switch layer {
 	case sched.LayerEmbed:
 		x := nn.EmbedForward(w.model.Embed, w.batches[mb].Ids)
 		w.store[token{tokA, mb, 0}] = Value{X: x}
@@ -273,30 +273,30 @@ func (w *worker) forward(op sched.Op) {
 	case sched.LayerHead:
 		return // the head runs fused in backward (section 4.6)
 	}
-	key := [2]int{mb, op.Layer}
-	lp := w.model.Layers[op.Layer]
+	key := [2]int{mb, layer}
+	lp := w.model.Layers[layer]
 	switch op.Seg {
 	case model.SegPre:
-		in := w.get(token{tokA, mb, op.Layer})
+		in := w.get(token{tokA, mb, layer})
 		qkv, ctx := nn.PreForward(lp, in.X)
-		if !w.dropped(op.Layer, int(op.Seg)) {
+		if !w.dropped(layer, int(op.Seg)) {
 			w.preCtx[key] = ctx
 		}
-		w.store[token{tokQ, mb, op.Layer}] = Value{X: in.X, Y: qkv}
+		w.store[token{tokQ, mb, layer}] = Value{X: in.X, Y: qkv}
 	case model.SegAttn:
-		in := w.get(token{tokQ, mb, op.Layer})
+		in := w.get(token{tokQ, mb, layer})
 		out, ctx := nn.AttnForward(w.model.Cfg, in.Y)
-		if !w.dropped(op.Layer, int(op.Seg)) {
+		if !w.dropped(layer, int(op.Seg)) {
 			w.attnCtx[key] = ctx
 		}
-		w.store[token{tokO, mb, op.Layer}] = Value{X: in.X, Y: out}
+		w.store[token{tokO, mb, layer}] = Value{X: in.X, Y: out}
 	default: // post
-		in := w.get(token{tokO, mb, op.Layer})
+		in := w.get(token{tokO, mb, layer})
 		y, ctx := nn.PostForward(lp, in.X, in.Y)
-		if !w.dropped(op.Layer, int(op.Seg)) {
+		if !w.dropped(layer, int(op.Seg)) {
 			w.postCtx[key] = ctx
 		}
-		w.store[token{tokA, mb, op.Layer + 1}] = Value{X: y}
+		w.store[token{tokA, mb, layer + 1}] = Value{X: y}
 	}
 }
 
@@ -304,29 +304,29 @@ func (w *worker) forward(op sched.Op) {
 // recomputation without attention (4.4.1) for helix plans, full-layer
 // recomputation for AdaPipe plans.
 func (w *worker) recompute(op sched.Op) {
-	mb := op.MB
-	key := [2]int{mb, op.Layer}
-	lp := w.model.Layers[op.Layer]
+	mb, layer := int(op.MB), int(op.Layer)
+	key := [2]int{mb, layer}
+	lp := w.model.Layers[layer]
 	switch op.Seg {
 	case model.SegPre:
-		in := w.get(token{tokA, mb, op.Layer})
+		in := w.get(token{tokA, mb, layer})
 		qkv, ctx := nn.PreForward(lp, in.X)
 		w.preCtx[key] = ctx
-		w.store[token{tokQ, mb, op.Layer}] = Value{X: in.X, Y: qkv}
+		w.store[token{tokQ, mb, layer}] = Value{X: in.X, Y: qkv}
 	case model.SegAttn:
-		in := w.get(token{tokQ, mb, op.Layer})
+		in := w.get(token{tokQ, mb, layer})
 		out, ctx := nn.AttnForward(w.model.Cfg, in.Y)
 		w.attnCtx[key] = ctx
-		w.store[token{tokO, mb, op.Layer}] = Value{X: in.X, Y: out}
+		w.store[token{tokO, mb, layer}] = Value{X: in.X, Y: out}
 	default: // post
-		in := w.get(token{tokO, mb, op.Layer})
+		in := w.get(token{tokO, mb, layer})
 		w.postCtx[key] = nn.RecomputePost(lp, in.X, in.Y)
 	}
 }
 
 func (w *worker) backwardB(op sched.Op) {
-	mb := op.MB
-	switch op.Layer {
+	mb, layer := int(op.MB), int(op.Layer)
+	switch layer {
 	case sched.LayerHead:
 		in := w.get(token{tokA, mb, w.plan.Layers})
 		scale := float32(1) / float32(w.plan.MicroBatches)
@@ -338,42 +338,42 @@ func (w *worker) backwardB(op sched.Op) {
 	case sched.LayerEmbed:
 		return
 	}
-	key := [2]int{mb, op.Layer}
-	lp := w.model.Layers[op.Layer]
+	key := [2]int{mb, layer}
+	lp := w.model.Layers[layer]
 	switch op.Seg {
 	case model.SegPost:
 		ctx, ok := w.postCtx[key]
 		if !ok {
-			panic(fmt.Sprintf("stage %d: post stash for mb %d layer %d missing (recompute not scheduled?)", w.stage, mb, op.Layer))
+			panic(fmt.Sprintf("stage %d: post stash for mb %d layer %d missing (recompute not scheduled?)", w.stage, mb, layer))
 		}
-		in := w.get(token{tokGA, mb, op.Layer + 1})
+		in := w.get(token{tokGA, mb, layer + 1})
 		dAttnOut, dResid, wctx := nn.PostBackwardB(lp, ctx, in.X)
 		w.postW[key] = wctx
-		w.store[token{tokGO, mb, op.Layer}] = Value{X: dAttnOut, Y: dResid}
+		w.store[token{tokGO, mb, layer}] = Value{X: dAttnOut, Y: dResid}
 	case model.SegAttn:
 		ctx, ok := w.attnCtx[key]
 		if !ok {
-			panic(fmt.Sprintf("stage %d: attention stash for mb %d layer %d missing", w.stage, mb, op.Layer))
+			panic(fmt.Sprintf("stage %d: attention stash for mb %d layer %d missing", w.stage, mb, layer))
 		}
-		in := w.get(token{tokGO, mb, op.Layer})
+		in := w.get(token{tokGO, mb, layer})
 		dqkv := nn.AttnBackward(ctx, in.X)
-		w.store[token{tokGQ, mb, op.Layer}] = Value{X: dqkv, Y: in.Y}
+		w.store[token{tokGQ, mb, layer}] = Value{X: dqkv, Y: in.Y}
 	default: // pre
 		ctx, ok := w.preCtx[key]
 		if !ok {
-			panic(fmt.Sprintf("stage %d: pre stash for mb %d layer %d missing (recompute not scheduled?)", w.stage, mb, op.Layer))
+			panic(fmt.Sprintf("stage %d: pre stash for mb %d layer %d missing (recompute not scheduled?)", w.stage, mb, layer))
 		}
-		in := w.get(token{tokGQ, mb, op.Layer})
+		in := w.get(token{tokGQ, mb, layer})
 		dx, wctx := nn.PreBackwardB(lp, ctx, in.X, in.Y)
 		w.preW[key] = wctx
-		w.store[token{tokGA, mb, op.Layer}] = Value{X: dx}
+		w.store[token{tokGA, mb, layer}] = Value{X: dx}
 	}
 }
 
 func (w *worker) backwardW(op sched.Op) {
-	mb := op.MB
+	mb, layer := int(op.MB), int(op.Layer)
 	g := w.gradsFor(mb)
-	switch op.Layer {
+	switch layer {
 	case sched.LayerHead:
 		nn.HeadBackwardW(w.model.Head, w.headW[mb], g.Head)
 		return
@@ -382,11 +382,11 @@ func (w *worker) backwardW(op sched.Op) {
 		nn.EmbedBackwardW(w.model.Embed, w.batches[mb].Ids, in.X, g.Embed)
 		return
 	}
-	key := [2]int{mb, op.Layer}
-	lp := w.model.Layers[op.Layer]
+	key := [2]int{mb, layer}
+	lp := w.model.Layers[layer]
 	if op.Seg == model.SegPost {
-		nn.PostBackwardW(lp, w.postW[key], g.Layers[op.Layer])
+		nn.PostBackwardW(lp, w.postW[key], g.Layers[layer])
 	} else {
-		nn.PreBackwardW(lp, w.preW[key], g.Layers[op.Layer])
+		nn.PreBackwardW(lp, w.preW[key], g.Layers[layer])
 	}
 }

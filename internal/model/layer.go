@@ -5,8 +5,10 @@ import "fmt"
 // Segment identifies one of the three parts of a transformer layer in the
 // attention parallel partition (paper Figure 1): pre-attention (LayerNorm +
 // QKV linear), the non-parameterized attention core, and post-attention
-// (output projection, LayerNorm, MLP).
-type Segment int
+// (output projection, LayerNorm, MLP). It is one byte so that a plan op
+// (sched.Op) fits one cache line; it stays signed so a range check on a
+// hand-built value can still see a negative one.
+type Segment int8
 
 const (
 	// SegPre is the pre-attention segment: LayerNorm 1 and the QKV linear.

@@ -18,8 +18,9 @@ import (
 	"repro/internal/model"
 )
 
-// OpKind discriminates the operations of a plan.
-type OpKind int
+// OpKind discriminates the operations of a plan. It is signed, so the
+// validator's range check still rejects a negative kind on a hand-built op.
+type OpKind int8
 
 const (
 	// KForward executes the forward pass of one target (a layer segment,
@@ -78,8 +79,8 @@ const (
 )
 
 // Boundary identifies the kind of inter-stage activation boundary a message
-// crosses, which determines its byte volume.
-type Boundary int
+// crosses, which determines its byte volume. Like OpKind it is a signed byte.
+type Boundary int8
 
 const (
 	// BoundAct is the conventional layer-wise pipeline boundary: one
@@ -113,11 +114,11 @@ func (b Boundary) String() string {
 // twice.
 type Tag struct {
 	// MB is the micro batch index.
-	MB int
+	MB int32
 	// Layer is the layer the boundary belongs to. A layer-wise boundary
 	// names the first layer of the chunk its activation enters, so tags
 	// stay unique when a stage owns several chunks (interleaved 1F1B).
-	Layer int
+	Layer int32
 	// Bound is the boundary kind.
 	Bound Boundary
 	// Back marks gradient (backward) traffic.
@@ -134,15 +135,16 @@ func (t Tag) String() string {
 }
 
 // Op is one operation in a stage program.
+//
+// An op is one 64-byte cache line. Its fields run widest first: the four
+// 8-byte fields, then the three int32 indices and the 12-byte Tag, then the
+// three one-byte fields, so no field leaves a padding hole and the 59 bytes
+// round up to 64 (TestOpLayout pins the size). Builders, the validator and
+// both engines stream whole programs of ops, so this size is what every
+// plan is zeroed, written and read in. int32 is enough for every index:
+// micro batches are capped at costmodel.MaxMicroBatches (4,096), and the
+// preset layer and stage counts are far smaller.
 type Op struct {
-	// Kind is the operation kind.
-	Kind OpKind
-	// MB is the micro batch index the op works on.
-	MB int
-	// Layer is the target layer (or LayerEmbed / LayerHead).
-	Layer int
-	// Seg is the layer segment for layer targets.
-	Seg model.Segment
 	// Dur is the compute duration in seconds (compute kinds only).
 	Dur float64
 	// Alloc is the number of bytes of stash the compute op allocates. It
@@ -151,13 +153,21 @@ type Op struct {
 	Alloc int64
 	// Free is the number of bytes of stash the compute op releases.
 	Free int64
-	// Peer is the other stage of a communication op.
-	Peer int
-	// Tag identifies the message of a communication op.
-	Tag Tag
 	// Bytes is the node-aggregate volume of a KSend (ignored on KRecv; the
 	// matching send's volume governs the transfer).
 	Bytes int64
+	// MB is the micro batch index the op works on.
+	MB int32
+	// Layer is the target layer (or LayerEmbed / LayerHead).
+	Layer int32
+	// Peer is the other stage of a communication op.
+	Peer int32
+	// Tag identifies the message of a communication op.
+	Tag Tag
+	// Kind is the operation kind.
+	Kind OpKind
+	// Seg is the layer segment for layer targets.
+	Seg model.Segment
 	// Blocking marks a KSend that occupies the compute stream until the
 	// transfer completes — the behaviour of the naive FILO schedule
 	// (paper Figure 6a). Non-blocking sends only enqueue.
@@ -246,7 +256,7 @@ func (p *Plan) TrafficMatrix() [][]int64 {
 	}
 	for s, ops := range p.Ops {
 		for _, op := range ops {
-			if op.Kind == KSend && op.Peer >= 0 && op.Peer < p.Stages {
+			if op.Kind == KSend && op.Peer >= 0 && int(op.Peer) < p.Stages {
 				m[s][op.Peer] += op.Bytes
 			}
 		}

@@ -75,16 +75,17 @@ func (lw *layerwise) emitFStep(vs, mb int) {
 	p := lw.cfg.Stages
 	stage, lo, hi := vs%p, lw.first[vs], lw.first[vs+1]
 	c := lw.costs.StageMB(stage, mb)
+	m := int32(mb)
 	if vs == 0 {
-		lw.emit(stage, Op{Kind: KForward, MB: mb, Layer: LayerEmbed, Dur: c.EmbedF})
+		lw.emit(stage, Op{Kind: KForward, MB: m, Layer: LayerEmbed, Dur: c.EmbedF})
 	} else {
-		lw.emit(stage, Op{Kind: KRecv, MB: mb, Peer: (vs - 1) % p,
-			Tag: Tag{MB: mb, Layer: lo, Bound: BoundAct}})
+		lw.emit(stage, Op{Kind: KRecv, MB: m, Peer: int32((vs - 1) % p),
+			Tag: Tag{MB: m, Layer: int32(lo), Bound: BoundAct}})
 	}
 	for layer := lo; layer < hi; layer++ {
 		rec := layer >= hi-lw.recomp[vs]
 		for _, seg := range model.Segments {
-			op := Op{Kind: KForward, MB: mb, Layer: layer, Seg: seg, Dur: c.segDur(seg, KForward)}
+			op := Op{Kind: KForward, MB: m, Layer: int32(layer), Seg: seg, Dur: c.segDur(seg, KForward)}
 			switch {
 			case rec && seg == model.SegPre:
 				op.Alloc = c.InputStash // keep only the layer input
@@ -97,8 +98,8 @@ func (lw *layerwise) emitFStep(vs, mb int) {
 		}
 	}
 	if vs < lw.lastChunk() {
-		lw.emit(stage, Op{Kind: KSend, MB: mb, Peer: (vs + 1) % p,
-			Tag:   Tag{MB: mb, Layer: hi, Bound: BoundAct},
+		lw.emit(stage, Op{Kind: KSend, MB: m, Peer: int32((vs + 1) % p),
+			Tag:   Tag{MB: m, Layer: int32(hi), Bound: BoundAct},
 			Bytes: c.BoundBytes[BoundAct]})
 	}
 }
@@ -113,17 +114,18 @@ func (lw *layerwise) emitBStep(vs, mb int, withW bool) {
 	p := lw.cfg.Stages
 	stage, lo, hi := vs%p, lw.first[vs], lw.first[vs+1]
 	c := lw.costs.StageMB(stage, mb)
+	m := int32(mb)
 	if vs == lw.lastChunk() {
 		// Section 4.6: the LM-head forward and loss run inside the backward
 		// pass, so no [s,b,V] logits tensor is ever stashed. The head input
 		// and output gradient live until the head's backward-W.
-		lw.emit(stage, Op{Kind: KBackwardB, MB: mb, Layer: LayerHead, Dur: c.HeadFB, Alloc: c.EmbedGradStash})
+		lw.emit(stage, Op{Kind: KBackwardB, MB: m, Layer: LayerHead, Dur: c.HeadFB, Alloc: c.EmbedGradStash})
 		if withW {
-			lw.emit(stage, Op{Kind: KBackwardW, MB: mb, Layer: LayerHead, Dur: c.HeadW, Free: c.EmbedGradStash})
+			lw.emit(stage, Op{Kind: KBackwardW, MB: m, Layer: LayerHead, Dur: c.HeadW, Free: c.EmbedGradStash})
 		}
 	} else {
-		lw.emit(stage, Op{Kind: KRecv, MB: mb, Peer: (vs + 1) % p,
-			Tag: Tag{MB: mb, Layer: hi, Bound: BoundAct, Back: true}})
+		lw.emit(stage, Op{Kind: KRecv, MB: m, Peer: int32((vs + 1) % p),
+			Tag: Tag{MB: m, Layer: int32(hi), Bound: BoundAct, Back: true}})
 	}
 	for layer := hi - 1; layer >= lo; layer-- {
 		if layer >= hi-lw.recomp[vs] {
@@ -135,27 +137,27 @@ func (lw *layerwise) emitBStep(vs, mb int, withW bool) {
 				if seg == model.SegPre {
 					alloc -= c.InputStash
 				}
-				lw.emit(stage, Op{Kind: KRecompute, MB: mb, Layer: layer, Seg: seg,
+				lw.emit(stage, Op{Kind: KRecompute, MB: m, Layer: int32(layer), Seg: seg,
 					Dur: c.SegRecompute[seg], Alloc: alloc})
 			}
 		}
 		for s := len(model.Segments) - 1; s >= 0; s-- {
 			seg := model.Segments[s]
-			lw.emit(stage, Op{Kind: KBackwardB, MB: mb, Layer: layer, Seg: seg,
+			lw.emit(stage, Op{Kind: KBackwardB, MB: m, Layer: int32(layer), Seg: seg,
 				Dur: c.segDur(seg, KBackwardB), Free: c.SegStashBFree[seg]})
 			if withW && seg != model.SegAttn {
-				lw.emit(stage, Op{Kind: KBackwardW, MB: mb, Layer: layer, Seg: seg,
+				lw.emit(stage, Op{Kind: KBackwardW, MB: m, Layer: int32(layer), Seg: seg,
 					Dur: c.segDur(seg, KBackwardW), Free: c.SegStashWFree[seg]})
 			}
 		}
 	}
 	if vs == 0 {
 		if withW {
-			lw.emit(stage, Op{Kind: KBackwardW, MB: mb, Layer: LayerEmbed, Dur: c.EmbedW})
+			lw.emit(stage, Op{Kind: KBackwardW, MB: m, Layer: LayerEmbed, Dur: c.EmbedW})
 		}
 	} else {
-		lw.emit(stage, Op{Kind: KSend, MB: mb, Peer: (vs - 1) % p,
-			Tag:   Tag{MB: mb, Layer: lo, Bound: BoundAct, Back: true},
+		lw.emit(stage, Op{Kind: KSend, MB: m, Peer: int32((vs - 1) % p),
+			Tag:   Tag{MB: m, Layer: int32(lo), Bound: BoundAct, Back: true},
 			Bytes: c.BoundBytes[BoundAct]})
 	}
 }
@@ -166,7 +168,7 @@ func (lw *layerwise) emitBStep(vs, mb int, withW bool) {
 func (lw *layerwise) emitWStep(stage, mb, layer int) {
 	c := lw.costs.StageMB(stage, mb)
 	for _, seg := range []model.Segment{model.SegPost, model.SegPre} {
-		lw.emit(stage, Op{Kind: KBackwardW, MB: mb, Layer: layer, Seg: seg,
+		lw.emit(stage, Op{Kind: KBackwardW, MB: int32(mb), Layer: int32(layer), Seg: seg,
 			Dur: c.segDur(seg, KBackwardW), Free: c.SegStashWFree[seg]})
 	}
 }

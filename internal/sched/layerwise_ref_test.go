@@ -87,15 +87,15 @@ func (lw *refLayerwise) inBoundaryLayer(stage int) int { return lw.chunks[stage]
 func (lw *refLayerwise) emitFStep(stage, mb int) {
 	c := lw.costs.StageMB(stage, mb)
 	if stage == 0 {
-		lw.emit(stage, Op{Kind: KForward, MB: mb, Layer: LayerEmbed, Dur: c.EmbedF})
+		lw.emit(stage, Op{Kind: KForward, MB: int32(mb), Layer: LayerEmbed, Dur: c.EmbedF})
 	} else {
-		lw.emit(stage, Op{Kind: KRecv, MB: mb, Peer: stage - 1,
-			Tag: Tag{MB: mb, Layer: lw.inBoundaryLayer(stage), Bound: BoundAct}})
+		lw.emit(stage, Op{Kind: KRecv, MB: int32(mb), Peer: int32(stage - 1),
+			Tag: Tag{MB: int32(mb), Layer: int32(lw.inBoundaryLayer(stage)), Bound: BoundAct}})
 	}
 	for _, layer := range lw.chunks[stage] {
 		rec := lw.recomp[stage][layer]
 		for _, seg := range model.Segments {
-			op := Op{Kind: KForward, MB: mb, Layer: layer, Seg: seg, Dur: c.SegDur(seg, KForward)}
+			op := Op{Kind: KForward, MB: int32(mb), Layer: int32(layer), Seg: seg, Dur: c.SegDur(seg, KForward)}
 			switch {
 			case rec && seg == model.SegPre:
 				op.Alloc = c.InputStash // keep only the layer input
@@ -108,8 +108,8 @@ func (lw *refLayerwise) emitFStep(stage, mb int) {
 		}
 	}
 	if stage < lw.cfg.Stages-1 {
-		lw.emit(stage, Op{Kind: KSend, MB: mb, Peer: stage + 1,
-			Tag:   Tag{MB: mb, Layer: lw.inBoundaryLayer(stage + 1), Bound: BoundAct},
+		lw.emit(stage, Op{Kind: KSend, MB: int32(mb), Peer: int32(stage + 1),
+			Tag:   Tag{MB: int32(mb), Layer: int32(lw.inBoundaryLayer(stage + 1)), Bound: BoundAct},
 			Bytes: c.BoundBytes[BoundAct]})
 	}
 }
@@ -127,13 +127,13 @@ func (lw *refLayerwise) emitBStep(stage, mb int, withW bool) {
 		// Section 4.6: the LM-head forward and loss run inside the backward
 		// pass, so no [s,b,V] logits tensor is ever stashed. The head input
 		// and output gradient live until the head's backward-W.
-		lw.emit(stage, Op{Kind: KBackwardB, MB: mb, Layer: LayerHead, Dur: c.HeadFB, Alloc: c.EmbedGradStash})
+		lw.emit(stage, Op{Kind: KBackwardB, MB: int32(mb), Layer: LayerHead, Dur: c.HeadFB, Alloc: c.EmbedGradStash})
 		if withW {
-			lw.emit(stage, Op{Kind: KBackwardW, MB: mb, Layer: LayerHead, Dur: c.HeadW, Free: c.EmbedGradStash})
+			lw.emit(stage, Op{Kind: KBackwardW, MB: int32(mb), Layer: LayerHead, Dur: c.HeadW, Free: c.EmbedGradStash})
 		}
 	} else {
-		lw.emit(stage, Op{Kind: KRecv, MB: mb, Peer: stage + 1,
-			Tag: Tag{MB: mb, Layer: lw.inBoundaryLayer(stage + 1), Bound: BoundAct, Back: true}})
+		lw.emit(stage, Op{Kind: KRecv, MB: int32(mb), Peer: int32(stage + 1),
+			Tag: Tag{MB: int32(mb), Layer: int32(lw.inBoundaryLayer(stage + 1)), Bound: BoundAct, Back: true}})
 	}
 	for i := len(lw.chunks[stage]) - 1; i >= 0; i-- {
 		layer := lw.chunks[stage][i]
@@ -146,27 +146,27 @@ func (lw *refLayerwise) emitBStep(stage, mb int, withW bool) {
 				if seg == model.SegPre {
 					alloc -= c.InputStash
 				}
-				lw.emit(stage, Op{Kind: KRecompute, MB: mb, Layer: layer, Seg: seg,
+				lw.emit(stage, Op{Kind: KRecompute, MB: int32(mb), Layer: int32(layer), Seg: seg,
 					Dur: c.SegRecompute[seg], Alloc: alloc})
 			}
 		}
 		for s := len(model.Segments) - 1; s >= 0; s-- {
 			seg := model.Segments[s]
-			lw.emit(stage, Op{Kind: KBackwardB, MB: mb, Layer: layer, Seg: seg,
+			lw.emit(stage, Op{Kind: KBackwardB, MB: int32(mb), Layer: int32(layer), Seg: seg,
 				Dur: c.SegDur(seg, KBackwardB), Free: c.SegStashBFree[seg]})
 			if withW && seg != model.SegAttn {
-				lw.emit(stage, Op{Kind: KBackwardW, MB: mb, Layer: layer, Seg: seg,
+				lw.emit(stage, Op{Kind: KBackwardW, MB: int32(mb), Layer: int32(layer), Seg: seg,
 					Dur: c.SegDur(seg, KBackwardW), Free: c.SegStashWFree[seg]})
 			}
 		}
 	}
 	if stage == 0 {
 		if withW {
-			lw.emit(stage, Op{Kind: KBackwardW, MB: mb, Layer: LayerEmbed, Dur: c.EmbedW})
+			lw.emit(stage, Op{Kind: KBackwardW, MB: int32(mb), Layer: LayerEmbed, Dur: c.EmbedW})
 		}
 	} else {
-		lw.emit(stage, Op{Kind: KSend, MB: mb, Peer: stage - 1,
-			Tag:   Tag{MB: mb, Layer: lw.inBoundaryLayer(stage), Bound: BoundAct, Back: true},
+		lw.emit(stage, Op{Kind: KSend, MB: int32(mb), Peer: int32(stage - 1),
+			Tag:   Tag{MB: int32(mb), Layer: int32(lw.inBoundaryLayer(stage)), Bound: BoundAct, Back: true},
 			Bytes: c.BoundBytes[BoundAct]})
 	}
 }
@@ -176,7 +176,7 @@ func (lw *refLayerwise) emitBStep(stage, mb int, withW bool) {
 func (lw *refLayerwise) emitWStep(stage, mb, layer int) {
 	c := lw.costs.StageMB(stage, mb)
 	for _, seg := range []model.Segment{model.SegPost, model.SegPre} {
-		lw.emit(stage, Op{Kind: KBackwardW, MB: mb, Layer: layer, Seg: seg,
+		lw.emit(stage, Op{Kind: KBackwardW, MB: int32(mb), Layer: int32(layer), Seg: seg,
 			Dur: c.SegDur(seg, KBackwardW), Free: c.SegStashWFree[seg]})
 	}
 }
@@ -351,21 +351,21 @@ func refInterleaved(cfg Config, costs Costs, chunks int) (*Plan, error) {
 		phys := physOf(vs)
 		c := costs.StageMB(phys, mb)
 		if vs == 0 {
-			lw.emit(phys, Op{Kind: KForward, MB: mb, Layer: LayerEmbed, Dur: c.EmbedF})
+			lw.emit(phys, Op{Kind: KForward, MB: int32(mb), Layer: LayerEmbed, Dur: c.EmbedF})
 		} else {
-			lw.emit(phys, Op{Kind: KRecv, MB: mb, Peer: physOf(vs - 1),
-				Tag: Tag{MB: mb, Layer: firstLayer(vs), Bound: BoundAct}})
+			lw.emit(phys, Op{Kind: KRecv, MB: int32(mb), Peer: int32(physOf(vs - 1)),
+				Tag: Tag{MB: int32(mb), Layer: int32(firstLayer(vs)), Bound: BoundAct}})
 		}
 		for i := 0; i < layersPer; i++ {
 			layer := firstLayer(vs) + i
 			for _, seg := range segsFwd {
-				lw.emit(phys, Op{Kind: KForward, MB: mb, Layer: layer, Seg: seg,
+				lw.emit(phys, Op{Kind: KForward, MB: int32(mb), Layer: int32(layer), Seg: seg,
 					Dur: c.SegDur(seg, KForward), Alloc: c.SegStash[seg]})
 			}
 		}
 		if vs < v-1 {
-			lw.emit(phys, Op{Kind: KSend, MB: mb, Peer: physOf(vs + 1),
-				Tag:   Tag{MB: mb, Layer: firstLayer(vs + 1), Bound: BoundAct},
+			lw.emit(phys, Op{Kind: KSend, MB: int32(mb), Peer: int32(physOf(vs + 1)),
+				Tag:   Tag{MB: int32(mb), Layer: int32(firstLayer(vs + 1)), Bound: BoundAct},
 				Bytes: c.BoundBytes[BoundAct]})
 		}
 	}
@@ -373,29 +373,29 @@ func refInterleaved(cfg Config, costs Costs, chunks int) (*Plan, error) {
 		phys := physOf(vs)
 		c := costs.StageMB(phys, mb)
 		if vs == v-1 {
-			lw.emit(phys, Op{Kind: KBackwardB, MB: mb, Layer: LayerHead, Dur: c.HeadFB, Alloc: c.EmbedGradStash})
-			lw.emit(phys, Op{Kind: KBackwardW, MB: mb, Layer: LayerHead, Dur: c.HeadW, Free: c.EmbedGradStash})
+			lw.emit(phys, Op{Kind: KBackwardB, MB: int32(mb), Layer: LayerHead, Dur: c.HeadFB, Alloc: c.EmbedGradStash})
+			lw.emit(phys, Op{Kind: KBackwardW, MB: int32(mb), Layer: LayerHead, Dur: c.HeadW, Free: c.EmbedGradStash})
 		} else {
-			lw.emit(phys, Op{Kind: KRecv, MB: mb, Peer: physOf(vs + 1),
-				Tag: Tag{MB: mb, Layer: firstLayer(vs + 1), Bound: BoundAct, Back: true}})
+			lw.emit(phys, Op{Kind: KRecv, MB: int32(mb), Peer: int32(physOf(vs + 1)),
+				Tag: Tag{MB: int32(mb), Layer: int32(firstLayer(vs + 1)), Bound: BoundAct, Back: true}})
 		}
 		for i := layersPer - 1; i >= 0; i-- {
 			layer := firstLayer(vs) + i
 			for s := len(segsFwd) - 1; s >= 0; s-- {
 				seg := segsFwd[s]
-				lw.emit(phys, Op{Kind: KBackwardB, MB: mb, Layer: layer, Seg: seg,
+				lw.emit(phys, Op{Kind: KBackwardB, MB: int32(mb), Layer: int32(layer), Seg: seg,
 					Dur: c.SegDur(seg, KBackwardB), Free: c.SegStashBFree[seg]})
 				if seg != segAttn {
-					lw.emit(phys, Op{Kind: KBackwardW, MB: mb, Layer: layer, Seg: seg,
+					lw.emit(phys, Op{Kind: KBackwardW, MB: int32(mb), Layer: int32(layer), Seg: seg,
 						Dur: c.SegDur(seg, KBackwardW), Free: c.SegStashWFree[seg]})
 				}
 			}
 		}
 		if vs == 0 {
-			lw.emit(phys, Op{Kind: KBackwardW, MB: mb, Layer: LayerEmbed, Dur: c.EmbedW})
+			lw.emit(phys, Op{Kind: KBackwardW, MB: int32(mb), Layer: LayerEmbed, Dur: c.EmbedW})
 		} else {
-			lw.emit(phys, Op{Kind: KSend, MB: mb, Peer: physOf(vs - 1),
-				Tag:   Tag{MB: mb, Layer: firstLayer(vs), Bound: BoundAct, Back: true},
+			lw.emit(phys, Op{Kind: KSend, MB: int32(mb), Peer: int32(physOf(vs - 1)),
+				Tag:   Tag{MB: int32(mb), Layer: int32(firstLayer(vs)), Bound: BoundAct, Back: true},
 				Bytes: c.BoundBytes[BoundAct]})
 		}
 	}
@@ -601,9 +601,9 @@ func refZeroBubble(cfg Config, costs Costs, inflightCap int, method Method) (*Pl
 		c := costs.StageMB(s, u.mb)
 		switch u.layer {
 		case LayerHead:
-			lw.emit(s, Op{Kind: KBackwardW, MB: u.mb, Layer: LayerHead, Dur: c.HeadW, Free: c.EmbedGradStash})
+			lw.emit(s, Op{Kind: KBackwardW, MB: int32(u.mb), Layer: LayerHead, Dur: c.HeadW, Free: c.EmbedGradStash})
 		case LayerEmbed:
-			lw.emit(s, Op{Kind: KBackwardW, MB: u.mb, Layer: LayerEmbed, Dur: c.EmbedW})
+			lw.emit(s, Op{Kind: KBackwardW, MB: int32(u.mb), Layer: LayerEmbed, Dur: c.EmbedW})
 		default:
 			lw.emitWStep(s, u.mb, u.layer)
 		}

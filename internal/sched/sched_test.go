@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/costmodel"
 	"repro/internal/model"
@@ -19,6 +20,19 @@ func realCosts(t *testing.T) Costs {
 		t.Fatal(err)
 	}
 	return NewCosts(w, model.BatchSpec{}, nil)
+}
+
+// TestOpLayout pins the op to one 64-byte cache line and its tag to 12
+// bytes. Builders, the validator and both engines stream whole programs of
+// ops, so a field that widens or a reorder that opens a padding hole costs
+// every plan's bytes.
+func TestOpLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 64 {
+		t.Errorf("sched.Op is %d bytes, want 64", got)
+	}
+	if got := unsafe.Sizeof(Tag{}); got != 12 {
+		t.Errorf("sched.Tag is %d bytes, want 12", got)
+	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -174,7 +188,7 @@ func TestGPipeIsFILO(t *testing.T) {
 					lastF = i
 				}
 				if op.Seg == model.SegPre && op.Layer == plan.Ops[s][1].Layer {
-					fOrder = append(fOrder, op.MB)
+					fOrder = append(fOrder, int(op.MB))
 				}
 			}
 			if op.Kind == KBackwardB {
@@ -182,7 +196,7 @@ func TestGPipeIsFILO(t *testing.T) {
 					firstB = i
 				}
 				if op.Seg == model.SegPre {
-					bOrder = append(bOrder, op.MB)
+					bOrder = append(bOrder, int(op.MB))
 				}
 			}
 		}
@@ -441,14 +455,14 @@ func TestValidatorCatchesCorruption(t *testing.T) {
 		kind    OpKind
 		corrupt func(*Op)
 	}{
-		{"compute micro batch", KForward, func(op *Op) { op.MB = cfg.MicroBatches }},
-		{"compute layer past the last", KForward, func(op *Op) { op.Layer = cfg.Layers }},
+		{"compute micro batch", KForward, func(op *Op) { op.MB = int32(cfg.MicroBatches) }},
+		{"compute layer past the last", KForward, func(op *Op) { op.Layer = int32(cfg.Layers) }},
 		{"compute layer below the head", KForward, func(op *Op) { op.Layer = LayerHead - 1 }},
 		{"compute segment", KForward, func(op *Op) { op.Seg = model.Segment(len(model.Segments)) }},
 		{"negative compute segment", KForward, func(op *Op) { op.Seg = -1 }},
-		{"send tag micro batch", KSend, func(op *Op) { op.Tag.MB = cfg.MicroBatches }},
+		{"send tag micro batch", KSend, func(op *Op) { op.Tag.MB = int32(cfg.MicroBatches) }},
 		{"recv tag micro batch", KRecv, func(op *Op) { op.Tag.MB = -1 }},
-		{"send tag layer", KSend, func(op *Op) { op.Tag.Layer = cfg.Layers + 1 }},
+		{"send tag layer", KSend, func(op *Op) { op.Tag.Layer = int32(cfg.Layers + 1) }},
 		{"recv tag layer", KRecv, func(op *Op) { op.Tag.Layer = -1 }},
 		{"send tag boundary", KSend, func(op *Op) { op.Tag.Bound = BoundAttnPost + 1 }},
 		{"recv tag boundary", KRecv, func(op *Op) { op.Tag.Bound = BoundAct - 1 }},
@@ -571,7 +585,7 @@ func TestRecvSlots(t *testing.T) {
 				continue
 			}
 			k := slots[r]
-			if k < 0 || sends[k].Tag != op.Tag || sendStage[k] != op.Peer || sends[k].Peer != s {
+			if k < 0 || sends[k].Tag != op.Tag || sendStage[k] != int(op.Peer) || int(sends[k].Peer) != s {
 				t.Fatalf("recv %d (%v on stage %d) matched slot %d", r, op, s, k)
 			}
 			r++
@@ -579,6 +593,47 @@ func TestRecvSlots(t *testing.T) {
 	}
 	if r != len(slots) || r != len(sends) {
 		t.Fatalf("%d recvs, %d slots, %d sends", r, len(slots), len(sends))
+	}
+}
+
+// TestRecvSlotsSharedTag sends one tag from stage 0 to two peers, which no
+// builder does: the validator's table then chains two sends under one tag,
+// and the recv on stage 1 walks past the later send to stage 2 to find its
+// own. Every recv must take its own send's slot, the fallback's match.
+func TestRecvSlotsSharedTag(t *testing.T) {
+	act := Tag{Bound: BoundAct}
+	grad := Tag{Bound: BoundAct, Back: true}
+	f := func(layer int32, seg model.Segment) Op { return Op{Kind: KForward, Layer: layer, Seg: seg} }
+	b := func(layer int32, seg model.Segment) Op { return Op{Kind: KBackwardB, Layer: layer, Seg: seg} }
+	w := func(layer int32, seg model.Segment) Op { return Op{Kind: KBackwardW, Layer: layer, Seg: seg} }
+	p := &Plan{Method: "crafted", Stages: 3, MicroBatches: 1, Layers: 1, Ops: [][]Op{
+		{ // embedding; A(0) to stages 1 and 2 under one tag; its gradient back
+			f(LayerEmbed, model.SegPre),
+			{Kind: KSend, Peer: 1, Tag: act, Bytes: 1},
+			{Kind: KSend, Peer: 2, Tag: act, Bytes: 1},
+			{Kind: KRecv, Peer: 1, Tag: grad},
+			w(LayerEmbed, model.SegPre),
+		},
+		{ // the layer and the head, forward and backward
+			{Kind: KRecv, Peer: 0, Tag: act},
+			f(0, model.SegPre), f(0, model.SegAttn), f(0, model.SegPost),
+			b(LayerHead, model.SegPre), w(LayerHead, model.SegPre),
+			b(0, model.SegPost), w(0, model.SegPost), b(0, model.SegAttn), b(0, model.SegPre), w(0, model.SegPre),
+			{Kind: KSend, Peer: 0, Tag: grad, Bytes: 1},
+		},
+		{ // a second copy of A(0), received and left unused
+			{Kind: KRecv, Peer: 0, Tag: act},
+		},
+	}}
+	fallback := RecvSlots(p)
+	if err := Validate(p); err != nil {
+		t.Fatal(err)
+	}
+	// Sends are numbered stage-major: 0->1 is slot 0, 0->2 slot 1 and the
+	// gradient 1->0 slot 2; recvs run stage-major too.
+	want := "[2 0 1]"
+	if got := fmt.Sprint(RecvSlots(p)); got != want || fmt.Sprint(fallback) != want {
+		t.Fatalf("validated match %s, fallback %v, want %s", got, fallback, want)
 	}
 }
 

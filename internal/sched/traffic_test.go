@@ -21,7 +21,7 @@ func TestTrafficMatrix(t *testing.T) {
 		for _, op := range ops {
 			if op.Kind == KSend {
 				fromOps += op.Bytes
-				if op.Peer != s+1 && op.Peer != s-1 {
+				if int(op.Peer) != s+1 && int(op.Peer) != s-1 {
 					t.Errorf("1F1B sends beyond neighbours: stage %d -> %d", s, op.Peer)
 				}
 			}

@@ -33,8 +33,8 @@ const (
 
 type token struct {
 	kind  tokKind
-	mb    int
-	layer int
+	mb    int32
+	layer int32
 	seg   model.Segment // only for tokWEnable
 }
 
@@ -83,7 +83,7 @@ func (io *opTokens) makes(prod token) *opTokens {
 // opIO fills io with the tokens an op requires and produces, in place: the
 // validator runs it once per op. Recompute ops have no token effects (they
 // regenerate locally stashed intermediates).
-func opIO(op *Op, layers int, io *opTokens) {
+func opIO(op *Op, layers int32, io *opTokens) {
 	io.nreq, io.nprod = 0, 0
 	switch op.Kind {
 	case KForward:
@@ -146,7 +146,8 @@ func opIO(op *Op, layers int, io *opTokens) {
 // geometry indexes the dense tables the checks run on. Structure validation
 // has already confined every op to it: compute targets to layers in
 // [LayerHead, layers) and segments in model.Segments, message tags to micro
-// batches in [0, mbs) and boundary layers in [0, layers].
+// batches in [0, mbs), boundary layers in [0, layers] and the three
+// boundary kinds.
 type geometry struct {
 	mbs, layers int
 }
@@ -168,7 +169,23 @@ func (g geometry) tokens() int { return int(tokWEnable+1) * g.mbs * (g.layers + 
 
 // token indexes one token.
 func (g geometry) token(t token) int {
-	return ((int(t.kind)*g.mbs+t.mb)*(g.layers+1-LayerHead)+t.layer-LayerHead)*segs + int(t.seg)
+	return ((int(t.kind)*g.mbs+int(t.mb))*(g.layers+1-LayerHead)+int(t.layer)-LayerHead)*segs + int(t.seg)
+}
+
+// bounds is the number of boundary kinds a message tag names.
+const bounds = int(BoundAttnPost) + 1
+
+// tags is the number of distinct message tags: every micro batch, boundary
+// layer in [0, layers], boundary kind and direction.
+func (g geometry) tags() int { return g.mbs * (g.layers + 1) * bounds * 2 }
+
+// tag indexes one message tag.
+func (g geometry) tag(t Tag) int {
+	i := ((int(t.MB)*(g.layers+1)+int(t.Layer))*bounds + int(t.Bound)) * 2
+	if t.Back {
+		i++
+	}
+	return i
 }
 
 // Validate checks the plan's structural and dataflow invariants and returns
@@ -234,7 +251,7 @@ func RecvSlots(p *Plan) []int32 {
 	for s, ops := range p.Ops {
 		for i := range ops {
 			if op := &ops[i]; op.Kind == KSend {
-				k := msgKey{tag: op.Tag, from: s, to: op.Peer}
+				k := msgKey{tag: op.Tag, from: s, to: int(op.Peer)}
 				pending[k] = append(pending[k], slot)
 				slot++
 			}
@@ -244,7 +261,7 @@ func RecvSlots(p *Plan) []int32 {
 	for s, ops := range p.Ops {
 		for i := range ops {
 			if op := &ops[i]; op.Kind == KRecv {
-				k := msgKey{tag: op.Tag, from: op.Peer, to: s}
+				k := msgKey{tag: op.Tag, from: int(op.Peer), to: s}
 				match := int32(-1)
 				if q := pending[k]; len(q) > 0 {
 					match, pending[k] = q[0], q[1:]
@@ -292,22 +309,22 @@ func validateStructure(p *Plan) error {
 				if op.Alloc != 0 || op.Free != 0 {
 					return fmt.Errorf("sched: stage %d op %d (%v): stash on a message op", s, i, *op)
 				}
-				if op.Peer < 0 || op.Peer >= p.Stages {
+				if op.Peer < 0 || int(op.Peer) >= p.Stages {
 					return fmt.Errorf("sched: stage %d op %d (%v): peer out of range", s, i, *op)
 				}
-				if op.Peer == s {
+				if int(op.Peer) == s {
 					return fmt.Errorf("sched: stage %d op %d (%v): self communication", s, i, *op)
 				}
 			}
-			if op.MB < 0 || (!comm && op.MB >= p.MicroBatches) {
+			if op.MB < 0 || (!comm && int(op.MB) >= p.MicroBatches) {
 				return fmt.Errorf("sched: stage %d op %d (%v): micro batch out of range", s, i, *op)
 			}
-			if op.Kind.IsCompute() && (op.Layer < LayerHead || op.Layer >= p.Layers ||
+			if op.Kind.IsCompute() && (op.Layer < LayerHead || int(op.Layer) >= p.Layers ||
 				op.Seg < 0 || int(op.Seg) >= segs) {
 				return fmt.Errorf("sched: stage %d op %d (%v): layer %d segment %d outside the plan's %d layers",
 					s, i, *op, op.Layer, op.Seg, p.Layers)
 			}
-			if t := op.Tag; comm && (t.MB < 0 || t.MB >= p.MicroBatches || t.Layer < 0 || t.Layer > p.Layers ||
+			if t := op.Tag; comm && (t.MB < 0 || int(t.MB) >= p.MicroBatches || t.Layer < 0 || int(t.Layer) > p.Layers ||
 				t.Bound < BoundAct || t.Bound > BoundAttnPost) {
 				return fmt.Errorf("sched: stage %d op %d (%v): tag outside the plan's %d micro batches and %d layers",
 					s, i, *op, p.MicroBatches, p.Layers)
@@ -316,7 +333,8 @@ func validateStructure(p *Plan) error {
 	}
 	// A complete plan holds at least one forward per (micro batch, layer)
 	// plus an embedding forward per micro batch. Rejecting fewer ops here
-	// bounds the dense tables by the plan's own size.
+	// bounds the dense tables, the message table's 6·m·(L+1) entries
+	// included, by the plan's own size.
 	if n := p.NumOps(); p.MicroBatches > n/(p.Layers+1) {
 		return fmt.Errorf("sched: plan has %d ops, too few for %d micro batches of %d layers",
 			n, p.MicroBatches, p.Layers)
@@ -340,7 +358,7 @@ func validateCounts(p *Plan, g geometry) error {
 			if !op.Kind.IsCompute() || op.Kind == KRecompute {
 				continue
 			}
-			t := g.target(op.MB, op.Layer, op.Seg)
+			t := g.target(int(op.MB), int(op.Layer), op.Seg)
 			count[t*3+int(op.Kind)]++
 			switch op.Kind {
 			case KForward:
@@ -395,11 +413,6 @@ func validateCounts(p *Plan, g geometry) error {
 // the one send of its (tag, from, to), and a second send of the same
 // message is an error.
 func validateDataflow(p *Plan, g geometry) ([]int32, error) {
-	type msgKey struct {
-		tag  Tag
-		from int
-		to   int
-	}
 	// at[s] is stage s's walk position: its next op, the slot of its next
 	// send and the index of its next recv in slots. Both ordinals run
 	// stage-major, so each stage starts at the counts of the stages before.
@@ -417,8 +430,28 @@ func validateDataflow(p *Plan, g geometry) ([]int32, error) {
 			}
 		}
 	}
-	slotOf := make(map[msgKey]int32, sends)
-	consumed := make([]bool, sends)
+	// Messages are matched in dense tables indexed by tag, not by hashing.
+	// latest[tag] holds 1 + the slot of the tag's latest send, 0 before any.
+	// sent[slot] holds a send's stages, whether a recv consumed it, and in
+	// earlier the previous send of its tag, counted the same way. A recv
+	// walks its tag's chain for its own (from, to); no builder sends one tag
+	// to two peers, so a chain is one send long.
+	type message struct {
+		from, to, earlier int32
+		consumed          bool
+	}
+	latest := make([]int32, g.tags())
+	sent := make([]message, sends)
+	// find walks tag t's chain for the send from stage from to stage to:
+	// its slot, or -1.
+	find := func(t int, from, to int32) int32 {
+		for k := latest[t]; k != 0; k = sent[k-1].earlier {
+			if e := &sent[k-1]; e.from == from && e.to == to {
+				return k - 1
+			}
+		}
+		return -1
+	}
 	slots := make([]int32, recvs)
 	words := (g.tokens() + 63) / 64
 	bits := make([]uint64, p.Stages*words)
@@ -440,11 +473,11 @@ func validateDataflow(p *Plan, g geometry) ([]int32, error) {
 				op := &p.Ops[s][c.pc]
 				switch op.Kind {
 				case KRecv:
-					k, ok := slotOf[msgKey{tag: op.Tag, from: op.Peer, to: s}]
-					if !ok || consumed[k] {
+					k := find(g.tag(op.Tag), op.Peer, int32(s))
+					if k < 0 || sent[k].consumed {
 						break stageLoop // block until the matching send
 					}
-					consumed[k] = true
+					sent[k].consumed = true
 					slots[c.recv] = k
 					c.recv++
 					set(s, tokenOfTag(op.Tag))
@@ -452,16 +485,15 @@ func validateDataflow(p *Plan, g geometry) ([]int32, error) {
 					if !has(s, tokenOfTag(op.Tag)) {
 						return nil, fmt.Errorf("sched: stage %d sends %v before producing it", s, op.Tag)
 					}
-					// One hash per send: a repeated message leaves the
-					// map's size unchanged.
-					n := len(slotOf)
-					slotOf[msgKey{tag: op.Tag, from: s, to: op.Peer}] = c.send
-					if len(slotOf) == n {
+					t := g.tag(op.Tag)
+					if find(t, int32(s), op.Peer) >= 0 {
 						return nil, fmt.Errorf("sched: stage %d sends %v to stage %d twice", s, op.Tag, op.Peer)
 					}
+					sent[c.send] = message{from: int32(s), to: op.Peer, earlier: latest[t]}
+					latest[t] = c.send + 1
 					c.send++
 				default:
-					opIO(op, p.Layers, &io)
+					opIO(op, int32(p.Layers), &io)
 					for _, tok := range io.req[:io.nreq] {
 						if !has(s, tok) {
 							return nil, fmt.Errorf("sched: stage %d op %v: missing input token %+v", s, *op, tok)
@@ -491,7 +523,7 @@ func validateDataflow(p *Plan, g geometry) ([]int32, error) {
 		for s, ops := range p.Ops {
 			for i := range ops {
 				if op := &ops[i]; op.Kind == KSend {
-					if !consumed[k] {
+					if !sent[k].consumed {
 						return nil, fmt.Errorf("sched: message %v from %d to %d sent but never received", op.Tag, s, op.Peer)
 					}
 					k++

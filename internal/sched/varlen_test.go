@@ -60,10 +60,10 @@ func TestVariableLengthOpsShapeCorrect(t *testing.T) {
 		for _, ops := range plan.Ops {
 			for _, op := range ops {
 				if op.Kind == KForward && op.Layer >= 0 && op.Seg == model.SegPre {
-					durOf[op.MB] += op.Dur
+					durOf[int(op.MB)] += op.Dur
 				}
 				if op.Kind == KSend {
-					bytesOf[op.MB] = append(bytesOf[op.MB], op.Bytes)
+					bytesOf[int(op.MB)] = append(bytesOf[int(op.MB)], op.Bytes)
 				}
 			}
 		}

@@ -109,9 +109,9 @@ func (lw *layerwise) listSchedule(inflight func(vs int) int, deferW bool) error 
 		c := lw.costs.StageMB(s, u.mb)
 		switch u.layer {
 		case LayerHead:
-			lw.emit(s, Op{Kind: KBackwardW, MB: u.mb, Layer: LayerHead, Dur: c.HeadW, Free: c.EmbedGradStash})
+			lw.emit(s, Op{Kind: KBackwardW, MB: int32(u.mb), Layer: LayerHead, Dur: c.HeadW, Free: c.EmbedGradStash})
 		case LayerEmbed:
-			lw.emit(s, Op{Kind: KBackwardW, MB: u.mb, Layer: LayerEmbed, Dur: c.EmbedW})
+			lw.emit(s, Op{Kind: KBackwardW, MB: int32(u.mb), Layer: LayerEmbed, Dur: c.EmbedW})
 		default:
 			lw.emitWStep(s, u.mb, u.layer)
 		}

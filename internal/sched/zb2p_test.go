@@ -115,9 +115,9 @@ func checkProgramLengths(plan *Plan) error {
 		for _, op := range ops {
 			switch {
 			case op.Kind == KForward && op.Layer >= 0:
-				layers[op.Layer] = true
+				layers[int(op.Layer)] = true
 			case op.Kind == KRecompute:
-				recomputed[op.Layer] = true
+				recomputed[int(op.Layer)] = true
 			}
 		}
 		want := plan.MicroBatches * (4*chunks + 8*len(layers) + 3*len(recomputed))

@@ -173,7 +173,7 @@ func (e *refEngine) reinit(plan *sched.Plan, opt Options) {
 		for i := range plan.Ops[s] {
 			if plan.Ops[s][i].Kind == sched.KSend {
 				sends[s]++
-				if peer := plan.Ops[s][i].Peer; peer >= 0 && peer < p {
+				if peer := plan.Ops[s][i].Peer; peer >= 0 && int(peer) < p {
 					recvs[peer]++
 				}
 			}
@@ -297,7 +297,7 @@ func (e *refEngine) runnable(s int32) bool {
 	if op.Kind != sched.KRecv {
 		return true
 	}
-	_, ok := e.inflight[refMsgKey{tag: op.Tag, from: op.Peer, to: int(s)}]
+	_, ok := e.inflight[refMsgKey{tag: op.Tag, from: int(op.Peer), to: int(s)}]
 	return ok
 }
 
@@ -340,7 +340,7 @@ func (e *refEngine) step(s int32) {
 	case sched.KSend:
 		e.execSend(s, op, start)
 	case sched.KRecv:
-		key := refMsgKey{tag: op.Tag, from: op.Peer, to: int(s)}
+		key := refMsgKey{tag: op.Tag, from: int(op.Peer), to: int(s)}
 		msg := e.inflight[key]
 		delete(e.inflight, key)
 		end := msg.arrival
@@ -384,7 +384,7 @@ func (e *refEngine) execSend(s int32, op *sched.Op, start float64) {
 	bytesPerSec, latency := c.P2PBytesPerSec, c.P2PLatency
 	if t := e.opt.Topology; t != nil {
 		var class cluster.LinkClass
-		bytesPerSec, latency, class = t.Link(int(s), op.Peer)
+		bytesPerSec, latency, class = t.Link(int(s), int(op.Peer))
 		st, ok := e.classStats[class]
 		if !ok {
 			st = &LinkClassStats{Class: string(class)}
@@ -418,11 +418,11 @@ func (e *refEngine) execSend(s int32, op *sched.Op, start float64) {
 	e.nic.recv[op.Peer] = append(e.nic.recv[op.Peer], iv)
 	e.linkBusy[s] += wireDur
 	e.sent[s] += op.Bytes
-	e.inflight[refMsgKey{tag: op.Tag, from: int(s), to: op.Peer}] = refMessage{arrival: arrival}
+	e.inflight[refMsgKey{tag: op.Tag, from: int(s), to: int(op.Peer)}] = refMessage{arrival: arrival}
 	// Wake a receiver parked on exactly this message.
-	if p := int32(op.Peer); p != s && e.pos[p] < 0 && int(e.pc[p]) < len(e.plan.Ops[p]) {
+	if p := op.Peer; p != s && e.pos[p] < 0 && int(e.pc[p]) < len(e.plan.Ops[p]) {
 		next := &e.plan.Ops[p][e.pc[p]]
-		if next.Kind == sched.KRecv && next.Peer == int(s) && next.Tag == op.Tag {
+		if next.Kind == sched.KRecv && next.Peer == s && next.Tag == op.Tag {
 			e.heapPush(p)
 		}
 	}

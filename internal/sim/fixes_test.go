@@ -21,7 +21,7 @@ func mirrorPlan(p *sched.Plan) *sched.Plan {
 		out.Ops[ms] = make([]sched.Op, len(ops))
 		for i, op := range ops {
 			if op.Kind == sched.KSend || op.Kind == sched.KRecv {
-				op.Peer = p.Stages - 1 - op.Peer
+				op.Peer = int32(p.Stages) - 1 - op.Peer
 			}
 			out.Ops[ms][i] = op
 		}
@@ -83,7 +83,7 @@ func TestSMPenaltyStretchIsOrderIndependent(t *testing.T) {
 	mk := func(computeStage, sendStage int) *sched.Plan {
 		ops := make([][]sched.Op, 2)
 		ops[computeStage] = []sched.Op{{Kind: sched.KForward, MB: 0, Layer: 0, Dur: dur}}
-		ops[sendStage] = []sched.Op{{Kind: sched.KSend, MB: 0, Peer: computeStage,
+		ops[sendStage] = []sched.Op{{Kind: sched.KSend, MB: 0, Peer: int32(computeStage),
 			Tag: sched.Tag{MB: 0}, Bytes: 1}}
 		return &sched.Plan{Method: "crafted", Stages: 2, MicroBatches: 1, Layers: 2,
 			Ops: ops, Costs: sched.Costs{P2PBytesPerSec: 1 / wire}}

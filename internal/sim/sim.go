@@ -670,7 +670,7 @@ func (e *engine) execSend(s int32) {
 	bytesPerSec, latency := e.plan.Costs.P2PBytesPerSec, e.plan.Costs.P2PLatency
 	if t := e.opt.Topology; t != nil {
 		var class cluster.LinkClass
-		bytesPerSec, latency, class = t.Link(int(s), op.Peer)
+		bytesPerSec, latency, class = t.Link(int(s), int(op.Peer))
 		st, ok := e.classStats[class]
 		if !ok {
 			st = &LinkClassStats{Class: string(class)}
@@ -712,8 +712,8 @@ func (e *engine) execSend(s int32) {
 	} else {
 		e.record(s, op, start, start)
 	}
-	if p := op.Peer; p != int(s) && int(e.pc[p]) < len(e.plan.Ops[p]) && e.plan.Ops[p][e.pc[p]].Kind == sched.KRecv {
-		e.advance(int32(p))
+	if p := op.Peer; p != s && int(e.pc[p]) < len(e.plan.Ops[p]) && e.plan.Ops[p][e.pc[p]].Kind == sched.KRecv {
+		e.advance(p)
 	}
 }
 

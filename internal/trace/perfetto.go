@@ -37,7 +37,7 @@ func Perfetto(t *obs.Trace, res *sim.Result, pid int, name string) {
 	flowIDs := make(map[pairKey]uint64)
 	for _, sp := range res.Spans {
 		if sp.Op.Kind == sched.KSend {
-			k := pairKey{sp.Op.Tag, sp.Stage, sp.Op.Peer}
+			k := pairKey{sp.Op.Tag, sp.Stage, int(sp.Op.Peer)}
 			if _, ok := flowIDs[k]; !ok {
 				flowIDs[k] = uint64(pid)<<32 | uint64(len(flowIDs)+1)
 			}
@@ -57,13 +57,13 @@ func Perfetto(t *obs.Trace, res *sim.Result, pid int, name string) {
 				"blocking": op.Blocking,
 			}
 			t.Complete(pid, sp.Stage, "send "+op.Tag.String(), "send", ts, dur, args)
-			if id, ok := flowIDs[pairKey{op.Tag, sp.Stage, op.Peer}]; ok {
+			if id, ok := flowIDs[pairKey{op.Tag, sp.Stage, int(op.Peer)}]; ok {
 				t.FlowStart(pid, sp.Stage, "xfer "+op.Tag.String(), "transfer", ts, id)
 			}
 		case sched.KRecv:
 			args := map[string]any{"tag": op.Tag.String(), "peer": op.Peer}
 			t.Complete(pid, sp.Stage, "recv "+op.Tag.String(), "recv", ts, dur, args)
-			if id, ok := flowIDs[pairKey{op.Tag, op.Peer, sp.Stage}]; ok {
+			if id, ok := flowIDs[pairKey{op.Tag, int(op.Peer), sp.Stage}]; ok {
 				// Bind the arrow head at the arrival edge, inside the recv
 				// slice (bp:"e" attaches to the enclosing slice).
 				t.FlowEnd(pid, sp.Stage, "xfer "+op.Tag.String(), "transfer", sp.End*1e6, id)

@@ -139,7 +139,7 @@ func TestPerfettoFlowPairing(t *testing.T) {
 	want := map[lanePair]bool{}
 	for _, sp := range res.Spans {
 		if sp.Op.Kind == sched.KSend {
-			want[lanePair{sp.Stage, sp.Op.Peer}] = true
+			want[lanePair{sp.Stage, int(sp.Op.Peer)}] = true
 		}
 	}
 	for id, s := range starts {

@@ -84,7 +84,7 @@ func checkSimInvariants(res *SimResult) error {
 	sendStart := map[msg]float64{}
 	for _, sp := range res.Spans {
 		if sp.Op.Kind == sched.KSend {
-			sendStart[msg{sp.Op.Tag, sp.Stage, sp.Op.Peer}] = sp.Start
+			sendStart[msg{sp.Op.Tag, sp.Stage, int(sp.Op.Peer)}] = sp.Start
 		}
 	}
 	prevEnd := make([]float64, res.Stages)
@@ -101,7 +101,7 @@ func checkSimInvariants(res *SimResult) error {
 		switch sp.Op.Kind {
 		case sched.KSend:
 		case sched.KRecv:
-			start, ok := sendStart[msg{sp.Op.Tag, sp.Op.Peer, s}]
+			start, ok := sendStart[msg{sp.Op.Tag, int(sp.Op.Peer), s}]
 			if !ok {
 				return fmt.Errorf("stage %d: %v has no matching send", s, sp.Op)
 			}
