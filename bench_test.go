@@ -12,6 +12,7 @@ package helixpipe
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -398,34 +399,93 @@ func BenchmarkSimulateHelix(b *testing.B) {
 	b.ReportMetric(tput, "simulated-tokens/s")
 }
 
-// BenchmarkLargeSweep measures a full sweep spec through Session.Execute —
-// every registered method across four sequence lengths and three pipeline
-// sizes (144 cells) — and reports cells simulated per second. This is the
-// wall-clock number the engine rewrite and cost-book memoization target; CI
-// gates the same path through the benchmark module's sweep-flat workload,
-// recorded on the parent commit and the change (benchmark/record.sh).
-func BenchmarkLargeSweep(b *testing.B) {
+// largeSweep resolves the sweep BenchmarkLargeSweep runs — every registered
+// method across four sequence lengths and three pipeline sizes, 144 cells —
+// and returns a function that runs it once through Session.Execute and
+// reports its cell count.
+func largeSweep(tb testing.TB) func() int {
+	tb.Helper()
 	spec := &ExperimentSpec{Model: "3B", Cluster: "A800", Sweep: &SpecSweep{
 		SeqLens: []int{8192, 16384, 32768, 65536},
 		Stages:  []int{2, 4, 8},
 	}}
 	s, _, err := spec.Resolve()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return func() int {
+		reports, err := collectReports(s.Execute(spec))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(reports) == 0 {
+			tb.Fatal("empty sweep")
+		}
+		return len(reports)
+	}
+}
+
+// BenchmarkLargeSweep measures the large sweep through Session.Execute and
+// reports cells simulated per second. This is the wall-clock number the
+// engine rewrite and cost-book memoization target; CI gates the same path
+// through the benchmark module's sweep-flat workload, recorded on the parent
+// commit and the change (benchmark/record.sh). The alloc-gate CI step runs
+// it with -cpu 1, where the cells' plans reuse program slabs in a fixed
+// pattern, and pins its B/op to the budget in testdata/alloc_budget.json.
+func BenchmarkLargeSweep(b *testing.B) {
+	sweep := largeSweep(b)
 	cells := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reports, err := collectReports(s.Execute(spec))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(reports) == 0 {
-			b.Fatal("empty sweep")
-		}
-		cells = len(reports)
+		cells = sweep()
 	}
 	b.ReportMetric(float64(cells)/b.Elapsed().Seconds()*float64(b.N), "cells/s")
+}
+
+// TestLargeSweepBytesBudget enforces the large sweep's bytes budget
+// in-process, the contract the CI alloc-gate re-checks from
+// BenchmarkLargeSweep's -benchmem output at -cpu 1: after a warm-up run and
+// a collection, as the benchmark's probe run and its runtime.GC leave the
+// process, three runs one worker wide may allocate no more bytes per run
+// than testdata/alloc_budget.json pins. A cell whose plan is built in fresh
+// memory instead of a recycled slab, or a validator that allocates its
+// tables per plan, fails it. Under the race detector sync.Pool drops the
+// simulator's runners and the validator's tables at random, which about
+// doubles the bytes, so the budget is checked only without it.
+func TestLargeSweepBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
+	}
+	raw, err := os.ReadFile("testdata/alloc_budget.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget struct {
+		LargeSweepBytesPerOp float64 `json:"large_sweep_bytes_per_op"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatal(err)
+	}
+	if budget.LargeSweepBytesPerOp <= 0 {
+		t.Fatal("testdata/alloc_budget.json pins no large_sweep_bytes_per_op")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sweep := largeSweep(t)
+	sweep()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 3
+	for i := 0; i < runs; i++ {
+		sweep()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("the large sweep allocates %.0f B/op, budget %.0f", got, budget.LargeSweepBytesPerOp)
+	if got > budget.LargeSweepBytesPerOp {
+		t.Errorf("the large sweep allocates %.0f B/op, budget %.0f (testdata/alloc_budget.json)",
+			got, budget.LargeSweepBytesPerOp)
+	}
 }
 
 // BenchmarkZB1PListScheduling measures the cost-driven ZB1P constructor.

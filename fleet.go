@@ -18,6 +18,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -164,7 +165,8 @@ func (s *Session) Fleet(fs FleetSpec) (*FleetReport, error) {
 		}
 	}
 	probe := fleetProbe(float64(s.topo.Devices()), fs.Probe)
-	return fleet.Run(*s.topo, jobs, &fleetSimulator{cache: cache}, fleet.Options{Policy: policy, Probe: probe})
+	priced := &fleetSimulator{cache: cache, slabs: sched.NewSlabs()}
+	return fleet.Run(*s.topo, jobs, priced, fleet.Options{Policy: policy, Probe: probe})
 }
 
 // fleetProbe mirrors the engine state into the default obs registry on every
@@ -197,9 +199,11 @@ func fleetProbe(devices float64, next func(FleetProbeEvent)) func(fleet.ProbeEve
 // fleetSimulator prices fleet jobs through the session/spec machinery: the
 // job's spec resolves to a session, the carve replaces its topology, the
 // spec's placement strategy searches the stage placement, and the sim engine
-// runs one iteration — all behind the content-hashed report cache.
+// runs one iteration — all behind the content-hashed report cache. The
+// misses' plans are built on one free list of program slabs.
 type fleetSimulator struct {
 	cache *ReportCache
+	slabs *sched.Slabs
 }
 
 func (f *fleetSimulator) Simulate(job fleet.Job, sub cluster.Cluster) (fleet.JobRun, error) {
@@ -212,7 +216,7 @@ func (f *fleetSimulator) Simulate(job fleet.Job, sub cluster.Cluster) (fleet.Job
 		return fleet.JobRun{}, err
 	}
 	report, hit, err := f.cache.Do(key, func() (*Report, error) {
-		return simulateOnCarve(fj.Spec, sub)
+		return simulateOnCarve(fj.Spec, sub, f.slabs)
 	})
 	if err != nil {
 		return fleet.JobRun{}, err
@@ -230,8 +234,8 @@ func (f *fleetSimulator) Simulate(job fleet.Job, sub cluster.Cluster) (fleet.Job
 
 // simulateOnCarve runs a job's spec on a carved sub-cluster: resolve the
 // spec, swap its topology for the carve, then place and run its one method
-// as Execute runs a cell.
-func simulateOnCarve(spec *ExperimentSpec, sub cluster.Cluster) (*Report, error) {
+// as Execute runs a cell, building its plan on the fleet's free list.
+func simulateOnCarve(spec *ExperimentSpec, sub cluster.Cluster, slabs *sched.Slabs) (*Report, error) {
 	base, rs, err := spec.Resolve()
 	if err != nil {
 		return nil, err
@@ -240,6 +244,7 @@ func simulateOnCarve(spec *ExperimentSpec, sub cluster.Cluster) (*Report, error)
 	if err != nil {
 		return nil, err
 	}
+	cell.slabs = slabs
 	return cell.runCell(Method(spec.Methods[0]), rs.Engine, rs.Seed, rs.Placement, rs.PlacementSeed)
 }
 

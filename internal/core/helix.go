@@ -99,15 +99,8 @@ func Build(cfg sched.Config, costs sched.Costs, opt Options) (*sched.Plan, error
 	case !opt.Recompute:
 		method = sched.MethodHelixNoRecompute
 	}
-	return &sched.Plan{
-		Method:       method,
-		Stages:       cfg.Stages,
-		MicroBatches: cfg.MicroBatches,
-		Layers:       cfg.Layers,
-		Ops:          b.ops,
-		Costs:        costs,
-		Batch:        cfg.Batch,
-	}, nil
+	b.plan.Method = method
+	return b.plan, nil
 }
 
 // checkGeometry reports why no HelixPipe plan exists for the configuration
@@ -198,7 +191,7 @@ type helixBuilder struct {
 	loops, slotLen, loopLen, backStart int
 
 	tasks []hTask
-	ops   [][]sched.Op
+	plan  *sched.Plan
 
 	// scheduling state
 	// arrival is the arrival estimate of every message, indexed by
@@ -308,7 +301,7 @@ func (b *helixBuilder) buildTasks() []int {
 // scheduling and emits the per-stage op programs.
 func (b *helixBuilder) schedule(perStage []int) error {
 	p := b.cfg.Stages
-	b.ops = sched.Programs(programLengths(b.cfg, b.opt))
+	b.plan = sched.NewPlan(b.cfg, b.costs, programLengths(b.cfg, b.opt))
 	b.arrival = make([]float64, b.cfg.MicroBatches*b.cfg.Layers*4)
 	state := make([]float64, 3*p)
 	b.clock, b.sendFree, b.recvFree = state[:p:p], state[p:2*p:2*p], state[2*p:]
@@ -587,31 +580,28 @@ func (b *helixBuilder) runTask(t *hTask) {
 	}
 }
 
-// next returns the next op slot of a stage program, zeroed: the program
-// was allocated zeroed and no slot is written twice. compute and message
-// store an op's fields into it one by one, which builds the op in place
-// where appending a composite literal would copy all of it.
+// next returns the next op slot of a stage program. The slot may still hold
+// an op of the plan last built into the same slab (sched.NewPlan), so
+// compute and message store a whole op into it.
 func (b *helixBuilder) next(stage int) *sched.Op {
-	ops := b.ops[stage]
+	ops := b.plan.Ops[stage]
 	if len(ops) == cap(ops) {
 		ops = append(ops, sched.Op{})
 	} else {
 		ops = ops[:len(ops)+1]
 	}
-	b.ops[stage] = ops
+	b.plan.Ops[stage] = ops
 	return &ops[len(ops)-1]
 }
 
 // compute emits a compute op on a stage program.
 func (b *helixBuilder) compute(stage int, kind sched.OpKind, mb, layer int, seg model.Segment, dur float64, alloc, free int64) {
-	op := b.next(stage)
-	op.Kind, op.MB, op.Layer, op.Seg, op.Dur, op.Alloc, op.Free = kind, int32(mb), int32(layer), seg, dur, alloc, free
+	*b.next(stage) = sched.Op{Kind: kind, MB: int32(mb), Layer: int32(layer), Seg: seg, Dur: dur, Alloc: alloc, Free: free}
 }
 
 // message emits a send or recv on a stage program.
 func (b *helixBuilder) message(stage int, kind sched.OpKind, mb, peer int, tag sched.Tag, bytes int64, blocking bool) {
-	op := b.next(stage)
-	op.Kind, op.MB, op.Peer, op.Tag, op.Bytes, op.Blocking = kind, int32(mb), int32(peer), tag, bytes, blocking
+	*b.next(stage) = sched.Op{Kind: kind, MB: int32(mb), Peer: int32(peer), Tag: tag, Bytes: bytes, Blocking: blocking}
 }
 
 // recvPiece emits the recv op for one micro-batch piece and returns the

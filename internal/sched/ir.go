@@ -243,6 +243,12 @@ type Plan struct {
 	validated  bool
 	recvSlots  []int32
 	stashPeaks []int64
+
+	// slab is the whole backing array Ops are carved from, at its full
+	// capacity, and slabs the free list it returns to (Recycle). Both are
+	// nil on a plan built without a list (NewPlan) or by hand.
+	slab  []Op
+	slabs *Slabs
 }
 
 // TrafficMatrix returns the per-(stage, peer) communication volume of the
@@ -264,22 +270,9 @@ func (p *Plan) TrafficMatrix() [][]int64 {
 	return m
 }
 
-// Programs returns one empty stage program per entry of lengths, program s
-// with room for exactly lengths[s] ops. Builders that know their program
-// lengths before emitting (every generator in this repository) allocate a
-// plan's programs through it, once: all of them are carved out of one
-// backing array, each capped at its length, so a program that outgrows its
-// count reallocates instead of spilling into the next stage's.
-func Programs(lengths []int) [][]Op { return carve[Op](lengths) }
-
 // carve returns len(lengths) empty slices with capacities lengths, sharing
-// one backing array.
-func carve[T any](lengths []int) [][]T {
-	total := 0
-	for _, n := range lengths {
-		total += n
-	}
-	backing := make([]T, total)
+// backing, which must hold their sum.
+func carve[T any](lengths []int, backing []T) [][]T {
 	out := make([][]T, len(lengths))
 	for i, n := range lengths {
 		out[i], backing = backing[:0:n], backing[n:]
@@ -338,6 +331,10 @@ type Config struct {
 	// scheduling — the per-micro-batch cost book does — but engines and
 	// reports read them off the plan.
 	Batch model.BatchSpec
+
+	// slabs is the free list plans are built on (WithSlabs); nil builds
+	// them in fresh memory.
+	slabs *Slabs
 }
 
 // Validate reports an error when the configuration cannot be scheduled.

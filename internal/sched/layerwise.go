@@ -20,7 +20,7 @@ type layerwise struct {
 	// recomp[vs] is the number of the chunk's last layers that are fully
 	// recomputed in its backward steps (AdaPipe).
 	recomp []int
-	ops    [][]Op
+	out    *Plan
 }
 
 // evenChunks partitions L layers into n contiguous equal chunks, returned as
@@ -47,7 +47,8 @@ func chunksFromSizes(sizes []int) []int {
 // recomputing its last recomp[vs] layers (nil: none). Whatever the emission
 // order, chunk vs emits 4 + 8·n + 3·r ops per micro batch (n layers, r of
 // them recomputed), so every stage program is allocated once, at its exact
-// length.
+// length (NewPlan). emit appends whole ops, so a slab recycled from another
+// plan needs no clearing.
 func newLayerwise(cfg Config, costs Costs, first, recomp []int) *layerwise {
 	if recomp == nil {
 		recomp = make([]int, len(first)-1)
@@ -56,10 +57,10 @@ func newLayerwise(cfg Config, costs Costs, first, recomp []int) *layerwise {
 	for vs, r := range recomp {
 		lengths[vs%cfg.Stages] += cfg.MicroBatches * (4 + 8*(first[vs+1]-first[vs]) + 3*r)
 	}
-	return &layerwise{cfg: cfg, costs: costs, first: first, recomp: recomp, ops: Programs(lengths)}
+	return &layerwise{cfg: cfg, costs: costs, first: first, recomp: recomp, out: NewPlan(cfg, costs, lengths)}
 }
 
-func (lw *layerwise) emit(stage int, op Op) { lw.ops[stage] = append(lw.ops[stage], op) }
+func (lw *layerwise) emit(stage int, op Op) { lw.out.Ops[stage] = append(lw.out.Ops[stage], op) }
 
 // lastChunk returns the index of the chunk holding the model's last layers.
 func (lw *layerwise) lastChunk() int { return len(lw.first) - 2 }
@@ -219,15 +220,8 @@ func (lw *layerwise) bStepDur(vs, mb int, withW bool) float64 {
 }
 
 func (lw *layerwise) plan(method Method) *Plan {
-	return &Plan{
-		Method:       method,
-		Stages:       lw.cfg.Stages,
-		MicroBatches: lw.cfg.MicroBatches,
-		Layers:       lw.cfg.Layers,
-		Ops:          lw.ops,
-		Costs:        lw.costs,
-		Batch:        lw.cfg.Batch,
-	}
+	lw.out.Method = method
+	return lw.out
 }
 
 // GPipe builds the GPipe schedule: all forward passes in micro-batch order,

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/model"
 )
@@ -202,10 +203,12 @@ func Validate(p *Plan) error {
 		return err
 	}
 	g := geometry{mbs: p.MicroBatches, layers: p.Layers}
-	if err := validateCounts(p, g); err != nil {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if err := validateCounts(p, g, sc); err != nil {
 		return err
 	}
-	slots, err := validateDataflow(p, g)
+	slots, err := validateDataflow(p, g, sc)
 	if err != nil {
 		return err
 	}
@@ -342,16 +345,43 @@ func validateStructure(p *Plan) error {
 	return nil
 }
 
+// scratch holds the validator's working tables. Each is sized by the plan
+// and dead once Validate returns, so they come from scratchPool and are
+// cleared on reuse (zeroed) rather than allocated per plan.
+type scratch struct {
+	// count and home are validateCounts' tables.
+	count, home []int32
+	// at, latest, sent and bits are validateDataflow's.
+	at     []cursor
+	latest []int32
+	sent   []message
+	bits   []uint64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// zeroed returns buf resized to n zero elements, reusing its array when it
+// is large enough.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // validateCounts checks that every (micro batch, layer, segment) gets
 // exactly one forward, one backward-B, exactly one backward-W for the
 // parameterized segments and none for attention, plus exactly one embedding
 // forward, embedding W, head backward and head W per micro batch — and that
 // the stash-holding passes of a (layer, segment) are colocated on one stage.
-func validateCounts(p *Plan, g geometry) error {
+func validateCounts(p *Plan, g geometry, sc *scratch) error {
 	// count is indexed by target*3 + kind (KForward, KBackwardB, KBackwardW);
 	// home holds 1 + the stage of a target's latest forward, 0 before any.
-	count := make([]int32, g.targets()*3)
-	home := make([]int32, g.targets())
+	sc.count = zeroed(sc.count, g.targets()*3)
+	sc.home = zeroed(sc.home, g.targets())
+	count, home := sc.count, sc.home
 	for s, ops := range p.Ops {
 		for i := range ops {
 			op := &ops[i]
@@ -407,17 +437,28 @@ func validateCounts(p *Plan, g geometry) error {
 	return nil
 }
 
+// cursor is one stage's position in validateDataflow's walk: its next op,
+// the slot of its next send and the index of its next recv in the match.
+type cursor struct{ pc, send, recv int32 }
+
+// message is one send in validateDataflow's message table: its stages,
+// whether a recv consumed it, and in earlier 1 + the slot of the previous
+// send of its tag, 0 for none.
+type message struct {
+	from, to, earlier int32
+	consumed          bool
+}
+
 // validateDataflow runs the token machine to completion or reports the
 // deadlock / missing-input violation. Each stage's tokens are one bitset.
 // On success it returns the message match RecvSlots reads: a recv consumes
 // the one send of its (tag, from, to), and a second send of the same
 // message is an error.
-func validateDataflow(p *Plan, g geometry) ([]int32, error) {
-	// at[s] is stage s's walk position: its next op, the slot of its next
-	// send and the index of its next recv in slots. Both ordinals run
-	// stage-major, so each stage starts at the counts of the stages before.
-	type cursor struct{ pc, send, recv int32 }
-	at := make([]cursor, p.Stages)
+func validateDataflow(p *Plan, g geometry, sc *scratch) ([]int32, error) {
+	// at[s] is stage s's walk position. Both ordinals run stage-major, so
+	// each stage starts at the counts of the stages before.
+	sc.at = zeroed(sc.at, p.Stages)
+	at := sc.at
 	var sends, recvs int32
 	for s, ops := range p.Ops {
 		at[s] = cursor{send: sends, recv: recvs}
@@ -431,17 +472,13 @@ func validateDataflow(p *Plan, g geometry) ([]int32, error) {
 		}
 	}
 	// Messages are matched in dense tables indexed by tag, not by hashing.
-	// latest[tag] holds 1 + the slot of the tag's latest send, 0 before any.
-	// sent[slot] holds a send's stages, whether a recv consumed it, and in
-	// earlier the previous send of its tag, counted the same way. A recv
-	// walks its tag's chain for its own (from, to); no builder sends one tag
-	// to two peers, so a chain is one send long.
-	type message struct {
-		from, to, earlier int32
-		consumed          bool
-	}
-	latest := make([]int32, g.tags())
-	sent := make([]message, sends)
+	// latest[tag] holds 1 + the slot of the tag's latest send, 0 before any,
+	// and sent[slot] the send's message. A recv walks its tag's chain for its
+	// own (from, to); no builder sends one tag to two peers, so a chain is
+	// one send long.
+	sc.latest = zeroed(sc.latest, g.tags())
+	sc.sent = zeroed(sc.sent, int(sends))
+	latest, sent := sc.latest, sc.sent
 	// find walks tag t's chain for the send from stage from to stage to:
 	// its slot, or -1.
 	find := func(t int, from, to int32) int32 {
@@ -454,7 +491,8 @@ func validateDataflow(p *Plan, g geometry) ([]int32, error) {
 	}
 	slots := make([]int32, recvs)
 	words := (g.tokens() + 63) / 64
-	bits := make([]uint64, p.Stages*words)
+	sc.bits = zeroed(sc.bits, p.Stages*words)
+	bits := sc.bits
 	has := func(s int, tok token) bool {
 		i := g.token(tok)
 		return bits[s*words+i/64]&(1<<(i%64)) != 0

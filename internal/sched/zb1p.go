@@ -84,15 +84,16 @@ func (lw *layerwise) listSchedule(inflight func(vs int) int, deferW bool) error 
 	// to every unit the stage enqueues (each micro batch's chunk layers,
 	// plus its head and embedding units), so popping by reslicing never
 	// forces a regrowth.
-	units := make([]int, p)
+	units, total := make([]int, p), 0
 	if deferW {
 		for vs := 0; vs < v; vs++ {
 			units[vs%p] += m * (lw.first[vs+1] - lw.first[vs])
 		}
 		units[(v-1)%p] += m // head
 		units[0] += m       // embedding
+		total = m * (lw.cfg.Layers + 2)
 	}
-	wQ := carve[wUnit](units)
+	wQ := carve(units, make([]wUnit, total))
 
 	wUnitDur := func(s int, u wUnit) float64 {
 		c := lw.costs.StageMB(s, u.mb)

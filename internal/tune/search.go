@@ -188,17 +188,20 @@ func (s *Search) batchOf(c Candidate) *model.BatchSpec {
 // never aborts the remaining points. The stream records everything it
 // yields into the Search's accounting, so Result after draining equals what
 // Run returns; breaking early launches nothing further and leaves a partial
-// (but consistent) Result. Points may be consumed once.
+// (but consistent) Result. Points may be consumed once. The points' plans
+// are built on one free list of program slabs (sched.Slabs) and recycled as
+// soon as each point's stash peak or simulation is read.
 func (s *Search) Points() iter.Seq2[Point, error] {
 	return func(yield func(Point, error) bool) {
 		type outcome struct {
 			point  Point
 			reason string // empty on success
 		}
+		slabs := sched.NewSlabs()
 		cells := obs.Ordered(len(s.survivors), s.spec.Workers, s.spec.Sink,
 			func(i int) string { return s.survivors[i].String() },
 			func(i int) (outcome, bool, error) {
-				point, reason, err := s.evaluate(s.survivors[i])
+				point, reason, err := s.evaluate(s.survivors[i], slabs)
 				return outcome{point, reason}, false, err
 			})
 		i := 0
@@ -261,8 +264,8 @@ func Run(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Result, error) {
 // point. Each plan's largest stage stash plus the model states is checked
 // against the budget before it is simulated. Under a cluster topology the
 // candidate searches the spec's placement strategies and keeps the fastest
-// placement that fits.
-func (s *Search) evaluate(c Candidate) (Point, string, error) {
+// placement that fits. Plans are built on slabs and recycled once read.
+func (s *Search) evaluate(c Candidate, slabs *sched.Slabs) (Point, string, error) {
 	cfg := sched.Config{Stages: c.Stages, MicroBatches: c.MicroBatches, Layers: s.m.Layers}
 	tokens := int64(c.MicroBatchSize) * int64(c.SeqLen) * int64(c.MicroBatches)
 	padFraction := 0.0
@@ -271,6 +274,7 @@ func (s *Search) evaluate(c Candidate) (Point, string, error) {
 		tokens = batch.TotalTokens()
 		padFraction = batch.PadFraction()
 	}
+	cfg = sched.WithSlabs(cfg, slabs)
 	w := costmodel.NewWorkload(s.m, s.cl, model.Shape{B: c.MicroBatchSize, S: c.SeqLen})
 	states := stateBytes(s.m, s.cl, c.Method, c.Stages)
 	params := sched.BuildParams{MemoryBudget: s.budget - states}
@@ -280,6 +284,7 @@ func (s *Search) evaluate(c Candidate) (Point, string, error) {
 			return nil, PruneBuild, err
 		}
 		if peak := maxStash(plan) + states; peak > s.budget {
+			sched.Recycle(plan)
 			return nil, PruneMemory, fmt.Errorf("peak %d exceeds budget %d", peak, s.budget)
 		}
 		return plan, "", nil
@@ -303,6 +308,7 @@ func (s *Search) evaluate(c Candidate) (Point, string, error) {
 			return Point{}, reason, fmt.Errorf("%s: %w", c, err)
 		}
 		simRes, err = sim.Run(plan, sim.Options{SMPenalty: s.cl.CommSMPenalty})
+		sched.Recycle(plan)
 		if err != nil {
 			return Point{}, PruneSim, fmt.Errorf("%s: %w", c, err)
 		}
@@ -352,7 +358,9 @@ func (s *Search) simulatePlacements(stages int, traffic [][]int64,
 	if stages > topo.Devices() {
 		// Nothing can be placed, but a plan that cannot be built is still
 		// counted as the build failure it is.
-		if _, reason, err := build(nil); reason == PruneBuild {
+		plan, reason, err := build(nil)
+		sched.Recycle(plan)
+		if reason == PruneBuild {
 			return nil, cluster.Placement{}, PruneBuild, err
 		}
 		return nil, cluster.Placement{}, PrunePlacement, fmt.Errorf(
@@ -402,6 +410,7 @@ func (s *Search) simulatePlacements(stages int, traffic [][]int64,
 		}
 		plan.Placement = place.Devices
 		res, err := sim.Run(plan, sim.Options{SMPenalty: s.cl.CommSMPenalty, Topology: view})
+		sched.Recycle(plan)
 		if err != nil {
 			fail(strategy, err)
 			continue

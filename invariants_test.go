@@ -22,7 +22,12 @@ import (
 //   - IdleSeconds = IterationSeconds - BusySeconds - CommStallSeconds,
 //     within 1e-9 s;
 //   - every recv ends no earlier than its matching send starts (the send of
-//     the same tag from the recv's peer to its stage).
+//     the same tag from the recv's peer to its stage), and on a flat cell
+//     no earlier than that start plus the message's wire time,
+//     bytes/P2PBytesPerSec + P2PLatency.
+//
+// The cells run through Execute, so their plans are built into recycled
+// program slabs.
 func TestSimInvariants(t *testing.T) {
 	paths, err := filepath.Glob("examples/*/*.json")
 	if err != nil {
@@ -53,12 +58,18 @@ func TestSimInvariants(t *testing.T) {
 		if rs.Kind != RunKindRun && rs.Kind != RunKindSweep {
 			continue
 		}
+		// Every cell of a spec shares its cluster's flat link parameters.
+		flat := session.Costs()
 		for r, err := range session.Execute(spec) {
 			if err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("%s %s seq=%d p=%d", r.Cluster, r.Method, r.SeqLen, r.Stages)
-			if err := checkSimInvariants(r.SimResult()); err != nil {
+			link := &flat
+			if len(r.Placement) > 0 {
+				link = nil
+			}
+			if err := checkSimInvariants(r.SimResult(), link); err != nil {
 				t.Errorf("%s: %v", label, err)
 			}
 			cells++
@@ -71,8 +82,9 @@ func TestSimInvariants(t *testing.T) {
 }
 
 // checkSimInvariants returns the first accounting invariant a traced
-// simulation result violates, or nil.
-func checkSimInvariants(res *SimResult) error {
+// simulation result violates, or nil. A non-nil link is the flat cost book
+// whose NIC parameters price every transfer of the run.
+func checkSimInvariants(res *SimResult, link *sched.Costs) error {
 	if res == nil || len(res.Spans) == 0 {
 		return fmt.Errorf("no traced spans")
 	}
@@ -81,10 +93,14 @@ func checkSimInvariants(res *SimResult) error {
 		tag      sched.Tag
 		from, to int
 	}
-	sendStart := map[msg]float64{}
+	type send struct {
+		start float64
+		bytes int64
+	}
+	sends := map[msg]send{}
 	for _, sp := range res.Spans {
 		if sp.Op.Kind == sched.KSend {
-			sendStart[msg{sp.Op.Tag, sp.Stage, int(sp.Op.Peer)}] = sp.Start
+			sends[msg{sp.Op.Tag, sp.Stage, int(sp.Op.Peer)}] = send{sp.Start, sp.Op.Bytes}
 		}
 	}
 	prevEnd := make([]float64, res.Stages)
@@ -101,12 +117,25 @@ func checkSimInvariants(res *SimResult) error {
 		switch sp.Op.Kind {
 		case sched.KSend:
 		case sched.KRecv:
-			start, ok := sendStart[msg{sp.Op.Tag, int(sp.Op.Peer), s}]
+			snd, ok := sends[msg{sp.Op.Tag, int(sp.Op.Peer), s}]
 			if !ok {
 				return fmt.Errorf("stage %d: %v has no matching send", s, sp.Op)
 			}
-			if sp.End < start {
-				return fmt.Errorf("stage %d: %v ends at %g, before its send starts at %g", s, sp.Op, sp.End, start)
+			if sp.End < snd.start {
+				return fmt.Errorf("stage %d: %v ends at %g, before its send starts at %g", s, sp.Op, sp.End, snd.start)
+			}
+			if link != nil {
+				// The transfer starts no earlier than its send and lands
+				// wire + latency later, summed in the engine's order.
+				landed := snd.start
+				if link.P2PBytesPerSec > 0 {
+					landed += float64(snd.bytes) / link.P2PBytesPerSec
+				}
+				landed += link.P2PLatency
+				if sp.End < landed {
+					return fmt.Errorf("stage %d: %v ends at %g, before its %d bytes can land at %g",
+						s, sp.Op, sp.End, snd.bytes, landed)
+				}
 			}
 		default:
 			compute[s] += sp.End - sp.Start

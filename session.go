@@ -55,6 +55,12 @@ type Session struct {
 	// provenance stamping (Report.Telemetry). Nil on unobserved sessions,
 	// whose reports stay byte-stable run to run.
 	events obs.Sink
+
+	// slabs is the free list of program slabs that the simulated plans of
+	// one Execute or Fleet call are built on and recycled to (Run). Only
+	// the sessions such a call derives for its cells carry it, so a plan
+	// handed to a caller is never recycled.
+	slabs *sched.Slabs
 }
 
 // Option mutates a Session under construction. Options are applied in order;
@@ -488,13 +494,18 @@ func lookupMethod(method Method) (sched.Registration, error) {
 }
 
 // Plan builds the schedule plan of any registered method for the session.
-// Method names resolve case-insensitively through the registry.
-func (s *Session) Plan(method Method) (*Plan, error) {
+// Method names resolve case-insensitively through the registry. The plan is
+// the caller's: it is built in fresh memory and never recycled.
+func (s *Session) Plan(method Method) (*Plan, error) { return s.plan(method, s.schedConfig()) }
+
+// plan builds a method's plan on cfg, the session's geometry with or without
+// a free list.
+func (s *Session) plan(method Method, cfg sched.Config) (*Plan, error) {
 	reg, err := lookupMethod(method)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := reg.Build(s.schedConfig(), s.Costs(), s.buildParams())
+	plan, err := reg.Build(cfg, s.Costs(), s.buildParams())
 	if err != nil {
 		return nil, err
 	}
@@ -598,11 +609,19 @@ func (e *NumericEngine) Run(plan *Plan) (*Report, error) {
 
 // Run builds the method's plan and executes it on the engine.
 func (s *Session) Run(engine Engine, method Method) (*Report, error) {
-	plan, err := s.Plan(method)
+	cfg := s.schedConfig()
+	if _, ok := engine.(*SimEngine); ok {
+		// The simulator's report keeps nothing of the plan, so on a cell
+		// session its plan is built on the call's free list and recycled as
+		// soon as the report is made.
+		cfg = sched.WithSlabs(cfg, s.slabs)
+	}
+	plan, err := s.plan(method, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", method, err)
 	}
 	report, err := engine.Run(plan)
+	sched.Recycle(plan)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", method, engine.Name(), err)
 	}
@@ -781,11 +800,15 @@ func (s *Session) Execute(spec *ExperimentSpec) iter.Seq2[*Report, error] {
 		} else if cache == nil {
 			cache = NewReportCache()
 		}
+		// The cells derive from a copy of the session that carries this
+		// call's free list of program slabs.
+		run := *s
+		run.slabs = sched.NewSlabs()
 		jobs := make([]func() (*Report, error), 0, len(rs.Cells))
 		labels := make([]string, 0, len(rs.Cells))
 		for _, c := range rs.Cells {
 			labels = append(labels, fmt.Sprintf("%s seq=%d p=%d", c.Method, c.SeqLen, c.Stages))
-			cell := s
+			cell := &run
 			if rs.Kind == RunKindSweep {
 				// A workload spec sweeps stages only: re-deriving the
 				// sequence length would clear its per-micro-batch shapes.
@@ -794,7 +817,7 @@ func (s *Session) Execute(spec *ExperimentSpec) iter.Seq2[*Report, error] {
 					opts = append(opts, WithSeqLen(c.SeqLen))
 				}
 				var derr error
-				if cell, derr = s.With(opts...); derr != nil {
+				if cell, derr = run.With(opts...); derr != nil {
 					derr = fmt.Errorf("seq=%d p=%d: %w", c.SeqLen, c.Stages, derr)
 					jobs = append(jobs, func() (*Report, error) { return nil, derr })
 					continue
