@@ -11,6 +11,7 @@ package helixpipe
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"runtime"
 	"testing"
@@ -485,6 +486,74 @@ func TestLargeSweepBytesBudget(t *testing.T) {
 	if got > budget.LargeSweepBytesPerOp {
 		t.Errorf("the large sweep allocates %.0f B/op, budget %.0f (testdata/alloc_budget.json)",
 			got, budget.LargeSweepBytesPerOp)
+	}
+}
+
+// gqaDecodeReport runs the committed GQA decode study
+// (examples/interactive_decode/gqa_1m.json) and returns its report.
+func gqaDecodeReport(tb testing.TB) *DecodeReport {
+	tb.Helper()
+	spec, err := ParseSpecFile("examples/interactive_decode/gqa_1m.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	session, rs, err := spec.Resolve()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	report, err := session.Decode(*rs.Decode)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return report
+}
+
+// BenchmarkWriteDecodeReport measures encoding the gqa_1m decode report as
+// indented JSON, the report writer a decode request ends in. The alloc-gate
+// CI step pins its allocs/op to the budget in testdata/alloc_budget.json.
+func BenchmarkWriteDecodeReport(b *testing.B) {
+	report := gqaDecodeReport(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteDecodeReportJSON(io.Discard, report); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeReportWriteAllocBudget enforces the decode report encoder's
+// budget in-process, the contract the CI alloc-gate re-checks from
+// BenchmarkWriteDecodeReport's -benchmem output. An encoder that allocates
+// its compact or indented buffer per write fails it. Under the race
+// detector sync.Pool drops the pooled buffers at random, so the budget is
+// checked only without it.
+func TestDecodeReportWriteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
+	}
+	raw, err := os.ReadFile("testdata/alloc_budget.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget struct {
+		// A pointer, since the pinned budget is zero.
+		DecodeReportWriteAllocsPerOp *float64 `json:"decode_report_write_allocs_per_op"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatal(err)
+	}
+	if budget.DecodeReportWriteAllocsPerOp == nil {
+		t.Fatal("testdata/alloc_budget.json pins no decode_report_write_allocs_per_op")
+	}
+	report := gqaDecodeReport(t)
+	got := testing.AllocsPerRun(5, func() {
+		if err := WriteDecodeReportJSON(io.Discard, report); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := *budget.DecodeReportWriteAllocsPerOp; got > want {
+		t.Errorf("writing the gqa_1m decode report allocates %.0f allocs/op, budget %.0f (testdata/alloc_budget.json)",
+			got, want)
 	}
 }
 

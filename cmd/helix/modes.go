@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +8,7 @@ import (
 	"strings"
 
 	helixpipe "repro"
+	"repro/internal/jsonw"
 )
 
 // benchMode runs bench's mode that is not a spec run: the paper's tables
@@ -179,9 +179,7 @@ func trainBody(c *call, s *helixpipe.ExperimentSpec, session *helixpipe.Session,
 	identical := res.Loss == refLoss && diff == 0
 
 	if asJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
+		if err := jsonw.Write(w, struct {
 			Losses    []float64         `json:"losses"`
 			Parity    *helixpipe.Report `json:"parity"`
 			RefLoss   float64           `json:"reference_loss"`

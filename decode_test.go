@@ -3,6 +3,9 @@ package helixpipe
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -140,6 +143,61 @@ func TestSessionDecode(t *testing.T) {
 	}
 	if report.GPU != "H20" || report.Link != "nvlink" {
 		t.Fatalf("hardware provenance = %q/%q", report.GPU, report.Link)
+	}
+}
+
+// fuzzSeed reads the input of a one-value []byte fuzz corpus file.
+func fuzzSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+	body, ok2 := strings.CutSuffix(strings.TrimSpace(body), ")")
+	if !ok || !ok2 {
+		t.Fatalf("%s is not a one-value []byte corpus file", path)
+	}
+	data, err := strconv.Unquote(body)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(data)
+}
+
+// TestVLLMHelixRegimes pins the two Helix regimes of vLLM's helix
+// integration test (test_helix_parallel.py, SNIPPETS.md), replayed from
+// their FuzzDecode seeds at context 65,536 with 8 tokens on 4 H20s. MLA
+// (DeepSeek-V2-Lite's 16 query heads; the 1.3B preset) keeps only TPA = 1,
+// KVP = 4: the test's TP = DCP = 4. GQA with 2 KV heads keeps only the
+// points with TPA <= 2.
+func TestVLLMHelixRegimes(t *testing.T) {
+	for _, c := range []struct {
+		seed string
+		want []string
+	}{
+		{"vllm_helix_mla_tp4_dcp4", []string{"kvp=4 tpa=1"}},
+		{"vllm_helix_gqa_kv2", []string{"kvp=4 tpa=1", "kvp=2 tpa=2"}},
+	} {
+		spec, err := ParseSpec(bytes.NewReader(fuzzSeed(t, "testdata/fuzz/FuzzDecode/"+c.seed)))
+		if err != nil {
+			t.Fatalf("%s: %v", c.seed, err)
+		}
+		session, rs, err := spec.Resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", c.seed, err)
+		}
+		report, err := session.Decode(*rs.Decode)
+		if err != nil {
+			t.Fatalf("%s: %v", c.seed, err)
+		}
+		var got []string
+		for _, pt := range report.Points {
+			got = append(got, pt.Sharding.String())
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: kept %q, want %q", c.seed, got, c.want)
+		}
 	}
 }
 

@@ -87,6 +87,9 @@ func (c StepCost) ComputeSeconds() float64 {
 //     (attention output + MLP output), the standard TP pattern.
 //
 // The LM head runs once per step, vocab-parallel over N.
+//
+// Only the attention term reads s, so Spec.Simulate prices a step once and
+// re-prices attentionSeconds per token.
 func (sc Scenario) stepCost(sh Sharding, s int, p CostParams) StepCost {
 	p = p.WithDefaults()
 	b := float64(sc.Sessions)
@@ -103,19 +106,10 @@ func (sc Scenario) stepCost(sh Sharding, s int, p CostParams) StepCost {
 	linBytes := linParams * FP16Bytes
 	c.LinearSeconds = cf * math.Max(linFLOPs/p.gemmFLOPS(), linBytes/p.hbmBps())
 
-	// Attention against one rank's shard of the cache.
-	ctxPerRank := float64(ceilDiv(s, sh.KVP))
-	qPerRank := float64(sc.Heads.QueryHeads) / float64(sh.TPA)
-	attnFLOPs := 4 * b * qPerRank * ctxPerRank * dh
-	effK := sc.Heads.EffectiveKVHeads()
-	kvPerRank := effK / sh.TPA
-	if kvPerRank < 1 {
-		kvPerRank = 1
-	}
-	kvReadBytes := b * ctxPerRank * float64(sc.Heads.kvBytesPerToken()) * float64(kvPerRank) / float64(effK)
-	c.AttentionSeconds = cf * math.Max(attnFLOPs/p.attnFLOPS(), kvReadBytes/p.hbmBps())
+	c.AttentionSeconds = sc.attentionSeconds(sh, s, &p)
 
 	// Helix collectives inside the KVP group.
+	qPerRank := float64(sc.Heads.QueryHeads) / float64(sh.TPA)
 	if sh.KVP > 1 {
 		qBytes := b * qPerRank * dh * FP16Bytes
 		c.AllGatherSeconds = p.Link.Ring(qBytes, sh.KVP)
@@ -132,7 +126,6 @@ func (sc Scenario) stepCost(sh Sharding, s int, p CostParams) StepCost {
 
 	// Everything above repeats per layer; the head runs once.
 	c.LinearSeconds *= float64(sc.Layers)
-	c.AttentionSeconds *= float64(sc.Layers)
 	c.AllGatherSeconds *= float64(sc.Layers)
 	c.AllToAllSeconds *= float64(sc.Layers)
 	c.AllReduceSeconds *= float64(sc.Layers)
@@ -142,6 +135,25 @@ func (sc Scenario) stepCost(sh Sharding, s int, p CostParams) StepCost {
 	c.HeadSeconds = cf * math.Max(headFLOPs/p.gemmFLOPS(), headBytes/p.hbmBps())
 
 	return c
+}
+
+// attentionSeconds is stepCost's attention term at cache length s, over all
+// layers: each layer attends against one rank's shard of the cache. p
+// carries its defaults.
+func (sc *Scenario) attentionSeconds(sh Sharding, s int, p *CostParams) float64 {
+	b := float64(sc.Sessions)
+	dh := float64(sc.Heads.HeadDim)
+	ctxPerRank := float64(ceilDiv(s, sh.KVP))
+	qPerRank := float64(sc.Heads.QueryHeads) / float64(sh.TPA)
+	attnFLOPs := 4 * b * qPerRank * ctxPerRank * dh
+	effK := sc.Heads.EffectiveKVHeads()
+	kvPerRank := effK / sh.TPA
+	if kvPerRank < 1 {
+		kvPerRank = 1
+	}
+	kvReadBytes := b * ctxPerRank * float64(sc.Heads.kvBytesPerToken()) * float64(kvPerRank) / float64(effK)
+	perLayer := p.ComputeFactor * math.Max(attnFLOPs/p.attnFLOPS(), kvReadBytes/p.hbmBps())
+	return perLayer * float64(sc.Layers)
 }
 
 // TTFTSeconds estimates time-to-first-token: the prefill of the S0-token

@@ -142,6 +142,122 @@ func TestSimulateDeterministic(t *testing.T) {
 	}
 }
 
+// stepCostRef is stepCost as it was before its attention term moved into
+// attentionSeconds, kept as the reference that term is compared against.
+func stepCostRef(sc Scenario, sh Sharding, s int, p CostParams) StepCost {
+	p = p.WithDefaults()
+	b := float64(sc.Sessions)
+	h := float64(sc.Hidden)
+	n := float64(sc.GPUs)
+	dh := float64(sc.Heads.HeadDim)
+	cf := p.ComputeFactor
+
+	var c StepCost
+
+	linParams := float64(sc.linParams()) / n
+	linFLOPs := 2 * b * linParams
+	linBytes := linParams * FP16Bytes
+	c.LinearSeconds = cf * math.Max(linFLOPs/p.gemmFLOPS(), linBytes/p.hbmBps())
+
+	ctxPerRank := float64(ceilDiv(s, sh.KVP))
+	qPerRank := float64(sc.Heads.QueryHeads) / float64(sh.TPA)
+	attnFLOPs := 4 * b * qPerRank * ctxPerRank * dh
+	effK := sc.Heads.EffectiveKVHeads()
+	kvPerRank := effK / sh.TPA
+	if kvPerRank < 1 {
+		kvPerRank = 1
+	}
+	kvReadBytes := b * ctxPerRank * float64(sc.Heads.kvBytesPerToken()) * float64(kvPerRank) / float64(effK)
+	c.AttentionSeconds = cf * math.Max(attnFLOPs/p.attnFLOPS(), kvReadBytes/p.hbmBps())
+
+	if sh.KVP > 1 {
+		qBytes := b * qPerRank * dh * FP16Bytes
+		c.AllGatherSeconds = p.Link.Ring(qBytes, sh.KVP)
+		oBytes := b * qPerRank * (dh + 2) * FP16Bytes
+		c.AllToAllSeconds = p.Link.Ring(oBytes, sh.KVP)
+	}
+	if sc.GPUs > 1 {
+		actBytes := b * h * FP16Bytes
+		c.AllReduceSeconds = 2 * p.allReduce(actBytes, sc.GPUs)
+	}
+
+	c.LinearSeconds *= float64(sc.Layers)
+	c.AttentionSeconds *= float64(sc.Layers)
+	c.AllGatherSeconds *= float64(sc.Layers)
+	c.AllToAllSeconds *= float64(sc.Layers)
+	c.AllReduceSeconds *= float64(sc.Layers)
+
+	headFLOPs := 2 * b * h * float64(sc.Vocab) / n
+	headBytes := h * float64(sc.Vocab) * FP16Bytes / n
+	c.HeadSeconds = cf * math.Max(headFLOPs/p.gemmFLOPS(), headBytes/p.hbmBps())
+	return c
+}
+
+// simulateRef is Simulate as it was before it priced the step once: every
+// token prices the whole step at its cache length with stepCostRef.
+func simulateRef(sp Spec, sh Sharding) Point {
+	sp = sp.WithDefaults()
+	sc := sp.Scenario
+	pt := Point{
+		Sharding:             sh,
+		TTFTSeconds:          sc.TTFTSeconds(sh, sp.Params),
+		TokenSeconds:         make([]float64, 0, sc.DecodeTokens),
+		KVBytesPerDevice:     sc.KVBytesPerDevice(sh),
+		WeightBytesPerDevice: sc.WeightBytesPerDevice(),
+	}
+	var total, compute float64
+	for t := 0; t < sc.DecodeTokens; t++ {
+		c := stepCostRef(sc, sh, sc.ContextLen+t, sp.Params)
+		step := c.Total()
+		pt.TokenSeconds = append(pt.TokenSeconds, step)
+		total += step
+		compute += c.ComputeSeconds()
+		pt.Comm.AllGatherSeconds += c.AllGatherSeconds
+		pt.Comm.AllToAllSeconds += c.AllToAllSeconds
+		pt.Comm.AllReduceSeconds += c.AllReduceSeconds
+	}
+	n := float64(sc.DecodeTokens)
+	pt.Latency = distOf(pt.TokenSeconds)
+	pt.SecondsPerToken = total / n
+	if total > 0 {
+		pt.TokensPerSecond = float64(sc.Sessions) * n / total
+	}
+	pt.Comm.AllGatherSeconds /= n
+	pt.Comm.AllToAllSeconds /= n
+	pt.Comm.AllReduceSeconds /= n
+	pt.Comm.TotalSeconds = pt.Comm.AllGatherSeconds + pt.Comm.AllToAllSeconds + pt.Comm.AllReduceSeconds
+	pt.ComputeSeconds = compute / n
+	return pt
+}
+
+// TestSimulateMatchesPerTokenStepCost pins Simulate bit for bit to pricing
+// the whole step at every token with the reference step, and stepCost to
+// the reference at the context length, on GQA and MLA heads, every sharding of
+// the lattice plus a what-if TPA wider than K, a context that no KVP
+// divides (so each rank's shard grows mid-run), a compute factor, and a
+// layer count that is not a power of two (so a reordered product rounds
+// differently).
+func TestSimulateMatchesPerTokenStepCost(t *testing.T) {
+	for _, h := range []HeadConfig{gqaHeads(32, 8, 128), gqaHeads(32, 2, 128), mlaHeads(32, 128, 512)} {
+		for _, cf := range []float64{0, 1.3} {
+			sc := testScenario(h)
+			sc.Layers, sc.ContextLen, sc.DecodeTokens, sc.GPUs = 27, 1<<16+5, 37, 16
+			sp := Spec{Scenario: sc, Params: testParams()}
+			sp.Params.ComputeFactor = cf
+			for _, sh := range append(Shardings(sc.GPUs, h), Sharding{KVP: 1, TPA: 16}, Sharding{KVP: 16, TPA: 1}) {
+				if got, want := sc.stepCost(sh, sc.ContextLen, sp.Params), stepCostRef(sc, sh, sc.ContextLen, sp.Params); got != want {
+					t.Errorf("heads %+v, factor %g, %s: stepCost %+v, want %+v", h, cf, sh, got, want)
+				}
+				got, want := sp.Simulate(sh), simulateRef(sp, sh)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("heads %+v, factor %g, %s: Simulate differs from per-token pricing:\n got %+v\nwant %+v",
+						h, cf, sh, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestMLAPureKVPStrictlyWins is the acceptance test: for an MLA-style
 // config (effective K=1), pure KVP strictly beats every TPA>1 sharding on
 // simulated latency per token at >= 1M context. TPA>1 duplicates the

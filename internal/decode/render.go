@@ -1,19 +1,18 @@
 package decode
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/jsonw"
 )
 
 // WriteJSON writes the report as indented JSON. The encoding is
 // deterministic: identical searches produce byte-identical output, which
 // is what the golden corpus diffs.
 func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return jsonw.Write(w, r)
 }
 
 // Summary renders the search accounting — scenario shape, objective, grid

@@ -177,20 +177,25 @@ func emit(s obs.Sink, e obs.Event) {
 
 // Simulate prices one sharding token by token: the cache grows from S0 to
 // S0+T, so later tokens are strictly slower — the distribution is the
-// point, not an average. Deterministic: same inputs, same Point.
+// point, not an average. Deterministic: same inputs, same Point. The step
+// is priced once at S0; per token only its attention term, the one that
+// reads the cache length, is priced again.
 func (sp Spec) Simulate(sh Sharding) Point {
 	sp = sp.WithDefaults()
-	sc := sp.Scenario
+	sc := &sp.Scenario
+	params := sp.Params.WithDefaults()
 	pt := Point{
 		Sharding:             sh,
-		TTFTSeconds:          sc.TTFTSeconds(sh, sp.Params),
+		TTFTSeconds:          sc.TTFTSeconds(sh, params),
 		TokenSeconds:         make([]float64, 0, sc.DecodeTokens),
 		KVBytesPerDevice:     sc.KVBytesPerDevice(sh),
 		WeightBytesPerDevice: sc.WeightBytesPerDevice(),
 	}
+	base := sc.stepCost(sh, sc.ContextLen, params)
 	var total, compute float64
 	for t := 0; t < sc.DecodeTokens; t++ {
-		c := sc.stepCost(sh, sc.ContextLen+t, sp.Params)
+		c := base
+		c.AttentionSeconds = sc.attentionSeconds(sh, sc.ContextLen+t, &params)
 		step := c.Total()
 		pt.TokenSeconds = append(pt.TokenSeconds, step)
 		tokenSecondsH.Observe(step)

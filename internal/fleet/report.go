@@ -2,12 +2,13 @@ package fleet
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
+
+	"repro/internal/jsonw"
 )
 
 // Stats summarizes a distribution of durations.
@@ -211,9 +212,7 @@ func addProduct(acc, x, n int64) (int64, bool) {
 // WriteJSON writes the report as indented JSON. The encoding is
 // deterministic: identical runs produce byte-identical output.
 func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return jsonw.Write(w, r)
 }
 
 // CSVHeader is the column set of WriteCSV, one row per job.

@@ -261,10 +261,14 @@ func Run(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Result, error) {
 
 // evaluate builds and simulates one surviving candidate. A non-empty reason
 // (PruneBuild, PruneMemory, PruneSim or PrunePlacement) reports a discarded
-// point. Each plan's largest stage stash plus the model states is checked
-// against the budget before it is simulated. Under a cluster topology the
-// candidate searches the spec's placement strategies and keeps the fastest
-// placement that fits. Plans are built on slabs and recycled once read.
+// point. Each plan is validated as soon as it is built, placement included,
+// and its largest stage stash plus the model states is checked against the
+// budget before it is simulated: the check reads the stash peaks the
+// validator recorded, and sim.Run finds the plan already validated. A plan
+// that fails validation is a builder bug; it is pruned as PruneSim with the
+// simulator's own message. Under a cluster topology the candidate searches
+// the spec's placement strategies and keeps the fastest placement that
+// fits. Plans are built on slabs and recycled once read.
 func (s *Search) evaluate(c Candidate, slabs *sched.Slabs) (Point, string, error) {
 	cfg := sched.Config{Stages: c.Stages, MicroBatches: c.MicroBatches, Layers: s.m.Layers}
 	tokens := int64(c.MicroBatchSize) * int64(c.SeqLen) * int64(c.MicroBatches)
@@ -278,10 +282,15 @@ func (s *Search) evaluate(c Candidate, slabs *sched.Slabs) (Point, string, error
 	w := costmodel.NewWorkload(s.m, s.cl, model.Shape{B: c.MicroBatchSize, S: c.SeqLen})
 	states := stateBytes(s.m, s.cl, c.Method, c.Stages)
 	params := sched.BuildParams{MemoryBudget: s.budget - states}
-	build := func(topo *cluster.Topology) (*sched.Plan, string, error) {
+	build := func(topo *cluster.Topology, placement []int) (*sched.Plan, string, error) {
 		plan, err := sched.Build(c.Method, cfg, sched.NewCosts(w, cfg.Batch, topo), params)
 		if err != nil {
 			return nil, PruneBuild, err
+		}
+		plan.Placement = placement
+		if err := sched.Validate(plan); err != nil {
+			sched.Recycle(plan)
+			return nil, PruneSim, fmt.Errorf("sim: invalid plan: %w", err)
 		}
 		if peak := maxStash(plan) + states; peak > s.budget {
 			sched.Recycle(plan)
@@ -303,7 +312,7 @@ func (s *Search) evaluate(c Candidate, slabs *sched.Slabs) (Point, string, error
 			return Point{}, reason, fmt.Errorf("%s: %w", c, err)
 		}
 	} else {
-		plan, reason, err := build(nil)
+		plan, reason, err := build(nil, nil)
 		if err != nil {
 			return Point{}, reason, fmt.Errorf("%s: %w", c, err)
 		}
@@ -330,8 +339,8 @@ func (s *Search) evaluate(c Candidate, slabs *sched.Slabs) (Point, string, error
 	return point, "", nil
 }
 
-// maxStash returns the plan's largest per-stage stash peak (sched.StashPeaks),
-// 0 for a plan without stages.
+// maxStash returns the plan's largest per-stage stash peak (sched.StashPeaks,
+// the validator's record on a validated plan), 0 for a plan without stages.
 func maxStash(plan *sched.Plan) int64 {
 	var peak int64
 	for _, v := range sched.StashPeaks(plan) {
@@ -349,16 +358,17 @@ func maxStash(plan *sched.Plan) int64 {
 // budget. A failure comes with its prune reason: a build failure is
 // PruneBuild, as it is without a topology, since whether a plan builds does
 // not depend on where it is placed; a point wider than the topology is
-// PrunePlacement; a point whose every built plan is over budget is
-// PruneMemory; any other is PruneSim. The greedy search seeds from zero, so
-// results are deterministic.
+// PrunePlacement; a point whose every valid plan is over budget is
+// PruneMemory; any other is PruneSim. A placement whose plan fails
+// validation or simulation moves the search on to the next placement. The
+// greedy search seeds from zero, so results are deterministic.
 func (s *Search) simulatePlacements(stages int, traffic [][]int64,
-	build func(*cluster.Topology) (*sched.Plan, string, error)) (*sim.Result, cluster.Placement, string, error) {
+	build func(*cluster.Topology, []int) (*sched.Plan, string, error)) (*sim.Result, cluster.Placement, string, error) {
 	topo := *s.spec.Cluster
 	if stages > topo.Devices() {
 		// Nothing can be placed, but a plan that cannot be built is still
 		// counted as the build failure it is.
-		plan, reason, err := build(nil)
+		plan, reason, err := build(nil, nil)
 		sched.Recycle(plan)
 		if reason == PruneBuild {
 			return nil, cluster.Placement{}, PruneBuild, err
@@ -396,7 +406,7 @@ func (s *Search) simulatePlacements(stages int, traffic [][]int64,
 			fail(strategy, err)
 			continue
 		}
-		plan, reason, err := build(view)
+		plan, reason, err := build(view, place.Devices)
 		switch reason {
 		case PruneBuild:
 			return nil, cluster.Placement{}, PruneBuild, err
@@ -407,8 +417,10 @@ func (s *Search) simulatePlacements(stages int, traffic [][]int64,
 				memErr = fmt.Errorf("placement %s: %w", strategy, err)
 			}
 			continue
+		case PruneSim:
+			fail(strategy, err)
+			continue
 		}
-		plan.Placement = place.Devices
 		res, err := sim.Run(plan, sim.Options{SMPenalty: s.cl.CommSMPenalty, Topology: view})
 		sched.Recycle(plan)
 		if err != nil {

@@ -421,8 +421,9 @@ func TestAutotuneBudgetDirectionFollowsObjective(t *testing.T) {
 // TestPlacementPruneReasons pins how a topology-bound point's failure is
 // counted: a plan that cannot be built is PruneBuild with the build's own
 // error, whether or not the point could be placed; a buildable point wider
-// than the topology is PrunePlacement; and a point whose every placed plan
-// is over budget is PruneMemory.
+// than the topology is PrunePlacement; a point whose every placed plan is
+// over budget is PruneMemory; and a point whose every placed plan fails
+// validation is PruneSim with the validator's message.
 func TestPlacementPruneReasons(t *testing.T) {
 	topo, ok := cluster.PresetByName("DGX-H20x2")
 	if !ok {
@@ -433,22 +434,28 @@ func TestPlacementPruneReasons(t *testing.T) {
 		t.Fatal(err)
 	}
 	broken := errors.New("no partition fits")
-	fails := func(*cluster.Topology) (*sched.Plan, string, error) { return nil, PruneBuild, broken }
-	builds := func(*cluster.Topology) (*sched.Plan, string, error) { return &sched.Plan{}, "", nil }
-	overBudget := func(*cluster.Topology) (*sched.Plan, string, error) {
+	type builder = func(*cluster.Topology, []int) (*sched.Plan, string, error)
+	fails := func(*cluster.Topology, []int) (*sched.Plan, string, error) { return nil, PruneBuild, broken }
+	builds := func(*cluster.Topology, []int) (*sched.Plan, string, error) { return &sched.Plan{}, "", nil }
+	overBudget := func(*cluster.Topology, []int) (*sched.Plan, string, error) {
 		return nil, PruneMemory, errors.New("peak over budget")
+	}
+	invalid := func(*cluster.Topology, []int) (*sched.Plan, string, error) {
+		return nil, PruneSim, errors.New("sim: invalid plan: stage 0 frees what it never stashed")
 	}
 	wide := topo.Devices() + 1
 	for _, c := range []struct {
 		name   string
 		stages int
-		build  func(*cluster.Topology) (*sched.Plan, string, error)
+		build  builder
 		want   string
 	}{
 		{"placeable, unbuildable", 4, fails, PruneBuild},
 		{"too wide, unbuildable", wide, fails, PruneBuild},
 		{"too wide, buildable", wide, builds, PrunePlacement},
+		{"too wide, invalid", wide, invalid, PrunePlacement},
 		{"placeable, over budget", 4, overBudget, PruneMemory},
+		{"placeable, invalid", 4, invalid, PruneSim},
 	} {
 		_, _, reason, err := s.simulatePlacements(c.stages, sched.NewTrafficMatrix(c.stages), c.build)
 		if reason != c.want || err == nil {
@@ -456,6 +463,9 @@ func TestPlacementPruneReasons(t *testing.T) {
 		}
 		if c.want == PruneBuild && err != broken {
 			t.Errorf("%s: err %v, want the build's own error", c.name, err)
+		}
+		if c.want == PruneSim && !strings.Contains(err.Error(), "sim: invalid plan: ") {
+			t.Errorf("%s: err %v, want the validator's message", c.name, err)
 		}
 	}
 }

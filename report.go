@@ -2,12 +2,12 @@ package helixpipe
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 
 	"repro/internal/exec"
+	"repro/internal/jsonw"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -426,9 +426,7 @@ func WriteReportsCSV(w io.Writer, reports []*Report) error {
 
 // WriteReportsJSON writes the reports as an indented JSON array.
 func WriteReportsJSON(w io.Writer, reports []*Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(reports)
+	return jsonw.Write(w, reports)
 }
 
 // WriteTuneResultJSON writes an autotuner result as indented JSON: the
@@ -436,9 +434,7 @@ func WriteReportsJSON(w io.Writer, reports []*Report) error {
 // cost-model evaluations), the best pick per sequence length, the Pareto
 // frontier, and every evaluated point.
 func WriteTuneResultJSON(w io.Writer, r *TuneResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return jsonw.Write(w, r)
 }
 
 // WriteTuneResultCSV writes every evaluated point of an autotuner result as
@@ -449,9 +445,7 @@ func WriteTuneResultCSV(w io.Writer, r *TuneResult) error {
 
 // WriteTablesJSON writes experiment tables as an indented JSON array.
 func WriteTablesJSON(w io.Writer, tables []*ExperimentTable) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tables)
+	return jsonw.Write(w, tables)
 }
 
 // MethodInfo describes one registered pipeline parallelism.

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/jsonw"
 	"repro/internal/model"
 )
 
@@ -583,9 +584,7 @@ func ParseSpecFile(path string) (*ExperimentSpec, error) {
 // WriteSpec writes the spec as indented JSON. WriteSpec and ParseSpec
 // round-trip: every field survives Write -> Parse -> Resolve.
 func WriteSpec(w io.Writer, spec *ExperimentSpec) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(spec)
+	return jsonw.Write(w, spec)
 }
 
 // WriteSpecFile writes the spec as an indented JSON file.
