@@ -489,6 +489,107 @@ func TestLargeSweepBytesBudget(t *testing.T) {
 	}
 }
 
+// fleetStudy resolves the committed capacity study
+// (examples/fleet_capacity/fleet_stream.json), its stream resized to jobs
+// and its policy replaced when either is set, and returns a function that
+// runs it once through Session.Fleet with a fresh report cache.
+func fleetStudy(tb testing.TB, jobs int, policy string) func() *FleetReport {
+	tb.Helper()
+	spec, err := ParseSpecFile("examples/fleet_capacity/fleet_stream.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if jobs > 0 {
+		spec.Fleet.Jobs = jobs
+	}
+	if policy != "" {
+		spec.Fleet.Policy = policy
+	}
+	session, rs, err := spec.Resolve()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() *FleetReport {
+		report, err := session.Fleet(*rs.Fleet)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return report
+	}
+}
+
+// largeFleetJobs and largeFleetPolicy size BenchmarkFleetLargeStream: a
+// queue thousands of jobs deep, where backfill scans past a blocked head.
+const (
+	largeFleetJobs   = 16384
+	largeFleetPolicy = FleetPolicyBackfill
+)
+
+// BenchmarkFleetStream measures the committed 60-job capacity study through
+// Session.Fleet, a fresh cache per op. The alloc-gate CI step pins its
+// allocs/op to the budget in testdata/alloc_budget.json: resolving a job
+// spec costs hundreds of allocations, so a run that resolves per job start
+// instead of once per spec trips it.
+func BenchmarkFleetStream(b *testing.B) {
+	study := fleetStudy(b, 0, "")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		study()
+	}
+}
+
+// BenchmarkFleetLargeStream measures the same study at 16,384 jobs under
+// backfill. The alloc-gate CI step pins its allocs/op: a queue copied per
+// event, or a spec resolved per start, returns as thousands of allocations.
+func BenchmarkFleetLargeStream(b *testing.B) {
+	study := fleetStudy(b, largeFleetJobs, largeFleetPolicy)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		study()
+	}
+}
+
+// fleetAllocBudget checks one fleet study's allocs per run against its pin
+// in testdata/alloc_budget.json, after a warm-up run. The cache misses
+// simulate through pooled runners and validator tables, which the race
+// detector drops at random, so the budget is checked only without it.
+func fleetAllocBudget(t *testing.T, key string, runs int, study func() *FleetReport) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
+	}
+	raw, err := os.ReadFile("testdata/alloc_budget.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budgets map[string]float64
+	if err := json.Unmarshal(raw, &budgets); err != nil {
+		t.Fatal(err)
+	}
+	budget, ok := budgets[key]
+	if !ok {
+		t.Fatalf("testdata/alloc_budget.json pins no %s", key)
+	}
+	got := testing.AllocsPerRun(runs, func() { study() })
+	t.Logf("%s: %.0f allocs/op, budget %.0f", key, got, budget)
+	if got > budget {
+		t.Errorf("%.0f allocs/op, budget %.0f (testdata/alloc_budget.json: %s)", got, budget, key)
+	}
+}
+
+// TestFleetStreamAllocBudget enforces the fleet study's budget in-process,
+// the contract the CI alloc-gate re-checks from BenchmarkFleetStream's
+// -benchmem output.
+func TestFleetStreamAllocBudget(t *testing.T) {
+	fleetAllocBudget(t, "fleet_stream_allocs_per_op", 5, fleetStudy(t, 0, ""))
+}
+
+// TestFleetLargeStreamAllocBudget enforces the large fleet study's budget
+// in-process, the contract the CI alloc-gate re-checks from
+// BenchmarkFleetLargeStream's -benchmem output.
+func TestFleetLargeStreamAllocBudget(t *testing.T) {
+	fleetAllocBudget(t, "fleet_large_stream_allocs_per_op", 1, fleetStudy(t, largeFleetJobs, largeFleetPolicy))
+}
+
 // gqaDecodeReport runs the committed GQA decode study
 // (examples/interactive_decode/gqa_1m.json) and returns its report.
 func gqaDecodeReport(tb testing.TB) *DecodeReport {

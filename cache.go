@@ -75,17 +75,32 @@ func (c *ReportCache) Key(spec *ExperimentSpec, extra ...string) (string, error)
 	if err != nil {
 		return "", err
 	}
-	blob, err := json.Marshal(n)
+	blob, err := specContent(n)
 	if err != nil {
-		return "", fmt.Errorf("helixpipe: hashing spec: %w", err)
+		return "", err
 	}
+	return contentKey(blob, extra...), nil
+}
+
+// specContent is the content Key hashes for a resolved spec: its JSON.
+func specContent(resolved *ExperimentSpec) ([]byte, error) {
+	blob, err := json.Marshal(resolved)
+	if err != nil {
+		return nil, fmt.Errorf("helixpipe: hashing spec: %w", err)
+	}
+	return blob, nil
+}
+
+// contentKey hashes a spec's content and the extra components, each
+// preceded by a zero byte.
+func contentKey(blob []byte, extra ...string) string {
 	h := sha256.New()
 	h.Write(blob)
 	for _, e := range extra {
 		h.Write([]byte{0})
 		h.Write([]byte(e))
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Do returns the cached report for the key, or computes, stores and returns

@@ -165,7 +165,7 @@ func (s *Session) Fleet(fs FleetSpec) (*FleetReport, error) {
 		}
 	}
 	probe := fleetProbe(float64(s.topo.Devices()), fs.Probe)
-	priced := &fleetSimulator{cache: cache, slabs: sched.NewSlabs()}
+	priced := &fleetSimulator{cache: cache, slabs: sched.NewSlabs(), specs: map[*ExperimentSpec]*fleetJobSpec{}}
 	return fleet.Run(*s.topo, jobs, priced, fleet.Options{Policy: policy, Probe: probe})
 }
 
@@ -201,9 +201,49 @@ func fleetProbe(devices float64, next func(FleetProbeEvent)) func(fleet.ProbeEve
 // spec's placement strategy searches the stage placement, and the sim engine
 // runs one iteration — all behind the content-hashed report cache. The
 // misses' plans are built on one free list of program slabs.
+//
+// Each distinct job spec (by pointer: every draw of a template shares one) is
+// resolved once per run, and each (spec, carve signature) pair keyed once, so
+// a start on a known pair resolves, marshals and hashes nothing. The keys
+// equal ReportCache.Key(spec, "carve="+fleet.Signature(sub)).
 type fleetSimulator struct {
 	cache *ReportCache
 	slabs *sched.Slabs
+	specs map[*ExperimentSpec]*fleetJobSpec
+}
+
+// fleetJobSpec is one job spec of a fleet run, resolved: the content its
+// cache keys hash, the base session and RunSet its misses run on, and the
+// key of each carve signature seen so far.
+type fleetJobSpec struct {
+	content []byte
+	base    *Session
+	rs      RunSet
+	keys    map[string]string
+}
+
+// jobSpec returns the spec's resolved entry, resolving it on first use. An
+// unresolvable spec fails with Key's error.
+func (f *fleetSimulator) jobSpec(spec *ExperimentSpec) (*fleetJobSpec, error) {
+	if js, ok := f.specs[spec]; ok {
+		return js, nil
+	}
+	// Resolved's normalize-then-Resolve, keeping the session Resolve builds.
+	n, err := spec.normalized()
+	if err != nil {
+		return nil, err
+	}
+	base, rs, err := n.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	content, err := specContent(n)
+	if err != nil {
+		return nil, err
+	}
+	js := &fleetJobSpec{content: content, base: base, rs: rs, keys: map[string]string{}}
+	f.specs[spec] = js
+	return js, nil
 }
 
 func (f *fleetSimulator) Simulate(job fleet.Job, sub cluster.Cluster) (fleet.JobRun, error) {
@@ -211,12 +251,18 @@ func (f *fleetSimulator) Simulate(job fleet.Job, sub cluster.Cluster) (fleet.Job
 	if !ok || fj.Spec == nil {
 		return fleet.JobRun{}, fmt.Errorf("helixpipe: fleet job %s carries no spec payload", job.ID)
 	}
-	key, err := f.cache.Key(fj.Spec, "carve="+fleet.Signature(sub))
+	js, err := f.jobSpec(fj.Spec)
 	if err != nil {
 		return fleet.JobRun{}, err
 	}
+	sig := fleet.Signature(sub)
+	key, ok := js.keys[sig]
+	if !ok {
+		key = contentKey(js.content, "carve="+sig)
+		js.keys[sig] = key
+	}
 	report, hit, err := f.cache.Do(key, func() (*Report, error) {
-		return simulateOnCarve(fj.Spec, sub, f.slabs)
+		return simulateOnCarve(js.base, js.rs, Method(fj.Spec.Methods[0]), sub, f.slabs)
 	})
 	if err != nil {
 		return fleet.JobRun{}, err
@@ -232,20 +278,16 @@ func (f *fleetSimulator) Simulate(job fleet.Job, sub cluster.Cluster) (fleet.Job
 	}, nil
 }
 
-// simulateOnCarve runs a job's spec on a carved sub-cluster: resolve the
-// spec, swap its topology for the carve, then place and run its one method
-// as Execute runs a cell, building its plan on the fleet's free list.
-func simulateOnCarve(spec *ExperimentSpec, sub cluster.Cluster, slabs *sched.Slabs) (*Report, error) {
-	base, rs, err := spec.Resolve()
-	if err != nil {
-		return nil, err
-	}
+// simulateOnCarve runs a job's method on a carved sub-cluster: swap the
+// resolved base session's topology for the carve, then place and run the
+// method as Execute runs a cell, building its plan on the fleet's free list.
+func simulateOnCarve(base *Session, rs RunSet, method Method, sub cluster.Cluster, slabs *sched.Slabs) (*Report, error) {
 	cell, err := base.With(WithCluster(sub))
 	if err != nil {
 		return nil, err
 	}
 	cell.slabs = slabs
-	return cell.runCell(Method(spec.Methods[0]), rs.Engine, rs.Seed, rs.Placement, rs.PlacementSeed)
+	return cell.runCell(method, rs.Engine, rs.Seed, rs.Placement, rs.PlacementSeed)
 }
 
 // buildFleetSpec materializes a normalized spec's fleet section into the

@@ -3,11 +3,16 @@ package helixpipe
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/fleet"
+	"repro/internal/obs"
 )
 
 // exampleFleet resolves the committed capacity-study spec, optionally
@@ -314,5 +319,112 @@ func TestFleetProbeAndPerfetto(t *testing.T) {
 	}
 	if runs != report.Jobs {
 		t.Errorf("trace has %d run slices, want %d", runs, report.Jobs)
+	}
+}
+
+// TestFleetSharedCacheKeys runs one stream twice on a shared cache. The
+// second run is all hits, and the cache holds exactly the keys
+// ReportCache.Key gives for each job's spec and carve signature — the keys
+// the fleet simulator computes once per (spec, signature) pair must equal
+// them, or a cache shared with Key's callers would miss.
+func TestFleetSharedCacheKeys(t *testing.T) {
+	session, fs := exampleFleet(t, "")
+	cache := NewReportCacheInRegistry(obs.NewRegistry())
+	fs.Cache = cache
+	first, err := session.Fleet(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Preemptions != 0 {
+		t.Fatal("the example stream preempted; its records no longer name every carve")
+	}
+	entries := cache.Len()
+	second, err := session.Fleet(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.CacheMisses != 0 || second.CacheHits != len(fs.Jobs) || cache.Len() != entries {
+		t.Errorf("second run: %d hits, %d misses, %d entries; want %d hits, 0 misses, %d entries",
+			second.CacheHits, second.CacheMisses, cache.Len(), len(fs.Jobs), entries)
+	}
+
+	topo, _ := session.Topology()
+	want := map[string]bool{}
+	for i, rec := range first.JobRecords {
+		devs := slices.Sorted(slices.Values(rec.Devices)) // the carve, in ascending order
+		sub, _ := fleet.Carve(topo, devs)
+		key, err := cache.Key(fs.Jobs[i].Spec, "carve="+fleet.Signature(sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[key] = true
+	}
+	cache.mu.Lock()
+	got := map[string]bool{}
+	for key := range cache.entries {
+		got[key] = true
+	}
+	cache.mu.Unlock()
+	if !maps.Equal(got, want) {
+		t.Errorf("the cache holds %d keys, ReportCache.Key gives %d; they differ", len(got), len(want))
+	}
+}
+
+// TestFleetUnresolvableJobSpec pins the error of a job whose spec does not
+// resolve: the run fails at that job, with ReportCache.Key's error, whether
+// the spec fails to normalize or to build a session.
+func TestFleetUnresolvableJobSpec(t *testing.T) {
+	session, fs := exampleFleet(t, "")
+	good := fs.Jobs[0].Spec
+	badPlacement, badGeometry := *good, *good
+	badPlacement.Placement = "nowhere"
+	badGeometry.Stages = 5
+	for _, bad := range []*ExperimentSpec{&badPlacement, &badGeometry} {
+		_, keyErr := NewReportCache().Key(bad)
+		if keyErr == nil {
+			t.Fatalf("spec %+v resolves", bad)
+		}
+		jobs := []FleetJob{
+			{ID: "ok", Iterations: 1, Spec: good},
+			{ID: "bad", ArrivalSec: 1, Iterations: 1, Spec: bad},
+		}
+		_, err := session.Fleet(FleetSpec{Jobs: jobs})
+		if want := "fleet: job bad: " + keyErr.Error(); err == nil || err.Error() != want {
+			t.Errorf("err = %v, want %q", err, want)
+		}
+	}
+}
+
+// TestFleetCarvePricesNodeGPU pins that a carve prices on its nodes' own
+// GPUs: on the mixed-generation preset, a job carved onto an H20 node
+// simulates exactly as on a one-node H20 topology with the same link, and
+// not as on an A800 node.
+func TestFleetCarvePricesNodeGPU(t *testing.T) {
+	spec := &ExperimentSpec{Model: "3B", Cluster: "DGX-A800x2-H20x2", SeqLen: 16384, Stages: 4,
+		Methods: []string{"HelixPipe"}, Placement: "greedy"}
+	base, rs, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, _ := base.Topology()
+	iteration := func(sub ClusterTopology) float64 {
+		t.Helper()
+		r, err := simulateOnCarve(base, rs, MethodHelix, sub, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Sim.IterationSeconds
+	}
+	h20Node := mixed.Nodes[2]
+	oneNode := ClusterTopology{Name: "H20x1", GPU: "H20",
+		Nodes: []ClusterNode{{Name: "node0", Devices: 4, Intra: h20Node.Intra}}}
+	h20Carve, _ := fleet.Carve(mixed, []int{16, 17, 18, 19})
+	a800Carve, _ := fleet.Carve(mixed, []int{0, 1, 2, 3})
+	got, want := iteration(h20Carve), iteration(oneNode)
+	if got != want {
+		t.Errorf("H20-node carve simulates %.4fs per iteration, a one-node H20 topology %.4fs", got, want)
+	}
+	if a800 := iteration(a800Carve); a800 == got {
+		t.Errorf("A800- and H20-node carves both simulate %.4fs per iteration", got)
 	}
 }

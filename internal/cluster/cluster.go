@@ -387,17 +387,33 @@ func DGXA800x2H20x2() Cluster {
 	return c
 }
 
+// presets are the built-in topologies' names and constructors, in listing
+// order.
+var presets = []struct {
+	name  string
+	build func() Cluster
+}{
+	{"DGX-A800x4", DGXA800x4},
+	{"DGX-H20x2", DGXH20x2},
+	{"PCIe-box", PCIeBox},
+	{"DGX-A800x2-H20x2", DGXA800x2H20x2},
+}
+
 // Presets returns the built-in cluster topologies.
 func Presets() []Cluster {
-	return []Cluster{DGXA800x4(), DGXH20x2(), PCIeBox(), DGXA800x2H20x2()}
+	out := make([]Cluster, len(presets))
+	for i, p := range presets {
+		out[i] = p.build()
+	}
+	return out
 }
 
 // PresetByName resolves a built-in topology case-insensitively and reports
-// whether it exists.
+// whether it exists. It builds only the topology it returns.
 func PresetByName(name string) (Cluster, bool) {
-	for _, c := range Presets() {
-		if strings.EqualFold(c.Name, name) {
-			return c, true
+	for _, p := range presets {
+		if strings.EqualFold(p.name, name) {
+			return p.build(), true
 		}
 	}
 	return Cluster{}, false

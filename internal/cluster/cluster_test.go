@@ -83,6 +83,24 @@ func TestPresets(t *testing.T) {
 	}
 }
 
+// TestPresetByNameBuildsOne pins that a lookup builds only the preset it
+// returns: it allocates about what that preset's constructor allocates, far
+// below building every preset. Two allocations of slack absorb the race
+// detector, which moves either count by one at random.
+func TestPresetByNameBuildsOne(t *testing.T) {
+	for _, p := range presets {
+		want := testing.AllocsPerRun(20, func() { p.build() })
+		got := testing.AllocsPerRun(20, func() {
+			if _, ok := PresetByName(p.name); !ok {
+				t.Fatalf("PresetByName(%q) failed", p.name)
+			}
+		})
+		if got > want+2 {
+			t.Errorf("PresetByName(%q) allocates %.0f times, its constructor %.0f", p.name, got, want)
+		}
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	src := `{
 		"name": "custom",

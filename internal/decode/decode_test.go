@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/obs"
 )
 
 func gqaHeads(q, k, d int) HeadConfig {
@@ -364,6 +365,54 @@ func TestSearchPointsMatchRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(streamed.Result(), rep) {
 		t.Error("the report after draining Points differs from Run's")
+	}
+}
+
+// TestSearchObservesEveryToken pins the token histogram's batch observe:
+// after a search, each bucket of helix_decode_token_seconds has grown by as
+// many samples as one Observe per token would have added.
+func TestSearchObservesEveryToken(t *testing.T) {
+	tokenHist := func() obs.MetricSnapshot {
+		for _, m := range obs.Default().Snapshot() {
+			if m.Name == "helix_decode_token_seconds" {
+				return m
+			}
+		}
+		t.Fatal("no helix_decode_token_seconds histogram")
+		return obs.MetricSnapshot{}
+	}
+	before := tokenHist()
+	s, err := NewSearch(Spec{Scenario: testScenario(gqaHeads(32, 8, 128)), Params: testParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := tokenHist()
+	bounds := make([]float64, len(before.Buckets))
+	for i, b := range before.Buckets {
+		bounds[i] = b.LE
+	}
+	reg := obs.NewRegistry()
+	perToken := reg.Histogram("per_token", bounds)
+	for _, pt := range rep.Points {
+		for _, v := range pt.TokenSeconds {
+			perToken.Observe(v)
+		}
+	}
+	want := reg.Snapshot()[0]
+	if want.Count == 0 {
+		t.Fatal("the search observed no tokens")
+	}
+	if got := after.Count - before.Count; got != want.Count {
+		t.Errorf("the search added %d observations, per-token observation %d", got, want.Count)
+	}
+	for i, b := range want.Buckets {
+		if got := after.Buckets[i].Count - before.Buckets[i].Count; got != b.Count {
+			t.Errorf("bucket le=%g grew by %d, per-token observation %d", b.LE, got, b.Count)
+		}
 	}
 }
 

@@ -198,13 +198,13 @@ func (sp Spec) Simulate(sh Sharding) Point {
 		c.AttentionSeconds = sc.attentionSeconds(sh, sc.ContextLen+t, &params)
 		step := c.Total()
 		pt.TokenSeconds = append(pt.TokenSeconds, step)
-		tokenSecondsH.Observe(step)
 		total += step
 		compute += c.ComputeSeconds()
 		pt.Comm.AllGatherSeconds += c.AllGatherSeconds
 		pt.Comm.AllToAllSeconds += c.AllToAllSeconds
 		pt.Comm.AllReduceSeconds += c.AllReduceSeconds
 	}
+	tokenSecondsH.ObserveAll(pt.TokenSeconds)
 	n := float64(sc.DecodeTokens)
 	pt.Latency = distOf(pt.TokenSeconds)
 	pt.SecondsPerToken = total / n

@@ -23,6 +23,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -171,9 +172,17 @@ type engine struct {
 	policy Policy
 	probe  func(ProbeEvent)
 
-	a       *alloc
-	events  eventHeap
-	queue   []*jobState
+	a      *alloc
+	events eventHeap
+	// queues[d] holds the queued jobs that demand d devices, in admission
+	// order (admitsBefore); demands lists the demands whose queue is not
+	// empty, ascending, and queued counts every queued job. The queue's head
+	// in admission order is the first of the demand queues' heads, and the
+	// first queued job that fits f free devices the first of the heads of
+	// demands up to f.
+	queues  [][]*jobState
+	demands []int
+	queued  int
 	running []*jobState
 	states  []*jobState
 
@@ -186,6 +195,12 @@ type engine struct {
 // the cluster's device count can never be admitted and is an error, not a
 // stranded queue entry.
 func Run(c cluster.Cluster, jobs []Job, simr Simulator, opt Options) (*Report, error) {
+	return run(c, jobs, simr, opt, (*engine).schedule)
+}
+
+// run is Run with the admission step as a parameter, so a test can replay a
+// stream under a reference scheduler.
+func run(c cluster.Cluster, jobs []Job, simr Simulator, opt Options, schedule func(*engine, float64) error) (*Report, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -216,7 +231,8 @@ func Run(c cluster.Cluster, jobs []Job, simr Simulator, opt Options) (*Report, e
 		}
 	}
 
-	e := &engine{c: c, sim: simr, policy: policy, probe: opt.Probe, a: newAlloc(c)}
+	e := &engine{c: c, sim: simr, policy: policy, probe: opt.Probe, a: newAlloc(c),
+		queues: make([][]*jobState, total+1)}
 	e.states = make([]*jobState, len(jobs))
 	for i, j := range jobs {
 		e.states[i] = &jobState{job: j, seq: i, state: jsQueued}
@@ -248,11 +264,11 @@ func Run(c cluster.Cluster, jobs []Job, simr Simulator, opt Options) (*Report, e
 
 		if ev.arrival {
 			ev.st.enqueuedAt = ev.timeSec
-			e.queue = append(e.queue, ev.st)
+			e.enqueue(ev.st)
 		} else {
 			e.complete(ev.st, ev.timeSec)
 		}
-		if err := e.schedule(ev.timeSec); err != nil {
+		if err := schedule(e, ev.timeSec); err != nil {
 			return nil, err
 		}
 		if e.probe != nil {
@@ -265,15 +281,15 @@ func Run(c cluster.Cluster, jobs []Job, simr Simulator, opt Options) (*Report, e
 				AllocatedDevices: e.a.allocated(),
 				RunningDemand:    demand,
 				FreeDevices:      e.a.free,
-				Queued:           len(e.queue),
+				Queued:           e.queued,
 				Running:          len(e.running),
 				Preemptions:      e.preemptions,
 			})
 		}
 	}
-	if len(e.queue) > 0 || len(e.running) > 0 {
+	if e.queued > 0 || len(e.running) > 0 {
 		return nil, fmt.Errorf("fleet: %d jobs stranded after the last event (engine bug)",
-			len(e.queue)+len(e.running))
+			e.queued+len(e.running))
 	}
 	return e.report(t0, prev, busyDevSec, fragDevSec)
 }
@@ -288,24 +304,16 @@ func (e *engine) complete(st *jobState, t float64) {
 }
 
 // schedule admits every job the policy allows at the current state, looping
-// until nothing further can start.
+// until nothing further can start. A carve fails only when the demand exceeds
+// the free devices, so the queue's head starts when it fits; a blocked head
+// may preempt (under a preemptive policy), and otherwise, under backfill, the
+// first queued job in admission order that fits starts. The demand queues
+// answer both questions from their heads, without a scan of the queue.
 func (e *engine) schedule(t float64) error {
-	for {
-		if len(e.queue) == 0 {
-			return nil
-		}
-		ordered := e.orderedQueue()
-		started := false
-		for idx, st := range ordered {
-			devs, ok := e.a.carve(e.policy.Carve, st.job.Demand)
-			if ok {
-				if err := e.start(st, devs, t); err != nil {
-					return err
-				}
-				started = true
-				break
-			}
-			if idx == 0 && e.policy.Preempt {
+	for e.queued > 0 {
+		st := e.first(math.MaxInt)
+		if st.job.Demand > e.a.free {
+			if e.policy.Preempt {
 				if victims, ok := e.preemptionPlan(st); ok {
 					for _, v := range victims {
 						e.preempt(v, t)
@@ -317,43 +325,89 @@ func (e *engine) schedule(t float64) error {
 					if err := e.start(st, devs, t); err != nil {
 						return err
 					}
-					started = true
-					break
+					continue
 				}
 			}
 			if !e.policy.Backfill {
-				break // head-of-line blocking: only the head may start
+				return nil // head-of-line blocking: only the head may start
+			}
+			if st = e.first(e.a.free); st == nil {
+				return nil // nothing queued fits
 			}
 		}
-		if !started {
-			return nil
+		devs, _ := e.a.carve(e.policy.Carve, st.job.Demand)
+		if err := e.start(st, devs, t); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// orderedQueue returns the queue in the policy's admission order.
-func (e *engine) orderedQueue() []*jobState {
-	q := append([]*jobState(nil), e.queue...)
-	switch e.policy.Order {
-	case OrderPriority:
-		sort.SliceStable(q, func(a, b int) bool {
-			if q[a].job.Priority != q[b].job.Priority {
-				return q[a].job.Priority > q[b].job.Priority
-			}
-			if q[a].job.ArrivalSec != q[b].job.ArrivalSec {
-				return q[a].job.ArrivalSec < q[b].job.ArrivalSec
-			}
-			return q[a].seq < q[b].seq
-		})
-	default: // arrival order
-		sort.SliceStable(q, func(a, b int) bool {
-			if q[a].job.ArrivalSec != q[b].job.ArrivalSec {
-				return q[a].job.ArrivalSec < q[b].job.ArrivalSec
-			}
-			return q[a].seq < q[b].seq
-		})
+// first returns the first queued job in admission order among those that
+// demand at most limit devices, or nil when there is none.
+func (e *engine) first(limit int) *jobState {
+	var head *jobState
+	for _, d := range e.demands {
+		if d > limit {
+			break
+		}
+		if q := e.queues[d]; head == nil || e.admitsBefore(q[0], head) {
+			head = q[0]
+		}
 	}
-	return q
+	return head
+}
+
+// admitsBefore reports whether a precedes b in the policy's admission order:
+// higher priority first under OrderPriority, then earlier arrival, then input
+// order. It is a strict total order, since input order is unique.
+func (e *engine) admitsBefore(a, b *jobState) bool {
+	if e.policy.Order == OrderPriority && a.job.Priority != b.job.Priority {
+		return a.job.Priority > b.job.Priority
+	}
+	if a.job.ArrivalSec != b.job.ArrivalSec {
+		return a.job.ArrivalSec < b.job.ArrivalSec
+	}
+	return a.seq < b.seq
+}
+
+// enqueue inserts a job (an arrival or a preempted job) at its admission-order
+// position in its demand's queue.
+func (e *engine) enqueue(st *jobState) {
+	d := st.job.Demand
+	q := e.queues[d]
+	if len(q) == 0 {
+		i, _ := slices.BinarySearch(e.demands, d)
+		e.demands = slices.Insert(e.demands, i, d)
+	}
+	i := sort.Search(len(q), func(k int) bool { return e.admitsBefore(st, q[k]) })
+	e.queues[d] = slices.Insert(q, i, st)
+	e.queued++
+}
+
+// dequeue removes a starting job from its demand's queue. Admission starts a
+// demand queue's head (the queue's head, or the first job that fits), which
+// leaves at no cost; only under arrival order with preemption can a victim
+// that arrived earlier re-queue ahead of the job that preempted it.
+func (e *engine) dequeue(st *jobState) {
+	d := st.job.Demand
+	q := e.queues[d]
+	i := sort.Search(len(q), func(k int) bool { return !e.admitsBefore(q[k], st) })
+	if i == len(q) || q[i] != st {
+		panic(fmt.Sprintf("fleet: job %s is not in its demand queue (engine bug)", st.job.ID))
+	}
+	if i == 0 {
+		q[0] = nil
+		q = q[1:]
+	} else {
+		q = slices.Delete(q, i, i+1)
+	}
+	e.queues[d] = q
+	e.queued--
+	if len(q) == 0 {
+		i, _ := slices.BinarySearch(e.demands, d)
+		e.demands = slices.Delete(e.demands, i, i+1)
+	}
 }
 
 // preemptionPlan selects the cheapest set of strictly-lower-priority running
@@ -404,7 +458,7 @@ func (e *engine) preempt(st *jobState, t float64) {
 	st.preempted++
 	e.preemptions++
 	e.removeRunning(st)
-	e.queue = append(e.queue, st)
+	e.enqueue(st)
 }
 
 // start admits a job onto carved devices: the carve becomes a sub-cluster,
@@ -451,7 +505,7 @@ func (e *engine) start(st *jobState, devs []int, t float64) error {
 	st.startSec = t
 	st.runSec = run.IterationSeconds * float64(st.job.Iterations)
 	e.running = append(e.running, st)
-	e.queue = removeState(e.queue, st)
+	e.dequeue(st)
 	e.events.push(&event{timeSec: t + st.runSec, st: st, gen: st.gen})
 	return nil
 }
@@ -467,13 +521,17 @@ func removeState(list []*jobState, st *jobState) []*jobState {
 	return list
 }
 
-// nodeSpan counts the distinct nodes a device set touches.
+// nodeSpan counts the distinct nodes a carved device set touches. Carves are
+// sorted ascending and devices are numbered node-major, so each node's
+// devices are adjacent.
 func (e *engine) nodeSpan(devs []int) int {
-	seen := map[int]bool{}
+	nodes, last := 0, -1
 	for _, d := range devs {
-		seen[e.c.NodeOf(d)] = true
+		if n := e.c.NodeOf(d); n != last {
+			nodes, last = nodes+1, n
+		}
 	}
-	return len(seen)
+	return nodes
 }
 
 // alloc tracks the free/busy state of the cluster's devices.
@@ -539,14 +597,14 @@ func (a *alloc) release(devs []int) {
 	}
 }
 
-// freeOnNode returns the node's free device ids in ascending order, at most
-// limit of them.
-func (a *alloc) freeOnNode(node, limit int) []int {
-	var out []int
+// appendFreeOnNode appends the node's free device ids to out in ascending
+// order, at most limit of them.
+func (a *alloc) appendFreeOnNode(out []int, node, limit int) []int {
 	base := a.nodeBase[node]
-	for d := base; d < base+a.c.Nodes[node].Devices && len(out) < limit; d++ {
+	for d := base; d < base+a.c.Nodes[node].Devices && limit > 0; d++ {
 		if !a.busy[d] {
 			out = append(out, d)
+			limit--
 		}
 	}
 	return out
@@ -606,11 +664,11 @@ func (a *alloc) carveBest(demand int) []int {
 				}
 			}
 		}
-		take := a.freeOnNode(best, remaining)
-		out = append(out, take...)
+		n := len(out)
+		out = a.appendFreeOnNode(out, best, remaining)
 		// Mark tentatively so the next round sees the reduced free counts;
 		// undone below because carve must not mutate until take().
-		for _, d := range take {
+		for _, d := range out[n:] {
 			a.busy[d] = true
 			a.freeByNode[a.c.NodeOf(d)]--
 		}
@@ -635,9 +693,9 @@ func (a *alloc) carveWorst(demand int) []int {
 				best = i
 			}
 		}
-		take := a.freeOnNode(best, remaining)
-		out = append(out, take...)
-		for _, d := range take {
+		n := len(out)
+		out = a.appendFreeOnNode(out, best, remaining)
+		for _, d := range out[n:] {
 			a.busy[d] = true
 			a.freeByNode[a.c.NodeOf(d)]--
 		}

@@ -95,6 +95,39 @@ func (h *Histogram) Observe(v float64) {
 	h.m.addFloat(v)
 }
 
+// ObserveAll records every sample of vs. Bucket counts and the count end as
+// len(vs) Observe calls would leave them, but each touched bucket, the count
+// and the sum are updated once: the samples are binned locally first. The
+// sum is added as one partial sum, so its rounding may differ from adding
+// sample by sample (as it already does with the order concurrent observers
+// interleave in).
+func (h *Histogram) ObserveAll(vs []float64) {
+	if len(vs) == 0 {
+		return
+	}
+	var local [16]int64
+	counts := local[:0]
+	if n := len(h.m.buckets); n <= len(local) {
+		counts = local[:n]
+	} else {
+		counts = make([]int64, n)
+	}
+	sum := 0.0
+	for _, v := range vs {
+		if i := sort.SearchFloat64s(h.m.bounds, v); i < len(counts) {
+			counts[i]++
+		}
+		sum += v
+	}
+	for i, n := range counts {
+		if n > 0 {
+			h.m.buckets[i].Add(n)
+		}
+	}
+	h.m.count.Add(int64(len(vs)))
+	h.m.addFloat(sum)
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.m.count.Load() }
 

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -69,6 +71,36 @@ func TestHistogramBuckets(t *testing.T) {
 	for i, b := range snap[0].Buckets {
 		if b.Count != want[i] {
 			t.Errorf("bucket le=%g count = %d, want %d", b.LE, b.Count, want[i])
+		}
+	}
+}
+
+// TestObserveAllMatchesObserve pins the batch observe: bucket counts and the
+// count equal one Observe per sample; into an empty histogram the sum adds in
+// the same order, so it is equal too. The bounds outnumber ObserveAll's
+// on-stack bins once, so both paths run.
+func TestObserveAllMatchesObserve(t *testing.T) {
+	samples := []float64{0.05, 0.1, 0.1, 0.5, 5, 50, -1, 3, 0.7, 7}
+	for _, nb := range []int{3, 20} {
+		bounds := make([]float64, nb)
+		for i := range bounds {
+			bounds[i] = math.Pow(10, float64(i-1)) / 10
+		}
+		r := NewRegistry()
+		one, all := r.Histogram("one", bounds), r.Histogram("all", bounds)
+		for _, v := range samples {
+			one.Observe(v)
+		}
+		all.ObserveAll(samples)
+		all.ObserveAll(nil)
+		snap := r.Snapshot()
+		got, want := snap[0], snap[1] // sorted by name: "all", "one"
+		if got.Count != want.Count || !reflect.DeepEqual(got.Buckets, want.Buckets) {
+			t.Errorf("%d bounds: ObserveAll count %d buckets %v, Observe count %d buckets %v",
+				nb, got.Count, got.Buckets, want.Count, want.Buckets)
+		}
+		if got.Sum != want.Sum {
+			t.Errorf("%d bounds: ObserveAll sum %g, Observe sum %g", nb, got.Sum, want.Sum)
 		}
 	}
 }
