@@ -165,7 +165,8 @@ func (s *Session) Fleet(fs FleetSpec) (*FleetReport, error) {
 		}
 	}
 	probe := fleetProbe(float64(s.topo.Devices()), fs.Probe)
-	priced := &fleetSimulator{cache: cache, slabs: sched.NewSlabs(), specs: map[*ExperimentSpec]*fleetJobSpec{}}
+	priced := &fleetSimulator{cache: cache, slabs: sched.GetSlabs(), specs: map[*ExperimentSpec]*fleetJobSpec{}}
+	defer sched.PutSlabs(priced.slabs)
 	return fleet.Run(*s.topo, jobs, priced, fleet.Options{Policy: policy, Probe: probe})
 }
 
@@ -200,7 +201,7 @@ func fleetProbe(devices float64, next func(FleetProbeEvent)) func(fleet.ProbeEve
 // job's spec resolves to a session, the carve replaces its topology, the
 // spec's placement strategy searches the stage placement, and the sim engine
 // runs one iteration — all behind the content-hashed report cache. The
-// misses' plans are built on one free list of program slabs.
+// misses' plans are built on the run's free list of program slabs.
 //
 // Each distinct job spec (by pointer: every draw of a template shares one) is
 // resolved once per run, and each (spec, carve signature) pair keyed once, so

@@ -235,13 +235,15 @@ type Plan struct {
 	// validated memoizes a successful Validate, so re-simulating the same
 	// plan (a pooled sim.Run per sweep cell) does not re-walk the full token
 	// dataflow every call. recvSlots is the message match that walk recorded
-	// (RecvSlots), and stashPeaks the per-stage stash peaks of its memory
-	// pass (StashPeaks). All three describe the Ops they were computed on,
-	// and a copy of the plan carries them: code that changes a validated
-	// plan's Ops must build a fresh Plan. In practice plans are immutable
-	// once built.
+	// (RecvSlots), msgBases the per-stage message ordinals it numbered the
+	// sends and recvs by (MessageBases), and stashPeaks the per-stage stash
+	// peaks of its memory pass (StashPeaks). All four describe the Ops they
+	// were computed on, and a copy of the plan carries them: code that
+	// changes a validated plan's Ops must build a fresh Plan. In practice
+	// plans are immutable once built.
 	validated  bool
 	recvSlots  []int32
+	msgBases   []int32
 	stashPeaks []int64
 
 	// slab is the whole backing array Ops are carved from, at its full

@@ -555,19 +555,40 @@ func TestValidatorRejectsRepeatedMessage(t *testing.T) {
 
 // TestRecvSlots pins the message match: a validated plan's recvs each take
 // the slot of the one send with their (tag, from, to), and an unvalidated
-// plan gets the same match from the (tag, from, to) fallback.
+// plan gets the same match from the (tag, from, to) fallback. The slots
+// count from each stage's message ordinals (MessageBases), which the
+// validator records and an unvalidated plan is walked for.
 func TestRecvSlots(t *testing.T) {
 	p, err := OneFOneB(testCfg(2, 4, 4), UnitCosts(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fallback := RecvSlots(p)
+	walkedSends, walkedRecvs := MessageBases(p)
 	if err := Validate(p); err != nil {
 		t.Fatal(err)
 	}
 	slots := RecvSlots(p)
 	if fmt.Sprint(slots) != fmt.Sprint(fallback) {
 		t.Fatalf("validated match %v differs from the fallback's %v", slots, fallback)
+	}
+	sendBase, recvBase := MessageBases(p)
+	if !slices.Equal(sendBase, walkedSends) || !slices.Equal(recvBase, walkedRecvs) {
+		t.Fatalf("validated ordinals %v %v differ from the walk's %v %v", sendBase, recvBase, walkedSends, walkedRecvs)
+	}
+	for s, ops := range p.Ops {
+		var n [2]int32
+		for _, op := range ops {
+			switch op.Kind {
+			case KSend:
+				n[0]++
+			case KRecv:
+				n[1]++
+			}
+		}
+		if sendBase[s+1]-sendBase[s] != n[0] || recvBase[s+1]-recvBase[s] != n[1] {
+			t.Fatalf("stage %d runs %d sends and %d recvs, ordinals %v %v", s, n[0], n[1], sendBase, recvBase)
+		}
 	}
 	var sends []Op
 	var sendStage []int

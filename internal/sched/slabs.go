@@ -2,6 +2,7 @@ package sched
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -14,8 +15,9 @@ import (
 // once its result is read (Recycle). The next build then writes over the
 // last one's ops instead of zeroing a fresh array and leaving the old one
 // to the collector. A list holds at most GOMAXPROCS slabs, each at its full
-// capacity, and is safe for concurrent use. It is garbage once the call that
-// made it returns.
+// capacity, and is safe for concurrent use. Such a call takes its list from
+// a process-wide pool (GetSlabs) and returns it when it ends (PutSlabs), so
+// the next call's first builds find the slabs the last one left.
 type Slabs struct {
 	mu   sync.Mutex
 	free [][]Op
@@ -23,6 +25,51 @@ type Slabs struct {
 
 // NewSlabs returns an empty free list bounded at GOMAXPROCS slabs.
 func NewSlabs() *Slabs { return &Slabs{free: make([][]Op, 0, runtime.GOMAXPROCS(0))} }
+
+// MaxPooledOps is the largest plan, in ops, whose memory outlives the call
+// that built it: a list returned to the pool drops its slabs above it (16
+// MiB), and the list scheduler drops scratch it sized for a larger plan. One
+// build near MaxMicroBatches, hundreds of megabytes, therefore does not stay
+// resident for as long as the process keeps building. The largest plan of
+// the benchmark's workloads is 10,320 ops.
+const MaxPooledOps = 1 << 18
+
+// lists holds the free lists of calls that have ended. Like every
+// sync.Pool, it lets the collector reclaim a list left idle for two cycles.
+var lists = sync.Pool{New: func() any { return NewSlabs() }}
+
+// GetSlabs returns a free list for one call to build its plans on, taken
+// from the process-wide pool and bounded at the current GOMAXPROCS. The call
+// returns it with PutSlabs when it ends, however it ends. A plan a call
+// started before it ended may still be recycled into the list afterwards,
+// while another call holds it: the list is locked, and each slab belongs to
+// whoever took it, so that is safe.
+func GetSlabs() *Slabs {
+	l := lists.Get().(*Slabs)
+	l.bound(runtime.GOMAXPROCS(0))
+	return l
+}
+
+// bound makes room for n slabs, keeping the largest n when the list holds
+// more: a pooled list may have been made under another GOMAXPROCS.
+func (l *Slabs) bound(n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if cap(l.free) == n {
+		return
+	}
+	slices.SortFunc(l.free, func(a, b []Op) int { return cap(b) - cap(a) })
+	l.free = append(make([][]Op, 0, n), l.free[:min(n, len(l.free))]...)
+}
+
+// PutSlabs returns a list taken with GetSlabs to the pool, less any slab
+// above MaxPooledOps.
+func PutSlabs(l *Slabs) {
+	l.mu.Lock()
+	l.free = slices.DeleteFunc(l.free, func(s []Op) bool { return cap(s) > MaxPooledOps })
+	l.mu.Unlock()
+	lists.Put(l)
+}
 
 // WithSlabs returns cfg with the free list its plans are built on; nil
 // builds them in fresh memory. Only code that recycles every plan it builds
@@ -142,5 +189,5 @@ func Recycle(p *Plan) {
 	}
 	p.slabs.put(p.slab)
 	p.Ops, p.slab, p.slabs = nil, nil, nil
-	p.validated, p.recvSlots, p.stashPeaks = false, nil, nil
+	p.validated, p.recvSlots, p.msgBases, p.stashPeaks = false, nil, nil, nil
 }

@@ -24,7 +24,7 @@ func TestRecycleLeavesNoStaleHandle(t *testing.T) {
 		t.Fatal(err)
 	}
 	Recycle(plan)
-	if plan.Ops != nil || plan.validated || plan.recvSlots != nil || plan.stashPeaks != nil {
+	if plan.Ops != nil || plan.validated || plan.recvSlots != nil || plan.msgBases != nil || plan.stashPeaks != nil {
 		t.Fatalf("a recycled plan keeps its ops or validation memo: %d programs, validated %v",
 			len(plan.Ops), plan.validated)
 	}
@@ -60,7 +60,8 @@ func TestRecycleLeavesNoStaleHandle(t *testing.T) {
 // TestSlabsStayBounded pins the list's policy: it holds at most GOMAXPROCS
 // slabs and keeps the largest when full; a build takes the smallest slab
 // that fits; and a build that fits none drops the smallest, so the slabs a
-// call keeps alive never outnumber its builds in flight.
+// call keeps alive never outnumber its builds in flight. A list bounded
+// again at a lower GOMAXPROCS, as GetSlabs does, keeps its largest slabs.
 func TestSlabsStayBounded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	l := NewSlabs()
@@ -76,11 +77,36 @@ func TestSlabsStayBounded(t *testing.T) {
 	if got := caps(); len(got) != 2 || got[0]+got[1] != 50 {
 		t.Fatalf("a full list of two holds slabs of %v ops, want the largest two, 30 and 20", got)
 	}
+	l.bound(1)
+	if got := caps(); len(got) != 1 || got[0] != 30 || cap(l.free) != 1 {
+		t.Fatalf("a list bounded at one holds slabs of %v ops (room for %d), want the 30-op one", got, cap(l.free))
+	}
+	l.bound(2)
+	l.put(make([]Op, 20))
 	if s := l.take(15); cap(s) != 20 {
 		t.Fatalf("a 15-op build took a %d-op slab, want the 20-op one", cap(s))
 	}
 	if s := l.take(40); s != nil || len(l.free) != 0 {
 		t.Fatalf("a 40-op build took %d ops and left %v, want nothing taken and the 30-op slab dropped", cap(s), caps())
+	}
+}
+
+// TestPutSlabsDropsOverCeiling returns a list holding a slab above
+// MaxPooledOps to the pool: the list keeps its other slabs and no longer
+// holds that one, so a plan built once near MaxMicroBatches does not stay
+// resident on a pooled list.
+func TestPutSlabsDropsOverCeiling(t *testing.T) {
+	l := NewSlabs()
+	l.free = append(l.free[:0:0], make([]Op, 64), make([]Op, MaxPooledOps+1), make([]Op, MaxPooledOps))
+	PutSlabs(l)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) != 2 || cap(l.free[0]) != 64 || cap(l.free[1]) != MaxPooledOps {
+		var caps []int
+		for _, s := range l.free {
+			caps = append(caps, cap(s))
+		}
+		t.Fatalf("a returned list holds slabs of %v ops, want [64 %d]", caps, MaxPooledOps)
 	}
 }
 

@@ -208,7 +208,7 @@ func Validate(p *Plan) error {
 	if err := validateCounts(p, g, sc); err != nil {
 		return err
 	}
-	slots, err := validateDataflow(p, g, sc)
+	slots, bases, err := validateDataflow(p, g, sc)
 	if err != nil {
 		return err
 	}
@@ -217,7 +217,7 @@ func Validate(p *Plan) error {
 		return err
 	}
 	p.validated = true
-	p.recvSlots = slots
+	p.recvSlots, p.msgBases = slots, bases
 	p.stashPeaks = peaks
 	return nil
 }
@@ -233,6 +233,32 @@ func StashPeaks(p *Plan) []int64 {
 	}
 	peaks, _ := stashPeaks(p)
 	return peaks
+}
+
+// MessageBases returns the plan's message ordinals by stage: sends[s] and
+// recvs[s] count the KSends and KRecvs of the programs before stage s, and
+// sends[Stages] and recvs[Stages] are the plan's totals. Slots (RecvSlots)
+// are numbered by the same ordinals. A validated plan returns the ordinals
+// its dataflow pass numbered the messages by, shared and read-only. Any
+// other plan is walked here.
+func MessageBases(p *Plan) (sends, recvs []int32) {
+	n := p.Stages + 1
+	if p.validated {
+		return p.msgBases[:n:n], p.msgBases[n:]
+	}
+	sends, recvs = make([]int32, n), make([]int32, n)
+	for s := 0; s < p.Stages; s++ {
+		sends[s+1], recvs[s+1] = sends[s], recvs[s]
+		for i := range p.Ops[s] {
+			switch p.Ops[s][i].Kind {
+			case KSend:
+				sends[s+1]++
+			case KRecv:
+				recvs[s+1]++
+			}
+		}
+	}
+	return sends, recvs
 }
 
 // RecvSlots matches every recv of the plan to the send it consumes. It
@@ -360,6 +386,15 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
+// resize returns buf at length n, reusing its array when it is large
+// enough. Reused elements keep what the last user left in them.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // zeroed returns buf resized to n zero elements, reusing its array when it
 // is large enough.
 func zeroed[T any](buf []T, n int) []T {
@@ -451,10 +486,10 @@ type message struct {
 
 // validateDataflow runs the token machine to completion or reports the
 // deadlock / missing-input violation. Each stage's tokens are one bitset.
-// On success it returns the message match RecvSlots reads: a recv consumes
-// the one send of its (tag, from, to), and a second send of the same
-// message is an error.
-func validateDataflow(p *Plan, g geometry, sc *scratch) ([]int32, error) {
+// On success it returns the message match RecvSlots reads and the ordinals
+// MessageBases reads: a recv consumes the one send of its (tag, from, to),
+// and a second send of the same message is an error.
+func validateDataflow(p *Plan, g geometry, sc *scratch) ([]int32, []int32, error) {
 	// at[s] is stage s's walk position. Both ordinals run stage-major, so
 	// each stage starts at the counts of the stages before.
 	sc.at = zeroed(sc.at, p.Stages)
@@ -471,6 +506,13 @@ func validateDataflow(p *Plan, g geometry, sc *scratch) ([]int32, error) {
 			}
 		}
 	}
+	// The match and the ordinals, sends then recvs, share one allocation.
+	memo := make([]int32, int(recvs)+2*(p.Stages+1))
+	slots, bases := memo[:recvs:recvs], memo[recvs:]
+	for s, c := range at {
+		bases[s], bases[p.Stages+1+s] = c.send, c.recv
+	}
+	bases[p.Stages], bases[2*p.Stages+1] = sends, recvs
 	// Messages are matched in dense tables indexed by tag, not by hashing.
 	// latest[tag] holds 1 + the slot of the tag's latest send, 0 before any,
 	// and sent[slot] the send's message. A recv walks its tag's chain for its
@@ -489,7 +531,6 @@ func validateDataflow(p *Plan, g geometry, sc *scratch) ([]int32, error) {
 		}
 		return -1
 	}
-	slots := make([]int32, recvs)
 	words := (g.tokens() + 63) / 64
 	sc.bits = zeroed(sc.bits, p.Stages*words)
 	bits := sc.bits
@@ -521,11 +562,11 @@ func validateDataflow(p *Plan, g geometry, sc *scratch) ([]int32, error) {
 					set(s, tokenOfTag(op.Tag))
 				case KSend:
 					if !has(s, tokenOfTag(op.Tag)) {
-						return nil, fmt.Errorf("sched: stage %d sends %v before producing it", s, op.Tag)
+						return nil, nil, fmt.Errorf("sched: stage %d sends %v before producing it", s, op.Tag)
 					}
 					t := g.tag(op.Tag)
 					if find(t, int32(s), op.Peer) >= 0 {
-						return nil, fmt.Errorf("sched: stage %d sends %v to stage %d twice", s, op.Tag, op.Peer)
+						return nil, nil, fmt.Errorf("sched: stage %d sends %v to stage %d twice", s, op.Tag, op.Peer)
 					}
 					sent[c.send] = message{from: int32(s), to: op.Peer, earlier: latest[t]}
 					latest[t] = c.send + 1
@@ -534,7 +575,7 @@ func validateDataflow(p *Plan, g geometry, sc *scratch) ([]int32, error) {
 					opIO(op, int32(p.Layers), &io)
 					for _, tok := range io.req[:io.nreq] {
 						if !has(s, tok) {
-							return nil, fmt.Errorf("sched: stage %d op %v: missing input token %+v", s, *op, tok)
+							return nil, nil, fmt.Errorf("sched: stage %d op %v: missing input token %+v", s, *op, tok)
 						}
 					}
 					for _, tok := range io.prod[:io.nprod] {
@@ -551,7 +592,7 @@ func validateDataflow(p *Plan, g geometry, sc *scratch) ([]int32, error) {
 	}
 	for s := 0; s < p.Stages; s++ {
 		if pc := at[s].pc; int(pc) != len(p.Ops[s]) {
-			return nil, fmt.Errorf("sched: deadlock: stage %d blocked at op %d (%v)", s, pc, p.Ops[s][pc])
+			return nil, nil, fmt.Errorf("sched: deadlock: stage %d blocked at op %d (%v)", s, pc, p.Ops[s][pc])
 		}
 	}
 	// Every recv consumed a distinct send, so a send is left over exactly
@@ -562,14 +603,14 @@ func validateDataflow(p *Plan, g geometry, sc *scratch) ([]int32, error) {
 			for i := range ops {
 				if op := &ops[i]; op.Kind == KSend {
 					if !sent[k].consumed {
-						return nil, fmt.Errorf("sched: message %v from %d to %d sent but never received", op.Tag, s, op.Peer)
+						return nil, nil, fmt.Errorf("sched: message %v from %d to %d sent but never received", op.Tag, s, op.Peer)
 					}
 					k++
 				}
 			}
 		}
 	}
-	return slots, nil
+	return slots, bases, nil
 }
 
 // stashPeaks walks every stage's stash in program order and returns the

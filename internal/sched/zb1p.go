@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // ZB1P builds the zero-bubble pipeline schedule of Qi et al. (paper section
@@ -47,6 +48,27 @@ func zeroBubble(cfg Config, costs Costs, inflight int, method Method) (*Plan, er
 	return lw.plan(method), nil
 }
 
+// wUnit is a pending weight gradient of listSchedule: a micro batch's
+// layer, or its LayerHead or LayerEmbed unit.
+type wUnit struct {
+	mb, layer int
+}
+
+// listScratch holds listSchedule's working arrays. They are sized by the
+// geometry and dead once the schedule is emitted, so they come from
+// listScratchPool and are cleared where the schedule reads before it
+// writes.
+type listScratch struct {
+	// times backs fArr, bArr and fDone; steps backs fNext and bNext.
+	times, clock []float64
+	steps, units []int
+	// queues are the per-stage wQ FIFOs, carved from pending.
+	pending []wUnit
+	queues  [][]wUnit
+}
+
+var listScratchPool = sync.Pool{New: func() any { return new(listScratch) }}
+
 // listSchedule emits every chunk's forward and backward steps by
 // deterministic earliest-start list scheduling, the policy ZB1P, ZB2P and
 // interleaved 1F1B share. Each round, every stage offers its best next
@@ -62,29 +84,32 @@ func zeroBubble(cfg Config, costs Costs, inflight int, method Method) (*Plan, er
 func (lw *layerwise) listSchedule(inflight func(vs int) int, deferW bool) error {
 	p, m, v := lw.cfg.Stages, lw.cfg.MicroBatches, len(lw.first)-1
 	const inf = math.MaxFloat64
+	sc := listScratchPool.Get().(*listScratch)
+	defer sc.recycle(lw.out)
 
 	// Indexed [vs*m+j] for chunk vs and micro batch j: the arrival time of
 	// the forward input, the arrival time of the gradient input, and the
 	// completion time of the local forward.
-	fArr, bArr, fDone := make([]float64, v*m), make([]float64, v*m), make([]float64, v*m)
+	sc.times = resize(sc.times, 3*v*m)
+	fArr, bArr, fDone := sc.times[:v*m], sc.times[v*m:2*v*m], sc.times[2*v*m:]
 	for i := range fArr {
-		if i >= m {
-			fArr[i] = inf
+		fArr[i], bArr[i], fDone[i] = inf, inf, inf
+		if i < m {
+			fArr[i] = 0 // the first chunk's inputs are there from the start
 		}
-		bArr[i], fDone[i] = inf, inf
 	}
 
-	type wUnit struct {
-		mb, layer int // layer, or LayerHead / LayerEmbed
-	}
-	clock := make([]float64, p)
-	fNext := make([]int, v)
-	bNext := make([]int, v)
+	sc.clock = zeroed(sc.clock, p)
+	clock := sc.clock
+	sc.steps = zeroed(sc.steps, 2*v)
+	fNext, bNext := sc.steps[:v:v], sc.steps[v:]
 	// wQ[s] is stage s's FIFO of pending weight gradients, sized up front
 	// to every unit the stage enqueues (each micro batch's chunk layers,
 	// plus its head and embedding units), so popping by reslicing never
-	// forces a regrowth.
-	units, total := make([]int, p), 0
+	// forces a regrowth. A unit is read only once pushed, so the reused
+	// backing needs no clearing.
+	sc.units = zeroed(sc.units, p)
+	units, total := sc.units, 0
 	if deferW {
 		for vs := 0; vs < v; vs++ {
 			units[vs%p] += m * (lw.first[vs+1] - lw.first[vs])
@@ -93,7 +118,12 @@ func (lw *layerwise) listSchedule(inflight func(vs int) int, deferW bool) error 
 		units[0] += m       // embedding
 		total = m * (lw.cfg.Layers + 2)
 	}
-	wQ := carve(units, make([]wUnit, total))
+	sc.pending = resize(sc.pending, total)
+	sc.queues = resize(sc.queues, p)
+	wQ, pending := sc.queues, sc.pending
+	for s, n := range units {
+		wQ[s], pending = pending[:0:n], pending[n:]
+	}
 
 	wUnitDur := func(s int, u wUnit) float64 {
 		c := lw.costs.StageMB(s, u.mb)
@@ -215,4 +245,13 @@ func (lw *layerwise) listSchedule(inflight func(vs int) int, deferW bool) error 
 		}
 	}
 	return nil
+}
+
+// recycle returns the scratch to its pool once the schedule of plan is
+// emitted, unless it was sized for a plan above MaxPooledOps: those arrays
+// go to the collector.
+func (sc *listScratch) recycle(plan *Plan) {
+	if plan.NumOps() <= MaxPooledOps {
+		listScratchPool.Put(sc)
+	}
 }

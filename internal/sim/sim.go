@@ -388,9 +388,10 @@ type engine struct {
 	// Message slots. A send's slot is its ordinal among the plan's sends in
 	// stage-major order, and recvSlots[r] (sched.RecvSlots) is the slot of
 	// the send the plan's r-th recv consumes, -1 for none. sendBase[s] and
-	// recvBase[s] are the ordinals of stage s's first send and recv, nsend[s]
-	// and nrecv[s] count the ones it has executed: stage s's slot k is in
-	// flight once k < sendBase[s]+nsend[s], and arrival[k] holds its arrival.
+	// recvBase[s] (sched.MessageBases, read-only) are the ordinals of stage
+	// s's first send and recv, nsend[s] and nrecv[s] count the ones it has
+	// executed: stage s's slot k is in flight once k < sendBase[s]+nsend[s],
+	// and arrival[k] holds its arrival.
 	recvSlots          []int32
 	sendBase, recvBase []int32
 	nsend, nrecv       []int32
@@ -454,8 +455,6 @@ func (e *engine) reinit(plan *sched.Plan, opt Options) {
 		e.ready = make([]waiting, 0, p)
 	}
 	e.ready = e.ready[:0]
-	e.sendBase = grow(e.sendBase, p+1)
-	e.recvBase = grow(e.recvBase, p+1)
 	e.nsend = grow(e.nsend, p)
 	e.nrecv = grow(e.nrecv, p)
 	e.sendFree = grow(e.sendFree, p)
@@ -476,24 +475,11 @@ func (e *engine) reinit(plan *sched.Plan, opt Options) {
 	e.peak = grow(e.peak, p)
 	copy(e.peak, sched.StashPeaks(plan))
 	e.idle = grow(e.idle, p)
-	// Number the messages and pre-size the NIC timelines, the arrivals and
-	// the span buffer exactly from the plan: each stage's sends and recvs
-	// are known up front, so steady-state runs never grow a buffer.
-	var sends, recvs int32
-	ops := 0
-	for s := 0; s < p; s++ {
-		e.sendBase[s], e.recvBase[s] = sends, recvs
-		ops += len(plan.Ops[s])
-		for i := range plan.Ops[s] {
-			switch plan.Ops[s][i].Kind {
-			case sched.KSend:
-				sends++
-			case sched.KRecv:
-				recvs++
-			}
-		}
-	}
-	e.sendBase[p], e.recvBase[p] = sends, recvs
+	// Number the messages by the validator's ordinals and pre-size the NIC
+	// timelines, the arrivals and the span buffer exactly from the plan:
+	// each stage's sends and recvs are known up front, so steady-state runs
+	// never grow a buffer.
+	e.sendBase, e.recvBase = sched.MessageBases(plan)
 	for s := 0; s < p; s++ {
 		if n := int(e.sendBase[s+1] - e.sendBase[s]); cap(e.nic.send[s]) < n {
 			e.nic.send[s] = make([]interval, 0, n)
@@ -504,20 +490,21 @@ func (e *engine) reinit(plan *sched.Plan, opt Options) {
 		}
 		e.nic.recv[s] = e.nic.recv[s][:0]
 	}
-	e.arrival = grow(e.arrival, int(sends))
+	e.arrival = grow(e.arrival, int(e.sendBase[p]))
 	e.recvSlots = sched.RecvSlots(plan)
-	if opt.Trace && cap(e.spans) < ops {
+	if ops := plan.NumOps(); opt.Trace && cap(e.spans) < ops {
 		e.spans = make([]Span, 0, ops)
 	}
 	e.spans = e.spans[:0]
 }
 
 // release drops the engine's references to its plan, options, message
-// match and oracle, keeping every buffer; reinit binds the next plan.
+// match, message ordinals and oracle, keeping every buffer; reinit binds the
+// next plan.
 func (e *engine) release() {
 	e.plan = nil
 	e.opt = Options{}
-	e.recvSlots = nil
+	e.recvSlots, e.sendBase, e.recvBase = nil, nil, nil
 	e.oracle = nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"sort"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
@@ -46,12 +47,22 @@ func (e *PruneError) Unwrap() error { return e.Err }
 // shapeKey identifies the shape a candidate's cost books are priced at:
 // cost-model evaluation depends only on the micro-batch shape (b, s) — or,
 // for workload candidates, on the workload and its order — so the whole
-// method x stages x micro-batch cross product shares one evaluation per
-// shape through sched's process-wide book memo.
+// method x stages x micro-batch cross product shares one flat book per
+// shape (Search.flat).
 type shapeKey struct {
 	b, s     int
 	workload string
 	order    string
+}
+
+// flatBooks is what every candidate of one shape key is priced on: its
+// ordered batch (nil for a fixed shape) and its flat cost book. A Search
+// fills each key's once, for the first point of that key it evaluates.
+// Builders only read a book, so the points of a key share it.
+type flatBooks struct {
+	once  sync.Once
+	batch *model.BatchSpec
+	costs sched.Costs
 }
 
 // Search is a prepared, streamable autotuner run. NewSearch validates the
@@ -71,6 +82,9 @@ type Search struct {
 	res       *Result
 	survivors []Candidate
 	workloads map[string]model.BatchSpec
+	// books holds one entry per shape key of the survivors, made in
+	// NewSearch and filled by flat, so Points' workers only read the map.
+	books map[shapeKey]*flatBooks
 }
 
 // NewSearch validates the spec against the model and cluster and runs the
@@ -145,17 +159,32 @@ func NewSearch(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Search, er
 	}
 
 	// Phase 2: count the distinct shapes the survivors' books are priced
-	// at. The process-wide book memo evaluates each once, which keeps
+	// at. Each one's flat book is priced once (flat), which keeps
 	// CostModelEvals strictly below the naive grid size.
-	shapes := map[shapeKey]bool{}
+	s.books = map[shapeKey]*flatBooks{}
 	for _, c := range s.survivors {
-		if key := keyOf(c); !shapes[key] {
-			shapes[key] = true
+		if key := keyOf(c); s.books[key] == nil {
+			s.books[key] = &flatBooks{}
 			s.res.CostModelEvals++
 			tuneCostEvalsC.Inc()
 		}
 	}
 	return s, nil
+}
+
+// flat returns the ordered batch and flat cost book of a surviving
+// candidate's shape key, pricing them on the key's first use.
+func (s *Search) flat(c Candidate) *flatBooks {
+	fb := s.books[keyOf(c)]
+	fb.once.Do(func() {
+		var batch model.BatchSpec
+		if fb.batch = s.batchOf(c); fb.batch != nil {
+			batch = *fb.batch
+		}
+		w := costmodel.NewWorkload(s.m, s.cl, model.Shape{B: c.MicroBatchSize, S: c.SeqLen})
+		fb.costs = sched.NewCosts(w, batch, nil)
+	})
+	return fb
 }
 
 func keyOf(c Candidate) shapeKey {
@@ -189,15 +218,17 @@ func (s *Search) batchOf(c Candidate) *model.BatchSpec {
 // yields into the Search's accounting, so Result after draining equals what
 // Run returns; breaking early launches nothing further and leaves a partial
 // (but consistent) Result. Points may be consumed once. The points' plans
-// are built on one free list of program slabs (sched.Slabs) and recycled as
-// soon as each point's stash peak or simulation is read.
+// are built on one free list of program slabs (sched.GetSlabs), returned to
+// the pool when the stream ends, and recycled as soon as each point's stash
+// peak or simulation is read.
 func (s *Search) Points() iter.Seq2[Point, error] {
 	return func(yield func(Point, error) bool) {
 		type outcome struct {
 			point  Point
 			reason string // empty on success
 		}
-		slabs := sched.NewSlabs()
+		slabs := sched.GetSlabs()
+		defer sched.PutSlabs(slabs)
 		cells := obs.Ordered(len(s.survivors), s.spec.Workers, s.spec.Sink,
 			func(i int) string { return s.survivors[i].String() },
 			func(i int) (outcome, bool, error) {
@@ -268,12 +299,14 @@ func Run(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Result, error) {
 // that fails validation is a builder bug; it is pruned as PruneSim with the
 // simulator's own message. Under a cluster topology the candidate searches
 // the spec's placement strategies and keeps the fastest placement that
-// fits. Plans are built on slabs and recycled once read.
+// fits. Plans are built on slabs and recycled once read, on the key's flat
+// book or on placed books priced per build.
 func (s *Search) evaluate(c Candidate, slabs *sched.Slabs) (Point, string, error) {
+	books := s.flat(c)
 	cfg := sched.Config{Stages: c.Stages, MicroBatches: c.MicroBatches, Layers: s.m.Layers}
 	tokens := int64(c.MicroBatchSize) * int64(c.SeqLen) * int64(c.MicroBatches)
 	padFraction := 0.0
-	if batch := s.batchOf(c); batch != nil {
+	if batch := books.batch; batch != nil {
 		cfg.Batch = *batch
 		tokens = batch.TotalTokens()
 		padFraction = batch.PadFraction()
@@ -283,7 +316,11 @@ func (s *Search) evaluate(c Candidate, slabs *sched.Slabs) (Point, string, error
 	states := stateBytes(s.m, s.cl, c.Method, c.Stages)
 	params := sched.BuildParams{MemoryBudget: s.budget - states}
 	build := func(topo *cluster.Topology, placement []int) (*sched.Plan, string, error) {
-		plan, err := sched.Build(c.Method, cfg, sched.NewCosts(w, cfg.Batch, topo), params)
+		costs := books.costs
+		if topo != nil {
+			costs = sched.NewCosts(w, cfg.Batch, topo)
+		}
+		plan, err := sched.Build(c.Method, cfg, costs, params)
 		if err != nil {
 			return nil, PruneBuild, err
 		}
@@ -302,7 +339,7 @@ func (s *Search) evaluate(c Candidate, slabs *sched.Slabs) (Point, string, error
 	var simRes *sim.Result
 	var best cluster.Placement
 	if s.spec.Cluster != nil {
-		traffic, err := sched.Traffic(c.Method, cfg, sched.NewCosts(w, cfg.Batch, nil), params)
+		traffic, err := sched.Traffic(c.Method, cfg, books.costs, params)
 		if err != nil {
 			return Point{}, PruneBuild, fmt.Errorf("%s: %w", c, err)
 		}

@@ -1,6 +1,7 @@
 package helixpipe
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
 	"testing"
@@ -66,13 +67,34 @@ func fillerMethod(m sched.Method) sched.Method {
 	return sched.MethodHelix
 }
 
+// scratchSession is larger than every recycleSessions geometry in stages,
+// micro batches and layers: 48 layers of the 1.3B model on 12 stages, 48
+// micro batches, a geometry every registered method builds.
+func scratchSession(t *testing.T) *Session {
+	t.Helper()
+	mc := Model1B3()
+	mc.Name, mc.Layers = "1.3B-48L", 48
+	s, err := NewSession(mc, H20Cluster(), WithStages(12), WithSeqLen(8192), WithMicroBatches(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestRecycledEqualsFresh builds every registered method on a free list
 // into a slab that last held a larger plan of another method, so every slot
 // the build writes held another method's op, and requires the programs to
 // equal a build in fresh memory and the plan to validate. A builder that
 // stores an op field by field into a recycled slot leaves the previous op's
-// other fields behind and fails here.
+// other fields behind and fails here. Right before that build the method is
+// built once on a larger geometry (scratchSession), so a builder drawing its
+// scratch from a pool gets arrays sized and filled by another geometry's
+// build; one that reads a stale entry before writing it fails here too. One
+// P keeps the pools' puts and gets on one per-P cache.
 func TestRecycledEqualsFresh(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	big := scratchSession(t)
+	bigCosts, bigParams := big.Costs(), big.buildParams()
 	cells := 0
 	for _, s := range recycleSessions(t) {
 		costs, params := s.Costs(), s.buildParams()
@@ -100,6 +122,9 @@ func TestRecycledEqualsFresh(t *testing.T) {
 			}
 			first := &filler.Ops[0][0]
 			sched.Recycle(filler)
+			if _, err := reg.Build(big.schedConfig(), bigCosts, bigParams); err != nil {
+				t.Fatalf("%s on the scratch geometry: %v", reg.Name, err)
+			}
 			got, err := reg.Build(sched.WithSlabs(s.schedConfig(), list), costs, params)
 			if err != nil {
 				t.Fatalf("%s p=%d m=%d on a recycled slab: %v", reg.Name, p, m, err)
@@ -125,9 +150,9 @@ func TestRecycledEqualsFresh(t *testing.T) {
 
 // TestExecuteReusesSlabs runs no-cache sweeps of every method at two
 // sequence lengths through Execute, one worker wide, and counts the slab
-// traffic on the default registry: the first build allocates, and so does
-// each method that needs a larger slab than any built before it, so at
-// least 15 of the 18 builds reuse a slab. The race detector randomizes
+// traffic on the default registry: a build allocates only when it needs a
+// larger slab than any its call's list holds, so at least 15 of the 18
+// builds reuse a slab. The race detector randomizes
 // goroutine scheduling, so there the cells of the launch window start in a
 // random order, and a larger plan built before a smaller one moves which
 // builds allocate; the count is checked only without it.
@@ -159,5 +184,73 @@ func TestExecuteReusesSlabs(t *testing.T) {
 			t.Errorf("%s p=%d: %d cells, %d builds reused a slab and %d allocated one; want 18 cells, at least 15 reused",
 				g.model, g.stages, len(reports), r, a)
 		}
+	}
+}
+
+// sweepJSON runs a no-cache sweep spec through Execute and returns its
+// reports as JSON.
+func sweepJSON(t *testing.T, s *Session, spec *ExperimentSpec) []byte {
+	t.Helper()
+	reports, err := collectReports(s.Execute(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteReportsJSON(&buf, reports); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reuseSpec is an 18-cell no-cache sweep of every method on 3B at p=4.
+func reuseSpec(t *testing.T) (*Session, *ExperimentSpec) {
+	t.Helper()
+	spec := &ExperimentSpec{Model: "3B", Cluster: "H20", NoCache: true,
+		Sweep: &SpecSweep{SeqLens: []int{16384, 32768}, Stages: []int{4}}}
+	s, _, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, spec
+}
+
+// TestExecuteReusesListAcrossCalls runs one sweep twice through Execute, one
+// worker wide. The first call returns its free list to the pool holding the
+// largest slab it built, so the second call finds a slab for every build:
+// it allocates none, and reports what the first did. The race detector
+// makes sync.Pool drop lists at random, so the count is checked only
+// without it.
+func TestExecuteReusesListAcrossCalls(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled lists at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	reused := obs.Default().Counter("helix_plan_slab_reused_total")
+	allocated := obs.Default().Counter("helix_plan_slab_allocated_total")
+	s, spec := reuseSpec(t)
+	first := sweepJSON(t, s, spec)
+	r0, a0 := reused.Value(), allocated.Value()
+	second := sweepJSON(t, s, spec)
+	if r, a := reused.Value()-r0, allocated.Value()-a0; a != 0 || r != 18 {
+		t.Errorf("the second call reused a slab in %d builds and allocated one in %d, want 18 and 0", r, a)
+	}
+	if !bytes.Equal(first, second) {
+		t.Error("the second call's reports differ from the first's")
+	}
+}
+
+// TestStragglersRecycleIntoSharedList breaks out of a sweep after its first
+// report and starts the same sweep at once. The first call's cells still in
+// flight then recycle their plans into its list after it has gone back to
+// the pool, while the second call may hold it. Under -race this checks the
+// sharing; either way the second call must report what a fresh run does.
+func TestStragglersRecycleIntoSharedList(t *testing.T) {
+	s, spec := reuseSpec(t)
+	want := sweepJSON(t, s, spec)
+	for range s.Execute(spec) {
+		break
+	}
+	if got := sweepJSON(t, s, spec); !bytes.Equal(got, want) {
+		t.Error("a sweep started beside a broken-off one's stragglers reports differently from a fresh run")
 	}
 }

@@ -57,9 +57,10 @@ type Session struct {
 	events obs.Sink
 
 	// slabs is the free list of program slabs that the simulated plans of
-	// one Execute or Fleet call are built on and recycled to (Run). Only
-	// the sessions such a call derives for its cells carry it, so a plan
-	// handed to a caller is never recycled.
+	// one Execute or Fleet call are built on and recycled to (Run), taken
+	// from sched's pool for the call. Only the sessions such a call derives
+	// for its cells carry it, so a plan handed to a caller is never
+	// recycled.
 	slabs *sched.Slabs
 }
 
@@ -801,9 +802,12 @@ func (s *Session) Execute(spec *ExperimentSpec) iter.Seq2[*Report, error] {
 			cache = NewReportCache()
 		}
 		// The cells derive from a copy of the session that carries this
-		// call's free list of program slabs.
+		// call's free list of program slabs. It goes back to the pool when
+		// the stream ends, drained or not; a cell still running then
+		// recycles into it safely.
 		run := *s
-		run.slabs = sched.NewSlabs()
+		run.slabs = sched.GetSlabs()
+		defer sched.PutSlabs(run.slabs)
 		jobs := make([]func() (*Report, error), 0, len(rs.Cells))
 		labels := make([]string, 0, len(rs.Cells))
 		for _, c := range rs.Cells {
