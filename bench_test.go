@@ -437,7 +437,7 @@ func largeSweep(tb testing.TB) func() int {
 // through the benchmark module's sweep-flat workload, recorded on the parent
 // commit and the change (benchmark/record.sh). The alloc-gate CI step runs
 // it with -cpu 1, where every call reuses the program slabs the call before
-// returned to the pool, and pins its B/op to the budget in
+// left on the free list, and pins its B/op to the budget in
 // testdata/alloc_budget.json.
 func BenchmarkLargeSweep(b *testing.B) {
 	sweep := largeSweep(b)
@@ -454,13 +454,13 @@ func BenchmarkLargeSweep(b *testing.B) {
 // BenchmarkLargeSweep's -benchmem output at -cpu 1: after a warm-up run and
 // a collection, as the benchmark's probe run and its runtime.GC leave the
 // process, three runs one worker wide may allocate no more bytes per run
-// than testdata/alloc_budget.json pins. Each run takes the free list the run
-// before returned to the pool, so a cell whose plan is built in fresh memory
-// instead of a recycled slab, a list scheduler that allocates its arrays per
-// build, or a validator that allocates its tables per plan, fails it. Under
-// the race detector sync.Pool drops the free lists, the list scheduler's
-// arrays, the simulator's runners and the validator's tables at random, so
-// the budget is checked only without it.
+// than testdata/alloc_budget.json pins. Each run builds into the slabs the
+// run before left on the free list, so a cell whose plan is built in fresh
+// memory instead of a recycled slab, a list scheduler that allocates its
+// arrays per build, or a validator that allocates its tables per plan, fails
+// it. Under the race detector sync.Pool drops the list scheduler's arrays,
+// the simulator's runners and the validator's tables at random, so the
+// budget is checked only without it.
 func TestLargeSweepBytesBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled buffers at random under the race detector")

@@ -112,6 +112,7 @@ func (s *Session) Decode(ds DecodeSpec) (*DecodeReport, error) {
 // head config comes from the section, and the budget converts to bytes.
 func (s *ExperimentSpec) buildDecodeSpec(p *specParts) (*DecodeSpec, error) {
 	d := s.Decode
+	budget, _ := budgetBytes("decode budget_gb", d.BudgetGB) // validated by normalized
 	heads := DecodeHeadConfig{
 		QueryHeads: p.model.Heads,
 		KVHeads:    d.KVHeads,
@@ -134,7 +135,7 @@ func (s *ExperimentSpec) buildDecodeSpec(p *specParts) (*DecodeSpec, error) {
 		KVP:         append([]int(nil), d.KVP...),
 		TPA:         append([]int(nil), d.TPA...),
 		Objective:   d.Objective,
-		BudgetBytes: int64(d.BudgetGB * float64(1<<30)),
+		BudgetBytes: budget,
 	}
 	// Validate the assembled scenario eagerly, like the tune grid: a decode
 	// spec that would die inside Session.Decode must fail Resolve, or

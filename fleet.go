@@ -18,7 +18,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -165,8 +164,7 @@ func (s *Session) Fleet(fs FleetSpec) (*FleetReport, error) {
 		}
 	}
 	probe := fleetProbe(float64(s.topo.Devices()), fs.Probe)
-	priced := &fleetSimulator{cache: cache, slabs: sched.GetSlabs(), specs: map[*ExperimentSpec]*fleetJobSpec{}}
-	defer sched.PutSlabs(priced.slabs)
+	priced := &fleetSimulator{cache: cache, specs: map[*ExperimentSpec]*fleetJobSpec{}}
 	return fleet.Run(*s.topo, jobs, priced, fleet.Options{Policy: policy, Probe: probe})
 }
 
@@ -200,8 +198,7 @@ func fleetProbe(devices float64, next func(FleetProbeEvent)) func(fleet.ProbeEve
 // fleetSimulator prices fleet jobs through the session/spec machinery: the
 // job's spec resolves to a session, the carve replaces its topology, the
 // spec's placement strategy searches the stage placement, and the sim engine
-// runs one iteration — all behind the content-hashed report cache. The
-// misses' plans are built on the run's free list of program slabs.
+// runs one iteration — all behind the content-hashed report cache.
 //
 // Each distinct job spec (by pointer: every draw of a template shares one) is
 // resolved once per run, and each (spec, carve signature) pair keyed once, so
@@ -209,7 +206,6 @@ func fleetProbe(devices float64, next func(FleetProbeEvent)) func(fleet.ProbeEve
 // equal ReportCache.Key(spec, "carve="+fleet.Signature(sub)).
 type fleetSimulator struct {
 	cache *ReportCache
-	slabs *sched.Slabs
 	specs map[*ExperimentSpec]*fleetJobSpec
 }
 
@@ -263,7 +259,7 @@ func (f *fleetSimulator) Simulate(job fleet.Job, sub cluster.Cluster) (fleet.Job
 		js.keys[sig] = key
 	}
 	report, hit, err := f.cache.Do(key, func() (*Report, error) {
-		return simulateOnCarve(js.base, js.rs, Method(fj.Spec.Methods[0]), sub, f.slabs)
+		return simulateOnCarve(js.base, js.rs, Method(fj.Spec.Methods[0]), sub)
 	})
 	if err != nil {
 		return fleet.JobRun{}, err
@@ -281,13 +277,12 @@ func (f *fleetSimulator) Simulate(job fleet.Job, sub cluster.Cluster) (fleet.Job
 
 // simulateOnCarve runs a job's method on a carved sub-cluster: swap the
 // resolved base session's topology for the carve, then place and run the
-// method as Execute runs a cell, building its plan on the fleet's free list.
-func simulateOnCarve(base *Session, rs RunSet, method Method, sub cluster.Cluster, slabs *sched.Slabs) (*Report, error) {
+// method as Execute runs a cell.
+func simulateOnCarve(base *Session, rs RunSet, method Method, sub cluster.Cluster) (*Report, error) {
 	cell, err := base.With(WithCluster(sub))
 	if err != nil {
 		return nil, err
 	}
-	cell.slabs = slabs
 	return cell.runCell(method, rs.Engine, rs.Seed, rs.Placement, rs.PlacementSeed)
 }
 

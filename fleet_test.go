@@ -409,7 +409,7 @@ func TestFleetCarvePricesNodeGPU(t *testing.T) {
 	mixed, _ := base.Topology()
 	iteration := func(sub ClusterTopology) float64 {
 		t.Helper()
-		r, err := simulateOnCarve(base, rs, MethodHelix, sub, nil)
+		r, err := simulateOnCarve(base, rs, MethodHelix, sub)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,8 @@ import (
 // seed corpus — every committed example spec plus specs carrying non-finite
 // perturbation factors in code, and testdata/fuzz/FuzzSpec, which also holds
 // iterations past the caps (a million micro batches, explicit or tuned, and
-// 80,000 and a million workload documents) — runs under plain go test;
+// 80,000 and a million workload documents) and memory budgets past int64
+// bytes and below zero — runs under plain go test;
 // explore further with
 //
 //	go test -run=NONE -fuzz=FuzzSpec -fuzztime=60s -fuzzminimizetime=5s -parallel=2 .

@@ -363,7 +363,8 @@ func Methods() []Method { return sched.Methods() }
 func UnitCosts(commTime float64) Costs { return sched.UnitCosts(commTime) }
 
 // BuildMethod constructs any registered method's plan from an explicit
-// schedule configuration, cost book and build parameters.
+// schedule configuration, cost book and build parameters. The plan may be
+// carved from a recycled slab and is the caller's: nothing recycles it.
 func BuildMethod(method Method, cfg ScheduleConfig, costs Costs, p BuildParams) (*Plan, error) {
 	return sched.Build(method, cfg, costs, p)
 }

@@ -246,11 +246,10 @@ type Plan struct {
 	msgBases   []int32
 	stashPeaks []int64
 
-	// slab is the whole backing array Ops are carved from, at its full
-	// capacity, and slabs the free list it returns to (Recycle). Both are
-	// nil on a plan built without a list (NewPlan) or by hand.
-	slab  []Op
-	slabs *Slabs
+	// slab is the whole backing array Ops are carved from (NewPlan), at its
+	// full capacity, which Recycle returns to the free list. It is nil on a
+	// hand-built or recycled plan.
+	slab []Op
 }
 
 // TrafficMatrix returns the per-(stage, peer) communication volume of the
@@ -333,10 +332,6 @@ type Config struct {
 	// scheduling — the per-micro-batch cost book does — but engines and
 	// reports read them off the plan.
 	Batch model.BatchSpec
-
-	// slabs is the free list plans are built on (WithSlabs); nil builds
-	// them in fresh memory.
-	slabs *Slabs
 }
 
 // Validate reports an error when the configuration cannot be scheduled.

@@ -150,7 +150,8 @@ func Methods() []Method {
 
 // Build constructs the plan of a registered method. The method name is
 // resolved case-insensitively; unknown names report the registered
-// alternatives.
+// alternatives. The plan may be carved from a recycled slab (NewPlan) and
+// is the caller's: nothing recycles it.
 func Build(method Method, cfg Config, costs Costs, p BuildParams) (*Plan, error) {
 	r, err := lookupMethod(method)
 	if err != nil {

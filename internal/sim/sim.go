@@ -181,9 +181,8 @@ type Options struct {
 // Run draws a Runner from an internal pool and rebinds it to the plan, so
 // cold starts reuse the per-stage buffers of earlier calls instead of
 // reallocating them; the returned Result is a deep copy the caller owns. To
-// re-simulate the same plan repeatedly (a benchmark steady state, a fleet
-// pricing loop) build a Runner once and reuse it — reruns are then
-// allocation-free.
+// re-simulate the same plan repeatedly (a benchmark steady state) build a
+// Runner once and reuse it — reruns are then allocation-free.
 func Run(plan *sched.Plan, opt Options) (*Result, error) {
 	if err := check(plan, opt); err != nil {
 		return nil, err

@@ -217,22 +217,18 @@ func (s *Search) batchOf(c Candidate) *model.BatchSpec {
 // never aborts the remaining points. The stream records everything it
 // yields into the Search's accounting, so Result after draining equals what
 // Run returns; breaking early launches nothing further and leaves a partial
-// (but consistent) Result. Points may be consumed once. The points' plans
-// are built on one free list of program slabs (sched.GetSlabs), returned to
-// the pool when the stream ends, and recycled as soon as each point's stash
-// peak or simulation is read.
+// (but consistent) Result. Points may be consumed once. Each point's plan is
+// recycled (sched.Recycle) as soon as its stash peak or simulation is read.
 func (s *Search) Points() iter.Seq2[Point, error] {
 	return func(yield func(Point, error) bool) {
 		type outcome struct {
 			point  Point
 			reason string // empty on success
 		}
-		slabs := sched.GetSlabs()
-		defer sched.PutSlabs(slabs)
 		cells := obs.Ordered(len(s.survivors), s.spec.Workers, s.spec.Sink,
 			func(i int) string { return s.survivors[i].String() },
 			func(i int) (outcome, bool, error) {
-				point, reason, err := s.evaluate(s.survivors[i], slabs)
+				point, reason, err := s.evaluate(s.survivors[i])
 				return outcome{point, reason}, false, err
 			})
 		i := 0
@@ -299,9 +295,9 @@ func Run(m model.Config, cl costmodel.ClusterSpec, spec Spec) (*Result, error) {
 // that fails validation is a builder bug; it is pruned as PruneSim with the
 // simulator's own message. Under a cluster topology the candidate searches
 // the spec's placement strategies and keeps the fastest placement that
-// fits. Plans are built on slabs and recycled once read, on the key's flat
-// book or on placed books priced per build.
-func (s *Search) evaluate(c Candidate, slabs *sched.Slabs) (Point, string, error) {
+// fits. Plans are built on the key's flat book or on placed books priced per
+// build, and recycled once read.
+func (s *Search) evaluate(c Candidate) (Point, string, error) {
 	books := s.flat(c)
 	cfg := sched.Config{Stages: c.Stages, MicroBatches: c.MicroBatches, Layers: s.m.Layers}
 	tokens := int64(c.MicroBatchSize) * int64(c.SeqLen) * int64(c.MicroBatches)
@@ -311,7 +307,6 @@ func (s *Search) evaluate(c Candidate, slabs *sched.Slabs) (Point, string, error
 		tokens = batch.TotalTokens()
 		padFraction = batch.PadFraction()
 	}
-	cfg = sched.WithSlabs(cfg, slabs)
 	w := costmodel.NewWorkload(s.m, s.cl, model.Shape{B: c.MicroBatchSize, S: c.SeqLen})
 	states := stateBytes(s.m, s.cl, c.Method, c.Stages)
 	params := sched.BuildParams{MemoryBudget: s.budget - states}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/sched"
 )
 
@@ -22,9 +23,11 @@ import (
 //   - IdleSeconds = IterationSeconds - BusySeconds - CommStallSeconds,
 //     within 1e-9 s;
 //   - every recv ends no earlier than its matching send starts (the send of
-//     the same tag from the recv's peer to its stage), and on a flat cell
-//     no earlier than that start plus the message's wire time,
-//     bytes/P2PBytesPerSec + P2PLatency.
+//     the same tag from the recv's peer to its stage) plus the message's
+//     wire time, bytes/bandwidth + latency, over the link that carries it:
+//     the flat cost book's NIC on a flat cell, and on a placed cell the
+//     stage pair's link in the topology resolved at the cell's placement
+//     and the spec's perturbation.
 //
 // The cells run through Execute, so their plans are built into recycled
 // program slabs.
@@ -58,16 +61,23 @@ func TestSimInvariants(t *testing.T) {
 		if rs.Kind != RunKindRun && rs.Kind != RunKindSweep {
 			continue
 		}
-		// Every cell of a spec shares its cluster's flat link parameters.
+		// Every flat cell of a spec shares its cluster's NIC parameters.
 		flat := session.Costs()
 		for r, err := range session.Execute(spec) {
 			if err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("%s %s seq=%d p=%d", r.Cluster, r.Method, r.SeqLen, r.Stages)
-			link := &flat
+			link := func(from, to int) (float64, float64) { return flat.P2PBytesPerSec, flat.P2PLatency }
 			if len(r.Placement) > 0 {
-				link = nil
+				view, err := cluster.Resolve(*session.topo, cluster.Placement{Devices: r.Placement}, session.perturb)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				link = func(from, to int) (float64, float64) {
+					bytesPerSec, latency, _ := view.Link(from, to)
+					return bytesPerSec, latency
+				}
 			}
 			if err := checkSimInvariants(r.SimResult(), link); err != nil {
 				t.Errorf("%s: %v", label, err)
@@ -82,9 +92,9 @@ func TestSimInvariants(t *testing.T) {
 }
 
 // checkSimInvariants returns the first accounting invariant a traced
-// simulation result violates, or nil. A non-nil link is the flat cost book
-// whose NIC parameters price every transfer of the run.
-func checkSimInvariants(res *SimResult, link *sched.Costs) error {
+// simulation result violates, or nil. link returns the bandwidth in bytes
+// per second and the latency of the link from one stage to another.
+func checkSimInvariants(res *SimResult, link func(from, to int) (bytesPerSec, latency float64)) error {
 	if res == nil || len(res.Spans) == 0 {
 		return fmt.Errorf("no traced spans")
 	}
@@ -124,18 +134,17 @@ func checkSimInvariants(res *SimResult, link *sched.Costs) error {
 			if sp.End < snd.start {
 				return fmt.Errorf("stage %d: %v ends at %g, before its send starts at %g", s, sp.Op, sp.End, snd.start)
 			}
-			if link != nil {
-				// The transfer starts no earlier than its send and lands
-				// wire + latency later, summed in the engine's order.
-				landed := snd.start
-				if link.P2PBytesPerSec > 0 {
-					landed += float64(snd.bytes) / link.P2PBytesPerSec
-				}
-				landed += link.P2PLatency
-				if sp.End < landed {
-					return fmt.Errorf("stage %d: %v ends at %g, before its %d bytes can land at %g",
-						s, sp.Op, sp.End, snd.bytes, landed)
-				}
+			// The transfer starts no earlier than its send and lands wire +
+			// latency later, summed in the engine's order.
+			bytesPerSec, latency := link(int(sp.Op.Peer), s)
+			landed := snd.start
+			if bytesPerSec > 0 {
+				landed += float64(snd.bytes) / bytesPerSec
+			}
+			landed += latency
+			if sp.End < landed {
+				return fmt.Errorf("stage %d: %v ends at %g, before its %d bytes can land at %g",
+					s, sp.Op, sp.End, snd.bytes, landed)
 			}
 		default:
 			compute[s] += sp.End - sp.Start

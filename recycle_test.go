@@ -81,20 +81,36 @@ func scratchSession(t *testing.T) *Session {
 	return s
 }
 
-// TestRecycledEqualsFresh builds every registered method on a free list
-// into a slab that last held a larger plan of another method, so every slot
-// the build writes held another method's op, and requires the programs to
-// equal a build in fresh memory and the plan to validate. A builder that
-// stores an op field by field into a recycled slot leaves the previous op's
-// other fields behind and fails here. Right before that build the method is
-// built once on a larger geometry (scratchSession), so a builder drawing its
-// scratch from a pool gets arrays sized and filled by another geometry's
-// build; one that reads a stale entry before writing it fails here too. One
-// P keeps the pools' puts and gets on one per-P cache.
+// TestRecycledEqualsFresh builds every registered method into a slab that
+// last held a larger plan of another method, so every slot the build writes
+// held another method's op, and requires the programs to equal a build in
+// fresh memory and the plan to validate. A builder that stores an op field
+// by field into a recycled slot leaves the previous op's other fields behind
+// and fails here. Before that build the method is built once on a larger
+// geometry (scratchSession), with only the filler, a HelixPipe build that
+// takes no pooled scratch, in between, so a builder drawing its scratch from
+// a pool gets arrays sized and filled by another geometry's build; one that
+// reads a stale entry before writing it fails here too. On one processor
+// the free list holds at most one slab and every build takes or drops it,
+// so a build that is not recycled leaves the list empty: the reference and
+// scratch builds find no slab, and the filler's is the only one the build
+// under test can take. One P also keeps the pools' puts and gets on one
+// per-P cache.
 func TestRecycledEqualsFresh(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocated := obs.Default().Counter("helix_plan_slab_allocated_total")
 	big := scratchSession(t)
 	bigCosts, bigParams := big.Costs(), big.buildParams()
+	// A put on one processor bounds the list at one slab, which the next
+	// build, not recycled, takes or drops: the list starts empty.
+	warm, err := big.Plan(MethodGPipe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.Recycle(warm)
+	if _, err := big.Plan(MethodGPipe); err != nil {
+		t.Fatal(err)
+	}
 	cells := 0
 	for _, s := range recycleSessions(t) {
 		costs, params := s.Costs(), s.buildParams()
@@ -106,13 +122,18 @@ func TestRecycledEqualsFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, reg := range sched.Registrations() {
+			a0 := allocated.Value()
 			fresh, err := reg.Build(s.schedConfig(), costs, params)
 			if err != nil {
 				continue // a geometry the method does not allow
 			}
-			list := sched.NewSlabs()
-			filler, err := sched.Build(fillerMethod(reg.Name), sched.WithSlabs(fs.schedConfig(), list),
-				fs.Costs(), fs.buildParams())
+			if a := allocated.Value() - a0; a != 1 {
+				t.Fatalf("%s p=%d m=%d: the reference build allocated %d slabs, want 1", reg.Name, p, m, a)
+			}
+			if _, err := reg.Build(big.schedConfig(), bigCosts, bigParams); err != nil {
+				t.Fatalf("%s on the scratch geometry: %v", reg.Name, err)
+			}
+			filler, err := sched.Build(fillerMethod(reg.Name), fs.schedConfig(), fs.Costs(), fs.buildParams())
 			if err != nil {
 				t.Fatalf("%s filler for %s p=%d m=%d: %v", fillerMethod(reg.Name), reg.Name, p, m, err)
 			}
@@ -122,10 +143,7 @@ func TestRecycledEqualsFresh(t *testing.T) {
 			}
 			first := &filler.Ops[0][0]
 			sched.Recycle(filler)
-			if _, err := reg.Build(big.schedConfig(), bigCosts, bigParams); err != nil {
-				t.Fatalf("%s on the scratch geometry: %v", reg.Name, err)
-			}
-			got, err := reg.Build(sched.WithSlabs(s.schedConfig(), list), costs, params)
+			got, err := reg.Build(s.schedConfig(), costs, params)
 			if err != nil {
 				t.Fatalf("%s p=%d m=%d on a recycled slab: %v", reg.Name, p, m, err)
 			}
@@ -151,7 +169,7 @@ func TestRecycledEqualsFresh(t *testing.T) {
 // TestExecuteReusesSlabs runs no-cache sweeps of every method at two
 // sequence lengths through Execute, one worker wide, and counts the slab
 // traffic on the default registry: a build allocates only when it needs a
-// larger slab than any its call's list holds, so at least 15 of the 18
+// larger slab than any the free list holds, so at least 15 of the 18
 // builds reuse a slab. The race detector randomizes
 // goroutine scheduling, so there the cells of the launch window start in a
 // random order, and a larger plan built before a smaller one moves which
@@ -215,15 +233,10 @@ func reuseSpec(t *testing.T) (*Session, *ExperimentSpec) {
 }
 
 // TestExecuteReusesListAcrossCalls runs one sweep twice through Execute, one
-// worker wide. The first call returns its free list to the pool holding the
-// largest slab it built, so the second call finds a slab for every build:
-// it allocates none, and reports what the first did. The race detector
-// makes sync.Pool drop lists at random, so the count is checked only
-// without it.
+// worker wide. The first call leaves the largest slab it built on the free
+// list, so the second call finds a slab for every build: it allocates none,
+// and reports what the first did.
 func TestExecuteReusesListAcrossCalls(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops pooled lists at random under the race detector")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	reused := obs.Default().Counter("helix_plan_slab_reused_total")
 	allocated := obs.Default().Counter("helix_plan_slab_allocated_total")
@@ -239,11 +252,54 @@ func TestExecuteReusesListAcrossCalls(t *testing.T) {
 	}
 }
 
+// TestSimulateReusesSlab simulates one method twice on a session outside
+// Execute: Session.Run recycles the plan of every sim-engine run, so the
+// second build finds the first one's slab and allocates none.
+func TestSimulateReusesSlab(t *testing.T) {
+	allocated := obs.Default().Counter("helix_plan_slab_allocated_total")
+	s, err := NewSession(Model3B(), H20Cluster(), WithStages(4), WithSeqLen(16384))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Simulate(MethodHelix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a0 := allocated.Value()
+	second, err := s.Simulate(MethodHelix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := allocated.Value() - a0; a != 0 {
+		t.Errorf("the second Simulate allocated %d slabs, want 0", a)
+	}
+	if !reflect.DeepEqual(first.Sim, second.Sim) {
+		t.Error("the second Simulate reports differently from the first")
+	}
+}
+
+// TestFleetReusesSlabs runs the committed fleet study twice through
+// Session.Fleet on two processors, each run with a fresh report cache. The
+// first run leaves its largest slabs on the free list, whichever processor
+// the next run's builds land on, so the second run's cache misses allocate
+// no slab.
+func TestFleetReusesSlabs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	allocated := obs.Default().Counter("helix_plan_slab_allocated_total")
+	study := fleetStudy(t, 0, "")
+	study()
+	a0 := allocated.Value()
+	study()
+	if a := allocated.Value() - a0; a != 0 {
+		t.Errorf("the second fleet run allocated %d slabs, want 0", a)
+	}
+}
+
 // TestStragglersRecycleIntoSharedList breaks out of a sweep after its first
 // report and starts the same sweep at once. The first call's cells still in
-// flight then recycle their plans into its list after it has gone back to
-// the pool, while the second call may hold it. Under -race this checks the
-// sharing; either way the second call must report what a fresh run does.
+// flight then recycle their plans into the free list while the second call
+// builds from it. Under -race this checks the sharing; either way the
+// second call must report what a fresh run does.
 func TestStragglersRecycleIntoSharedList(t *testing.T) {
 	s, spec := reuseSpec(t)
 	want := sweepJSON(t, s, spec)

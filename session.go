@@ -55,13 +55,6 @@ type Session struct {
 	// provenance stamping (Report.Telemetry). Nil on unobserved sessions,
 	// whose reports stay byte-stable run to run.
 	events obs.Sink
-
-	// slabs is the free list of program slabs that the simulated plans of
-	// one Execute or Fleet call are built on and recycled to (Run), taken
-	// from sched's pool for the call. Only the sessions such a call derives
-	// for its cells carry it, so a plan handed to a caller is never
-	// recycled.
-	slabs *sched.Slabs
 }
 
 // Option mutates a Session under construction. Options are applied in order;
@@ -495,18 +488,14 @@ func lookupMethod(method Method) (sched.Registration, error) {
 }
 
 // Plan builds the schedule plan of any registered method for the session.
-// Method names resolve case-insensitively through the registry. The plan is
-// the caller's: it is built in fresh memory and never recycled.
-func (s *Session) Plan(method Method) (*Plan, error) { return s.plan(method, s.schedConfig()) }
-
-// plan builds a method's plan on cfg, the session's geometry with or without
-// a free list.
-func (s *Session) plan(method Method, cfg sched.Config) (*Plan, error) {
+// Method names resolve case-insensitively through the registry. The plan may
+// be carved from a recycled slab and is the caller's: nothing recycles it.
+func (s *Session) Plan(method Method) (*Plan, error) {
 	reg, err := lookupMethod(method)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := reg.Build(cfg, s.Costs(), s.buildParams())
+	plan, err := reg.Build(s.schedConfig(), s.Costs(), s.buildParams())
 	if err != nil {
 		return nil, err
 	}
@@ -610,19 +599,16 @@ func (e *NumericEngine) Run(plan *Plan) (*Report, error) {
 
 // Run builds the method's plan and executes it on the engine.
 func (s *Session) Run(engine Engine, method Method) (*Report, error) {
-	cfg := s.schedConfig()
-	if _, ok := engine.(*SimEngine); ok {
-		// The simulator's report keeps nothing of the plan, so on a cell
-		// session its plan is built on the call's free list and recycled as
-		// soon as the report is made.
-		cfg = sched.WithSlabs(cfg, s.slabs)
-	}
-	plan, err := s.plan(method, cfg)
+	plan, err := s.Plan(method)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", method, err)
 	}
 	report, err := engine.Run(plan)
-	sched.Recycle(plan)
+	if _, ok := engine.(*SimEngine); ok {
+		// The simulator's report keeps nothing of the plan, so its slab
+		// goes back to the free list as soon as the report is made.
+		sched.Recycle(plan)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", method, engine.Name(), err)
 	}
@@ -801,18 +787,11 @@ func (s *Session) Execute(spec *ExperimentSpec) iter.Seq2[*Report, error] {
 		} else if cache == nil {
 			cache = NewReportCache()
 		}
-		// The cells derive from a copy of the session that carries this
-		// call's free list of program slabs. It goes back to the pool when
-		// the stream ends, drained or not; a cell still running then
-		// recycles into it safely.
-		run := *s
-		run.slabs = sched.GetSlabs()
-		defer sched.PutSlabs(run.slabs)
 		jobs := make([]func() (*Report, error), 0, len(rs.Cells))
 		labels := make([]string, 0, len(rs.Cells))
 		for _, c := range rs.Cells {
 			labels = append(labels, fmt.Sprintf("%s seq=%d p=%d", c.Method, c.SeqLen, c.Stages))
-			cell := &run
+			cell := s
 			if rs.Kind == RunKindSweep {
 				// A workload spec sweeps stages only: re-deriving the
 				// sequence length would clear its per-micro-batch shapes.
@@ -821,7 +800,7 @@ func (s *Session) Execute(spec *ExperimentSpec) iter.Seq2[*Report, error] {
 					opts = append(opts, WithSeqLen(c.SeqLen))
 				}
 				var derr error
-				if cell, derr = run.With(opts...); derr != nil {
+				if cell, derr = s.With(opts...); derr != nil {
 					derr = fmt.Errorf("seq=%d p=%d: %w", c.SeqLen, c.Stages, derr)
 					jobs = append(jobs, func() (*Report, error) { return nil, derr })
 					continue

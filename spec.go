@@ -410,11 +410,8 @@ func (d *SpecDecode) normalized(parent *ExperimentSpec) (*SpecDecode, error) {
 		return nil, fmt.Errorf("helixpipe: unknown decode objective %q (want %q or %q)",
 			n.Objective, DecodeObjectiveLatencyPerToken, DecodeObjectiveThroughput)
 	}
-	if n.BudgetGB < 0 {
-		return nil, fmt.Errorf("helixpipe: decode budget_gb must be non-negative, got %g", n.BudgetGB)
-	}
-	if n.BudgetGB >= math.MaxInt64/(1<<30) {
-		return nil, fmt.Errorf("helixpipe: decode budget_gb %g does not fit int64 bytes", n.BudgetGB)
+	if _, err := budgetBytes("decode budget_gb", n.BudgetGB); err != nil {
+		return nil, err
 	}
 	for _, v := range n.KVP {
 		if v <= 0 {
@@ -756,6 +753,9 @@ func (s *ExperimentSpec) normalized() (*ExperimentSpec, error) {
 			return nil, err
 		}
 	}
+	if _, err := budgetBytes("memory_budget_gb", n.MemoryBudgetGB); err != nil {
+		return nil, err
+	}
 	if n.Sweep != nil && n.Tune != nil {
 		return nil, fmt.Errorf("helixpipe: spec has both sweep axes and a tune grid; pick one")
 	}
@@ -849,6 +849,9 @@ func (s *ExperimentSpec) normalized() (*ExperimentSpec, error) {
 		if t.Budget < 0 {
 			return nil, fmt.Errorf("helixpipe: tune budget must be non-negative, got %g", t.Budget)
 		}
+		if _, err := budgetBytes("tune budget_gb", t.BudgetGB); err != nil {
+			return nil, err
+		}
 		n.Tune = &t
 	}
 	if n.Output != nil {
@@ -856,6 +859,19 @@ func (s *ExperimentSpec) normalized() (*ExperimentSpec, error) {
 		n.Output = &o
 	}
 	return &n, nil
+}
+
+// budgetBytes converts a spec's memory budget in GB (2^30 bytes) to bytes,
+// rejecting what has no byte count: NaN, infinities, negatives, and budgets
+// of MaxInt64 bytes or more. field names the spec field in the error.
+func budgetBytes(field string, gb float64) (int64, error) {
+	if !(gb >= 0) {
+		return 0, fmt.Errorf("helixpipe: %s must be a non-negative number, got %g", field, gb)
+	}
+	if gb >= math.MaxInt64/(1<<30) {
+		return 0, fmt.Errorf("helixpipe: %s %g does not fit int64 bytes", field, gb)
+	}
+	return int64(gb * (1 << 30)), nil
 }
 
 // resolveSpecMethods canonicalizes a spec's method names through the
@@ -917,7 +933,8 @@ func (s *ExperimentSpec) resolveParts() (*specParts, error) {
 		p.options = append(p.options, WithMicroBatches(s.MicroBatches))
 	}
 	if s.MemoryBudgetGB > 0 {
-		p.options = append(p.options, WithMemoryBudget(int64(s.MemoryBudgetGB*float64(1<<30))))
+		budget, _ := budgetBytes("memory_budget_gb", s.MemoryBudgetGB) // validated by normalized
+		p.options = append(p.options, WithMemoryBudget(budget))
 	}
 	if s.Helix != nil {
 		opt := HelixOptions{Fold: s.Helix.Fold}
@@ -1053,13 +1070,14 @@ func (s *ExperimentSpec) runSet(p *specParts) (RunSet, error) {
 // tuneSpec assembles the autotuner spec of a tune-kind run.
 func (s *ExperimentSpec) tuneSpec(p *specParts) *TuneSpec {
 	t := s.Tune
+	budget, _ := budgetBytes("tune budget_gb", t.BudgetGB) // validated by normalized
 	ts := &TuneSpec{
 		Methods:           s.specMethods(),
 		SeqLens:           append([]int(nil), t.SeqLens...),
 		Stages:            append([]int(nil), t.Stages...),
 		MicroBatches:      append([]int(nil), t.MicroBatches...),
 		MicroBatchSizes:   append([]int(nil), t.MicroBatchSizes...),
-		MemoryBudgetBytes: int64(t.BudgetGB * float64(1<<30)),
+		MemoryBudgetBytes: budget,
 		Workers:           t.Workers,
 		Placements:        append([]string(nil), t.Placements...),
 		Orders:            append([]string(nil), t.Orders...),

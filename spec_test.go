@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"iter"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -250,6 +251,27 @@ func TestSpecInvalid(t *testing.T) {
 			Workload: &SpecWorkload{Dist: "uniform", Docs: 80000, MinSeq: 1, MaxSeq: 4096}}, "workload docs must be at most 16384, got 80000"},
 		{"a million docs", ExperimentSpec{Model: "7B", Cluster: "H20", Stages: 2, Methods: []string{"1F1B"},
 			Workload: &SpecWorkload{Dist: "uniform", Docs: 1000000, MinSeq: 1, MaxSeq: 4096}}, "workload docs must be at most 16384"},
+		// Memory budgets in GB convert to int64 bytes: a negative one ran as
+		// if unset, one past int64 wrapped to a negative (unlimited or
+		// rejected late) byte count, and NaN passed every comparison.
+		{"negative memory budget", ExperimentSpec{Model: "7B", Cluster: "H20", MemoryBudgetGB: -5},
+			"memory_budget_gb must be a non-negative number, got -5"},
+		{"memory budget past int64", ExperimentSpec{Model: "7B", Cluster: "H20", MemoryBudgetGB: 1e10},
+			"memory_budget_gb 1e+10 does not fit int64 bytes"},
+		{"NaN memory budget", ExperimentSpec{Model: "7B", Cluster: "H20", MemoryBudgetGB: math.NaN()},
+			"memory_budget_gb must be a non-negative number, got NaN"},
+		{"infinite memory budget", ExperimentSpec{Model: "7B", Cluster: "H20", MemoryBudgetGB: math.Inf(1)},
+			"memory_budget_gb +Inf does not fit int64 bytes"},
+		{"tune budget_gb past int64", ExperimentSpec{Model: "3B", Cluster: "A800", SeqLen: 32768, Stages: 2,
+			Tune: &SpecTune{BudgetGB: 1e10}}, "tune budget_gb 1e+10 does not fit int64 bytes"},
+		{"NaN tune budget_gb", ExperimentSpec{Model: "3B", Cluster: "A800", SeqLen: 32768, Stages: 2,
+			Tune: &SpecTune{BudgetGB: math.NaN()}}, "tune budget_gb must be a non-negative number, got NaN"},
+		{"negative tune budget_gb", ExperimentSpec{Model: "3B", Cluster: "A800", SeqLen: 32768, Stages: 2,
+			Tune: &SpecTune{BudgetGB: math.Inf(-1)}}, "tune budget_gb must be a non-negative number, got -Inf"},
+		{"NaN decode budget_gb", ExperimentSpec{Model: "7B", Cluster: "H20",
+			Decode: &SpecDecode{ContextLen: 65536, BudgetGB: math.NaN()}}, "decode budget_gb must be a non-negative number, got NaN"},
+		{"negative decode budget_gb", ExperimentSpec{Model: "7B", Cluster: "H20",
+			Decode: &SpecDecode{ContextLen: 65536, BudgetGB: -1}}, "decode budget_gb must be a non-negative number, got -1"},
 	}
 	for _, tc := range cases {
 		_, _, err := tc.spec.Resolve()
