@@ -685,7 +685,7 @@ func BenchmarkNumericIteration(b *testing.B) {
 	cfg := TinyModel()
 	m := NewNumericModel(cfg, 1)
 	plan, err := core.Build(ScheduleConfig{Stages: 2, MicroBatches: 4, Layers: cfg.Layers},
-		UnitCosts(0), HelixOptions{Fold: 2, Recompute: true})
+		UnitCosts(0), core.Options{Fold: 2, Recompute: true})
 	if err != nil {
 		b.Fatal(err)
 	}

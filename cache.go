@@ -7,19 +7,16 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/cluster"
-	"repro/internal/costmodel"
-	"repro/internal/model"
 	"repro/internal/obs"
 )
 
 // ReportCache memoizes simulation results by experiment content, and is
-// safe for concurrent use. It serves two kinds of key. Execute keys each
-// cell by its run identity (runKey), so duplicate cells of a grid simulate
-// once. The fleet simulator keys each job by its spec (Key): the hash of
-// the spec's Resolved (normalized, defaults-filled) form, so a flag-layered
-// run and a spec-file run describing the same experiment share one entry,
-// and repeated job shapes in a stream simulate once.
+// safe for concurrent use. The fleet simulator keys each job by its spec
+// (Key): the hash of the spec's Resolved (normalized, defaults-filled) form
+// plus the job's carve signature, so a flag-layered run and a spec-file run
+// describing the same experiment share one entry, and repeated job shapes in
+// a stream simulate once. Execute caches nothing: a grid's cells are
+// distinct, so each one simulates.
 type ReportCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -38,8 +35,8 @@ type ReportCache struct {
 
 // cacheEntry is one computation, possibly still in flight: done closes when
 // report/err are final, so concurrent requests for one key wait instead of
-// duplicating the simulation (and hit/miss counts stay deterministic under
-// the sweep worker pool).
+// duplicating the simulation (and hit/miss counts stay deterministic
+// however the callers interleave).
 type cacheEntry struct {
 	done   chan struct{}
 	report *Report
@@ -106,11 +103,11 @@ func contentKey(blob []byte, extra ...string) string {
 // Do returns the cached report for the key, or computes, stores and returns
 // it. The second result reports a cache hit. Concurrent calls for one key
 // single-flight: the first computes, the rest wait on it and count as hits —
-// duplicate cells in a fanned-out sweep simulate exactly once, and hit
-// counts equal the number of duplicates regardless of pool timing. A
-// compute error is returned without storing anything (waiters see it too),
-// so a transient failure does not poison the key. Cached reports are shared
-// — treat them as immutable.
+// each key simulates exactly once, and hit counts equal the number of
+// repeated lookups regardless of timing. A compute error is returned
+// without storing anything (waiters see it too), so a transient failure
+// does not poison the key. Cached reports are shared — treat them as
+// immutable.
 func (c *ReportCache) Do(key string, compute func() (*Report, error)) (*Report, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -180,8 +177,8 @@ type CacheStats struct {
 	// Hits and Misses partition the Do calls so far.
 	Hits, Misses int
 	// SingleflightWaits counts the subset of hits that blocked on a
-	// computation still in flight (duplicate cells landing while the first
-	// copy simulates).
+	// computation still in flight (a repeated key landing while its first
+	// lookup simulates).
 	SingleflightWaits int
 	// Entries is the number of stored reports.
 	Entries int
@@ -201,71 +198,4 @@ func (c *ReportCache) StatsDetail() CacheStats {
 		Entries:           len(c.entries),
 		Bytes:             c.bytes,
 	}
-}
-
-// runKeyIdentity is the serialized identity of one cell run: everything a
-// Report depends on — the session's resolved configuration plus the run's
-// method, engine, seed and placement search. Two cells with equal identities
-// produce byte-identical Reports, so Execute shares one simulation between
-// them.
-type runKeyIdentity struct {
-	Model        model.Config          `json:"model"`
-	Cluster      costmodel.ClusterSpec `json:"cluster"`
-	SeqLen       int                   `json:"seq_len"`
-	MicroBatch   int                   `json:"micro_batch"`
-	Stages       int                   `json:"stages"`
-	MicroBatches int                   `json:"micro_batches"`
-	Batch        model.BatchSpec       `json:"batch"`
-	MemBudget    int64                 `json:"mem_budget"`
-	Helix        *HelixOptions         `json:"helix,omitempty"`
-	Trace        bool                  `json:"trace,omitempty"`
-	SMPenalty    float64               `json:"sm_penalty,omitempty"`
-	Topology     *cluster.Cluster      `json:"topology,omitempty"`
-	Placement    *cluster.Placement    `json:"placement,omitempty"`
-	Perturb      cluster.Perturb       `json:"perturb"`
-
-	Method            Method `json:"method"`
-	Engine            string `json:"engine"`
-	Seed              uint64 `json:"seed,omitempty"`
-	PlacementStrategy string `json:"placement_strategy,omitempty"`
-	PlacementSeed     uint64 `json:"placement_seed,omitempty"`
-}
-
-// runKey content-hashes one cell run of the session. Geometry accessors
-// resolve defaults first, so a session with an explicit m equal to the 2p
-// default keys identically to one without. An identity JSON cannot encode
-// (a non-finite number in a hand-built model or topology) returns an error;
-// callers fall back to running uncached.
-func (s *Session) runKey(method Method, engineName string, seed uint64, strategy string, placementSeed uint64) (string, error) {
-	opt := s.SimOptions()
-	k := runKeyIdentity{
-		Model:        s.model,
-		Cluster:      s.cluster,
-		SeqLen:       s.SeqLen(),
-		MicroBatch:   s.MicroBatchSize(),
-		Stages:       s.stages,
-		MicroBatches: s.MicroBatches(),
-		Batch:        s.batch,
-		MemBudget:    s.MemoryBudget(),
-		Helix:        s.helix,
-		Trace:        opt.Trace,
-		SMPenalty:    opt.SMPenalty,
-		Topology:     s.topo,
-		Placement:    s.placement,
-		Perturb:      s.perturb,
-
-		Method:            method,
-		Engine:            engineName,
-		Seed:              seed,
-		PlacementStrategy: strategy,
-		PlacementSeed:     placementSeed,
-	}
-	blob, err := json.Marshal(k)
-	if err != nil {
-		return "", fmt.Errorf("helixpipe: hashing run identity: %w", err)
-	}
-	sum := sha256.Sum256(blob)
-	// The prefix keeps run keys disjoint from spec-hash keys (Key) in a
-	// cache shared with the fleet engine.
-	return "run:" + hex.EncodeToString(sum[:]), nil
 }

@@ -1,7 +1,6 @@
 package helixpipe
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 )
@@ -142,103 +141,5 @@ func TestReportCacheSharedAcrossFleetRuns(t *testing.T) {
 	if report.CacheHits != len(report.JobRecords) {
 		t.Errorf("second run: %d hits over %d jobs, want every job cached",
 			report.CacheHits, len(report.JobRecords))
-	}
-}
-
-// dupSweep is a 3B/A800 sweep spec whose repeated seqlen makes exact
-// duplicate cells: 2 methods x (2+1 seqlens) x 2 stages = 12 cells, 4 of
-// them duplicates.
-func dupSweep() *ExperimentSpec {
-	return &ExperimentSpec{Model: "3B", Cluster: "A800",
-		Methods: []string{"1F1B", "HelixPipe"},
-		Sweep:   &SpecSweep{SeqLens: []int{8192, 8192, 16384}, Stages: []int{2, 4}}}
-}
-
-// TestSweepCacheByteIdenticalReports is the cache-correctness contract: the
-// same sweep with the cache enabled and disabled produces byte-identical
-// Report JSON, and the hit count equals the number of duplicate cells.
-func TestSweepCacheByteIdenticalReports(t *testing.T) {
-	cache := NewReportCache()
-	withCache, err := executeSpec(t, dupSweep(), WithReportCache(cache))
-	if err != nil {
-		t.Fatal(err)
-	}
-	noCache := dupSweep()
-	noCache.NoCache = true
-	withoutCache, err := executeSpec(t, noCache)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var a, b bytes.Buffer
-	if err := WriteReportsJSON(&a, withCache); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteReportsJSON(&b, withoutCache); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("cached sweep JSON differs from the uncached sweep")
-	}
-
-	hits, misses := cache.Stats()
-	if wantHits, wantMisses := 4, 8; hits != wantHits || misses != wantMisses {
-		t.Errorf("cache stats = %d hits / %d misses, want %d / %d",
-			hits, misses, wantHits, wantMisses)
-	}
-
-	// A second identical sweep on the shared cache is all hits.
-	again, err := executeSpec(t, dupSweep(), WithReportCache(cache))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != len(withCache) {
-		t.Fatalf("second sweep yielded %d reports, want %d", len(again), len(withCache))
-	}
-	if _, misses := cache.Stats(); misses != 8 {
-		t.Errorf("second sweep re-simulated: %d misses, want 8", misses)
-	}
-}
-
-// dupCells is a two-cell sweep spec whose cells are exact duplicates.
-func dupCells() *ExperimentSpec {
-	return &ExperimentSpec{Model: "3B", Cluster: "A800", SeqLen: 8192, Stages: 2,
-		Methods: []string{"1F1B"}, Sweep: &SpecSweep{SeqLens: []int{8192, 8192}}}
-}
-
-// TestSweepPrivateCacheDedupes pins the default path: without an attached
-// cache, one Execute invocation still dedupes its own duplicate cells via a
-// private cache.
-func TestSweepPrivateCacheDedupes(t *testing.T) {
-	reports, err := executeSpec(t, dupCells())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 2 {
-		t.Fatalf("got %d reports, want 2", len(reports))
-	}
-	// The duplicate cell shares the first cell's Report pointer: one
-	// simulation, yielded twice.
-	if reports[0] != reports[1] {
-		t.Error("duplicate cells did not share one cached simulation")
-	}
-}
-
-// TestSpecNoCacheDisablesCaching proves Execute reads the spec field: a
-// no_cache spec simulates every duplicate, and leaves even an attached
-// shared cache untouched.
-func TestSpecNoCacheDisablesCaching(t *testing.T) {
-	spec := dupCells()
-	spec.NoCache = true
-	cache := NewReportCache()
-	reports, err := executeSpec(t, spec, WithReportCache(cache))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 2 || reports[0] == reports[1] {
-		t.Error("no_cache spec shared one simulation across duplicate cells")
-	}
-	if hits, misses := cache.Stats(); hits+misses != 0 {
-		t.Errorf("no_cache spec used the attached cache: %d hits, %d misses", hits, misses)
 	}
 }

@@ -52,7 +52,6 @@ var flagDefs = []struct {
 	{"workers", "simulation worker pool size (0 = GOMAXPROCS)", on{"tune": 0}},
 	{"exp", "experiment id prefix (all, table1, table2, table3, fig3, fig4, fig8, fig9, fig10, fig11, chunk, saturation, interleaved, zb1p-sensitivity)", on{"bench": "all"}},
 	{"out", "directory to write one .txt per experiment", on{"bench": ""}},
-	{"nocache", "disable the report cache: simulate every cell, even exact duplicates", on{"bench": false}},
 	{"metrics", "dump the telemetry metrics snapshot (Prometheus text) to stderr after a sweep", on{"bench": false}},
 	{"listen", "serve /metrics and /debug/vars on this address (e.g. localhost:6060) for the run's duration", on{"bench": "", "fleet": "", "serve": ""}},
 	{"policy", "admission/placement policy (fifo, bestfit, worstfit, backfill, preempt; 'help' to list)", on{"fleet": ""}},

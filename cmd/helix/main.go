@@ -60,8 +60,8 @@ type command struct {
 	// cell prints one cell report as text; header precedes the first.
 	cell   func(c *call, r *helixpipe.Report)
 	header string
-	// observe runs cells on an observed session: a live progress line, an
-	// observable report cache and telemetry stamped into the reports.
+	// observe runs cells on an observed session: a live progress line and
+	// telemetry stamped into the reports.
 	observe bool
 	// draws marks a command whose stdout carries timeline diagrams: it
 	// announces output files on stderr and consumes every traced span.
@@ -198,7 +198,6 @@ func fillBench(c *call, s *helixpipe.ExperimentSpec) error {
 	if s.Engine == helixpipe.SpecEngineNumeric {
 		return errors.New("bench benchmarks the simulator; run numeric-engine specs with helix train")
 	}
-	layer(c, "nocache", &s.NoCache)
 	if noSection(s) {
 		// The paper's Figure 8 axes. A workload spec sweeps stages only:
 		// its per-micro-batch shapes replace the sequence-length axis.

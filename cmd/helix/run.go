@@ -49,9 +49,9 @@ func (c *call) collected(reports []*helixpipe.Report, perfettoPath string) error
 }
 
 // observed attaches a live progress line on stderr to the session.
-func observed(c *call, session *helixpipe.Session, label string, total int, opts ...helixpipe.Option) (*helixpipe.Session, *obs.Progress, error) {
+func observed(c *call, session *helixpipe.Session, label string, total int) (*helixpipe.Session, *obs.Progress, error) {
 	prog := obs.NewProgress(c.stderr, label, total)
-	session, err := session.With(append(opts, helixpipe.WithEventSink(prog))...)
+	session, err := session.With(helixpipe.WithEventSink(prog))
 	return session, prog, err
 }
 
@@ -62,14 +62,10 @@ func observed(c *call, session *helixpipe.Session, label string, total int, opts
 func runCells(c *call, s *helixpipe.ExperimentSpec, session *helixpipe.Session, rs helixpipe.RunSet) error {
 	var prog *obs.Progress
 	if c.cmd.observe {
-		// A live progress line tracks rate, ETA and the cache hit ratio;
-		// the sink also stamps telemetry into the reports.
-		var opts []helixpipe.Option
-		if !s.NoCache {
-			opts = append(opts, helixpipe.WithReportCache(helixpipe.NewReportCache()))
-		}
+		// A live progress line tracks rate and ETA; the sink also stamps
+		// telemetry into the reports.
 		var err error
-		if session, prog, err = observed(c, session, "sweep", len(rs.Cells), opts...); err != nil {
+		if session, prog, err = observed(c, session, "sweep", len(rs.Cells)); err != nil {
 			return err
 		}
 	}

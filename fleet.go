@@ -80,7 +80,7 @@ func FleetPolicyListing() string {
 
 // FleetJob is one materialized job of a FleetSpec: stream metadata plus the
 // single-method experiment spec describing its pipeline. The job's device
-// demand is its spec's stage count — one device per pipeline stage.
+// demand is its resolved spec's stage count — one device per pipeline stage.
 type FleetJob struct {
 	// ID identifies the job in the report ("job007").
 	ID string `json:"id"`
@@ -93,8 +93,9 @@ type FleetJob struct {
 	// Iterations is the number of training iterations the job runs.
 	Iterations int `json:"iterations"`
 	// Spec describes the job's pipeline: a run-kind experiment spec naming
-	// exactly one method. Its stage count is the job's device demand; its
-	// cluster field is overridden by the devices the fleet carves for it.
+	// exactly one method. Its resolved stage count (8 when left at zero) is
+	// the job's device demand; its cluster field is overridden by the
+	// devices the fleet carves for it.
 	Spec *ExperimentSpec `json:"spec"`
 }
 
@@ -124,8 +125,9 @@ type FleetProbeEvent = fleet.ProbeEvent
 // Each admitted job's carved devices become a sub-cluster; the job's spec is
 // simulated on it through the spec→Report cache (repeated job shapes on
 // equivalent carves simulate once), its placement searched by the spec's
-// placement strategy. The run is deterministic: identical specs produce
-// byte-identical reports.
+// placement strategy. Every job spec resolves before the stream starts, so
+// an unresolvable one fails the run naming its job. The run is
+// deterministic: identical specs produce byte-identical reports.
 func (s *Session) Fleet(fs FleetSpec) (*FleetReport, error) {
 	if s.topo == nil {
 		return nil, fmt.Errorf("helixpipe: Fleet requires a cluster topology (WithCluster)")
@@ -143,6 +145,7 @@ func (s *Session) Fleet(fs FleetSpec) (*FleetReport, error) {
 	if cache == nil {
 		cache = NewReportCache()
 	}
+	priced := &fleetSimulator{cache: cache, specs: map[*ExperimentSpec]*fleetJobSpec{}}
 	jobs := make([]fleet.Job, len(fs.Jobs))
 	for i := range fs.Jobs {
 		fj := &fs.Jobs[i]
@@ -153,18 +156,21 @@ func (s *Session) Fleet(fs FleetSpec) (*FleetReport, error) {
 			return nil, fmt.Errorf("helixpipe: fleet job %s must name exactly one method, got %v",
 				fj.ID, fj.Spec.Methods)
 		}
+		js, err := priced.jobSpec(fj.Spec)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: job %s: %w", fj.ID, err)
+		}
 		jobs[i] = fleet.Job{
 			ID:         fj.ID,
 			Template:   fj.Template,
 			ArrivalSec: fj.ArrivalSec,
 			Priority:   fj.Priority,
-			Demand:     fj.Spec.Stages,
+			Demand:     js.base.Stages(),
 			Iterations: fj.Iterations,
-			Payload:    fj,
+			Payload:    js,
 		}
 	}
 	probe := fleetProbe(float64(s.topo.Devices()), fs.Probe)
-	priced := &fleetSimulator{cache: cache, specs: map[*ExperimentSpec]*fleetJobSpec{}}
 	return fleet.Run(*s.topo, jobs, priced, fleet.Options{Policy: policy, Probe: probe})
 }
 
@@ -210,10 +216,12 @@ type fleetSimulator struct {
 }
 
 // fleetJobSpec is one job spec of a fleet run, resolved: the content its
-// cache keys hash, the base session and RunSet its misses run on, and the
-// key of each carve signature seen so far.
+// cache keys hash, the method, base session and RunSet its misses run on,
+// and the key of each carve signature seen so far. It is the payload of
+// every job drawn with the spec.
 type fleetJobSpec struct {
 	content []byte
+	method  Method
 	base    *Session
 	rs      RunSet
 	keys    map[string]string
@@ -238,20 +246,14 @@ func (f *fleetSimulator) jobSpec(spec *ExperimentSpec) (*fleetJobSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	js := &fleetJobSpec{content: content, base: base, rs: rs, keys: map[string]string{}}
+	js := &fleetJobSpec{content: content, method: Method(spec.Methods[0]), base: base, rs: rs,
+		keys: map[string]string{}}
 	f.specs[spec] = js
 	return js, nil
 }
 
 func (f *fleetSimulator) Simulate(job fleet.Job, sub cluster.Cluster) (fleet.JobRun, error) {
-	fj, ok := job.Payload.(*FleetJob)
-	if !ok || fj.Spec == nil {
-		return fleet.JobRun{}, fmt.Errorf("helixpipe: fleet job %s carries no spec payload", job.ID)
-	}
-	js, err := f.jobSpec(fj.Spec)
-	if err != nil {
-		return fleet.JobRun{}, err
-	}
+	js := job.Payload.(*fleetJobSpec)
 	sig := fleet.Signature(sub)
 	key, ok := js.keys[sig]
 	if !ok {
@@ -259,7 +261,7 @@ func (f *fleetSimulator) Simulate(job fleet.Job, sub cluster.Cluster) (fleet.Job
 		js.keys[sig] = key
 	}
 	report, hit, err := f.cache.Do(key, func() (*Report, error) {
-		return simulateOnCarve(js.base, js.rs, Method(fj.Spec.Methods[0]), sub)
+		return simulateOnCarve(js.base, js.rs, js.method, sub)
 	})
 	if err != nil {
 		return fleet.JobRun{}, err

@@ -371,8 +371,8 @@ func TestFleetSharedCacheKeys(t *testing.T) {
 }
 
 // TestFleetUnresolvableJobSpec pins the error of a job whose spec does not
-// resolve: the run fails at that job, with ReportCache.Key's error, whether
-// the spec fails to normalize or to build a session.
+// resolve: the run fails naming that job, with ReportCache.Key's error,
+// whether the spec fails to normalize or to build a session.
 func TestFleetUnresolvableJobSpec(t *testing.T) {
 	session, fs := exampleFleet(t, "")
 	good := fs.Jobs[0].Spec
@@ -392,6 +392,24 @@ func TestFleetUnresolvableJobSpec(t *testing.T) {
 		if want := "fleet: job bad: " + keyErr.Error(); err == nil || err.Error() != want {
 			t.Errorf("err = %v, want %q", err, want)
 		}
+	}
+}
+
+// TestFleetDefaultStagesDemand runs a hand-built job whose spec leaves
+// stages at the default: the job demands the resolved 8 devices and runs on
+// them (the raw spec's 0 would demand no devices and fail the run).
+func TestFleetDefaultStagesDemand(t *testing.T) {
+	spec := &ExperimentSpec{Model: "3B", Cluster: "DGX-A800x4", SeqLen: 16384, Methods: []string{"1F1B"}}
+	session, _, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := session.Fleet(FleetSpec{Jobs: []FleetJob{{ID: "job0", Iterations: 1, Spec: spec}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if devs := report.JobRecords[0].Devices; len(devs) != 8 {
+		t.Errorf("job0 ran on devices %v, want 8", devs)
 	}
 }
 

@@ -69,7 +69,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/core"
+	_ "repro/internal/core" // registers the HelixPipe variants
 	"repro/internal/costmodel"
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -266,8 +266,6 @@ type (
 	Costs = sched.Costs
 	// BuildParams carries method-specific build knobs for the registry.
 	BuildParams = sched.BuildParams
-	// HelixOptions selects the HelixPipe variant.
-	HelixOptions = core.Options
 )
 
 // Autotuner types (Session.Autotune).

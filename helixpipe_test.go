@@ -88,7 +88,7 @@ func TestPublicAPIParityHelpers(t *testing.T) {
 	m2 := NewNumericModel(cfg, 3)
 	batches := []MicroBatch{SyntheticBatch(cfg, 1, 8, 1), SyntheticBatch(cfg, 1, 8, 2)}
 	plan, err := core.Build(ScheduleConfig{Stages: 2, MicroBatches: 2, Layers: cfg.Layers},
-		UnitCosts(0), HelixOptions{Fold: 1, Recompute: true})
+		UnitCosts(0), core.Options{Fold: 1, Recompute: true})
 	if err != nil {
 		t.Fatal(err)
 	}

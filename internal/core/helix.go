@@ -65,12 +65,9 @@ type Options struct {
 // with recomputation without attention.
 func DefaultOptions() Options { return Options{Fold: 2, Recompute: true} }
 
-// with applies the BuildParams overrides (fold, recomputation) to a
-// variant's default options.
+// with applies the BuildParams recomputation override to a variant's
+// default options.
 func (opt Options) with(p sched.BuildParams) Options {
-	if p.HelixFold != 0 {
-		opt.Fold = p.HelixFold
-	}
 	if p.HelixRecompute != nil {
 		opt.Recompute = *p.HelixRecompute
 	}

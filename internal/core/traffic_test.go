@@ -69,7 +69,7 @@ func TestTrafficMatchesPlan(t *testing.T) {
 		p    sched.BuildParams
 	}{
 		{"zero", sched.BuildParams{}},
-		{"fold=1", sched.BuildParams{HelixFold: 1}},
+		{"recompute=off", sched.BuildParams{HelixRecompute: new(bool)}},
 		{"budget=1KiB", sched.BuildParams{MemoryBudget: 1 << 10}},
 	}
 	var outcomes [trafficOutcomes]atomic.Int64

@@ -43,8 +43,6 @@ type Event struct {
 	Total int
 	// Worker is the worker-pool slot executing the cell.
 	Worker int
-	// CacheHit marks a CellFinished whose report came from the report cache.
-	CacheHit bool
 	// Duration is the cell's wall clock (CellFinished only).
 	Duration time.Duration
 	// Err is the cell's terminal error, if any (CellFinished only).

@@ -19,10 +19,9 @@ import (
 // cells finish into their buffered slots and are collected by the GC.
 //
 // A non-nil sink receives a CellStarted/CellFinished pair per cell, carrying
-// label(i), the worker slot, the wall clock, the error and the cache-hit flag
-// run returns with its result.
+// label(i), the worker slot, the wall clock and the error run returns.
 func Ordered[T any](n, workers int, sink Sink, label func(int) string,
-	run func(int) (T, bool, error)) iter.Seq2[T, error] {
+	run func(int) (T, error)) iter.Seq2[T, error] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -48,10 +47,10 @@ func Ordered[T any](n, workers int, sink Sink, label func(int) string,
 				if sink != nil {
 					sink.Emit(Event{Kind: CellStarted, Label: label(i), Index: i, Total: n, Worker: w})
 				}
-				v, hit, err := run(i)
+				v, err := run(i)
 				if sink != nil {
 					sink.Emit(Event{Kind: CellFinished, Label: label(i), Index: i, Total: n, Worker: w,
-						CacheHit: hit, Duration: time.Since(start), Err: err})
+						Duration: time.Since(start), Err: err})
 				}
 				results[i] <- slot{v, err}
 			}()

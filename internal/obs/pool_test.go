@@ -14,7 +14,7 @@ func TestOrderedBoundsWorkersByCells(t *testing.T) {
 	})
 	var got []int
 	for v, err := range Ordered(1, 1<<62, sink, func(int) string { return "cell" },
-		func(i int) (int, bool, error) { return i + 7, false, nil }) {
+		func(i int) (int, error) { return i + 7, nil }) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,7 +26,7 @@ func TestOrderedBoundsWorkersByCells(t *testing.T) {
 	if len(workers) != 1 || workers[0] != 0 {
 		t.Errorf("cell ran on workers %v, want [0]", workers)
 	}
-	for range Ordered(0, 1<<62, nil, nil, func(int) (int, bool, error) { return 0, false, nil }) {
+	for range Ordered(0, 1<<62, nil, nil, func(int) (int, error) { return 0, nil }) {
 		t.Fatal("an empty grid yielded a cell")
 	}
 }

@@ -9,10 +9,9 @@ import (
 )
 
 // Progress renders a single live status line ("\r"-overwritten, stderr by
-// convention) from the event stream: completed cells, rate, ETA and
-// cache-hit ratio. It implements Sink, so it plugs directly into
-// Session/tune sinks; fleet probes without cell events feed it free-form
-// text through Line. Rendering is throttled so event storms don't flood
+// convention) from the event stream: completed cells, rate and ETA. It
+// implements Sink, so it plugs directly into Session/tune sinks; fleet
+// probes without cell events feed it free-form text through Line. Rendering is throttled so event storms don't flood
 // slow terminals; Done always prints a final summary.
 type Progress struct {
 	mu      sync.Mutex
@@ -23,7 +22,6 @@ type Progress struct {
 	last    time.Time
 	total   int
 	done    int
-	hits    int
 	errs    int
 	lastLen int
 	closed  bool
@@ -58,9 +56,6 @@ func (p *Progress) Emit(e Event) {
 		return
 	}
 	p.done++
-	if e.CacheHit {
-		p.hits++
-	}
 	if e.Err != nil {
 		p.errs++
 	}
@@ -98,9 +93,6 @@ func (p *Progress) Done() {
 	if elapsed > 0 && p.done > 0 {
 		line += fmt.Sprintf(" (%.1f cells/s)", float64(p.done)/elapsed)
 	}
-	if p.hits > 0 {
-		line += fmt.Sprintf(", %d cache hits", p.hits)
-	}
 	if p.errs > 0 {
 		line += fmt.Sprintf(", %d errors", p.errs)
 	}
@@ -108,7 +100,7 @@ func (p *Progress) Done() {
 	fmt.Fprintln(p.w)
 }
 
-// status composes the live line: "<label>: 8/12 cells 6.2/s ETA 0.6s cache 3/8".
+// status composes the live line: "<label>: 8/12 cells  6.2/s  ETA 0.6s".
 func (p *Progress) status() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %d", p.label, p.done)
@@ -123,9 +115,6 @@ func (p *Progress) status() string {
 		if p.total > p.done && rate > 0 {
 			fmt.Fprintf(&b, "  ETA %.1fs", float64(p.total-p.done)/rate)
 		}
-	}
-	if p.hits > 0 {
-		fmt.Fprintf(&b, "  cache %d/%d", p.hits, p.done)
 	}
 	return b.String()
 }

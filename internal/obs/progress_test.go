@@ -30,14 +30,14 @@ func TestProgressLifecycle(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		clk.advance(time.Second)
 		p.Emit(Event{Kind: CellStarted, Index: i, Total: 4})
-		p.Emit(Event{Kind: CellFinished, Index: i, Total: 4, CacheHit: i >= 2, Duration: time.Second})
+		p.Emit(Event{Kind: CellFinished, Index: i, Total: 4, Duration: time.Second})
 	}
 	p.Done()
 	out := b.String()
 	if !strings.Contains(out, "sweep: 4/4 cells") {
 		t.Errorf("missing completed live line: %q", out)
 	}
-	if !strings.Contains(out, "sweep: 4 cells in 4.0s (1.0 cells/s), 2 cache hits") {
+	if !strings.Contains(out, "sweep: 4 cells in 4.0s (1.0 cells/s)\n") {
 		t.Errorf("missing final summary: %q", out)
 	}
 	if !strings.HasSuffix(out, "\n") {

@@ -19,9 +19,6 @@ type BuildParams struct {
 	// MemoryBudget is the per-GPU activation budget in bytes for
 	// budget-aware schedules (AdaPipe). Zero or negative means unlimited.
 	MemoryBudget int64
-	// HelixFold overrides the HelixPipe fold (1 naive FILO, 2 two-fold);
-	// zero keeps the registered variant's default.
-	HelixFold int
 	// HelixRecompute overrides recomputation-without-attention; nil keeps
 	// the registered variant's default.
 	HelixRecompute *bool

@@ -77,9 +77,6 @@ type Result struct {
 	LinkClasses []LinkClassStats
 	// Spans is the executed-op timeline (only when Options.Trace is set).
 	Spans []Span
-	// PoolReused reports whether the run executed on a recycled pooled
-	// Runner (set only by the package-level Run; telemetry provenance).
-	PoolReused bool
 }
 
 // LinkClassStats aggregates the transfers that crossed one link class.
@@ -189,8 +186,6 @@ func Run(plan *sched.Plan, opt Options) (*Result, error) {
 	}
 	r := runnerPool.Get().(*Runner)
 	poolGets.Inc()
-	reused := r.used
-	r.used = true
 	r.reinit(plan, opt)
 	res, err := r.Run()
 	if err != nil {
@@ -199,7 +194,6 @@ func Run(plan *sched.Plan, opt Options) (*Result, error) {
 	}
 	out := res.Clone()
 	putRunner(r)
-	out.PoolReused = reused
 	return out, nil
 }
 
@@ -248,9 +242,6 @@ type Runner struct {
 	// timeline is the oracle the reported pass resolves overlap against.
 	pre *engine
 	res Result
-	// used marks a pool-managed Runner that has executed at least one run,
-	// so Run can report buffer reuse in the result's provenance.
-	used bool
 }
 
 // NewRunner validates the plan against the options and returns a reusable

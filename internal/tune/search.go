@@ -227,9 +227,9 @@ func (s *Search) Points() iter.Seq2[Point, error] {
 		}
 		cells := obs.Ordered(len(s.survivors), s.spec.Workers, s.spec.Sink,
 			func(i int) string { return s.survivors[i].String() },
-			func(i int) (outcome, bool, error) {
+			func(i int) (outcome, error) {
 				point, reason, err := s.evaluate(s.survivors[i])
-				return outcome{point, reason}, false, err
+				return outcome{point, reason}, err
 			})
 		i := 0
 		for o, err := range cells {

@@ -166,12 +166,11 @@ func TestRecycledEqualsFresh(t *testing.T) {
 	t.Logf("compared %d cells", cells)
 }
 
-// TestExecuteReusesSlabs runs no-cache sweeps of every method at two
-// sequence lengths through Execute, one worker wide, and counts the slab
-// traffic on the default registry: a build allocates only when it needs a
-// larger slab than any the free list holds, so at least 15 of the 18
-// builds reuse a slab. The race detector randomizes
-// goroutine scheduling, so there the cells of the launch window start in a
+// TestExecuteReusesSlabs runs sweeps of every method at two sequence
+// lengths through Execute, one worker wide, and counts the slab traffic on
+// the default registry: a build allocates only when it needs a larger slab
+// than any the free list holds, so at least 15 of the 18 builds reuse a
+// slab. The race detector randomizes goroutine scheduling, so there the cells of the launch window start in a
 // random order, and a larger plan built before a smaller one moves which
 // builds allocate; the count is checked only without it.
 func TestExecuteReusesSlabs(t *testing.T) {
@@ -185,7 +184,7 @@ func TestExecuteReusesSlabs(t *testing.T) {
 		model  string
 		stages int
 	}{{"1.3B", 2}, {"3B", 4}, {"3B", 8}, {"7B", 8}, {"13B", 4}} {
-		spec := &ExperimentSpec{Model: g.model, Cluster: "H20", NoCache: true,
+		spec := &ExperimentSpec{Model: g.model, Cluster: "H20",
 			Sweep: &SpecSweep{SeqLens: []int{16384, 32768}, Stages: []int{g.stages}}}
 		s, _, err := spec.Resolve()
 		if err != nil {
@@ -205,7 +204,7 @@ func TestExecuteReusesSlabs(t *testing.T) {
 	}
 }
 
-// sweepJSON runs a no-cache sweep spec through Execute and returns its
+// sweepJSON runs a sweep spec through Execute and returns its
 // reports as JSON.
 func sweepJSON(t *testing.T, s *Session, spec *ExperimentSpec) []byte {
 	t.Helper()
@@ -220,10 +219,10 @@ func sweepJSON(t *testing.T, s *Session, spec *ExperimentSpec) []byte {
 	return buf.Bytes()
 }
 
-// reuseSpec is an 18-cell no-cache sweep of every method on 3B at p=4.
+// reuseSpec is an 18-cell sweep of every method on 3B at p=4.
 func reuseSpec(t *testing.T) (*Session, *ExperimentSpec) {
 	t.Helper()
-	spec := &ExperimentSpec{Model: "3B", Cluster: "H20", NoCache: true,
+	spec := &ExperimentSpec{Model: "3B", Cluster: "H20",
 		Sweep: &SpecSweep{SeqLens: []int{16384, 32768}, Stages: []int{4}}}
 	s, _, err := spec.Resolve()
 	if err != nil {

@@ -113,11 +113,11 @@ type Report struct {
 	Sim *SimMetrics `json:"sim,omitempty"`
 	// Numeric holds the numeric metrics (numeric engine only).
 	Numeric *NumericMetrics `json:"numeric,omitempty"`
-	// Telemetry is the run's provenance (wall clock, cache hit, runner
-	// reuse). It is stamped only on observed sessions (WithEventSink), so
-	// default runs — including the golden corpus and the byte-identity
-	// CI diffs — marshal without it and stay byte-stable; StripTelemetry
-	// removes it before any digest comparison that mixes both.
+	// Telemetry is the run's provenance (its wall clock). It is stamped
+	// only on observed sessions (WithEventSink), so default runs —
+	// including the golden corpus and the byte-identity CI diffs —
+	// marshal without it and stay byte-stable; StripTelemetry removes it
+	// before any digest comparison that mixes both.
 	Telemetry *ReportTelemetry `json:"telemetry,omitempty"`
 
 	// Unserialized raw results, retained for timelines and gradient access.
@@ -125,23 +125,18 @@ type Report struct {
 	numericResult *exec.Result
 }
 
-// ReportTelemetry is a report's run provenance. Wall-clock fields vary run
+// ReportTelemetry is a report's run provenance. Its wall clock varies run
 // to run by construction — comparisons that expect byte-identical reports
 // must strip the block first (StripTelemetry).
 type ReportTelemetry struct {
-	// WallSeconds is the cell's wall clock: the engine run for computed
-	// reports, the cache wait for reports served from the report cache.
+	// WallSeconds is the cell's wall clock: its placement search, plan build
+	// and engine run.
 	WallSeconds float64 `json:"wall_seconds"`
-	// CacheHit marks a report served from the report cache.
-	CacheHit bool `json:"cache_hit"`
-	// RunnerReused marks a simulation that ran on a recycled pooled Runner
-	// (warm per-stage buffers) rather than a cold one.
-	RunnerReused bool `json:"runner_reused,omitempty"`
 }
 
 // StripTelemetry removes the telemetry block from every report, in place.
-// Golden-corpus digests and cached-vs-uncached byte comparisons call it so
-// provenance never perturbs content equality.
+// Golden-corpus digests and observed-vs-unobserved byte comparisons call it
+// so provenance never perturbs content equality.
 func StripTelemetry(reports []*Report) {
 	for _, r := range reports {
 		if r != nil {
@@ -320,7 +315,7 @@ func ReportCSVHeader() []string {
 		"tokens_per_iteration", "pad_fraction", "mb_tokens", "seq_len_hist",
 		"iteration_seconds", "tokens_per_second", "bubble_fraction",
 		"max_peak_stash_bytes", "link_traffic", "loss",
-		"wall_seconds", "cache_hit",
+		"wall_seconds",
 	}
 }
 
@@ -360,12 +355,11 @@ func (r *Report) CSVRow() []string {
 	for _, b := range r.SeqLenHistogram {
 		hist = append(hist, fmt.Sprintf("%d-%d:%d", b.MinSeqLen, b.MaxSeqLen, b.MicroBatches))
 	}
-	// The telemetry columns are empty on unobserved runs, so default CSV
+	// The telemetry column is empty on unobserved runs, so default CSV
 	// output stays deterministic.
-	wall, cacheHit := "", ""
+	wall := ""
 	if r.Telemetry != nil {
 		wall = fmt.Sprintf("%g", r.Telemetry.WallSeconds)
-		cacheHit = fmt.Sprintf("%t", r.Telemetry.CacheHit)
 	}
 	return []string{
 		string(r.Method), r.Engine, r.Model, r.Cluster,
@@ -376,7 +370,7 @@ func (r *Report) CSVRow() []string {
 		fmt.Sprintf("%d", r.TokensPerIteration), padFraction,
 		strings.Join(mbTokens, ";"), strings.Join(hist, ";"),
 		iter, tput, bubble, stash, strings.Join(linkTraffic, ";"), loss,
-		wall, cacheHit,
+		wall,
 	}
 }
 

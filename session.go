@@ -33,7 +33,6 @@ type Session struct {
 	batch        model.BatchSpec // per-micro-batch shapes; empty = uniform
 	memBudget    int64
 	memExplicit  bool
-	helix        *HelixOptions
 	trace        bool
 
 	// Topology-aware communication: a cluster topology, the stage placement
@@ -45,11 +44,6 @@ type Session struct {
 	placement    *cluster.Placement
 	perturb      cluster.Perturb
 	resolvedTopo *cluster.Topology
-
-	// Report caching across Execute runs: cells with identical content
-	// (runKey) simulate once. cache is a caller-shared cache (nil: each
-	// Execute uses a fresh one).
-	cache *ReportCache
 
 	// events receives progress events from Execute and turns on telemetry
 	// provenance stamping (Report.Telemetry). Nil on unobserved sessions,
@@ -98,13 +92,6 @@ func WithMemoryBudget(bytes int64) Option {
 	return func(ses *Session) { ses.memBudget = bytes; ses.memExplicit = true }
 }
 
-// WithHelixOptions pins the HelixPipe build options (fold, recomputation)
-// for every helix method built by the session, overriding each variant's
-// registered default.
-func WithHelixOptions(opt HelixOptions) Option {
-	return func(ses *Session) { o := opt; ses.helix = &o }
-}
-
 // WithTrace enables span tracing in the simulator so reports can render
 // ASCII and SVG timelines.
 func WithTrace() Option { return func(ses *Session) { ses.trace = true } }
@@ -135,18 +122,6 @@ func WithPerturb(p Perturb) Option {
 	return func(ses *Session) { ses.perturb = p }
 }
 
-// WithReportCache attaches a shared report cache: Execute memoizes cell
-// reports in it by content hash, so repeated cells — duplicate grid points,
-// overlapping sweeps — never re-simulate, across every run of every session
-// sharing the cache. Cached reports are shared and must be treated as
-// immutable. Without this option each Execute invocation still dedupes
-// internally with a fresh private cache, and a spec's `no_cache` field turns
-// caching off for its run; read hit/miss counts off the shared cache with
-// Stats.
-func WithReportCache(c *ReportCache) Option {
-	return func(ses *Session) { ses.cache = c }
-}
-
 // WithWorkload sets a variable-length workload: one (b, s) shape per micro
 // batch. While set, it governs the geometry — MicroBatches reports the
 // spec's length and SeqLen/MicroBatchSize the per-axis maxima. Build the
@@ -161,13 +136,13 @@ func WithWorkload(spec BatchSpec) Option {
 }
 
 // WithEventSink attaches a progress-event sink: Execute emits an obs.Event
-// when each cell starts and finishes (with worker id, duration and
-// cache-hit flag), and tune and decode runs launched through the session
-// inherit the sink. Attaching a sink also turns on telemetry provenance:
-// every report carries a Telemetry block (wall clock, cache hit, runner
-// reuse) in its JSON and CSV forms. Unobserved sessions stamp nothing, so
-// their reports stay byte-identical run to run; use obs.NewProgress for a
-// ready-made live stderr line, or any Sink for custom consumers.
+// when each cell starts and finishes (with worker id and duration), and
+// tune and decode runs launched through the session inherit the sink.
+// Attaching a sink also turns on telemetry provenance: every report carries
+// a Telemetry block (the cell's wall clock) in its JSON and CSV forms.
+// Unobserved sessions stamp nothing, so their reports stay byte-identical
+// run to run; use obs.NewProgress for a ready-made live stderr line, or any
+// Sink for custom consumers.
 func WithEventSink(sink obs.Sink) Option {
 	return func(ses *Session) { ses.events = sink }
 }
@@ -214,9 +189,6 @@ func (s *Session) validate() error {
 	case s.model.Layers%s.stages != 0:
 		return fmt.Errorf("helixpipe: layers (%d) must be divisible by stages (%d)",
 			s.model.Layers, s.stages)
-	}
-	if s.helix != nil && s.helix.Fold != 1 && s.helix.Fold != 2 {
-		return fmt.Errorf("helixpipe: helix fold must be 1 or 2, got %d", s.helix.Fold)
 	}
 	if len(s.batch.Shapes) > 0 {
 		if err := s.batch.Validate(); err != nil {
@@ -287,10 +259,6 @@ func (s *Session) resolveTopology() error {
 // eagerly. The receiver is unchanged.
 func (s *Session) With(opts ...Option) (*Session, error) {
 	d := *s
-	if s.helix != nil {
-		h := *s.helix
-		d.helix = &h
-	}
 	if !d.mbExplicit {
 		d.microBatches = 0
 	}
@@ -461,13 +429,7 @@ func (s *Session) scenario() bench.Scenario {
 
 // buildParams assembles the registry build parameters from the session.
 func (s *Session) buildParams() sched.BuildParams {
-	p := sched.BuildParams{MemoryBudget: s.MemoryBudget()}
-	if s.helix != nil {
-		p.HelixFold = s.helix.Fold
-		rec := s.helix.Recompute
-		p.HelixRecompute = &rec
-	}
-	return p
+	return sched.BuildParams{MemoryBudget: s.MemoryBudget()}
 }
 
 // schedConfig is the session's pipeline geometry as the schedule builders
@@ -645,8 +607,8 @@ func (s *Session) Autotune(spec TuneSpec) (*TuneResult, error) {
 // places itself), then one iteration on the named engine. The search reads
 // the matrix in closed form (PlacementFor), so a placed cell builds one
 // plan, on its placed books. It is the single path from a (method, engine,
-// seed, strategy, placementSeed) cell — the tuple runKey hashes — to a
-// Report, shared by Execute and the fleet simulator.
+// seed, strategy, placementSeed) cell to a Report, shared by Execute and the
+// fleet simulator.
 func (s *Session) runCell(method Method, engineName string, seed uint64, strategy string, placementSeed uint64) (*Report, error) {
 	placed := s
 	if strategy != "" {
@@ -664,69 +626,28 @@ func (s *Session) runCell(method Method, engineName string, seed uint64, strateg
 	return placed.Simulate(method)
 }
 
-// cachedJob returns the job running one cell (runCell) behind the report
-// cache: identical cells share one simulation. A nil cache, or a cell whose
-// identity cannot be content-hashed, runs uncached. On observed sessions
-// (WithEventSink) the wrapper also stamps telemetry provenance — wall clock,
-// cache-hit flag, runner reuse — onto a shallow copy of the report: stored
-// cache entries stay provenance-free, so sessions sharing the cache never
-// see another run's wall clocks.
-func (s *Session) cachedJob(cache *ReportCache, method Method, engineName string, seed uint64,
-	strategy string, placementSeed uint64) func() (*Report, error) {
-	job := func() (*Report, error) { return s.runCell(method, engineName, seed, strategy, placementSeed) }
-	key, useCache := "", false
-	if cache != nil {
-		if k, err := s.runKey(method, engineName, seed, strategy, placementSeed); err == nil {
-			key, useCache = k, true
-		}
-	}
-	if !useCache && s.events == nil {
-		return job
-	}
-	return func() (*Report, error) {
-		start := time.Now()
-		var (
-			r   *Report
-			hit bool
-			err error
-		)
-		if useCache {
-			r, hit, err = cache.Do(key, job)
-		} else {
-			r, err = job()
-		}
-		if err != nil || r == nil || s.events == nil {
-			return r, err
-		}
-		r2 := *r
-		t := &ReportTelemetry{WallSeconds: time.Since(start).Seconds(), CacheHit: hit}
-		if r.simResult != nil {
-			t.RunnerReused = r.simResult.PoolReused
-		}
-		r2.Telemetry = t
-		return &r2, nil
-	}
-}
-
 // cellSecondsH is the per-cell wall-clock distribution across every
-// Execute job (cache hits included — a hit's cell time is its cache wait).
-// Bounds span sub-millisecond cached lookups to multi-second long-sequence
-// simulations.
+// Execute job. Bounds span sub-millisecond cells to multi-second
+// long-sequence simulations.
 var cellSecondsH = obs.Default().Histogram("helix_cell_seconds",
 	[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10})
 
 // streamReports runs the jobs on obs.Ordered's bounded worker pool and
 // yields each job's (report, error) in job order, as soon as it is
 // available. A non-nil sink receives a CellStarted/CellFinished event pair
-// per job, carrying the job's label, the worker slot that ran it, its wall
-// clock and (off the report's telemetry) the cache-hit flag.
+// per job, carrying the job's label, the worker slot that ran it and its
+// wall clock, which is also stamped onto the job's report as its Telemetry.
 func streamReports(jobs []func() (*Report, error), labels []string, sink obs.Sink) iter.Seq2[*Report, error] {
 	return obs.Ordered(len(jobs), 0, sink, func(i int) string { return labels[i] },
-		func(i int) (*Report, bool, error) {
+		func(i int) (*Report, error) {
 			start := time.Now()
 			r, err := jobs[i]()
-			cellSecondsH.Observe(time.Since(start).Seconds())
-			return r, r != nil && r.Telemetry != nil && r.Telemetry.CacheHit, err
+			wall := time.Since(start).Seconds()
+			cellSecondsH.Observe(wall)
+			if err == nil && sink != nil {
+				r.Telemetry = &ReportTelemetry{WallSeconds: wall}
+			}
+			return r, err
 		})
 }
 
@@ -744,9 +665,8 @@ func streamReports(jobs []func() (*Report, error), labels []string, sink obs.Sin
 // seconds, it is deterministic, and it keeps the iterator safe to build from
 // a bare spec without a prior Resolve call.
 //
-// Cells run behind the session's report cache (WithReportCache), or a fresh
-// private one that still dedupes the grid's duplicate cells; a `no_cache`
-// spec simulates every cell.
+// Every cell simulates: a spec that repeats a cell runs it again, and the
+// repeat yields the same bytes.
 //
 // A RunKindTune spec streams the autotuner's evaluated points as compact
 // sim reports (geometry plus iteration/throughput/bubble metrics) in grid
@@ -781,12 +701,6 @@ func (s *Session) Execute(spec *ExperimentSpec) iter.Seq2[*Report, error] {
 			s.executeTune(*rs.Tune, yield)
 			return
 		}
-		cache := s.cache
-		if n.NoCache {
-			cache = nil
-		} else if cache == nil {
-			cache = NewReportCache()
-		}
 		jobs := make([]func() (*Report, error), 0, len(rs.Cells))
 		labels := make([]string, 0, len(rs.Cells))
 		for _, c := range rs.Cells {
@@ -806,7 +720,9 @@ func (s *Session) Execute(spec *ExperimentSpec) iter.Seq2[*Report, error] {
 					continue
 				}
 			}
-			jobs = append(jobs, cell.cachedJob(cache, c.Method, rs.Engine, rs.Seed, rs.Placement, rs.PlacementSeed))
+			jobs = append(jobs, func() (*Report, error) {
+				return cell.runCell(c.Method, rs.Engine, rs.Seed, rs.Placement, rs.PlacementSeed)
+			})
 		}
 		for r, err := range streamReports(jobs, labels, s.events) {
 			if !yield(r, err) {

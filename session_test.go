@@ -33,10 +33,6 @@ func TestSessionValidation(t *testing.T) {
 	if _, err := NewSession(TinyModel(), H20Cluster(), WithStages(2), WithMicroBatches(-1)); err == nil {
 		t.Error("negative micro batches must fail")
 	}
-	if _, err := NewSession(TinyModel(), H20Cluster(), WithStages(2),
-		WithHelixOptions(HelixOptions{Fold: 3})); err == nil {
-		t.Error("fold 3 must fail")
-	}
 	if _, err := NewSession(ModelConfig{}, H20Cluster(), WithStages(2)); err == nil {
 		t.Error("zero model must fail")
 	}
@@ -221,6 +217,46 @@ func TestSessionSweep(t *testing.T) {
 	}
 	if len(reports) != len(methods) {
 		t.Errorf("valid cells must survive a partial failure: got %d reports", len(reports))
+	}
+}
+
+// dupSweep is a 3B/A800 sweep spec whose repeated seqlen makes exact
+// duplicate cells: 2 methods x (2+1 seqlens) x 2 stages = 12 cells, 4 of
+// them duplicates.
+func dupSweep() *ExperimentSpec {
+	return &ExperimentSpec{Model: "3B", Cluster: "A800",
+		Methods: []string{"1F1B", "HelixPipe"},
+		Sweep:   &SpecSweep{SeqLens: []int{8192, 8192, 16384}, Stages: []int{2, 4}}}
+}
+
+// TestExecuteSimulatesDuplicateCells pins that Execute caches nothing: each
+// duplicate cell of dupSweep simulates again, into a report of its own, and
+// yields the same bytes as the cell it repeats.
+func TestExecuteSimulatesDuplicateCells(t *testing.T) {
+	reports, err := executeSpec(t, dupSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 12 {
+		t.Fatalf("got %d reports, want 12", len(reports))
+	}
+	// Grid order is seqlen-major: cells 4-7 repeat cells 0-3.
+	for i := 0; i < 4; i++ {
+		first, again := reports[i], reports[i+4]
+		if first == again {
+			t.Errorf("cell %d shares the report of cell %d: one simulation yielded twice", i+4, i)
+		}
+		var a, b bytes.Buffer
+		if err := WriteReportsJSON(&a, []*Report{first}); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteReportsJSON(&b, []*Report{again}); err != nil {
+			t.Fatal(err)
+		}
+		if first.SeqLen != 8192 || !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("cell %d (%s seq=%d p=%d) does not repeat cell %d byte for byte",
+				i+4, again.Method, again.SeqLen, again.Stages, i)
+		}
 	}
 }
 
@@ -414,26 +450,5 @@ func TestMethodRegistry(t *testing.T) {
 	// Baselines first, as the paper lists them.
 	if ms := Methods(); ms[0] != MethodGPipe || ms[len(ms)-1] != MethodHelixNoRecompute {
 		t.Errorf("registry order wrong: %v", ms)
-	}
-}
-
-// TestHelixOptionsOverride checks WithHelixOptions pins the variant.
-func TestHelixOptionsOverride(t *testing.T) {
-	pinned := tinySession(t, WithHelixOptions(HelixOptions{Fold: 1, Recompute: false}))
-	plan, err := pinned.Plan(MethodHelix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fold 1 uses blocking sends — detectable in the plan.
-	blocking := false
-	for _, ops := range plan.Ops {
-		for _, op := range ops {
-			if op.Blocking {
-				blocking = true
-			}
-		}
-	}
-	if !blocking {
-		t.Error("fold-1 override must produce blocking sends")
 	}
 }

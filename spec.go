@@ -78,16 +78,6 @@ type SpecWorkload struct {
 // costmodel.MaxMicroBatches bounds the micro batches they pack into.
 const MaxWorkloadDocs = 1 << 14
 
-// SpecHelix pins the HelixPipe build options for every helix method of the
-// spec, overriding each variant's registered default.
-type SpecHelix struct {
-	// Fold is the FILO fold factor (1 or 2).
-	Fold int `json:"fold,omitempty"`
-	// Recompute toggles recomputation without attention; nil keeps the
-	// variant's default.
-	Recompute *bool `json:"recompute,omitempty"`
-}
-
 // SpecSweep adds sweep axes to a spec: the run becomes a seqlen x stages x
 // method grid. Empty axes fall back to the spec's own value. On a workload
 // spec only the stages axis may sweep — a seq_lens axis would discard the
@@ -476,8 +466,6 @@ type ExperimentSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Trace forces simulator tracing even without timeline output.
 	Trace bool `json:"trace,omitempty"`
-	// Helix pins the HelixPipe build options.
-	Helix *SpecHelix `json:"helix,omitempty"`
 	// Workload is an optional variable-length workload; while set it governs
 	// the micro-batch geometry.
 	Workload *SpecWorkload `json:"workload,omitempty"`
@@ -501,9 +489,6 @@ type ExperimentSpec struct {
 	// Decode turns the run into an interactive-decoding KVP x TPA search;
 	// mutually exclusive with Sweep, Tune, Fleet and Workload.
 	Decode *SpecDecode `json:"decode,omitempty"`
-	// NoCache disables Execute's report cache: every cell simulates, even
-	// exact duplicates.
-	NoCache bool `json:"no_cache,omitempty"`
 	// Output selects what the helix command emits.
 	Output *SpecOutput `json:"output,omitempty"`
 }
@@ -697,14 +682,6 @@ func (s *ExperimentSpec) normalized() (*ExperimentSpec, error) {
 		return nil, err
 	}
 	n.Methods = methods
-	if n.Helix != nil {
-		h := *n.Helix
-		if h.Recompute != nil {
-			r := *h.Recompute
-			h.Recompute = &r
-		}
-		n.Helix = &h
-	}
 	if n.Workload != nil {
 		w := *n.Workload
 		w.Shapes = append([]Shape(nil), w.Shapes...)
@@ -935,13 +912,6 @@ func (s *ExperimentSpec) resolveParts() (*specParts, error) {
 	if s.MemoryBudgetGB > 0 {
 		budget, _ := budgetBytes("memory_budget_gb", s.MemoryBudgetGB) // validated by normalized
 		p.options = append(p.options, WithMemoryBudget(budget))
-	}
-	if s.Helix != nil {
-		opt := HelixOptions{Fold: s.Helix.Fold}
-		if s.Helix.Recompute != nil {
-			opt.Recompute = *s.Helix.Recompute
-		}
-		p.options = append(p.options, WithHelixOptions(opt))
 	}
 	if topo != nil {
 		p.options = append(p.options, WithCluster(*topo))

@@ -17,7 +17,6 @@ import (
 // fullSpec returns a spec exercising every field, matching
 // testdata/spec_full.json.
 func fullSpec() *ExperimentSpec {
-	recompute := true
 	return &ExperimentSpec{
 		Model:          "3B",
 		Cluster:        "DGX-A800x4",
@@ -30,7 +29,6 @@ func fullSpec() *ExperimentSpec {
 		Engine:         SpecEngineSim,
 		Seed:           7,
 		Trace:          true,
-		Helix:          &SpecHelix{Fold: 2, Recompute: &recompute},
 		Workload: &SpecWorkload{
 			Dist:   "bimodal",
 			Docs:   32,
@@ -44,9 +42,8 @@ func fullSpec() *ExperimentSpec {
 		Perturb:       "slow=1x1.5,jitter=0.05,seed=11",
 		// A workload spec sweeps stages only; a seq_lens axis would discard
 		// the workload and is rejected (TestSpecInvalid).
-		Sweep:   &SpecSweep{Stages: []int{2, 4}},
-		NoCache: true,
-		Output:  &SpecOutput{JSON: true, CSV: "points.csv", Timeline: true, SVG: "out.svg"},
+		Sweep:  &SpecSweep{Stages: []int{2, 4}},
+		Output: &SpecOutput{JSON: true, CSV: "points.csv", Timeline: true, SVG: "out.svg"},
 	}
 }
 
@@ -295,6 +292,16 @@ func TestParseSpecStrict(t *testing.T) {
 	}
 	if _, err := ParseSpec(strings.NewReader(`{"model": "7B"} {"model": "3B"}`)); err == nil {
 		t.Error("trailing data accepted")
+	}
+	// Neither a session-wide HelixPipe override nor a cache switch is a
+	// spec field: the registered variants name every HelixPipe
+	// configuration, and Execute caches nothing.
+	for _, field := range []string{`"helix": {"fold": 2}`, `"no_cache": true`} {
+		_, err := ParseSpec(strings.NewReader(`{"model": "7B", ` + field + `}`))
+		name := strings.Split(field, `"`)[1]
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+name+`"`) {
+			t.Errorf("%s: err = %v, want an unknown-field error naming it", field, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package helixpipe
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -35,8 +36,8 @@ func (c *collectSink) byKind(k obs.EventKind) []obs.Event {
 	return out
 }
 
-// The telemetry tests run dupSweep (cache_test.go), the duplicate-bearing
-// grid: 12 cells, 4 of them exact duplicates.
+// The telemetry tests run dupSweep (session_test.go), the duplicate-bearing
+// grid: 12 cells, 4 of them exact duplicates, each simulated.
 func TestTelemetryAbsentOnUnobservedSessions(t *testing.T) {
 	reports, err := executeSpec(t, dupSweep())
 	if err != nil {
@@ -51,11 +52,10 @@ func TestTelemetryAbsentOnUnobservedSessions(t *testing.T) {
 
 func TestTelemetryStampedOnObservedSessions(t *testing.T) {
 	sink := &collectSink{}
-	reports, err := executeSpec(t, dupSweep(), WithEventSink(sink), WithReportCache(NewReportCache()))
+	reports, err := executeSpec(t, dupSweep(), WithEventSink(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := 0
 	for i, r := range reports {
 		tel := r.Telemetry
 		if tel == nil {
@@ -64,12 +64,6 @@ func TestTelemetryStampedOnObservedSessions(t *testing.T) {
 		if tel.WallSeconds <= 0 {
 			t.Errorf("report %d: wall_seconds = %g, want > 0", i, tel.WallSeconds)
 		}
-		if tel.CacheHit {
-			hits++
-		}
-	}
-	if hits != 4 {
-		t.Errorf("%d cache-hit reports, want 4 (the duplicate cells)", hits)
 	}
 
 	// The provenance block is the only difference from an unobserved run:
@@ -121,41 +115,29 @@ func TestEventStreamShape(t *testing.T) {
 	if len(seen) != cells {
 		t.Errorf("finished events cover %d distinct cells, want %d", len(seen), cells)
 	}
-	hits := 0
-	for _, e := range finished {
-		if e.CacheHit {
-			hits++
-		}
-	}
-	if hits != 4 {
-		t.Errorf("%d cache-hit events, want 4", hits)
-	}
 }
 
-// TestWritePromAfterSweep is the acceptance check: after a 216-cell sweep
-// through a cache bound to a fresh registry, the Prometheus snapshot reports
-// exactly the duplicate-cell count as hits.
-func TestWritePromAfterSweep(t *testing.T) {
-	// 2 methods x 54 seqlen entries x 2 stages = 216 cells; only 3 distinct
-	// seqlens, so 2 x 3 x 2 = 12 unique cells and 204 duplicates.
-	seqLens := make([]int, 0, 54)
-	for i := 0; i < 18; i++ {
-		seqLens = append(seqLens, 8, 16, 32)
-	}
-	spec := tinySweep([]string{"1F1B", "HelixPipe"}, SpecSweep{SeqLens: seqLens, Stages: []int{2, 4}})
-
+// TestWritePromAfterFleet is the acceptance check of the cache's
+// instruments: after the committed fleet stream runs through a cache bound
+// to a fresh registry, the Prometheus snapshot reports exactly the fleet
+// report's hit and miss counts, and the cached-bytes gauge the stored
+// reports.
+func TestWritePromAfterFleet(t *testing.T) {
+	session, fs := exampleFleet(t, "")
 	reg := obs.NewRegistry()
 	cache := NewReportCacheInRegistry(reg)
-	reports, err := executeSpec(t, spec, WithReportCache(cache))
+	fs.Cache = cache
+	report, err := session.Fleet(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 216 {
-		t.Fatalf("swept %d cells, want 216", len(reports))
-	}
 	hits, misses := cache.Stats()
-	if hits != 204 || misses != 12 {
-		t.Fatalf("cache stats = %d hits / %d misses, want 204 / 12", hits, misses)
+	if hits != report.CacheHits || misses != report.CacheMisses {
+		t.Errorf("cache stats = %d hits / %d misses, report %d / %d",
+			hits, misses, report.CacheHits, report.CacheMisses)
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("the stream made %d hits and %d misses; it must repeat and miss", hits, misses)
 	}
 
 	var b strings.Builder
@@ -163,25 +145,24 @@ func TestWritePromAfterSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
+	cs := cache.StatsDetail()
 	for _, want := range []string{
 		"# TYPE helix_cache_hits_total counter\n",
-		"helix_cache_hits_total 204\n",
-		"helix_cache_misses_total 12\n",
+		fmt.Sprintf("helix_cache_hits_total %d\n", report.CacheHits),
+		fmt.Sprintf("helix_cache_misses_total %d\n", report.CacheMisses),
+		"# TYPE helix_cache_bytes gauge\n",
+		fmt.Sprintf("helix_cache_bytes %d\n", cs.Bytes),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus snapshot missing %q:\n%s", want, out)
 		}
 	}
-	// The cached-bytes gauge tracks the stored reports.
-	cs := cache.StatsDetail()
-	if cs.Entries != 12 {
-		t.Errorf("cache entries = %d, want 12", cs.Entries)
+	// Every miss stored one report.
+	if cs.Entries != misses {
+		t.Errorf("cache entries = %d, want %d (one per miss)", cs.Entries, misses)
 	}
 	if cs.Bytes <= 0 {
 		t.Errorf("cached bytes = %d, want > 0", cs.Bytes)
-	}
-	if !strings.Contains(out, "# TYPE helix_cache_bytes gauge\n") {
-		t.Errorf("prometheus snapshot missing the cache bytes gauge:\n%s", out)
 	}
 }
 
@@ -224,8 +205,8 @@ func TestCacheSingleflightWaitCounted(t *testing.T) {
 
 func TestReportCSVTelemetryColumns(t *testing.T) {
 	header := ReportCSVHeader()
-	if header[len(header)-2] != "wall_seconds" || header[len(header)-1] != "cache_hit" {
-		t.Fatalf("CSV header missing telemetry columns: %v", header)
+	if header[len(header)-1] != "wall_seconds" {
+		t.Fatalf("CSV header missing the telemetry column: %v", header)
 	}
 	s, err := NewSession(Model3B(), A800Cluster(), WithSeqLen(8192), WithStages(2))
 	if err != nil {
@@ -239,13 +220,13 @@ func TestReportCSVTelemetryColumns(t *testing.T) {
 	if len(row) != len(header) {
 		t.Fatalf("row has %d fields, header %d", len(row), len(header))
 	}
-	// Unobserved reports leave the telemetry cells empty.
-	if row[len(row)-2] != "" || row[len(row)-1] != "" {
-		t.Errorf("unobserved report filled telemetry cells: %v", row[len(row)-2:])
+	// Unobserved reports leave the telemetry cell empty.
+	if row[len(row)-1] != "" {
+		t.Errorf("unobserved report filled the telemetry cell: %q", row[len(row)-1])
 	}
-	r.Telemetry = &ReportTelemetry{WallSeconds: 0.25, CacheHit: true}
+	r.Telemetry = &ReportTelemetry{WallSeconds: 0.25}
 	row = r.CSVRow()
-	if row[len(row)-2] != "0.25" || row[len(row)-1] != "true" {
-		t.Errorf("telemetry cells = %v, want [0.25 true]", row[len(row)-2:])
+	if row[len(row)-1] != "0.25" {
+		t.Errorf("telemetry cell = %q, want 0.25", row[len(row)-1])
 	}
 }
