@@ -1,8 +1,11 @@
 package helixpipe
 
 import (
+	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestReportCacheKeyResolvedSpecs pins the cache's content addressing: keys
@@ -141,5 +144,95 @@ func TestReportCacheSharedAcrossFleetRuns(t *testing.T) {
 	if report.CacheHits != len(report.JobRecords) {
 		t.Errorf("second run: %d hits over %d jobs, want every job cached",
 			report.CacheHits, len(report.JobRecords))
+	}
+}
+
+// TestSweepCacheByteIdenticalReports is the cache-correctness contract:
+// serving dupSweep's cells through a ReportCache, as the fleet serves its
+// jobs, yields Report JSON byte-identical to the sweep Execute simulates
+// cell by cell, and the hit count equals the number of duplicate cells.
+func TestSweepCacheByteIdenticalReports(t *testing.T) {
+	simulated, err := executeSpec(t, dupSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewReportCacheInRegistry(obs.NewRegistry())
+	// serve looks up each of the sweep's cells, as a one-cell spec, in the
+	// cache, simulating it on a miss.
+	serve := func() []*Report {
+		served := make([]*Report, 0, len(simulated))
+		for _, r := range simulated {
+			cell := &ExperimentSpec{Model: "3B", Cluster: "A800", SeqLen: r.SeqLen,
+				Stages: r.Stages, Methods: []string{string(r.Method)}}
+			key, err := cache.Key(cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			report, _, err := cache.Do(key, func() (*Report, error) {
+				reports, err := executeSpec(t, cell)
+				if err != nil {
+					return nil, err
+				}
+				return reports[0], nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			served = append(served, report)
+		}
+		return served
+	}
+
+	cached := serve()
+	var a, b bytes.Buffer
+	if err := WriteReportsJSON(&a, simulated); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteReportsJSON(&b, cached); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("cached sweep JSON differs from the simulated sweep")
+	}
+	hits, misses := cache.Stats()
+	if wantHits, wantMisses := 4, 8; hits != wantHits || misses != wantMisses {
+		t.Errorf("cache stats = %d hits / %d misses, want %d / %d",
+			hits, misses, wantHits, wantMisses)
+	}
+
+	// A second pass over the same cells is all hits.
+	if again := serve(); len(again) != len(cached) {
+		t.Fatalf("second pass yielded %d reports, want %d", len(again), len(cached))
+	}
+	if _, misses := cache.Stats(); misses != 8 {
+		t.Errorf("second pass re-simulated: %d misses, want 8", misses)
+	}
+}
+
+// dupCells is a two-cell sweep spec whose cells are exact duplicates.
+func dupCells() *ExperimentSpec {
+	return &ExperimentSpec{Model: "3B", Cluster: "A800", SeqLen: 8192, Stages: 2,
+		Methods: []string{"1F1B"}, Sweep: &SpecSweep{SeqLens: []int{8192, 8192}}}
+}
+
+// TestSpecNoCacheDisablesCaching pins that no spec turns caching on in
+// Execute: each of dupCells' duplicate cells simulates into a report of its
+// own, and no report cache is touched, so the cache counters of the default
+// registry, where a cache without a registry of its own publishes, do not
+// move. The no_cache field that once asked for this is gone
+// (TestParseSpecStrict).
+func TestSpecNoCacheDisablesCaching(t *testing.T) {
+	hitsC := obs.Default().Counter("helix_cache_hits_total")
+	missesC := obs.Default().Counter("helix_cache_misses_total")
+	hits, misses := hitsC.Value(), missesC.Value()
+	reports, err := executeSpec(t, dupCells())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 2 || reports[0] == reports[1] {
+		t.Error("duplicate cells shared one simulation")
+	}
+	if dh, dm := hitsC.Value()-hits, missesC.Value()-misses; dh+dm != 0 {
+		t.Errorf("Execute used a report cache: %d hits, %d misses", dh, dm)
 	}
 }
