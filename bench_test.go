@@ -384,6 +384,41 @@ func TestValidateAllocBudget(t *testing.T) {
 	}
 }
 
+// TestValidatePlacedAllocs pins the allocations of placed-plan validation:
+// checking that no two stages share a device builds no table, so validating
+// the headline plans and a 16-stage ZB1P plan placed on distinct devices
+// allocates no more than validating the same plans unplaced. A map of the
+// devices seen outgrows the stack at 16 stages, costs an allocation per
+// placed plan and fails it. Skipped under -race, which drops the
+// validator's pooled scratch at random.
+func TestValidatePlacedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	s, err := NewSession(Model7B(), H20Cluster(), WithSeqLen(131072), WithStages(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep, err := s.Plan(MethodZB1P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := append(headlinePlans(t), deep)
+	placed := make([]*Plan, len(plans))
+	for i, p := range plans {
+		devices := make([]int, p.Stages)
+		for s := range devices {
+			devices[s] = 3*s + 1
+		}
+		placed[i] = &Plan{Method: p.Method, Stages: p.Stages, MicroBatches: p.MicroBatches, Layers: p.Layers,
+			Ops: p.Ops, Costs: p.Costs, Batch: p.Batch, Placement: devices}
+	}
+	unplaced := testing.AllocsPerRun(5, func() { validateFresh(t, plans) })
+	if got := testing.AllocsPerRun(5, func() { validateFresh(t, placed) }); got > unplaced {
+		t.Errorf("validating the placed plans allocates %.0f allocs/op, unplaced %.0f", got, unplaced)
+	}
+}
+
 // BenchmarkSimulateHelix measures one simulated headline iteration and
 // reports simulated tokens/s.
 func BenchmarkSimulateHelix(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/obs"
@@ -24,6 +25,9 @@ type ReportCache struct {
 	misses  int
 	waits   int   // hits that blocked on an in-flight computation
 	bytes   int64 // total stored report size (marshaled JSON bytes)
+	// live is the part of bytes still counted in the registry's gauge:
+	// release takes it back out when the cache is dropped.
+	live int64
 
 	// Shared instruments in the registry the cache publishes into
 	// (obs.Default unless injected via NewReportCacheInRegistry).
@@ -52,14 +56,32 @@ func NewReportCache() *ReportCache {
 // NewReportCacheInRegistry returns an empty cache publishing hit/miss/
 // singleflight-wait counters and the cached-bytes gauge into reg. Several
 // caches in one registry aggregate into the same instruments; tests use a
-// private registry for exact counts.
+// private registry for exact counts. The counters are cumulative; the gauge
+// counts live caches only: a cache gives its bytes back when the garbage
+// collector frees it, and Session.Fleet gives back those of a cache it made
+// itself as soon as the run returns.
 func NewReportCacheInRegistry(reg *obs.Registry) *ReportCache {
-	return &ReportCache{
+	c := &ReportCache{
 		entries: map[string]*cacheEntry{},
 		hitsC:   reg.Counter("helix_cache_hits_total"),
 		missesC: reg.Counter("helix_cache_misses_total"),
 		waitsC:  reg.Counter("helix_cache_singleflight_waits_total"),
 		bytesG:  reg.Gauge("helix_cache_bytes"),
+	}
+	runtime.SetFinalizer(c, (*ReportCache).release)
+	return c
+}
+
+// release takes the cache's stored bytes back out of the gauge, once: a
+// dropped cache no longer counts toward helix_cache_bytes. Its own Bytes
+// (StatsDetail) stay as they were.
+func (c *ReportCache) release() {
+	c.mu.Lock()
+	live := c.live
+	c.live = 0
+	c.mu.Unlock()
+	if c.bytesG != nil && live != 0 {
+		c.bytesG.Add(-float64(live))
 	}
 }
 
@@ -149,6 +171,7 @@ func (c *ReportCache) Do(key string, compute func() (*Report, error)) (*Report, 
 		// operator expects.
 		c.mu.Lock()
 		c.bytes += int64(len(blob))
+		c.live += int64(len(blob))
 		c.mu.Unlock()
 		if c.bytesG != nil {
 			c.bytesG.Add(float64(len(blob)))

@@ -144,6 +144,7 @@ func (s *Session) Fleet(fs FleetSpec) (*FleetReport, error) {
 	cache := fs.Cache
 	if cache == nil {
 		cache = NewReportCache()
+		defer cache.release()
 	}
 	priced := &fleetSimulator{cache: cache, specs: map[*ExperimentSpec]*fleetJobSpec{}}
 	jobs := make([]fleet.Job, len(fs.Jobs))

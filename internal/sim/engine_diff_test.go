@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -242,5 +243,133 @@ func TestEngineMatchesReferenceOnMutants(t *testing.T) {
 	t.Logf("%d mutants accepted", accepted)
 	if accepted == 0 {
 		t.Fatal("Validate accepted no mutant: the test exercises nothing")
+	}
+}
+
+// overlaps counts the intervals of one stage's oracle timeline, in each
+// direction, that overlap the window [start, end].
+func overlaps(nic *nicLog, s int, start, end float64) (sends, recvs int) {
+	for _, iv := range nic.send[s] {
+		if iv.start < end && iv.end > start {
+			sends++
+		}
+	}
+	for _, iv := range nic.recv[s] {
+		if iv.start < end && iv.end > start {
+			recvs++
+		}
+	}
+	return sends, recvs
+}
+
+// TestEngineFastPathsMatchReference runs the engine where its overlap fast
+// paths branch, bit for bit against refRun at SMPenalty 0.3 with tracing on
+// and off, below the validator on two crafted two-stage plans without link
+// latency, and on a placed plan:
+//   - stage 0 sends, computes briefly, sends again and then computes long,
+//     while stage 1 sends twice: the long window overlaps four oracle
+//     intervals whose seq alternates between the two directions, and the
+//     brief one two, which are summed without the merge;
+//   - at one byte per second, stage 1 receives a message and computes two
+//     ops that fill the quiet gap before the next transfer exactly (every
+//     edge an exact binary fraction): the first starts on the end of
+//     the interval before the gap, the second ends on the start of the one
+//     after it and is priced by the cached gap;
+//   - HelixPipe on four DGX-A800x4 nodes at p=8, two stages per node, whose
+//     stage pairs cross both NVLink and InfiniBand.
+func TestEngineFastPathsMatchReference(t *testing.T) {
+	msg := func(kind sched.OpKind, peer, layer int, bytes int64) sched.Op {
+		return sched.Op{Kind: kind, Peer: int32(peer), Bytes: bytes, Tag: sched.Tag{Layer: int32(layer)}}
+	}
+	compute := func(dur float64) sched.Op { return sched.Op{Kind: sched.KForward, Dur: dur} }
+	crafted := func(bytesPerSec float64, progs ...[]sched.Op) *sched.Plan {
+		return &sched.Plan{Method: "crafted", Stages: len(progs), Ops: progs,
+			Costs: sched.Costs{P2PBytesPerSec: bytesPerSec}}
+	}
+	// Transfers of one and two thirds of a second: the four overlap terms
+	// round, and summed sends first they lose the last bit of the makespan.
+	interleaved := crafted(3,
+		[]sched.Op{msg(sched.KSend, 1, 0, 1), compute(0.0625), msg(sched.KSend, 1, 1, 2), compute(5),
+			msg(sched.KRecv, 1, 2, 0), msg(sched.KRecv, 1, 3, 0)},
+		[]sched.Op{msg(sched.KSend, 0, 2, 1), compute(0.03125), msg(sched.KSend, 0, 3, 1),
+			msg(sched.KRecv, 0, 0, 0), msg(sched.KRecv, 0, 1, 0)},
+	)
+	gap := crafted(1,
+		[]sched.Op{msg(sched.KSend, 1, 0, 1), compute(3), msg(sched.KSend, 1, 1, 1)},
+		[]sched.Op{msg(sched.KRecv, 0, 0, 0), compute(1), compute(1), msg(sched.KRecv, 0, 1, 0), compute(1), compute(1)},
+	)
+	placedBook := diffBooks(t, 8)[1]
+	cfg := sched.Config{Stages: 8, MicroBatches: 16, Layers: 16}
+	placed, err := sched.Build(sched.MethodHelix, cfg, placedBook.costs, sched.BuildParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		plan  *sched.Plan
+		topo  *cluster.Topology
+		check func(*Runner, *Result) string
+	}{
+		{"interleaved overlaps", interleaved, nil, func(r *Runner, res *Result) string {
+			for _, sp := range res.Spans {
+				if sp.Stage == 0 && sp.Op.Kind == sched.KForward && sp.Op.Dur == 5 {
+					if sends, recvs := overlaps(&r.pre.nic, 0, sp.Start, sp.Start+sp.Op.Dur); sends < 2 || recvs < 2 {
+						return fmt.Sprintf("the long window overlaps %d send and %d recv intervals", sends, recvs)
+					}
+					if seqs := []int32{r.pre.nic.send[0][0].seq, r.pre.nic.recv[0][0].seq, r.pre.nic.recv[0][1].seq,
+						r.pre.nic.send[0][1].seq}; !slices.IsSorted(seqs) {
+						return fmt.Sprintf("seqs send, recv, recv, send = %v do not alternate", seqs)
+					}
+					return ""
+				}
+			}
+			return "no long compute span on stage 0"
+		}},
+		{"quiet gap edges", gap, nil, func(r *Runner, res *Result) string {
+			recv := r.pre.nic.recv[1]
+			var starts, ends int
+			for _, sp := range res.Spans {
+				if sp.Stage == 1 && sp.Op.Kind == sched.KForward {
+					if sp.Start == recv[0].end {
+						starts++
+					}
+					if sp.End == recv[1].start {
+						ends++
+					}
+				}
+			}
+			if starts == 0 || ends == 0 {
+				return fmt.Sprintf("%d windows start on the gap's low edge and %d end on its high edge", starts, ends)
+			}
+			return ""
+		}},
+		{"two link classes", placed, placedBook.topo, func(_ *Runner, res *Result) string {
+			if len(res.LinkClasses) != 2 {
+				return fmt.Sprintf("link classes %+v, want nvlink and ib", res.LinkClasses)
+			}
+			return ""
+		}},
+	}
+	for _, c := range cases {
+		for _, trace := range []bool{false, true} {
+			opt := Options{SMPenalty: 0.3, Trace: trace, Topology: c.topo}
+			want, err := refRun(c.plan, opt)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", c.name, err)
+			}
+			r := newRunner(c.plan, opt)
+			got, err := r.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if diff := resultDiff(got, want); diff != "" {
+				t.Fatalf("%s trace=%v: %s", c.name, trace, diff)
+			}
+			if trace {
+				if msg := c.check(r, got); msg != "" {
+					t.Errorf("%s: %s", c.name, msg)
+				}
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package helixpipe
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -163,6 +164,62 @@ func TestWritePromAfterFleet(t *testing.T) {
 	}
 	if cs.Bytes <= 0 {
 		t.Errorf("cached bytes = %d, want > 0", cs.Bytes)
+	}
+}
+
+// TestCacheBytesGaugeCountsLiveCaches runs the committed fleet stream five
+// times through caches Session.Fleet makes itself and five times through
+// caches the caller makes: helix_cache_bytes counts a cache while it lives
+// and ends back where it started once every cache is dropped. Session.Fleet
+// gives its own cache's bytes back when the run returns; a caller's cache,
+// on a private registry, gives them back when the collector frees it.
+func TestCacheBytesGaugeCountsLiveCaches(t *testing.T) {
+	session, fs := exampleFleet(t, "")
+	gauge := obs.Default().Gauge("helix_cache_bytes")
+	before := gauge.Value()
+	for i := 0; i < 5; i++ {
+		var peak float64
+		own := fs
+		own.Probe = func(FleetProbeEvent) { peak = max(peak, gauge.Value()) }
+		if _, err := session.Fleet(own); err != nil {
+			t.Fatal(err)
+		}
+		if peak <= before {
+			t.Fatalf("run %d: the gauge read at most %g during the run, %g before it: the run's cache was not counted", i, peak, before)
+		}
+		if got := gauge.Value(); got != before {
+			t.Fatalf("run %d: helix_cache_bytes %g after the run, %g before it", i, got, before)
+		}
+	}
+
+	reg := obs.NewRegistry()
+	private := reg.Gauge("helix_cache_bytes")
+	var stored int64
+	caches := make([]*ReportCache, 5)
+	for i := range caches {
+		theirs := fs
+		caches[i] = NewReportCacheInRegistry(reg)
+		theirs.Cache = caches[i]
+		if _, err := session.Fleet(theirs); err != nil {
+			t.Fatal(err)
+		}
+		stored += caches[i].StatsDetail().Bytes
+	}
+	runtime.GC()
+	if got := private.Value(); got != float64(stored) || stored <= 0 {
+		t.Fatalf("five live caches: helix_cache_bytes %g, they store %d bytes", got, stored)
+	}
+	runtime.KeepAlive(caches)
+	for i := 0; i < 100 && private.Value() != 0; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := private.Value(); got != 0 {
+		t.Fatalf("helix_cache_bytes %g after every cache was dropped and collected, want 0", got)
+	}
+	hits, misses := reg.Counter("helix_cache_hits_total").Value(), reg.Counter("helix_cache_misses_total").Value()
+	if hits == 0 || misses == 0 {
+		t.Errorf("the hit and miss counters read %v and %v after five runs; they must stay cumulative", hits, misses)
 	}
 }
 
