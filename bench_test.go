@@ -346,10 +346,10 @@ func validateFresh(tb testing.TB, plans []*Plan) {
 	}
 }
 
-// BenchmarkValidatePlans measures the plan validator (structure, counts,
-// token dataflow with the message match, and the stash walk) on the headline
-// HelixPipe and ZB1P programs. The alloc-gate CI step pins its allocs/op to
-// the budget in testdata/alloc_budget.json.
+// BenchmarkValidatePlans measures the plan validator (the one walk over
+// every op and the replay of the message ops) on the headline HelixPipe and
+// ZB1P programs. The alloc-gate CI step pins its allocs/op to the budget in
+// testdata/alloc_budget.json.
 func BenchmarkValidatePlans(b *testing.B) {
 	plans := headlinePlans(b)
 	b.ResetTimer()

@@ -307,7 +307,10 @@ func (sc *scratch) reset(g geometry, stages int) {
 	sc.tgt = zeroed(sc.tgt, g.targets())
 	sc.bits = resize(sc.bits, (g.tokens()+63)/64)
 	sc.latest = zeroed(sc.latest, g.tags())
-	sc.sent, sc.msgs = sc.sent[:0], sc.msgs[:0]
+	// A built plan sends and receives each tag at most once, so at these
+	// capacities the walk's appends never regrow the message tables: a
+	// fresh scratch allocates each once.
+	sc.sent, sc.msgs = resize(sc.sent, g.tags())[:0], resize(sc.msgs, 2*g.tags())[:0]
 	sc.stages = resize(sc.stages, stages)
 	sc.homeErr, sc.memErr = nil, nil
 }
@@ -324,10 +327,7 @@ func resize[T any](buf []T, n int) []T {
 // zeroed returns buf resized to n zero elements, reusing its array when it
 // is large enough.
 func zeroed[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	buf = buf[:n]
+	buf = resize(buf, n)
 	clear(buf)
 	return buf
 }

@@ -262,22 +262,22 @@ func overlaps(nic *nicLog, s int, start, end float64) (sends, recvs int) {
 	return sends, recvs
 }
 
-// TestEngineFastPathsMatchReference runs the engine where its overlap fast
-// paths branch, bit for bit against refRun at SMPenalty 0.3 with tracing on
-// and off, below the validator on two crafted two-stage plans without link
-// latency, and on a placed plan:
+// TestEngineOverlapEdgesMatchReference runs the engine on the edges of its
+// SM-penalty overlap sum, bit for bit against refRun at SMPenalty 0.3 with
+// tracing on and off, below the validator on two crafted two-stage plans
+// without link latency, and on a placed plan:
 //   - stage 0 sends, computes briefly, sends again and then computes long,
 //     while stage 1 sends twice: the long window overlaps four oracle
-//     intervals whose seq alternates between the two directions, and the
-//     brief one two, which are summed without the merge;
+//     intervals whose seq alternates between the two directions, which sum
+//     in seq order, and the brief one two;
 //   - at one byte per second, stage 1 receives a message and computes two
-//     ops that fill the quiet gap before the next transfer exactly (every
-//     edge an exact binary fraction): the first starts on the end of
-//     the interval before the gap, the second ends on the start of the one
-//     after it and is priced by the cached gap;
+//     ops that fill the gap before the next transfer exactly (every edge an
+//     exact binary fraction): the first starts on the end of the interval
+//     before the gap, the second ends on the start of the one after it;
 //   - HelixPipe on four DGX-A800x4 nodes at p=8, two stages per node, whose
-//     stage pairs cross both NVLink and InfiniBand.
-func TestEngineFastPathsMatchReference(t *testing.T) {
+//     stage pairs cross both NVLink and InfiniBand, so the link-class sums
+//     split.
+func TestEngineOverlapEdgesMatchReference(t *testing.T) {
 	msg := func(kind sched.OpKind, peer, layer int, bytes int64) sched.Op {
 		return sched.Op{Kind: kind, Peer: int32(peer), Bytes: bytes, Tag: sched.Tag{Layer: int32(layer)}}
 	}
@@ -325,7 +325,7 @@ func TestEngineFastPathsMatchReference(t *testing.T) {
 			}
 			return "no long compute span on stage 0"
 		}},
-		{"quiet gap edges", gap, nil, func(r *Runner, res *Result) string {
+		{"gap edges", gap, nil, func(r *Runner, res *Result) string {
 			recv := r.pre.nic.recv[1]
 			var starts, ends int
 			for _, sp := range res.Spans {

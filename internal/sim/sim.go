@@ -22,7 +22,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -358,20 +357,9 @@ type waiting struct {
 }
 
 // nicCursor is one stage's position in each direction of the oracle: the
-// first interval that ends after the stage's latest overlap query's start.
-// quietLo and quietHi bound the quiet gap around both cursors, from the end
-// of the interval before each to the start of the interval at each: a
-// compute window inside it overlaps no transfer.
+// first interval that ends after the stage's latest compute start.
 type nicCursor struct {
-	send, recv       int32
-	quietLo, quietHi float64
-}
-
-// link is one stage pair's transfer parameters under a topology, with the
-// index of its class in the engine's classStats.
-type link struct {
-	bytesPerSec, latency float64
-	class                int32
+	send, recv int32
 }
 
 type engine struct {
@@ -410,13 +398,9 @@ type engine struct {
 	oracle *nicLog
 	cursor []nicCursor
 
-	// links[from*Stages+to] is each stage pair's link under a topology,
-	// resolved once per binding, and classStats aggregates transfers per
-	// link class, one entry per class the topology's links name. Both
-	// persist across reset (the stats zeroed) so reruns stay
-	// allocation-free.
-	links      []link
-	classStats []LinkClassStats
+	// classStats aggregates transfers per link class under a topology.
+	// Entries persist (zeroed) across reset so reruns stay allocation-free.
+	classStats map[cluster.LinkClass]*LinkClassStats
 
 	busy      []float64
 	commStall []float64
@@ -468,20 +452,8 @@ func (e *engine) reinit(plan *sched.Plan, opt Options) {
 	e.nic.send = grow(e.nic.send, p)
 	e.nic.recv = grow(e.nic.recv, p)
 	e.cursor = grow(e.cursor, p)
-	e.links, e.classStats = e.links[:0], e.classStats[:0]
-	if t := opt.Topology; t != nil {
-		e.links = grow(e.links, p*p)
-		for s := 0; s < p; s++ {
-			for d := 0; d < p; d++ {
-				bytesPerSec, latency, class := t.Link(s, d)
-				i := slices.IndexFunc(e.classStats, func(st LinkClassStats) bool { return st.Class == string(class) })
-				if i < 0 {
-					i = len(e.classStats)
-					e.classStats = append(e.classStats, LinkClassStats{Class: string(class)})
-				}
-				e.links[s*p+d] = link{bytesPerSec: bytesPerSec, latency: latency, class: int32(i)}
-			}
-		}
+	if e.classStats == nil {
+		e.classStats = map[cluster.LinkClass]*LinkClassStats{}
 	}
 	e.busy = grow(e.busy, p)
 	e.commStall = grow(e.commStall, p)
@@ -539,7 +511,7 @@ func (e *engine) reset() {
 		e.recvFree[s] = 0
 		e.nic.send[s] = e.nic.send[s][:0]
 		e.nic.recv[s] = e.nic.recv[s][:0]
-		e.cursor[s] = nicCursor{quietLo: math.Inf(1), quietHi: math.Inf(-1)}
+		e.cursor[s] = nicCursor{}
 		e.busy[s] = 0
 		e.commStall[s] = 0
 		e.wait[s] = 0
@@ -548,8 +520,8 @@ func (e *engine) reset() {
 	}
 	e.ready = e.ready[:0]
 	e.seq = 0
-	for i := range e.classStats {
-		e.classStats[i] = LinkClassStats{Class: e.classStats[i].Class}
+	for _, st := range e.classStats {
+		*st = LinkClassStats{Class: st.Class}
 	}
 	e.classes = e.classes[:0]
 	e.spans = e.spans[:0]
@@ -625,23 +597,19 @@ func (e *engine) run() error {
 // advance runs stage s's ops in place — compute, and recvs whose message is
 // already in flight — until the stage reaches a send, which queues it on
 // the ready heap, a recv whose message is not in flight, which parks it
-// until that message's send resumes it, or the end of its program. The
-// stage's pc, clock and busy sum live in locals until it stops.
+// until that message's send resumes it, or the end of its program.
 func (e *engine) advance(s int32) {
 	ops := e.plan.Ops[s]
-	pc, clock, busy := e.pc[s], e.clock[s], e.busy[s]
-	for ; int(pc) < len(ops); pc++ {
-		op := &ops[pc]
-		start := clock
+	for int(e.pc[s]) < len(ops) {
+		op := &ops[e.pc[s]]
+		start := e.clock[s]
 		switch op.Kind {
 		case sched.KSend:
 			e.heapPush(waiting{at: toTick(start), stage: s})
-			e.pc[s], e.clock[s], e.busy[s] = pc, clock, busy
 			return
 		case sched.KRecv:
 			k := e.recvSlots[e.recvBase[s]+e.nrecv[s]]
 			if k < 0 || k >= e.sendBase[op.Peer]+e.nsend[op.Peer] {
-				e.pc[s], e.clock[s], e.busy[s] = pc, clock, busy
 				return
 			}
 			e.nrecv[s]++
@@ -650,7 +618,7 @@ func (e *engine) advance(s int32) {
 				end = start
 			}
 			e.wait[s] += end - start
-			clock = end
+			e.clock[s] = end
 			e.record(s, op, start, end)
 		default: // compute
 			dur := op.Dur
@@ -659,12 +627,12 @@ func (e *engine) advance(s int32) {
 				dur += overlap * e.opt.SMPenalty
 			}
 			end := start + dur
-			busy += dur
-			clock = end
+			e.busy[s] += dur
+			e.clock[s] = end
 			e.record(s, op, start, end)
 		}
+		e.pc[s]++
 	}
-	e.pc[s], e.clock[s], e.busy[s] = pc, clock, busy
 }
 
 // execSend executes stage s's next op, a send: it reserves the NIC pair and
@@ -677,10 +645,14 @@ func (e *engine) execSend(s int32) {
 	// The flat NIC parameters of the cost book, unless a topology resolves
 	// this stage pair to a concrete link.
 	bytesPerSec, latency := e.plan.Costs.P2PBytesPerSec, e.plan.Costs.P2PLatency
-	if e.opt.Topology != nil {
-		l := &e.links[int(s)*e.plan.Stages+int(op.Peer)]
-		bytesPerSec, latency = l.bytesPerSec, l.latency
-		st := &e.classStats[l.class]
+	if t := e.opt.Topology; t != nil {
+		var class cluster.LinkClass
+		bytesPerSec, latency, class = t.Link(int(s), int(op.Peer))
+		st, ok := e.classStats[class]
+		if !ok {
+			st = &LinkClassStats{Class: string(class)}
+			e.classStats[class] = st
+		}
 		st.Bytes += op.Bytes
 		st.Transfers++
 		if bytesPerSec > 0 {
@@ -724,33 +696,14 @@ func (e *engine) execSend(s int32) {
 
 // nicOverlap returns the total overlap of [start, end] with this stage's
 // NIC transfer intervals in the pre-pass oracle (the order-independent
-// final set). A window inside the stage's quiet gap overlaps nothing, and
-// its overlap is exactly 0. Otherwise the overlapping run of each direction
-// starts at the stage's cursor, and the two runs are merged in
-// transfer-initiation (seq) order so the sum accumulates exactly as a
-// single chronological scan would. Two terms need no merge: their sum is
-// the same in either order.
+// final set). The overlapping run of each direction starts at the stage's
+// cursor; the two runs are then merged in transfer-initiation (seq) order so
+// the sum accumulates exactly as a single chronological scan would.
 func (e *engine) nicOverlap(s int32, start, end float64) float64 {
 	cur := &e.cursor[s]
-	if cur.quietLo <= start && end <= cur.quietHi {
-		return 0
-	}
-	sends, recvs := e.oracle.send[s], e.oracle.recv[s]
-	sendRun := overlapping(sends, &cur.send, start, end)
-	recvRun := overlapping(recvs, &cur.recv, start, end)
-	cur.quietLo, cur.quietHi = quietGap(sends, cur.send)
-	lo, hi := quietGap(recvs, cur.recv)
-	cur.quietLo, cur.quietHi = max(cur.quietLo, lo), min(cur.quietHi, hi)
+	sendRun := overlapping(e.oracle.send[s], &cur.send, start, end)
+	recvRun := overlapping(e.oracle.recv[s], &cur.recv, start, end)
 	var total float64
-	if len(sendRun)+len(recvRun) <= 2 {
-		for _, iv := range sendRun {
-			total += clampedOverlap(iv, start, end)
-		}
-		for _, iv := range recvRun {
-			total += clampedOverlap(iv, start, end)
-		}
-		return total
-	}
 	i, j := 0, 0
 	for i < len(sendRun) && j < len(recvRun) {
 		if sendRun[i].seq < recvRun[j].seq {
@@ -790,20 +743,6 @@ func overlapping(ivs []interval, lo *int32, start, end float64) []interval {
 		hi++
 	}
 	return ivs[i:hi]
-}
-
-// quietGap returns the gap of one timeline around position i: from the end
-// of interval i-1 (-Inf for none) to the start of interval i (+Inf for
-// none). Ends and starts are non-decreasing, so no interval overlaps it.
-func quietGap(ivs []interval, i int32) (lo, hi float64) {
-	lo, hi = math.Inf(-1), math.Inf(1)
-	if i > 0 {
-		lo = ivs[i-1].end
-	}
-	if int(i) < len(ivs) {
-		hi = ivs[i].start
-	}
-	return lo, hi
 }
 
 func clampedOverlap(iv interval, start, end float64) float64 {
@@ -871,7 +810,7 @@ func (e *engine) resultInto(r *Result) {
 	}
 	for _, st := range e.classStats {
 		if st.Transfers > 0 {
-			e.classes = append(e.classes, st)
+			e.classes = append(e.classes, *st)
 		}
 	}
 	// Insertion sort by class name: the handful of link classes does not

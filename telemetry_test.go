@@ -173,11 +173,14 @@ func TestWritePromAfterFleet(t *testing.T) {
 // and ends back where it started once every cache is dropped. Session.Fleet
 // gives its own cache's bytes back when the run returns; a caller's cache,
 // on a private registry, gives them back when the collector frees it.
+// Its own caches publish into the process-wide registry, where caches that
+// earlier tests dropped give their bytes back whenever a collection runs,
+// so each run is measured from a reading taken once those have settled.
 func TestCacheBytesGaugeCountsLiveCaches(t *testing.T) {
 	session, fs := exampleFleet(t, "")
 	gauge := obs.Default().Gauge("helix_cache_bytes")
-	before := gauge.Value()
 	for i := 0; i < 5; i++ {
+		before := settledGauge(gauge)
 		var peak float64
 		own := fs
 		own.Probe = func(FleetProbeEvent) { peak = max(peak, gauge.Value()) }
@@ -221,6 +224,23 @@ func TestCacheBytesGaugeCountsLiveCaches(t *testing.T) {
 	if hits == 0 || misses == 0 {
 		t.Errorf("the hit and miss counters read %v and %v after five runs; they must stay cumulative", hits, misses)
 	}
+}
+
+// settledGauge collects garbage until two readings of g in a row agree,
+// so every unreachable cache's finalizer has given its bytes back, and
+// returns that reading.
+func settledGauge(g *obs.Gauge) float64 {
+	v := g.Value()
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+		next := g.Value()
+		if next == v && i > 0 {
+			return v
+		}
+		v = next
+	}
+	return v
 }
 
 // TestCacheSingleflightWaitCounted pins the waiter accounting: a second
