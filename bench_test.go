@@ -668,7 +668,7 @@ func BenchmarkWriteDecodeReport(b *testing.B) {
 // TestDecodeReportWriteAllocBudget enforces the decode report encoder's
 // budget in-process, the contract the CI alloc-gate re-checks from
 // BenchmarkWriteDecodeReport's -benchmem output. An encoder that allocates
-// its compact or indented buffer per write fails it. Under the race
+// its output buffer per write fails it. Under the race
 // detector sync.Pool drops the pooled buffers at random, so the budget is
 // checked only without it.
 func TestDecodeReportWriteAllocBudget(t *testing.T) {

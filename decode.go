@@ -146,8 +146,11 @@ func (s *ExperimentSpec) buildDecodeSpec(p *specParts) (*DecodeSpec, error) {
 	return ds, nil
 }
 
-// WriteDecodeReportJSON writes a decode report as indented JSON —
-// deterministic, byte for byte, under identical specs.
+// WriteDecodeReportJSON writes a decode report as indented JSON, the bytes
+// json.Encoder with SetIndent("", "  ") writes — deterministic, byte for
+// byte, under identical specs. The report writes its own fixed shape in one
+// pass, without reflection, and formats the best point's token latencies
+// once for the point that shares them.
 func WriteDecodeReportJSON(w io.Writer, r *DecodeReport) error { return r.WriteJSON(w) }
 
 // WriteDecodePerfetto writes a decode report as a Chrome/Perfetto

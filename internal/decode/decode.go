@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -326,13 +327,18 @@ type Dist struct {
 	MaxSeconds  float64 `json:"max_seconds"`
 }
 
-// distOf summarizes the samples; it copies before sorting.
+// distOf summarizes the samples without modifying them. Token latencies
+// rise with the cache length, so they usually arrive sorted; only samples
+// out of order are copied and sorted.
 func distOf(samples []float64) Dist {
 	if len(samples) == 0 {
 		return Dist{}
 	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
+	sorted := samples
+	if !slices.IsSorted(samples) {
+		sorted = append([]float64(nil), samples...)
+		sort.Float64s(sorted)
+	}
 	sum := 0.0
 	for _, v := range sorted {
 		sum += v

@@ -1,6 +1,7 @@
-// Package jsonw writes the indented JSON of every report and spec writer:
-// the bytes json.Encoder writes with SetIndent("", "  "), produced in one
-// pass over the compact encoding.
+// Package jsonw writes the indented JSON of the report and spec writers
+// (all but the decode report's, which encodes its fixed shape itself): the
+// bytes json.Encoder writes with SetIndent("", "  "), produced in one pass
+// over the compact encoding.
 //
 // json.Encoder indents by stepping its full JSON scanner over every output
 // byte. The compact encoding needs none of that: it is valid JSON with no
@@ -15,10 +16,10 @@ import (
 	"sync"
 )
 
-// maxPooled is the largest buffer Write returns to its pool. Reports run to
+// MaxPooled is the largest buffer Write returns to its pool. Reports run to
 // a few hundred KiB; a buffer grown far past that by an outsized value is
 // dropped, so the pool never keeps it alive.
-const maxPooled = 4 << 20
+const MaxPooled = 4 << 20
 
 // indenter is the writer a compact json.Encoder encodes into: it indents
 // the encoding as it arrives, in whatever pieces it arrives, into out.
@@ -55,7 +56,7 @@ func Write(w io.Writer, v any) error {
 		return err
 	}
 	_, err := w.Write(x.out)
-	if cap(x.out) <= maxPooled {
+	if cap(x.out) <= MaxPooled {
 		pool.Put(x)
 	}
 	return err

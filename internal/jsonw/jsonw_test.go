@@ -104,13 +104,13 @@ func TestWriteErrorWritesNothing(t *testing.T) {
 }
 
 // TestWriteDropsOversizedBuffers writes a value whose output outgrows
-// maxPooled: the pool must not keep its buffer.
+// MaxPooled: the pool must not keep its buffer.
 func TestWriteDropsOversizedBuffers(t *testing.T) {
-	checkEqual(t, strings.Repeat("x", maxPooled))
+	checkEqual(t, strings.Repeat("x", MaxPooled))
 	x := pool.Get().(*indenter)
 	defer pool.Put(x)
-	if cap(x.out) > maxPooled {
-		t.Fatalf("the pool kept a %d-byte buffer, cap %d", cap(x.out), maxPooled)
+	if cap(x.out) > MaxPooled {
+		t.Fatalf("the pool kept a %d-byte buffer, cap %d", cap(x.out), MaxPooled)
 	}
 }
 
